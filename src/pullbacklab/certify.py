@@ -177,14 +177,40 @@ def _circle(center, radius, n):
     return center + radius * np.exp(1j * th)
 
 
+def _horner(coeffs, zr, zi):
+    """Real and imaginary parts of ``ratmap._peval`` on arrays, replaying
+    CPython's ``acc * z + c`` one rounded operation at a time."""
+    ar = np.zeros_like(zr)
+    ai = np.zeros_like(zr)
+    for c in reversed(coeffs):
+        ar, ai = ar * zr - ai * zi + c.real, ar * zi + ai * zr + c.imag
+    return ar, ai
+
+
 def _apply_map(gm, zs):
+    """gm on every sample, bit-for-bit equal to ``gm(z)`` per sample: real
+    Horner plus CPython's complex division (Smith's method, as
+    ``_Py_c_quot``). numpy's complex arithmetic may round differently."""
+    zr, zi = zs.real, zs.imag
+    nr, ni = _horner(gm.numerator, zr, zi)
+    dr, di = _horner(gm.denominator, zr, zi)
+    with np.errstate(all="ignore"):
+        by_real = np.abs(dr) >= np.abs(di)
+        ratio = np.where(by_real, di / dr, dr / di)
+        denom = np.where(by_real, dr + di * ratio, dr * ratio + di)
+        wr = np.where(by_real, nr + ni * ratio, nr * ratio + ni) / denom
+        wi = np.where(by_real, ni - nr * ratio, ni * ratio - nr) / denom
+        pole = (dr == 0) & (di == 0)
+        # np.hypot only preselects; abs(complex) decides as gm's caller did
+        far = np.flatnonzero(np.hypot(wr, wi) > 0.5e12)
+    if np.any(pole) or not (np.all(np.isfinite(wr)) and
+                            np.all(np.isfinite(wi))) or \
+            any(abs(complex(wr[i], wi[i])) > 1e12 for i in far):
+        raise InjectivityUndetermined(
+            "tracked boundary image leaves the working chart")
     out = np.empty(len(zs), dtype=complex)
-    for i, z in enumerate(zs):
-        w = gm(complex(z))
-        if is_inf(w) or abs(w) > 1e12:
-            raise InjectivityUndetermined(
-                "tracked boundary image leaves the working chart")
-        out[i] = w
+    out.real = wr
+    out.imag = wi
     return out
 
 
@@ -208,50 +234,66 @@ def _poly_min_dist(zs, q):
     return float(np.min(np.abs(proj - q)))
 
 
+def _cross(u, v):
+    return u.real * v.imag - u.imag * v.real
+
+
 def _segments_intersect_any(z1, z2, skip_adjacent):
-    """Any proper crossing or collinear overlap between segment families."""
+    """Any proper crossing or collinear overlap between segment families.
+
+    Only pairs whose x- and y-boxes overlap (family 1 padded by
+    1e-12 scale) are evaluated: family 2 is sorted by left x-edge, and for
+    each family-1 segment a binary search bounds the window of family-2
+    segments that start before its right edge and whose running maximum
+    right edge reaches its left edge (Shamos-Hoey box sweep). Two segments
+    with disjoint boxes can neither cross nor overlap, and the collinear
+    test already required overlapping boxes; the predicate on the kept
+    pairs is unchanged. So the verdict is that of testing all pairs, save
+    one rounding artefact it no longer reports: a "crossing" of two
+    box-disjoint segments so nearly collinear that the signs of their
+    cross products are rounding noise. Work is (n + m) log m plus the
+    kept windows, at most the n m of testing all pairs (long segments
+    widen the windows)."""
     a, b = z1[:-1], z1[1:]
     c, d = z2[:-1], z2[1:]
-    n, m = len(a), len(c)
-    A = a[:, None]
-    B = b[:, None]
-    C = c[None, :]
-    D = d[None, :]
-
-    def cross(u, v):
-        return u.real * v.imag - u.imag * v.real
-
-    d1 = cross(D - C, A - C)
-    d2 = cross(D - C, B - C)
-    d3 = cross(B - A, C - A)
-    d4 = cross(B - A, D - A)
-    proper = ((d1 * d2) < 0) & ((d3 * d4) < 0)
-
+    n = len(a)
     scale = max(float(np.max(np.abs(b - a))), float(np.max(np.abs(d - c))), 1e-300)
     eps = (1e-10 * scale) ** 2
+    pad = 1e-12 * scale
+    lo1 = np.minimum(a.real, b.real) - pad
+    hi1 = np.maximum(a.real, b.real) + pad
+    lo2 = np.minimum(c.real, d.real)
+    hi2 = np.maximum(c.real, d.real)
+
+    order = np.argsort(lo2, kind="stable")
+    reach = np.maximum.accumulate(hi2[order])
+    start = np.searchsorted(reach, lo1, side="left")
+    stop = np.searchsorted(lo2[order], hi1, side="right")
+    count = np.maximum(stop - start, 0)
+    i = np.repeat(np.arange(n), count)
+    offset = np.repeat(start - (np.cumsum(count) - count), count)
+    j = order[offset + np.arange(len(i))]
+
+    lo1i = np.minimum(a.imag, b.imag) - pad
+    hi1i = np.maximum(a.imag, b.imag) + pad
+    lo2i = np.minimum(c.imag, d.imag)
+    hi2i = np.maximum(c.imag, d.imag)
+    keep = (lo1[i] <= hi2[j]) & (lo2[j] <= hi1[i]) & \
+           (lo1i[i] <= hi2i[j]) & (lo2i[j] <= hi1i[i])
+    if skip_adjacent:
+        gap = np.abs(i - j)
+        keep &= (gap > 1) & (gap != n - 1)
+    i, j = i[keep], j[keep]
+
+    A, B, C, D = a[i], b[i], c[j], d[j]
+    d1 = _cross(D - C, A - C)
+    d2 = _cross(D - C, B - C)
+    d3 = _cross(B - A, C - A)
+    d4 = _cross(B - A, D - A)
+    proper = ((d1 * d2) < 0) & ((d3 * d4) < 0)
     collinear = (np.abs(d1) < eps) & (np.abs(d2) < eps) & \
                 (np.abs(d3) < eps) & (np.abs(d4) < eps)
-    # collinear segments only count when their boxes actually overlap
-    lo1 = np.minimum(A.real, B.real) - 1e-12 * scale
-    hi1 = np.maximum(A.real, B.real) + 1e-12 * scale
-    lo2 = np.minimum(C.real, D.real)
-    hi2 = np.maximum(C.real, D.real)
-    overlap_x = (lo1 <= hi2) & (lo2 <= hi1)
-    lo1i = np.minimum(A.imag, B.imag) - 1e-12 * scale
-    hi1i = np.maximum(A.imag, B.imag) + 1e-12 * scale
-    lo2i = np.minimum(C.imag, D.imag)
-    hi2i = np.maximum(C.imag, D.imag)
-    overlap_y = (lo1i <= hi2i) & (lo2i <= hi1i)
-    hits = proper | (collinear & overlap_x & overlap_y)
-
-    if skip_adjacent:
-        idx = np.arange(n)
-        jdx = np.arange(m)
-        same = idx[:, None] == jdx[None, :]
-        nbr = (np.abs(idx[:, None] - jdx[None, :]) == 1) | \
-              (np.abs(idx[:, None] - jdx[None, :]) == n - 1)
-        hits = hits & ~(same | nbr)
-    return bool(np.any(hits))
+    return bool(np.any(proper | collinear))
 
 
 def _is_simple(zs):
@@ -263,6 +305,12 @@ def injectivity_test(g, annulus, k, n_samp=N_SAMP, eps_cv=1e-6):
     annulus: for each forward stage, no critical point inside the tracked
     region (with clearance), simple and mutually disjoint boundary images,
     and a degree-1 closing inverse lift of the core curve.
+
+    Boundary images are computed on all samples at once, bit-for-bit
+    equal to evaluating the map sample by sample (``_apply_map``).
+    Simplicity and disjointness are decided by ``_segments_intersect_any``
+    on the segment pairs whose bounding boxes touch, found by a sweep
+    over sorted x-edges, instead of on all n^2 pairs.
 
     Raises InjectivityUndetermined on any failed check (which is not a
     proof of non-injectivity)."""

@@ -585,7 +585,8 @@ def init_run(g, marked, trivial=(), extra_punctures=(), tol=None,
 
     ``extra_punctures`` extends the postsingular set by forward-invariant
     points (the marked set B of the base structure may be larger than P,
-    e.g. z -> z^2 needs a third puncture)."""
+    e.g. z -> z^2 needs a third puncture). Invariance is checked for the
+    whole set: an extra may map onto another extra, as in a cycle."""
     tol = tol or Tolerances()
     if analysis is None:
         analysis = postsingular_analysis(g, max_orbit=tol.max_orbit,
@@ -593,12 +594,12 @@ def init_run(g, marked, trivial=(), extra_punctures=(), tol=None,
     if not analysis.is_psf:
         raise NotPostsingularlyFinite("base map is not psf")
     pts = list(analysis.postsingular.points)
-    for q in extra_punctures:
-        q = q if is_inf(q) else complex(q)
+    extras = [q if is_inf(q) else complex(q) for q in extra_punctures]
+    for q in extras:
         if min(chordal(q, p) for p in pts) <= 1e-9:
             continue
         w = g(q)
-        if min(chordal(w, p) for p in pts + [q]) > 1e-9:
+        if min(chordal(w, p) for p in pts + extras) > 1e-9:
             raise InvalidBranchDatum(
                 "extra puncture %r is not forward invariant" % (q,))
         pts.append(q)

@@ -68,9 +68,6 @@ class Path:
     def reverse(self):
         return Path(tuple(reversed(self.nodes)), anchor=self.anchor)
 
-    def euclidean_length(self):
-        return sum(abs(b - a) for a, b in zip(self.nodes, self.nodes[1:]))
-
     def refine(self, k):
         """Insert k-1 evenly spaced nodes on every segment."""
         if k < 2:
@@ -137,10 +134,6 @@ def _seg_closest(a, b, q):
     t = ((q - a) * d.conjugate()).real / L2
     t = min(1.0, max(0.0, t))
     return a + t * d
-
-
-def segment_point_distance(a, b, q):
-    return abs(_seg_closest(a, b, q) - q)
 
 
 def _chordal_seg_to_point(a, b, q):

@@ -75,13 +75,6 @@ class ScaledComplex:
     def log10_abs(self):
         return self.log2_abs() / _LOG2_10
 
-    def abs_float(self):
-        """|value| as a float; 0.0 / inf on under/overflow."""
-        try:
-            return math.ldexp(abs(self.m), self.e)
-        except OverflowError:
-            return math.inf
-
     def ratio_abs(self, other):
         """|self| / |other| as a float (assumes moderate exponent gap)."""
         return math.ldexp(abs(self.m) / abs(other.m), self.e - other.e)

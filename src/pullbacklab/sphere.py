@@ -186,9 +186,6 @@ class Configuration:
     def point(self, label):
         return self.points[self.labels.index(label)]
 
-    def finite_points(self):
-        return [p for p in self.points if not is_inf(p)]
-
     def to_json(self):
         return {lab: encode_point(p) for lab, p in self}
 

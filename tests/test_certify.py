@@ -1,12 +1,16 @@
+import cmath
 import copy
 import math
 
+import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pullbacklab.certify import (certify_obstructed, classify_run,
                                  emit_levy_certificate,
                                  find_separating_annulus, injectivity_test,
-                                 verify_certificate, LevyCertificate)
+                                 verify_certificate, LevyCertificate,
+                                 _apply_map, _circle, _segments_intersect_any)
 from pullbacklab.errors import (InjectivityUndetermined, NoSeparatingAnnulus)
 from pullbacklab.fiber import BranchDatum, init_run, pullback_step, run_until
 from pullbacklab.hyperbolic import (ELL_STAR, RoundAnnulus, annulus_modulus)
@@ -115,6 +119,157 @@ def test_injectivity_k0_vacuous():
     ann = RoundAnnulus.from_radii(0j, 0.5, 2.0)
     evidence = injectivity_test(SQUARE, ann, 0)
     assert evidence["stages"] == []
+
+
+def _dense_reference(z1, z2, skip_adjacent):
+    """All-pairs crossing test, the reference for the box sweep."""
+    a, b = z1[:-1], z1[1:]
+    c, d = z2[:-1], z2[1:]
+    n, m = len(a), len(c)
+    A = a[:, None]
+    B = b[:, None]
+    C = c[None, :]
+    D = d[None, :]
+
+    def cross(u, v):
+        return u.real * v.imag - u.imag * v.real
+
+    d1 = cross(D - C, A - C)
+    d2 = cross(D - C, B - C)
+    d3 = cross(B - A, C - A)
+    d4 = cross(B - A, D - A)
+    proper = ((d1 * d2) < 0) & ((d3 * d4) < 0)
+
+    scale = max(float(np.max(np.abs(b - a))), float(np.max(np.abs(d - c))), 1e-300)
+    eps = (1e-10 * scale) ** 2
+    collinear = (np.abs(d1) < eps) & (np.abs(d2) < eps) & \
+                (np.abs(d3) < eps) & (np.abs(d4) < eps)
+    lo1 = np.minimum(A.real, B.real) - 1e-12 * scale
+    hi1 = np.maximum(A.real, B.real) + 1e-12 * scale
+    lo2 = np.minimum(C.real, D.real)
+    hi2 = np.maximum(C.real, D.real)
+    overlap_x = (lo1 <= hi2) & (lo2 <= hi1)
+    lo1i = np.minimum(A.imag, B.imag) - 1e-12 * scale
+    hi1i = np.maximum(A.imag, B.imag) + 1e-12 * scale
+    lo2i = np.minimum(C.imag, D.imag)
+    hi2i = np.maximum(C.imag, D.imag)
+    overlap_y = (lo1i <= hi2i) & (lo2i <= hi1i)
+    hits = proper | (collinear & overlap_x & overlap_y)
+
+    if skip_adjacent:
+        idx = np.arange(n)
+        jdx = np.arange(m)
+        same = idx[:, None] == jdx[None, :]
+        nbr = (np.abs(idx[:, None] - jdx[None, :]) == 1) | \
+              (np.abs(idx[:, None] - jdx[None, :]) == n - 1)
+        hits = hits & ~(same | nbr)
+    return bool(np.any(hits))
+
+
+def assert_sweep_agrees(z1, z2):
+    for z in (z1, z2):
+        assert _segments_intersect_any(z, z, True) == \
+            _dense_reference(z, z, True)
+    for skip in (False, True):
+        assert _segments_intersect_any(z1, z2, skip) == \
+            _dense_reference(z1, z2, skip)
+
+
+# fixed seed: the sweep must agree with the reference on these inputs
+agree = settings(max_examples=120, deadline=None, derandomize=True)
+coord = st.floats(-4.0, 4.0, allow_nan=False)
+point = st.builds(complex, coord, coord)
+polyline = st.lists(point, min_size=2, max_size=24).map(np.array)
+lattice = st.lists(st.builds(complex, st.integers(-3, 3), st.integers(-3, 3)),
+                   min_size=2, max_size=16)
+
+
+@agree
+@given(polyline, polyline)
+def test_sweep_matches_dense_random_polylines(z1, z2):
+    assert_sweep_agrees(z1, z2)
+
+
+@agree
+@given(lattice, lattice, st.booleans())
+def test_sweep_matches_dense_lattice_polylines(p1, p2, closed):
+    # exact touches, shared vertices, repeated points and collinear overlaps
+    if closed:
+        p1, p2 = p1 + p1[:1], p2 + p2[:1]
+    assert_sweep_agrees(np.array(p1, dtype=complex),
+                        np.array(p2, dtype=complex))
+
+
+@agree
+@given(point, st.floats(0.05, 3.0), point, st.integers(8, 160))
+def test_sweep_matches_dense_circle_images(center, radius, c, n):
+    inner = _circle(center, radius / 2, n)
+    outer = _circle(center, radius, n)
+    assert_sweep_agrees(inner * inner + c, outer * outer + c)
+
+
+@agree
+@given(st.floats(0.0, 2 * math.pi), st.floats(-9.5, -8.5), point,
+       st.integers(8, 160))
+def test_sweep_matches_dense_tiny_circles(phi, log_r, c, n):
+    # radius ~1e-9 around a point 1e-8 from 0; under z^2 + c the image
+    # collapses onto a few representable values near c
+    circle = _circle(1e-8 * cmath.exp(1j * phi), 10.0 ** log_r, n)
+    assert_sweep_agrees(circle, circle * circle + c)
+    assert_sweep_agrees(circle * circle, circle * circle + c)
+
+
+def test_sweep_ignores_rounding_crossing_of_disjoint_boxes():
+    # collinear to ~1e-16: the reference's cross-product signs are rounding
+    # noise and report a crossing of two segments with disjoint boxes
+    z = np.array([-0.8950058802894161 - 1.2776542243960578j,
+                  -0.6261409398676607 - 0.3244825989718599j,
+                  -0.5255518379875906 + 0.03212275681973742j,
+                  -0.4529391272524107 + 0.2895470807547901j])
+    assert max(z[:2].real) < min(z[2:].real)
+    assert _dense_reference(z[:2], z[2:], False)
+    assert not _segments_intersect_any(z[:2], z[2:], False)
+
+
+def assert_bits_equal(got, want):
+    for part in ("real", "imag"):
+        assert np.array_equal(getattr(got, part).view(np.int64),
+                              getattr(want, part).view(np.int64))
+
+
+coef = point.filter(lambda c: c == 0 or abs(c) > 1e-3)
+lead = point.filter(lambda c: abs(c) > 0.1)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(coef, min_size=2, max_size=8), lead,
+       st.lists(coef, max_size=3), lead, point,
+       st.floats(0.01, 2.0), point, st.integers(4, 64))
+@example([-2, 0], 1, [], 1, 2 + 0.1j, 0.3, 2 + 0j, 512)  # chebyshev's chart
+def test_apply_map_bit_exact(num, num_lead, den, den_lead, center, radius,
+                             anchor, n):
+    try:
+        g = RationalMap(num + [num_lead], den + [den_lead])
+    except ValueError:  # a shared root
+        assume(False)
+    zs = _circle(center, radius, n)
+    for gm in (g, g.shifted(anchor)):
+        want = [gm(complex(z)) for z in zs]
+        if any(w is INF or abs(w) > 1e12 for w in want):
+            with pytest.raises(InjectivityUndetermined):
+                _apply_map(gm, zs)
+            continue
+        assert_bits_equal(_apply_map(gm, zs), np.array(want, dtype=complex))
+
+
+def test_apply_map_leaves_chart():
+    unit = _circle(0j, 1.0, 64)  # sample 0 is exactly 1
+    with pytest.raises(InjectivityUndetermined):
+        _apply_map(RationalMap([0, 0, 1], [-1, 0, 1]), unit)  # pole at 1
+    with pytest.raises(InjectivityUndetermined):
+        _apply_map(RationalMap([0, 0, 1e12 * (1 + 1e-9)]), unit)
+    assert np.max(np.abs(_apply_map(RationalMap([0, 0, 1e12 * (1 - 1e-9)]),
+                                    unit))) <= 1e12
 
 
 def test_emit_and_verify_certificate():

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import pytest
@@ -50,6 +51,19 @@ def test_init_validation():
     with pytest.raises(InvalidBranchDatum):
         init_run(SQUARE, [BranchDatum(0.5, math.sqrt(0.5))],
                  extra_punctures=[0.7])  # not forward invariant
+
+
+def test_cyclic_extra_punctures():
+    # omega -> omega^2 -> omega under z^2: invariant as a set, not one by one
+    w = cmath.exp(2j * math.pi / 3)
+    datum = BranchDatum(0.5, math.sqrt(0.5))
+    run = init_run(SQUARE, [datum], extra_punctures=[w, w * w])
+    assert len(run.punctures) == 4
+    with pytest.raises(InvalidBranchDatum):
+        init_run(SQUARE, [datum], extra_punctures=[w, w * w, 0.7])
+    with pytest.raises(InvalidBranchDatum):
+        # sqrt(0.7) -> 0.7 stays in the set, but 0.7 -> 0.49 leaves it
+        init_run(SQUARE, [datum], extra_punctures=[math.sqrt(0.7), 0.7])
 
 
 def test_positions_match_scalar_recurrence():
