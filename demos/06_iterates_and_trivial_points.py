@@ -9,17 +9,17 @@ and never perturbs the other coordinates.
 import math
 
 from pullbacklab import (BranchDatum, RationalMap, TrivialMarkedSpec,
-                         compose_iterate_run, init_run, pullback_step)
+                         compose_iterate_run, init_run)
 
 g = RationalMap([-2, 0, 1])
 datum = BranchDatum(0.0, math.sqrt(2))
 
 base = init_run(g, [datum])
 for _ in range(12):
-    pullback_step(base)
+    base.pullback_step()
 comp = compose_iterate_run(g, 2, datum)
 for _ in range(6):
-    pullback_step(comp)
+    comp.pullback_step()
 
 
 def mat(run, n):
@@ -37,7 +37,7 @@ print("\ntrivial marked point (image -2, preimage 0, start 0.5):")
 run = init_run(g, [BranchDatum(0.0, -math.sqrt(2))],
                trivial=[TrivialMarkedSpec(-2.0, 0.0, start=0.5)])
 for _ in range(5):
-    pullback_step(run)
+    run.pullback_step()
 positions = [v for _, v in run.trivial[0].history]
 print("   positions:", positions)
 print("   constant from step 1:", all(v == 0j for v in positions[1:]))

@@ -15,7 +15,7 @@ from .errors import (AmbiguousCycle, BranchJumpSuspected, ChartOverflow,
                      PullbackLabError, RootFindingFailure)
 from .fiber import (BranchDatum, FiberPointState, PullbackRun, RunStatus,
                     Tolerances, Trace, TrivialMarkedSpec, compose_iterate_run,
-                    init_run, pullback_step, run_until)
+                    init_run, run_until, step_until, stopping_status)
 from .hyperbolic import (ELL_STAR, LengthBound, RoundAnnulus, annulus_modulus,
                          density_upper_bound, ell_star, geodesic_length_bound,
                          path_length_upper_bound, teich_step_bound)

@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from .errors import InjectivityUndetermined, NoSeparatingAnnulus
+from .fiber import Tolerances, step_until
 from .hyperbolic import ELL_STAR, RoundAnnulus, annulus_modulus
 from .lifting import Path, lift_closed_curve, _newton_preimage
 from .ratmap import critical_points
@@ -68,7 +69,6 @@ class Classification:
 
 def classify_run(trace, g, punctures, tol=None):
     """Finalize the dichotomy verdict for a finished run trace."""
-    from .fiber import Tolerances
     tol = tol or Tolerances()
     status = trace.status
     records = trace.records
@@ -145,28 +145,52 @@ def _decay_rate(records, p_label, window=8):
 # ---------------------------------------------------------------------------
 # separating annuli
 
-def find_separating_annulus(config, b_labels, cluster_labels,
-                            margin=ANNULUS_MARGIN):
+def find_separating_annulus(points, cluster_labels, obstacles=(),
+                            anchor=None, margin=ANNULUS_MARGIN):
     """Round annulus centered at the cluster centroid, inner radius just
     past the cluster, outer radius just inside the nearest complement point
-    (finite points only; oo always sits in the outer component)."""
+    or obstacle.
+
+    ``points`` are (label, z) pairs, z None or INF for oo (a Configuration
+    iterates this way); oo always sits in the outer component. Obstacles
+    (e.g. critical points) cap the outer radius but do not count as
+    complement points. ``anchor`` is the translated chart the points live
+    in, kept on the annulus."""
     cluster_labels = list(cluster_labels)
     if len(cluster_labels) < 2:
         raise NoSeparatingAnnulus("cluster needs at least two points")
-    cluster = [config.point(lab) for lab in cluster_labels]
-    if any(is_inf(p) for p in cluster):
+    pos = dict(points)
+    cluster = [pos[lab] for lab in cluster_labels]
+    if any(z is None or is_inf(z) for z in cluster):
         raise NoSeparatingAnnulus("cluster containing oo needs a re-chart")
     center = sum(cluster) / len(cluster)
-    r_in = (1.0 + margin) * max(abs(p - center) for p in cluster)
-    rest = [p for lab, p in config
-            if lab not in cluster_labels and not is_inf(p)]
+    r_in = (1.0 + margin) * max(abs(z - center) for z in cluster)
+    rest = [z for lab, z in pos.items() if lab not in cluster_labels
+            and z is not None and not is_inf(z)]
     if not rest:
         raise NoSeparatingAnnulus("no finite complement point")
-    r_out = (1.0 - margin) * min(abs(p - center) for p in rest)
+    r_out = (1.0 - margin) * min(abs(z - center)
+                                 for z in rest + list(obstacles))
     if r_in <= 0 or r_out <= r_in:
         raise NoSeparatingAnnulus(
             "cluster is not separated (r_in=%.3g, r_out=%.3g)" % (r_in, r_out))
-    return RoundAnnulus.from_radii(center, r_in, r_out)
+    return RoundAnnulus.from_radii(center, r_in, r_out, anchor=anchor)
+
+
+def _side_counts(entries, annulus):
+    """(inner_A, inner_B, outer_A, outer_B) of step-chart entries against
+    the annulus (oo and ring points count as outer), and the labels of the
+    points that sit inside the ring itself."""
+    center, r_in, r_out = annulus.center, annulus.r_in, annulus.r_out
+    counts = [0, 0, 0, 0]
+    ring = []
+    for lab, kind, z in entries:
+        side = 0 if z is not None and abs(z - center) <= r_in else 2
+        if side and z is not None and abs(z - center) < r_out:
+            ring.append(lab)
+        counts[side] += 1
+        counts[side + 1] += kind == "P"
+    return tuple(counts), ring
 
 
 # ---------------------------------------------------------------------------
@@ -583,48 +607,21 @@ def _try_cluster(run, n, cluster_labels, k, d0, threshold, engine_version,
             if not is_inf(p):
                 shift = p
                 break
+    origin = shift if shift is not None else 0j
     try:
-        entries = _step_chart_entries(run, n, shift if shift is not None else 0j)
+        entries = _step_chart_entries(run, n, origin)
+        # keep the forward advance critical-point free: cap by the critical set
+        crit = [c - origin for c, _ in critical_points(run.g) if not is_inf(c)]
+        annulus = find_separating_annulus(
+            [(lab, z) for lab, _, z in entries], cluster_labels,
+            obstacles=crit, anchor=shift)
     except NoSeparatingAnnulus:
         return None
-    pos = {lab: z for lab, _, z in entries}
-    cluster_pts = [pos[lab] for lab in cluster_labels]
-    if any(z is None for z in cluster_pts):
-        return None
-    center = sum(cluster_pts) / len(cluster_pts)
-    r_in = (1.0 + ANNULUS_MARGIN) * max(abs(z - center) for z in cluster_pts)
-    rest = [z for lab, _, z in entries
-            if lab not in cluster_labels and z is not None]
-    if not rest or r_in <= 0:
-        return None
-    r_out = (1.0 - ANNULUS_MARGIN) * min(abs(z - center) for z in rest)
-    # keep the forward advance critical-point free: cap by the critical set
-    crit = [c - (shift if shift is not None else 0j)
-            for c, _ in critical_points(run.g) if not is_inf(c)]
-    if crit:
-        r_out = min(r_out, (1.0 - ANNULUS_MARGIN) *
-                    min(abs(c - center) for c in crit))
-    if r_out <= r_in:
-        return None
-    annulus = RoundAnnulus(center, math.log(r_in), math.log(r_out),
-                           anchor=shift)
     modulus = annulus_modulus(annulus)
     if not modulus > threshold:
         return None
-
-    inner_A = inner_B = outer_A = outer_B = 0
-    for lab, kind, z in entries:
-        inside = z is not None and abs(z - center) <= r_in
-        outside = z is None or abs(z - center) >= r_out
-        if not inside and not outside:
-            return None  # a configuration point sits inside the ring
-        if inside:
-            inner_A += 1
-            inner_B += kind == "P"
-        else:
-            outer_A += 1
-            outer_B += kind == "P"
-    if inner_A < 2 or outer_A < 2 or inner_B > 1:
+    (inner_A, inner_B, outer_A, outer_B), ring = _side_counts(entries, annulus)
+    if ring or inner_A < 2 or outer_A < 2 or inner_B > 1:
         return None
 
     try:
@@ -697,8 +694,9 @@ _EMISSION_FLOOR_LOG = math.log(1e-290)
 
 
 def certify_obstructed(run, engine_version="", max_steps=None,
-                       with_reason=False):
-    """Step the run forward until a certificate is emitted (or the cap).
+                       with_reason=False, records=None):
+    """Step the run forward until a certificate is emitted (or the cap),
+    appending each step's ``trace_record`` to ``records`` when given.
 
     The annulus modulus grows like log|g'(p)| / 2 pi per step, so emission
     happens within O(threshold) further steps of an obstructed run. When the
@@ -707,26 +705,24 @@ def certify_obstructed(run, engine_version="", max_steps=None,
     collapsing cluster at that depth."""
     cap = run.tol.max_iters if max_steps is None else max_steps
 
-    def done(cert, note):
-        return (cert, note) if with_reason else cert
+    def attempt():
+        if run.n < 1:
+            return None
+        try:
+            d0 = run.d0_bound()
+        except Exception as exc:
+            return None, "no certified first-step bound: %s" % exc
+        threshold = (run.k + 4) * math.pi * math.exp(run.k * d0) / ELL_STAR
+        if -TWO_PI * threshold < _EMISSION_FLOOR_LOG:
+            return None, ("cluster scale exp(-2 pi * %.4g) is below the "
+                          "double-range certificate chart" % threshold)
+        cert = emit_levy_certificate(run, engine_version=engine_version)
+        return None if cert is None else (cert, "emitted at step %d"
+                                          % cert.step)
 
-    while True:
-        if run.n >= 1:
-            try:
-                d0 = run.d0_bound()
-            except Exception as exc:
-                return done(None, "no certified first-step bound: %s" % exc)
-            threshold = (run.k + 4) * math.pi * math.exp(run.k * d0) / ELL_STAR
-            if -TWO_PI * threshold < _EMISSION_FLOOR_LOG:
-                return done(None,
-                            "cluster scale exp(-2 pi * %.4g) is below the "
-                            "double-range certificate chart" % threshold)
-            cert = emit_levy_certificate(run, engine_version=engine_version)
-            if cert is not None:
-                return done(cert, "emitted at step %d" % cert.step)
-        if run.n >= cap:
-            return done(None, "no qualifying annulus within %d steps" % cap)
-        run.pullback_step()
+    outcome = step_until(run, attempt, cap, records) or \
+        (None, "no qualifying annulus within %d steps" % cap)
+    return outcome if with_reason else outcome[0]
 
 
 # ---------------------------------------------------------------------------
@@ -779,25 +775,14 @@ def verify_certificate(cert, run, n_samp=N_SAMP):
     try:
         shift = cert.annulus.anchor if cert.annulus.anchor is not None else 0j
         entries = _step_chart_entries(run, cert.step, shift)
-        r_in, r_out = cert.annulus.r_in, cert.annulus.r_out
-        center = cert.annulus.center
-        iA = iB = oA = oB = 0
-        for lab, kind, z in entries:
-            inside = z is not None and abs(z - center) <= r_in
-            outside = z is None or abs(z - center) >= r_out
-            check(inside or outside,
-                  "configuration point %s inside the annulus ring" % lab)
-            if inside:
-                iA += 1
-                iB += kind == "P"
-            else:
-                oA += 1
-                oB += kind == "P"
-        check((iA, iB, oA, oB) == (cert.inner_count_A, cert.inner_count_B,
-                                   cert.outer_count_A, cert.outer_count_B),
-              "side counts mismatch: stored %r, recomputed %r"
-              % ((cert.inner_count_A, cert.inner_count_B,
-                  cert.outer_count_A, cert.outer_count_B), (iA, iB, oA, oB)))
+        counts, ring = _side_counts(entries, cert.annulus)
+        bad.extend("configuration point %s inside the annulus ring" % lab
+                   for lab in ring)
+        stored = (cert.inner_count_A, cert.inner_count_B,
+                  cert.outer_count_A, cert.outer_count_B)
+        check(counts == stored, "side counts mismatch: stored %r, "
+              "recomputed %r" % (stored, counts))
+        iA, iB, oA, _ = counts
         check(iA >= 2 and oA >= 2, "essential-in-A side condition")
         check(iB <= 1, "non-essential-in-B side condition")
     except Exception as exc:

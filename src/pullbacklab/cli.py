@@ -4,13 +4,17 @@ certificate persistence, corpus demos.
 Subcommands: analyze | run | classify | certify | check | demo.
 Exit codes: 0 done, 2 invalid config/usage, 3 numerical failure;
 ``check`` exits 1 when a stored artifact fails verification.
+
+``run`` drives the engine's one step loop: ``fiber.run_until`` up to the
+stopping rule, then ``certify_obstructed`` onwards, both recording into
+the same trace. A stored trace is judged by the same rule,
+``fiber.stopping_status``, at the first record where it fires.
 """
 
 import argparse
 import glob as globmod
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -19,57 +23,61 @@ from . import __version__
 from .certify import (LevyCertificate, certify_obstructed, classify_run,
                       verify_certificate)
 from .errors import PullbackLabError
-from .fiber import (BranchDatum, Tolerances, Trace, TrivialMarkedSpec,
-                    compose_iterate_run, init_run, run_until)
+from .fiber import (BranchDatum, RunStatus, Tolerances, Trace,
+                    TrivialMarkedSpec, compose_iterate_run, init_run,
+                    run_until, stopping_status)
 from .lifting import Path
-from .local import LocalFixedChart
+from .local import LocalFixedChart, ScaledComplex
 from .ratmap import RationalMap, postsingular_analysis
 from .sphere import chordal, decode_point
 
 
-def _point(obj):
-    return decode_point(obj)
-
-
 def load_config(path, tol_overrides=(), max_iters=None):
-    """Parse and validate a run config; raises ValueError on schema issues."""
+    """Read a run config file and parse it (see ``parse_config``)."""
     with open(path) as fh:
-        cfg = json.load(fh)
-    if "map" not in cfg:
+        raw = json.load(fh)
+    return parse_config(raw, tol_overrides, max_iters,
+                        name=os.path.splitext(os.path.basename(path))[0])
+
+
+def parse_config(raw, tol_overrides=(), max_iters=None, name=None):
+    """Parse and validate a run config dict; raises ValueError on schema
+    issues. ``name`` is used when the config does not name itself."""
+    if "map" not in raw:
         raise ValueError("config needs a 'map' record")
-    g = RationalMap.from_json(cfg["map"])
-    tols = dict(cfg.get("tolerances", {}))
-    for name, value in tol_overrides:
-        tols[name] = float(value)
+    g = RationalMap.from_json(raw["map"])
+    tols = dict(raw.get("tolerances", {}))
+    for tol_name, value in tol_overrides:
+        tols[tol_name] = float(value)
     tol = Tolerances(**tols)
     if max_iters is not None:
         tol.max_iters = int(max_iters)
-    elif "max_iters" in cfg:
-        tol.max_iters = int(cfg["max_iters"])
+    elif "max_iters" in raw:
+        tol.max_iters = int(raw["max_iters"])
     marked, trivial = [], []
-    for spec in cfg.get("marked", []):
+    for spec in raw.get("marked", []):
         kind = spec.get("type", "fixed")
         if kind == "fixed":
-            b = _point(spec["basepoint"])
-            bp = _point(spec["branch_point"])
+            b = decode_point(spec["basepoint"])
+            bp = decode_point(spec["branch_point"])
             delta = None
             if "delta" in spec:
                 delta = Path([complex(a, b2) for a, b2 in spec["delta"]])
             marked.append(BranchDatum(b, bp, delta))
         elif kind == "trivial":
             trivial.append(TrivialMarkedSpec(
-                _point(spec["image"]), _point(spec["preimage"]),
-                _point(spec["start"]) if "start" in spec else None))
+                decode_point(spec["image"]), decode_point(spec["preimage"]),
+                decode_point(spec["start"]) if "start" in spec else None))
         else:
             raise ValueError("unknown marked type %r" % kind)
     if not marked and not trivial:
         raise ValueError("config needs at least one marked point")
-    extra = [_point(p) for p in cfg.get("extra_punctures", [])]
+    extra = [decode_point(p) for p in raw.get("extra_punctures", [])]
     return {
-        "name": cfg.get("name", os.path.splitext(os.path.basename(path))[0]),
+        "name": raw.get("name", name),
         "g": g, "marked": marked, "trivial": trivial, "extra": extra,
-        "tol": tol, "compose_iterate": cfg.get("compose_iterate"),
-        "raw": cfg,
+        "tol": tol, "compose_iterate": raw.get("compose_iterate"),
+        "raw": raw,
     }
 
 
@@ -139,14 +147,12 @@ def cmd_run(args, force_certificate=False):
     cert = None
     cert_note = None
     if cls.verdict == "obstructed":
+        # the certification tail extends the stored trace
         cert, cert_note = certify_obstructed(run, engine_version=__version__,
-                                             with_reason=True)
+                                             with_reason=True,
+                                             records=trace.records)
         if cert is None and force_certificate:
             raise PullbackLabError("no certificate emitted: %s" % cert_note)
-        # extend the stored trace over the certification tail
-        trace = Trace(trace.records + [
-            _replay_record(run, n) for n in
-            range(len(trace.records), run.n + 1)], status)
     elif force_certificate:
         raise PullbackLabError("run is not obstructed; nothing to certify")
 
@@ -182,85 +188,40 @@ def cmd_run(args, force_certificate=False):
     return 0
 
 
-def _replay_record(run, n):
-    """Trace record for an already-performed step (certification tail)."""
-    saved = run.n
-    # records are cheap to rebuild from history: positions and distances
-    rec = {"n": n, "points": {}, "lift_residual": None, "path_nodes": None,
-           "step_bound": None, "diagram_residual": None, "tail": True}
-    for track in list(run.marked) + list(run.trivial):
-        kind = "trivial" if track.label.startswith("t") else "fixed"
-        mode, value = track.history[n]
-        if mode == "anchored":
-            entry = {"mode": "anchored", "type": kind,
-                     "anchor": run.punctures.labels[track.anchor.index],
-                     "eta": [value.m.real, value.m.imag], "exp2": value.e}
-            entry["dist_log10"] = {
-                lab: (track.anchor.chart.log10_dist_to_anchor(value)
-                      if lab == run.punctures.labels[track.anchor.index]
-                      else math.log10(max(chordal(
-                          track.anchor.puncture, run.punctures.point(lab)),
-                          1e-300)))
-                for lab in run.punctures.labels}
-        else:
-            entry = {"mode": "free", "type": kind,
-                     "value": [value.real, value.imag],
-                     "dist_log10": {
-                         lab: math.log10(max(chordal(
-                             value, run.punctures.point(lab)), 1e-300))
-                         for lab in run.punctures.labels}}
-        rec["points"][track.label] = entry
-    rec["min_dist_log10"] = {
-        lab: min(entry["dist_log10"][lab] for entry in rec["points"].values())
-        for lab in run.punctures.labels}
-    assert run.n == saved
-    return rec
-
-
 def cmd_classify(args):
     cfg = load_config(args.config, args.tol, args.max_iters)
-    records = _read_trace(args.trace)
-    status_obj = _status_from_report(args)
     run = _build_run(cfg)  # punctures only; no stepping
-    if status_obj is None:
-        status_obj = _infer_status(records, run.punctures, cfg["tol"])
-    trace = Trace(records, status_obj)
-    cls = classify_run(trace, run.g, run.punctures, tol=cfg["tol"])
+    records, status = _stored_status(_read_trace(args.trace), run,
+                                     getattr(args, "report", None))
+    cls = classify_run(Trace(records, status), run.g, run.punctures,
+                       tol=cfg["tol"])
     print(json.dumps(cls.to_json(), sort_keys=True, indent=1))
     return 0
 
 
-def _infer_status(records, punctures, tol):
-    """Reconstruct the stopping rule from the stored records: a geometric
-    fall into one puncture, interior Cauchy convergence, or neither."""
-    from .fiber import RunStatus
-    if len(records) < tol.K + 2:
-        return RunStatus("undecided", reason="trace too short",
-                         steps=records[-1]["n"] if records else 0)
-    last = records[-1]
-    for lab in punctures.labels:
-        series = [rec["min_dist_log10"][lab] for rec in records[-6:]
-                  if "min_dist_log10" in rec]
-        if len(series) == 6 and 10.0 ** series[-1] < tol.eps_P and \
-                all(b - a < math.log10(0.98)
-                    for a, b in zip(series, series[1:])):
-            return RunStatus("candidate_puncture", puncture_label=lab,
-                             puncture=punctures.point(lab), steps=last["n"])
-    deltas = []
-    for prev, rec in zip(records[-(tol.K + 1):], records[-tol.K:]):
-        worst = 0.0
-        for lab, entry in rec["points"].items():
-            before = prev["points"].get(lab)
-            if entry["mode"] != "free" or before is None or \
-                    before["mode"] != "free":
-                worst = math.inf
-                break
-            worst = max(worst, chordal(complex(*entry["value"]),
-                                       complex(*before["value"])))
-        deltas.append(worst)
-    if deltas and all(d < tol.eps_conv for d in deltas):
-        return RunStatus("candidate_realized", steps=last["n"])
-    return RunStatus("undecided", reason="max_iters", steps=last["n"])
+def _stored_status(records, run, report_path=None):
+    """(records up to the stopping step, status) of a stored trace.
+
+    The status is the report's when one is given; otherwise the stopping
+    rule is applied to growing prefixes as ``run_until`` applied it, and
+    the first prefix where it fires ends the trace (undecided when none
+    does). Records past the stopping step are the certification tail."""
+    if report_path:
+        with open(report_path) as fh:
+            s = json.load(fh)["status"]
+        status = RunStatus(s["kind"], puncture_label=s.get("puncture_label"),
+                           puncture=None if s.get("puncture") is None
+                           else decode_point(s["puncture"]),
+                           reason=s.get("reason", ""), steps=s.get("steps", 0))
+        return [rec for rec in records if rec["n"] <= status.steps], status
+    prefix = []
+    for rec in records:
+        prefix.append(rec)
+        status = stopping_status(prefix, run.punctures, run.tol)
+        if status is not None:
+            return prefix, status
+    return prefix, RunStatus("undecided", reason="max_iters",
+                             steps=prefix[-1]["n"] if prefix else 0)
 
 
 def _read_trace(path):
@@ -271,19 +232,6 @@ def _read_trace(path):
             if line:
                 records.append(json.loads(line))
     return records
-
-
-def _status_from_report(args):
-    from .fiber import RunStatus
-    if not getattr(args, "report", None):
-        return None
-    with open(args.report) as fh:
-        rep = json.load(fh)
-    s = rep["status"]
-    return RunStatus(s["kind"], puncture_label=s.get("puncture_label"),
-                     puncture=None if s.get("puncture") in (None,)
-                     else decode_point(s["puncture"]),
-                     reason=s.get("reason", ""), steps=s.get("steps", 0))
 
 
 def cmd_certify(args):
@@ -304,10 +252,10 @@ def cmd_check(args):
     if run_cfg is None:
         failures.append("certificate does not embed its run config")
     else:
-        cfg = _config_from_raw(run_cfg)
+        cfg = parse_config(run_cfg)
         records = _read_trace(args.trace)
-        failures.extend(_trace_invariant_suite(records, cfg))
         run = _build_run(cfg)
+        failures.extend(_trace_invariant_suite(records, run))
         while run.n < cert.step:
             run.pullback_step()
         result = verify_certificate(cert, run)
@@ -319,8 +267,7 @@ def cmd_check(args):
                                                  cfg.get("compose_iterate")))
         report_path = getattr(args, "report", None)
         if report_path:
-            failures.extend(_report_reproducible(records, run, cfg,
-                                                 report_path))
+            failures.extend(_report_reproducible(records, run, report_path))
     if failures:
         for f in failures:
             print("CHECK FAIL:", f)
@@ -329,13 +276,13 @@ def cmd_check(args):
     return 0
 
 
-def _report_reproducible(records, run, cfg, report_path):
+def _report_reproducible(records, run, report_path):
     """A report's verdict must be reproducible from its stored trace."""
     with open(report_path) as fh:
         rep = json.load(fh)
-    status = _infer_status(records, run.punctures, cfg["tol"])
+    records, status = _stored_status(records, run)
     cls = classify_run(Trace(records, status), run.g, run.punctures,
-                       tol=cfg["tol"])
+                       tol=run.tol)
     want = rep["classification"]["verdict"]
     if cls.verdict != want:
         return ["report verdict %r not reproduced from the trace (got %r)"
@@ -343,24 +290,13 @@ def _report_reproducible(records, run, cfg, report_path):
     return []
 
 
-def _config_from_raw(raw):
-    import tempfile
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-        json.dump(raw, fh)
-        path = fh.name
-    try:
-        return load_config(path)
-    finally:
-        os.unlink(path)
-
-
-def _trace_invariant_suite(records, cfg):
+def _trace_invariant_suite(records, run):
     """Diagram invariants recomputed from the stored records alone (an
-    edited position breaks |g(x_{n+1}) - x_n| at that step)."""
-    from .local import ScaledComplex
-    ref = _build_run(cfg)
-    g = ref.g  # the composed map for iterate configs
-    punctures = ref.punctures
+    edited position breaks |g(x_{n+1}) - x_n| at that step); ``run`` only
+    supplies the map (the composed one for iterate configs) and the
+    punctures."""
+    g = run.g
+    punctures = run.punctures
     failures = []
     charts = {}
 

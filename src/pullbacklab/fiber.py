@@ -15,6 +15,12 @@ LocalFixedChart and tracked as scaled deviations (module ``local``); the
 distinctness requirement is then certified in the anchored chart, where a
 nonzero separation from the puncture is exact rather than limited by the
 absolute chart's resolution.
+
+Every run is driven by one loop, ``step_until``, which appends one
+``PullbackRun.trace_record`` per step; ``run_until`` stops it with the one
+stopping rule, ``stopping_status``, a pure function of the records (so a
+stored trace is judged exactly as the live run was), and
+``certify.certify_obstructed`` continues it, recording the same way.
 """
 
 import json
@@ -145,7 +151,7 @@ class _MarkedTrack:
     """Mutable per-marked-point state inside a run."""
 
     __slots__ = ("label", "datum", "blocks", "history", "connectors",
-                 "anchor", "last_residual", "last_subdivisions")
+                 "anchor", "last_residual")
 
     def __init__(self, label, datum):
         self.label = label
@@ -155,7 +161,6 @@ class _MarkedTrack:
         self.connectors = [("zero", None)]
         self.anchor = None
         self.last_residual = 0.0
-        self.last_subdivisions = 0
 
     @property
     def mode(self):
@@ -325,12 +330,10 @@ class PullbackRun:
                                   eta_prev, eta_next)))
                 track.last_residual = track.anchor.chart.step_residual(
                     eta_prev, eta_next)
-                track.last_subdivisions = 0
                 continue
             if not track.blocks:
                 new_block = track.datum.delta
                 track.last_residual = 0.0
-                track.last_subdivisions = 0
             else:
                 prev = track.blocks[-1]
                 res = lift_path(self.g, prev, prev.end,
@@ -340,7 +343,6 @@ class PullbackRun:
                 new_block = simplify_path(res.lifted, self._obstacles,
                                           margin=2 * self.tol.eps_clear)
                 track.last_residual = res.max_residual
-                track.last_subdivisions = res.subdivisions
             track.blocks.append(new_block)
             x_new = new_block.end
             track.history.append(("free", x_new))
@@ -545,8 +547,8 @@ class PullbackRun:
             x = triv.position()
             points[triv.label] = {
                 "mode": "free", "type": "trivial", "value": [x.real, x.imag],
-                "dist_log10": {lab: math.log10(max(chordal(x, p), 1e-300))
-                               for lab, p in self.punctures}}
+                "dist_log10": {lab: self.dist_log10(triv, lab)
+                               for lab in self.punctures.labels}}
         if self.n >= 1:
             try:
                 step_bound = teich_step_bound(self, self.n)
@@ -635,73 +637,81 @@ def init_run(g, marked, trivial=(), extra_punctures=(), tol=None,
     return PullbackRun(g, analysis, punctures, tracks, trivial_tracks, tol)
 
 
-def pullback_step(run):
-    """Advance one sigma-step (mutates and returns the run)."""
-    return run.pullback_step()
-
-
-def run_until(run, max_iters=None, sink=None):
-    """Iterate until interior convergence, puncture convergence, or the
-    iteration cap; returns (Trace, RunStatus)."""
-    tol = run.tol
-    cap = tol.max_iters if max_iters is None else max_iters
-    records = [run.trace_record()]
-    if sink is not None:
-        sink(records[-1])
-    conv_streak = 0
-    dist_series = {t.label: [_nearest_from_record(records[-1], t.label)]
-                   for t in run.marked}
-    while run.n < cap:
-        prev_positions = {t.label: t.history[-1] for t in run.marked}
+def step_until(run, stop, cap, records=None):
+    """The step loop: return ``stop()`` as soon as it is not None, else
+    step (appending ``run.trace_record()`` to ``records`` when given) until
+    ``run.n`` reaches ``cap``, and return None there."""
+    while True:
+        result = stop()
+        if result is not None or run.n >= cap:
+            return result
         run.pullback_step()
-        rec = run.trace_record()
-        records.append(rec)
-        if sink is not None:
-            sink(rec)
+        if records is not None:
+            records.append(run.trace_record())
 
-        # (b) puncture convergence with geometric trend
-        for track in run.marked:
-            series = dist_series[track.label]
-            series.append(_nearest_from_record(rec, track.label))
-            p_label, logd = series[-1]
-            if 10.0 ** logd < tol.eps_P and len(series) >= 6:
-                tail = series[-6:]
-                if all(x[0] == p_label for x in tail):
-                    drops = [tail[i + 1][1] - tail[i][1] for i in range(5)]
-                    if all(d < math.log10(0.98) for d in drops):
-                        status = RunStatus(
-                            "candidate_puncture", puncture_label=p_label,
-                            puncture=run.punctures.point(p_label),
-                            steps=run.n)
-                        return Trace(records, status), status
 
-        # (a) interior Cauchy convergence, all marked free
-        if all(t.anchor is None for t in run.marked):
-            step_small = True
-            for track in run.marked:
-                old = prev_positions[track.label][1]
-                new = track.history[-1][1]
-                if chordal(old, new) >= tol.eps_conv:
-                    step_small = False
-            conv_streak = conv_streak + 1 if step_small else 0
-            if conv_streak >= tol.K:
-                clear = all(
-                    min(chordal(t.position(), p) for p in run.punctures.points)
-                    > 10 * tol.eps_P for t in run.marked)
-                if clear:
-                    status = RunStatus("candidate_realized", steps=run.n)
-                    return Trace(records, status), status
-        else:
-            conv_streak = 0
-    status = RunStatus("undecided", reason="max_iters", steps=run.n)
+def stopping_status(records, punctures, tol):
+    """The stopping rule, a function of the records up to now: a RunStatus
+    when it fires at the last record, else None.
+
+    (b) puncture convergence: a fixed marked point's nearest puncture is
+    the same over the last 6 records, closer than eps_P, and each of the 5
+    drops in log10 distance is below log10(0.98);
+    (a) interior convergence: over the last K steps every fixed marked
+    point stayed free and moved less than eps_conv (chordal), and each
+    ends more than 10 eps_P from every puncture.
+    Rule (b) is tried first. No rule fires before the first step."""
+    if len(records) < 2:
+        return None
+    last = records[-1]
+    fixed = [lab for lab, entry in last["points"].items()
+             if entry["type"] == "fixed"]
+
+    def nearest(rec, lab):
+        """(nearest puncture label, log10 distance) of one point."""
+        return min(rec["points"][lab]["dist_log10"].items(),
+                   key=lambda item: item[1])
+
+    for lab in fixed:
+        p_label, logd = nearest(last, lab)
+        if len(records) < 6 or not 10.0 ** logd < tol.eps_P:
+            continue
+        series = [nearest(rec, lab) for rec in records[-6:]]
+        if all(x[0] == p_label for x in series) and \
+                all(b[1] - a[1] < math.log10(0.98)
+                    for a, b in zip(series, series[1:])):
+            return RunStatus("candidate_puncture", puncture_label=p_label,
+                             puncture=punctures.point(p_label),
+                             steps=last["n"])
+    window = records[-(tol.K + 1):]
+    if len(window) < tol.K + 1:
+        return None
+    for lab in fixed:
+        entries = [rec["points"][lab] for rec in window]
+        if any(entry["mode"] != "free" for entry in entries):
+            return None
+        values = [complex(*entry["value"]) for entry in entries]
+        # newest move first: it is the one most likely to be too large
+        if any(chordal(values[i - 1], values[i]) >= tol.eps_conv
+               for i in range(len(values) - 1, 0, -1)):
+            return None
+        if not min(chordal(values[-1], p) for p in punctures.points) \
+                > 10 * tol.eps_P:
+            return None
+    return RunStatus("candidate_realized", steps=last["n"])
+
+
+def run_until(run, max_iters=None):
+    """Step until ``stopping_status`` fires or the iteration cap; returns
+    (Trace, RunStatus)."""
+    cap = run.tol.max_iters if max_iters is None else max_iters
+    records = [run.trace_record()]
+    status = step_until(
+        run, lambda: stopping_status(records, run.punctures, run.tol), cap,
+        records)
+    if status is None:
+        status = RunStatus("undecided", reason="max_iters", steps=run.n)
     return Trace(records, status), status
-
-
-def _nearest_from_record(rec, label):
-    """(nearest puncture label, log10 distance) for one marked point."""
-    dl = rec["points"][label]["dist_log10"]
-    lab = min(dl, key=dl.get)
-    return lab, dl[lab]
 
 
 def compose_iterate_run(g, m, datum, trivial=(), extra_punctures=(),

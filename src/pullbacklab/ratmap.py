@@ -176,8 +176,12 @@ class RationalMap:
         w = Nv / Dv
         if not cmath.isfinite(w):
             return INF, (dDv * Nv - Dv * dNv) / (Nv * Nv)
-        der = (dNv * Dv - Nv * dDv) / (Dv * Dv)
-        return w, der
+        DD = Dv * Dv
+        if DD == 0:
+            # |D(z)|^2 underflows while N/D is finite: same quotient rule,
+            # divided by D once
+            return w, (dNv - w * dDv) / Dv
+        return w, (dNv * Dv - Nv * dDv) / DD
 
     def _eval_at_infinity(self):
         N, D = self.numerator, self.denominator

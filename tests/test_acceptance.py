@@ -16,8 +16,7 @@ import pytest
 from pullbacklab.certify import (certify_obstructed, classify_run,
                                  emit_levy_certificate, verify_certificate)
 from pullbacklab.fiber import (BranchDatum, TrivialMarkedSpec,
-                               compose_iterate_run, init_run, pullback_step,
-                               run_until)
+                               compose_iterate_run, init_run, run_until)
 from pullbacklab.hyperbolic import (ELL_STAR, RoundAnnulus, annulus_modulus,
                                     geodesic_length_bound)
 from pullbacklab.lifting import Path, lift_closed_curve, lift_path
@@ -78,7 +77,7 @@ def test_criterion_01_chebyshev_obstructed(cheb_run):
     t0 = time.perf_counter()
     logs = []
     for _ in range(1000):
-        pullback_step(fresh)
+        fresh.pullback_step()
         logs.append(fresh.dist_log10(fresh.marked[0], "p1"))
     elapsed = time.perf_counter() - t0
     ratios = [10.0 ** (logs[i + 1] - logs[i]) for i in range(19, 99)]
@@ -138,7 +137,7 @@ def test_criterion_05_diagram_invariant():
     worst = 0.0
     for run, steps in _corpus_runs():
         for _ in range(steps):
-            pullback_step(run)
+            run.pullback_step()
             rec = run.trace_record()
             worst = max(worst, rec["diagram_residual"])
     report(5, "diagram-invariant", worst < 1e-8, "worst %.2e" % worst)
@@ -151,7 +150,7 @@ def test_criterion_06_functoriality():
             (SQUARE, BranchDatum(0.5, math.sqrt(0.5)), (1.0,))):
         base = init_run(g, [datum], extra_punctures=extra)
         for _ in range(60):
-            pullback_step(base)
+            base.pullback_step()
 
         def mat(run, n):
             track = run.marked[0]
@@ -161,7 +160,7 @@ def test_criterion_06_functoriality():
         for m in (2, 3):
             comp = compose_iterate_run(g, m, datum, extra_punctures=extra)
             for _ in range(20):
-                pullback_step(comp)
+                comp.pullback_step()
             for j in range(1, 21):
                 worst = max(worst, abs(mat(base, m * j) - mat(comp, j)))
     report(6, "functoriality-m2-m3", worst < 1e-8, "worst %.2e" % worst)
@@ -173,8 +172,8 @@ def test_criterion_07_trivial_marked_point():
     augmented = init_run(CHEB, [BranchDatum(0.0, math.sqrt(2))],
                          trivial=[spec])
     for _ in range(60):
-        pullback_step(plain)
-        pullback_step(augmented)
+        plain.pullback_step()
+        augmented.pullback_step()
     constant = all(v == 0j for _, v in augmented.trivial[0].history[1:])
     worst = 0.0
     for n in range(61):
@@ -249,7 +248,7 @@ def test_criterion_09_certificate(cheb_run):
         ok = ok and not verify_certificate(tampered, run)
         # modulus growth per step approaches log(4)/(2 pi) within 10%
         for _ in range(5):
-            pullback_step(run)
+            run.pullback_step()
         nxt = emit_levy_certificate(run)
         growth = (nxt.modulus - cert.modulus) / (nxt.step - cert.step)
         target = math.log(4) / (2 * math.pi)

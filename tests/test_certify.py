@@ -12,7 +12,7 @@ from pullbacklab.certify import (certify_obstructed, classify_run,
                                  verify_certificate, LevyCertificate,
                                  _apply_map, _circle, _segments_intersect_any)
 from pullbacklab.errors import (InjectivityUndetermined, NoSeparatingAnnulus)
-from pullbacklab.fiber import BranchDatum, init_run, pullback_step, run_until
+from pullbacklab.fiber import BranchDatum, init_run, run_until
 from pullbacklab.hyperbolic import (ELL_STAR, RoundAnnulus, annulus_modulus)
 from pullbacklab.ratmap import RationalMap
 from pullbacklab.sphere import Configuration, INF
@@ -77,14 +77,14 @@ def test_classify_anomaly_non_repelling_limit():
 
 def test_find_separating_annulus_derived():
     cfg = Configuration("abcd", [-2 + 0j, 2 + 0j, INF, 1.999 + 0j])
-    ann = find_separating_annulus(cfg, ["a", "b", "c"], ["b", "d"])
+    ann = find_separating_annulus(cfg, ["b", "d"])
     assert abs(ann.center - 1.9995) < 1e-12
     assert abs(ann.r_in - 1.05 * 0.0005) < 1e-9
     assert abs(ann.r_out - 0.95 * 3.9995) < 1e-9
     assert abs(annulus_modulus(ann) - 1.4144) < 0.001
 
     cfg2 = Configuration("abcd", [0j, 1 + 0j, INF, 0.5 + 0j])
-    ann2 = find_separating_annulus(cfg2, ["a", "b", "c"], ["a", "d"])
+    ann2 = find_separating_annulus(cfg2, ["a", "d"])
     assert abs(ann2.r_in - 0.2625) < 1e-12
     assert abs(ann2.r_out - 0.7125) < 1e-12
     assert abs(annulus_modulus(ann2) - 0.159) < 0.001
@@ -93,11 +93,11 @@ def test_find_separating_annulus_derived():
 def test_find_separating_annulus_errors():
     cfg = Configuration("abcd", [-2 + 0j, 2 + 0j, INF, 1.999 + 0j])
     with pytest.raises(NoSeparatingAnnulus):
-        find_separating_annulus(cfg, ["a"], ["b"])  # one-point cluster
+        find_separating_annulus(cfg, ["b"])  # one-point cluster
     wide = Configuration("abcd", [0j, 1 + 0j, INF, 0.5 + 0j])
     with pytest.raises(NoSeparatingAnnulus):
         # cluster {0, 1} leaves 0.5 inside: r_out < r_in
-        find_separating_annulus(wide, ["a", "b", "c"], ["a", "b"])
+        find_separating_annulus(wide, ["a", "b"])
 
 
 def test_injectivity_passes_chebyshev_annulus():
@@ -292,7 +292,7 @@ def test_certificate_modulus_growth():
     run, _, _ = finished(CHEB, BranchDatum(0.0, math.sqrt(2)), max_iters=2000)
     cert = certify_obstructed(run)
     for _ in range(4):
-        pullback_step(run)
+        run.pullback_step()
     nxt = emit_levy_certificate(run)
     per_step = (nxt.modulus - cert.modulus) / (nxt.step - cert.step)
     target = math.log(4) / (2 * math.pi)
@@ -327,7 +327,7 @@ def test_certificate_json_roundtrip():
 
 def test_no_emission_on_early_step():
     run = init_run(CHEB, [BranchDatum(0.0, math.sqrt(2))])
-    pullback_step(run)
+    run.pullback_step()
     assert emit_levy_certificate(run) is None  # configuration well separated
 
 

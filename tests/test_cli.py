@@ -1,9 +1,13 @@
+import glob
 import json
 import math
 import os
 import subprocess
 import sys
 
+import pytest
+
+import pullbacklab
 from pullbacklab.cli import main
 
 
@@ -179,3 +183,46 @@ def test_console_script_version():
     proc = subprocess.run([sys.executable, "-m", "pullbacklab.cli",
                            "--version"], capture_output=True, text=True)
     assert proc.returncode == 0
+
+
+DEMO_CONFIGS = sorted(glob.glob(os.path.join(
+    os.path.dirname(pullbacklab.__file__), "demo_configs", "*.json")))
+
+
+@pytest.fixture(scope="module")
+def corpus_out(tmp_path_factory):
+    out = str(tmp_path_factory.mktemp("corpus"))
+    for path in DEMO_CONFIGS:
+        assert main(["run", "--config", path, "--out", out]) == 0
+    return out
+
+
+@pytest.mark.parametrize("path", DEMO_CONFIGS, ids=os.path.basename)
+def test_classify_without_report_matches_run(corpus_out, path, capsys):
+    name = os.path.splitext(os.path.basename(path))[0]
+    report = json.load(open(os.path.join(corpus_out, name + ".report.json")))
+    capsys.readouterr()
+    assert main(["classify", "--config", path, "--trace",
+                 os.path.join(corpus_out, name + ".trace.jsonl")]) == 0
+    assert capsys.readouterr().out == json.dumps(
+        report["classification"], sort_keys=True, indent=1) + "\n"
+
+
+@pytest.mark.parametrize("path", DEMO_CONFIGS, ids=os.path.basename)
+def test_certification_tail_records_are_full(corpus_out, path):
+    name = os.path.splitext(os.path.basename(path))[0]
+    report = json.load(open(os.path.join(corpus_out, name + ".report.json")))
+    lines = open(os.path.join(corpus_out, name + ".trace.jsonl")).readlines()
+    records = [json.loads(line) for line in lines]
+    assert [rec["n"] for rec in records] == list(range(report["steps"] + 1))
+    for rec in records[report["status"]["steps"] + 1:]:
+        assert "tail" not in rec
+        for key in ("step_bound", "lift_residual", "path_nodes",
+                    "diagram_residual"):
+            assert rec[key] is not None, (rec["n"], key)
+    if report["certificate"] is not None:
+        base = os.path.join(corpus_out, name)
+        check = ["check", "--trace", base + ".trace.jsonl",
+                 "--cert", base + ".certificate.json"]
+        assert main(check) == 0
+        assert main(check + ["--report", base + ".report.json"]) == 0

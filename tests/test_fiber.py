@@ -1,12 +1,19 @@
 import cmath
+import glob
 import math
+import os
+import random
 
 import pytest
 
-from pullbacklab.errors import (CollisionDetected, InvalidBranchDatum)
+import pullbacklab
+from pullbacklab.cli import _build_run, load_config
+
+from pullbacklab.errors import (BranchJumpSuspected, CollisionDetected,
+                                InvalidBranchDatum)
 from pullbacklab.fiber import (BranchDatum, Tolerances, TrivialMarkedSpec,
-                               compose_iterate_run, init_run, pullback_step,
-                               run_until)
+                               compose_iterate_run, init_run, run_until,
+                               stopping_status)
 from pullbacklab.hyperbolic import teich_step_bound
 from pullbacklab.lifting import concatenate, lift_path
 from pullbacklab.ratmap import RationalMap
@@ -70,7 +77,7 @@ def test_positions_match_scalar_recurrence():
     run = cheb_run()
     oracle = scalar_orbit(0.0, 10)
     for n in range(1, 11):
-        pullback_step(run)
+        run.pullback_step()
         got = materialized(run, run.marked[0], n)
         assert abs(got - oracle[n]) < 1e-10
 
@@ -80,7 +87,7 @@ def test_deep_ratio_oracle():
     t = run.marked[0]
     logs = []
     for _ in range(120):
-        pullback_step(run)
+        run.pullback_step()
         logs.append(run.dist_log10(t, "p1"))
     ratios = [10 ** (logs[i + 1] - logs[i]) for i in range(20, 100)]
     assert all(0.24 < r < 0.26 for r in ratios)
@@ -94,7 +101,7 @@ def test_diagram_invariant_every_step():
             (SQUARE, BranchDatum(0.5, math.sqrt(0.5)), (1.0,))):
         run = init_run(g, [datum], extra_punctures=extra)
         for _ in range(60):
-            pullback_step(run)
+            run.pullback_step()
             rec = run.trace_record()
             assert rec["diagram_residual"] < 1e-8
 
@@ -105,14 +112,14 @@ def test_incremental_equals_monolithic_lift():
     # of the sigma step) reproduces the next position bitwise
     run = init_run(BASILICA, [BranchDatum(-0.6, -math.sqrt(0.4))])
     for _ in range(6):
-        pullback_step(run)
+        run.pullback_step()
     track = run.marked[0]
     full = track.full_path()
     datum = track.datum
     monolithic = concatenate(datum.delta,
                              lift_path(BASILICA, full,
                                        datum.branch_point).lifted)
-    pullback_step(run)  # the incremental step 7
+    run.pullback_step()  # the incremental step 7
     assert monolithic.end == materialized(run, track, 7)
 
 
@@ -120,7 +127,7 @@ def test_trivial_marked_point_stabilizes_bitwise():
     spec = TrivialMarkedSpec(-2.0, 0.0, start=0.5)
     run = init_run(CHEB, [BranchDatum(0.0, -math.sqrt(2))], trivial=[spec])
     for _ in range(20):
-        pullback_step(run)
+        run.pullback_step()
     hist = run.trivial[0].history
     assert hist[0] == ("free", 0.5 + 0j)
     values = [v for _, v in hist[1:]]
@@ -133,8 +140,8 @@ def test_trivial_point_does_not_perturb_fixed_orbit():
     augmented = init_run(CHEB, [BranchDatum(0.0, math.sqrt(2))],
                          trivial=[spec])
     for _ in range(40):
-        pullback_step(plain)
-        pullback_step(augmented)
+        plain.pullback_step()
+        augmented.pullback_step()
     for n in range(41):
         a = plain.marked[0].history[n]
         b = augmented.marked[0].history[n]
@@ -152,11 +159,11 @@ def test_functoriality_subsampling():
             (SQUARE, BranchDatum(0.5, math.sqrt(0.5)), (1.0,))):
         base = init_run(g, [datum], extra_punctures=extra)
         for _ in range(60):
-            pullback_step(base)
+            base.pullback_step()
         for m in (2, 3):
             comp = compose_iterate_run(g, m, datum, extra_punctures=extra)
             for _ in range(20):
-                pullback_step(comp)
+                comp.pullback_step()
             for j in range(1, 21):
                 xb = materialized(base, base.marked[0], m * j)
                 xc = materialized(comp, comp.marked[0], j)
@@ -166,8 +173,8 @@ def test_functoriality_subsampling():
 def test_compose_m1_is_plain_run():
     run = compose_iterate_run(CHEB, 1, BranchDatum(0.0, math.sqrt(2)))
     other = cheb_run()
-    pullback_step(run)
-    pullback_step(other)
+    run.pullback_step()
+    other.pullback_step()
     assert run.marked[0].history[1] == other.marked[0].history[1]
 
 
@@ -186,6 +193,56 @@ def test_run_until_statuses():
     assert status.kind == "undecided"
 
 
+def _seeded_runs():
+    """(name, run, max_iters): the corpus, seeded z^d (extra puncture 1)
+    and Dickson T_d runs on branches j = 0, 1 (T_d(u + 1/u) = u^d + u^-d,
+    postcritical set {-2, 2, oo}), and one capped run."""
+    configs = os.path.join(os.path.dirname(pullbacklab.__file__),
+                           "demo_configs", "*.json")
+    for path in sorted(glob.glob(configs)):
+        yield os.path.basename(path), _build_run(load_config(path)), None
+    rng = random.Random(7)
+    for d in (2, 3, 4, 5):
+        prev, cur = [2.0], [0.0, 1.0]
+        for _ in range(d - 1):
+            prev, cur = cur, [a - c for a, c in zip([0.0] + cur,
+                                                    prev + [0.0, 0.0])]
+        for j in (0, 1):
+            turn = cmath.exp(2j * math.pi * j / d)
+            b = cmath.rect(rng.uniform(0.3, 0.8), rng.uniform(0.3, 2.8))
+            bp = abs(b) ** (1.0 / d) * cmath.exp(1j * cmath.phase(b) / d)
+            yield ("z^%d/%d" % (d, j), init_run(
+                RationalMap([0] * d + [1]), [BranchDatum(b, bp * turn)],
+                extra_punctures=[1.0]), None)
+            b = complex(rng.uniform(-1.5, 1.5), rng.uniform(0.2, 1.0))
+            u = ((b + cmath.sqrt(b * b - 4.0)) / 2.0) ** (1.0 / d) * turn
+            yield ("T_%d/%d" % (d, j),
+                   init_run(RationalMap(cur), [BranchDatum(b, u + 1.0 / u)]),
+                   None)
+    yield "capped", cheb_run(), 3
+
+
+def test_stopping_status_first_fires_where_run_until_stopped():
+    kinds = set()
+    for name, run, cap in _seeded_runs():
+        try:
+            trace, status = run_until(run, max_iters=cap)
+        except BranchJumpSuspected:
+            continue  # known anchored-Newton defect: the run has no status
+        fired = [stopping_status(trace.records[:end], run.punctures, run.tol)
+                 for end in range(1, len(trace.records) + 1)]
+        first = next((s for s in fired if s is not None), None)
+        kinds.add(status.kind)
+        if status.kind == "undecided":
+            assert first is None, name
+            continue
+        assert fired[:-1] == [None] * (len(fired) - 1), name
+        assert (first.kind, first.puncture_label, first.puncture,
+                first.steps) == (status.kind, status.puncture_label,
+                                 status.puncture, status.steps), name
+    assert kinds == {"candidate_puncture", "candidate_realized", "undecided"}
+
+
 def test_step_bound_monotone_with_slack():
     # assertable shadow of the 1-Lipschitz property: the per-step upper
     # bounds are non-increasing up to 5% numerical slack
@@ -195,7 +252,7 @@ def test_step_bound_monotone_with_slack():
             (SQUARE, BranchDatum(0.5, math.sqrt(0.5)), (1.0,))):
         run = init_run(g, [datum], extra_punctures=extra)
         for _ in range(40):
-            pullback_step(run)
+            run.pullback_step()
         bounds = [teich_step_bound(run, n) for n in range(1, 41)]
         for a, b in zip(bounds, bounds[1:]):
             assert b <= a * 1.05
@@ -203,7 +260,7 @@ def test_step_bound_monotone_with_slack():
 
 def test_teich_step_bound_first_step_window():
     run = cheb_run()
-    pullback_step(run)
+    run.pullback_step()
     d0 = run.d0_bound()
     assert 1.0 <= d0 <= 1.6
 
@@ -244,27 +301,27 @@ def test_uncertified_step_bound_on_coordinate_crossing():
     from pullbacklab.errors import NoApplicableComparison
     spec = TrivialMarkedSpec(-2.0, 0.0, start=0.5)
     run = init_run(CHEB, [BranchDatum(0.0, math.sqrt(2))], trivial=[spec])
-    pullback_step(run)
+    run.pullback_step()
     assert run.trace_record()["step_bound"] is None
     with pytest.raises(NoApplicableComparison):
         teich_step_bound(run, 1)
     # an off-axis start keeps every bound certified
     clean = init_run(CHEB, [BranchDatum(0.0, math.sqrt(2))],
                      trivial=[TrivialMarkedSpec(-2.0, 0.0, start=0.4j)])
-    pullback_step(clean)
+    clean.pullback_step()
     assert clean.trace_record()["step_bound"] > 0
 
 
 def test_fiber_state_view():
     run = cheb_run()
     for _ in range(2):
-        pullback_step(run)
+        run.pullback_step()
     state = run.fiber_state("m0")
     assert state.step_index == 2
     assert state.path.start == 0 and state.path.end == state.position
     assert state.anchor_label is None
     for _ in range(10):
-        pullback_step(run)
+        run.pullback_step()
     deep = run.fiber_state("m0")
     assert deep.anchor_label == "p1"
     assert deep.deviation is not None

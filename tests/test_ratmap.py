@@ -29,6 +29,20 @@ def test_evaluate_with_derivative():
     assert v == -1 and d == 2j
 
 
+def test_derivative_when_denominator_square_underflows():
+    # |D(z)|^2 < 1e-324 rounds to 0 although N/D is a finite double
+    g = RationalMap([1, 0, 1], [0, 1])   # (z^2 + 1)/z
+    v, d = g.evaluate_with_derivative(1e-170)
+    assert v == 1e170 and d.real == -math.inf  # g' = 1 - z^-2 = -1e340
+    # where D^2 is representable the quotient rule is untouched, bit for bit
+    z = 1e-150 + 0j
+    N, D = 1 + z * z, z
+    assert g.evaluate_with_derivative(z) == (N / D, (2 * z * D - N) / (D * D))
+    h = RationalMap([1, 0, 1], [1e-170])  # (z^2 + 1) 1e170
+    v, d = h.evaluate_with_derivative(1e-200)
+    assert v == 1e170 and abs(d - 2e-30) < 1e-44
+
+
 def test_evaluate_at_infinity_chart():
     # conjugating z^2 - 2 by 1/z gives w^2/(1 - 2 w^2); derivative 0 at 0
     v, d = CHEB.evaluate_with_derivative(INF)
