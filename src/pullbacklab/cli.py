@@ -8,10 +8,13 @@ Exit codes: 0 done, 2 invalid config/usage, 3 numerical failure;
 ``run`` drives the engine's one step loop: ``fiber.run_until`` up to the
 stopping rule, then ``certify_obstructed`` onwards, both recording into
 the same trace. A stored trace is judged by the same rule,
-``fiber.stopping_status``, at the first record where it fires.
+``fiber.stopping_status``, at the first record where it fires. ``check``
+rebuilds the run from the config and the tolerances its certificate
+stores, so it judges a trace with the tolerances that produced it.
 """
 
 import argparse
+import functools
 import glob as globmod
 import hashlib
 import json
@@ -248,11 +251,10 @@ def cmd_check(args):
         failures.append("trace digest mismatch: certificate says %s, file is %s"
                         % (cert.trace_digest, digest))
 
-    run_cfg = payload.get("run_config")
-    if run_cfg is None:
+    if payload.get("run_config") is None:
         failures.append("certificate does not embed its run config")
     else:
-        cfg = parse_config(run_cfg)
+        cfg = _certificate_config(payload)
         records = _read_trace(args.trace)
         run = _build_run(cfg)
         failures.extend(_trace_invariant_suite(records, run))
@@ -274,6 +276,16 @@ def cmd_check(args):
         return 1
     print("all checks passed")
     return 0
+
+
+def _certificate_config(payload):
+    """The run config a certificate embeds, with the tolerances the run
+    used (``--tol`` / ``--max-iters`` included) when the certificate
+    stores them."""
+    cfg = parse_config(payload["run_config"])
+    if payload.get("tolerances"):
+        cfg["tol"] = Tolerances(**payload["tolerances"])
+    return cfg
 
 
 def _report_reproducible(records, run, report_path):
@@ -391,7 +403,10 @@ def _tol_pair(text):
     return name.strip(), value.strip()
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built once per process (parsing leaves it
+    unchanged)."""
     ap = argparse.ArgumentParser(
         prog="pullback-lab",
         description="Pullback iteration on Bers fibers: realized/obstructed "
@@ -424,9 +439,6 @@ def build_parser():
     p.add_argument("--base-trace", dest="base_trace", default=None)
     p.add_argument("--report", default=None,
                    help="also re-derive this report's verdict from the trace")
-    p.add_argument("--out", default=None)
-    p.add_argument("--tol", action="append", type=_tol_pair, default=[])
-    p.add_argument("--max-iters", dest="max_iters", type=int, default=None)
     p = sub.add_parser("demo", help="run the shipped demo corpus")
     common(p, config=False)
     return ap

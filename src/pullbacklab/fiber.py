@@ -21,6 +21,16 @@ Every run is driven by one loop, ``step_until``, which appends one
 stopping rule, ``stopping_status``, a pure function of the records (so a
 stored trace is judged exactly as the live run was), and
 ``certify.certify_obstructed`` continues it, recording the same way.
+
+An anchored step computes each value once. Fixed when the run is built:
+the anchor's chart and its logs of the chordal factor and of the quadratic
+coefficient (``LocalFixedChart``), the log10 distances from the anchor to
+every other puncture (``_AnchorChart.log10_to``), and the processing order
+of the tracks. Computed per step: the inverse step eta -> eta', its
+residual (``step_residual``, which the record's diagram residual reuses),
+the comparison-disk radius and step bound, the log10 distance to the own
+anchor, and the distinctness check; the path-node count is updated when a
+block is appended, so an anchored step leaves it as it is.
 """
 
 import json
@@ -35,6 +45,9 @@ from .local import LocalFixedChart
 from .ratmap import (REPELLING_MARGIN, critical_points, critical_values,
                      iterate, postsingular_analysis, preimages)
 from .sphere import Configuration, chordal, encode_point, is_inf
+
+# one encoder for every trace line (json.dumps would build one per record)
+_JSONL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 class Tolerances:
@@ -124,17 +137,23 @@ class TrivialMarkedSpec:
 
 
 class _AnchorChart:
-    """Precomputed anchoring data for one repelling fixed puncture."""
+    """Precomputed anchoring data for one repelling fixed puncture;
+    ``log10_to[j]`` is the log10 chordal distance to puncture j (None at
+    the own index, where the distance is measured in the chart)."""
 
-    __slots__ = ("index", "puncture", "chart", "rho", "r_anchor", "disk_R")
+    __slots__ = ("index", "puncture", "chart", "rho", "r_anchor", "disk_R",
+                 "log10_to")
 
-    def __init__(self, index, puncture, chart, rho, disk_R):
+    def __init__(self, index, puncture, chart, rho, disk_R, points):
         self.index = index
         self.puncture = puncture
         self.chart = chart
         self.rho = rho
         self.r_anchor = rho / 8.0
         self.disk_R = disk_R
+        self.log10_to = tuple(
+            None if j == index else math.log10(max(chordal(puncture, p), 1e-300))
+            for j, p in enumerate(points))
 
     def chart_distance(self, x):
         """Distance to the anchor in its working chart."""
@@ -150,13 +169,14 @@ class _AnchorChart:
 class _MarkedTrack:
     """Mutable per-marked-point state inside a run."""
 
-    __slots__ = ("label", "datum", "blocks", "history", "connectors",
-                 "anchor", "last_residual")
+    __slots__ = ("label", "datum", "blocks", "nodes", "history",
+                 "connectors", "anchor", "last_residual")
 
     def __init__(self, label, datum):
         self.label = label
         self.datum = datum
         self.blocks = []
+        self.nodes = 1  # nodes of full_path(), kept by append_block
         self.history = [("free", datum.basepoint)]
         self.connectors = [("zero", None)]
         self.anchor = None
@@ -181,8 +201,9 @@ class _MarkedTrack:
             nodes.extend(block.nodes[1:])
         return Path(nodes)
 
-    def node_count(self):
-        return 1 + sum(len(b) - 1 for b in self.blocks)
+    def append_block(self, block):
+        self.blocks.append(block)
+        self.nodes += len(block) - 1
 
 
 class _TrivialTrack:
@@ -257,7 +278,7 @@ class Trace:
 
     def jsonl_lines(self):
         for rec in self.records:
-            yield json.dumps(rec, sort_keys=True, separators=(",", ":"))
+            yield _JSONL_ENCODER.encode(rec)
 
 
 class PullbackRun:
@@ -272,6 +293,7 @@ class PullbackRun:
         self.tol = tol
         self.n = 0
         self._d0 = None
+        self._tracks = list(marked) + list(trivial)  # processing order
         self._anchors = self._prepare_anchor_charts()
         self._crit_values = critical_values(g)
         self._obstacles = list(punctures.points) + [
@@ -305,7 +327,7 @@ class PullbackRun:
             rho = min(d for d in cands if d > 0)
             disk_R = min(dist(q) for j, q in enumerate(pts)
                          if j != idx and not is_inf(q)) if not is_inf(p) else rho
-            anchors[idx] = _AnchorChart(idx, p, chart, rho, disk_R)
+            anchors[idx] = _AnchorChart(idx, p, chart, rho, disk_R, pts)
         return anchors
 
     @property
@@ -343,7 +365,7 @@ class PullbackRun:
                 new_block = simplify_path(res.lifted, self._obstacles,
                                           margin=2 * self.tol.eps_clear)
                 track.last_residual = res.max_residual
-            track.blocks.append(new_block)
+            track.append_block(new_block)
             x_new = new_block.end
             track.history.append(("free", x_new))
             track.connectors.append(
@@ -383,7 +405,7 @@ class PullbackRun:
         head: already-stepped tracks contribute their new position, not yet
         stepped ones their old."""
         out = []
-        for other in list(self.marked) + list(self.trivial):
+        for other in self._tracks:
             if other is moving:
                 continue
             mode, value = other.history[-1]
@@ -425,47 +447,39 @@ class PullbackRun:
     # -- invariants ------------------------------------------------------------
 
     def _check_distinct(self):
-        entries = [(lab, "P", p, None) for lab, p in self.punctures]
-        for track in self.marked:
-            if track.anchor is not None:
-                entries.append((track.label, "anchored", track.position(),
-                                (track.anchor, track.eta())))
-            else:
-                entries.append((track.label, "free", track.position(), None))
-        for triv in self.trivial:
-            entries.append((triv.label, "free", triv.position(), None))
-        for i in range(len(entries)):
-            for j in range(i + 1, len(entries)):
-                li, ki, pi, ai = entries[i]
-                lj, kj, pj, aj = entries[j]
-                if ki == "P" and kj == "P":
+        """Punctures against the moving coordinates, then the moving
+        coordinates pairwise; the first pair closer than eps_sep raises."""
+        eps = self.tol.eps_sep
+        moving = [(t.label, t.position(), t.anchor, t.eta())
+                  for t in self.marked]
+        moving += [(t.label, t.position(), None, None) for t in self.trivial]
+        for idx, (lp, p) in enumerate(self.punctures):
+            for lm, x, anchor, _ in moving:
+                # separation from the own anchor is certified in-chart
+                if anchor is not None and anchor.index == idx:
                     continue
-                if kj == "anchored" and ki == "P":
-                    # separation from the own anchor is certified in-chart
-                    if aj[0].index == self._puncture_index(li):
-                        continue
-                if ki == "anchored" and kj == "anchored":
-                    if ai[0].index == aj[0].index:
-                        try:
-                            gap = ai[1].sub(aj[1])
-                        except ValueError:
-                            raise CollisionDetected(
-                                "marked points %s, %s merged" % (li, lj),
-                                pair=(li, lj))
-                        rel = gap.log2_abs() - max(ai[1].log2_abs(),
-                                                   aj[1].log2_abs())
-                        if rel <= math.log2(self.tol.eps_sep):
-                            raise CollisionDetected(
-                                "marked points %s, %s closer than eps_sep "
-                                "relative" % (li, lj), pair=(li, lj))
-                        continue
-                if chordal(pi, pj) <= self.tol.eps_sep:
+                if chordal(p, x) <= eps:
+                    raise CollisionDetected(
+                        "positions %s and %s closer than eps_sep" % (lp, lm),
+                        pair=(lp, lm))
+        for i, (li, xi, ai, ei) in enumerate(moving):
+            for lj, xj, aj, ej in moving[i + 1:]:
+                if ai is not None and aj is not None and ai.index == aj.index:
+                    try:
+                        gap = ei.sub(ej)
+                    except ValueError:
+                        raise CollisionDetected(
+                            "marked points %s, %s merged" % (li, lj),
+                            pair=(li, lj))
+                    rel = gap.log2_abs() - max(ei.log2_abs(), ej.log2_abs())
+                    if rel <= math.log2(eps):
+                        raise CollisionDetected(
+                            "marked points %s, %s closer than eps_sep "
+                            "relative" % (li, lj), pair=(li, lj))
+                elif chordal(xi, xj) <= eps:
                     raise CollisionDetected(
                         "positions %s and %s closer than eps_sep" % (li, lj),
                         pair=(li, lj))
-
-    def _puncture_index(self, label):
-        return self.punctures.labels.index(label)
 
     # -- bounds / reporting ------------------------------------------------------
 
@@ -474,7 +488,7 @@ class PullbackRun:
         if not 1 <= n <= self.n:
             raise ValueError("run has no step %d" % n)
         out = []
-        for track in list(self.marked) + list(self.trivial):
+        for track in self._tracks:
             kind, payload = track.connectors[n]
             if kind == "uncertified":
                 raise NoApplicableComparison(
@@ -511,14 +525,20 @@ class PullbackRun:
 
     def dist_log10(self, track, p_label):
         """log10 chordal distance from a marked track to one puncture."""
-        idx = self._puncture_index(p_label)
-        p = self.punctures.points[idx]
-        if getattr(track, "anchor", None) is not None:
-            if track.anchor.index == idx:
-                return track.anchor.chart.log10_dist_to_anchor(track.eta())
-            return math.log10(max(chordal(track.anchor.puncture, p), 1e-300))
-        d = chordal(track.position(), p)
-        return math.log10(max(d, 1e-300))
+        return self.log10_distances(track)[p_label]
+
+    def log10_distances(self, track):
+        """log10 chordal distance from a marked track to every puncture,
+        by label. An anchored track's distance to its own anchor is
+        measured in the chart; to the other punctures it is the anchor's."""
+        anchor = getattr(track, "anchor", None)
+        if anchor is None:
+            x = track.position()
+            return {lab: math.log10(max(chordal(x, p), 1e-300))
+                    for lab, p in self.punctures}
+        own = anchor.chart.log10_dist_to_anchor(track.eta())
+        return {lab: own if j == anchor.index else anchor.log10_to[j]
+                for j, lab in enumerate(self.punctures.labels)}
 
     def trace_record(self):
         points = {}
@@ -537,18 +557,15 @@ class PullbackRun:
                 x = track.position()
                 points[track.label] = {"mode": "free", "type": "fixed",
                                        "value": [x.real, x.imag]}
-            points[track.label]["dist_log10"] = {
-                lab: self.dist_log10(track, lab)
-                for lab in self.punctures.labels}
+            points[track.label]["dist_log10"] = self.log10_distances(track)
             residual = max(residual, track.last_residual)
             diag = max(diag, self._diagram_residual(track))
-            nodes += track.node_count()
+            nodes += track.nodes
         for triv in self.trivial:
             x = triv.position()
             points[triv.label] = {
                 "mode": "free", "type": "trivial", "value": [x.real, x.imag],
-                "dist_log10": {lab: self.dist_log10(triv, lab)
-                               for lab in self.punctures.labels}}
+                "dist_log10": self.log10_distances(triv)}
         if self.n >= 1:
             try:
                 step_bound = teich_step_bound(self, self.n)
@@ -556,8 +573,8 @@ class PullbackRun:
                 step_bound = None  # no certified bound for this step
         else:
             step_bound = 0.0
-        min_dist = {lab: min(entry["dist_log10"][lab]
-                             for entry in points.values())
+        rows = [entry["dist_log10"] for entry in points.values()]
+        min_dist = {lab: min([row[lab] for row in rows])
                     for lab in self.punctures.labels}
         return {"n": self.n, "points": points, "lift_residual": residual,
                 "path_nodes": nodes, "step_bound": step_bound,
@@ -570,9 +587,10 @@ class PullbackRun:
         mode_new, val_new = track.history[-1]
         mode_old, val_old = track.history[-2]
         if mode_new == "anchored":
-            chart = track.anchor.chart
             if mode_old == "anchored":
-                return chart.step_residual(val_old, val_new)
+                # pullback_step's chart.step_residual(val_old, val_new)
+                return track.last_residual
+            chart = track.anchor.chart
             eta_old = chart.deviation_of(val_old)
             return chart.step_residual(eta_old, val_new)
         # covers step 1 as well: x_1 = b' with g(b') = b

@@ -111,6 +111,10 @@ class LocalFixedChart:
         # second-order coefficient, for the deep-regime residual bound
         h = 1e-5
         self.quad = abs(self.T(h) + self.T(-h) - 2.0 * self.T(0j)) / (2 * h * h)
+        # logs of the constants above, taken once for the reporting methods
+        self._log10_factor = math.log10(self.chordal_factor)
+        self._log2_factor = math.log2(self.chordal_factor)
+        self._log2_quad = math.log2(self.quad + 1e-300)
 
     def _solve_offset(self):
         d = 0j
@@ -175,14 +179,15 @@ class LocalFixedChart:
             return math.inf
 
     def log10_dist_to_anchor(self, eta):
-        return math.log10(self.chordal_factor) + eta.log10_abs()
+        return self._log10_factor + eta.log10_abs()
 
     def step_residual(self, eta_prev, eta_next):
         """Chordal bound on |g(x_{n+1}) - x_n| for an anchored step."""
-        if eta_next.log2_abs() < _DEEP_CUTOFF_LOG2:
+        log2_next = eta_next.log2_abs()
+        if log2_next < _DEEP_CUTOFF_LOG2:
             # linearized step: residual bounded by the quadratic tail
-            log2_res = 2.0 * eta_next.log2_abs() + math.log2(self.quad + 1e-300)
-            log2_res += math.log2(self.chordal_factor)
+            log2_res = 2.0 * log2_next + self._log2_quad
+            log2_res += self._log2_factor
             if log2_res < -1070:
                 return 0.0
             return 2.0 ** log2_res

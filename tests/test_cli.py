@@ -226,3 +226,45 @@ def test_certification_tail_records_are_full(corpus_out, path):
                  "--cert", base + ".certificate.json"]
         assert main(check) == 0
         assert main(check + ["--report", base + ".report.json"]) == 0
+
+
+def test_check_judges_with_the_runs_tolerances(tmp_path):
+    # a run with a looser eps_P stops earlier; check rebuilds its run with
+    # the tolerances the certificate stores, so the stored trace's
+    # stopping step is the report's, not the config's default one
+    from pullbacklab.cli import (_build_run, _certificate_config, _read_trace,
+                                 _stored_status, parse_config)
+    config = [p for p in DEMO_CONFIGS if p.endswith("squaring_b.json")][0]
+    out = str(tmp_path)
+    assert main(["run", "--config", config, "--tol", "eps_P=1e-3",
+                 "--out", out]) == 0
+    base = os.path.join(out, "squaring_b")
+    report = json.load(open(base + ".report.json"))
+    payload = json.load(open(base + ".certificate.json"))
+    assert report["status"]["steps"] == 10
+    records = _read_trace(base + ".trace.jsonl")
+    run = _build_run(_certificate_config(payload))
+    assert run.tol.eps_P == 1e-3
+    assert _stored_status(records, run)[1].steps == 10
+    # the config alone carries the default eps_P, which fires later
+    default = _build_run(parse_config(payload["run_config"]))
+    assert _stored_status(records, default)[1].steps > 10
+    assert main(["check", "--trace", base + ".trace.jsonl",
+                 "--cert", base + ".certificate.json",
+                 "--report", base + ".report.json"]) == 0
+
+
+def test_parser_is_built_once_and_keeps_no_options(tmp_path, monkeypatch):
+    from pullbacklab import cli
+    assert cli.build_parser() is cli.build_parser()
+    seen = []
+
+    def record(args):
+        seen.append(args)
+        return 0
+    monkeypatch.setattr(cli, "cmd_analyze", record)
+    cfgp = write_config(tmp_path)
+    assert main(["analyze", "--config", cfgp, "--tol", "eps_P=1e-3"]) == 0
+    assert main(["analyze", "--config", cfgp]) == 0
+    assert seen[0].tol == [("eps_P", "1e-3")]
+    assert seen[1].tol == []

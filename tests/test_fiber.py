@@ -16,7 +16,9 @@ from pullbacklab.fiber import (BranchDatum, Tolerances, TrivialMarkedSpec,
                                stopping_status)
 from pullbacklab.hyperbolic import teich_step_bound
 from pullbacklab.lifting import concatenate, lift_path
+from pullbacklab.local import ScaledComplex
 from pullbacklab.ratmap import RationalMap
+from pullbacklab.sphere import chordal
 
 CHEB = RationalMap([-2, 0, 1])
 BASILICA = RationalMap([-1, 0, 1])
@@ -272,6 +274,98 @@ def test_collision_detected_on_merging_marked_points():
     with pytest.raises(CollisionDetected):
         init_run(CHEB, [BranchDatum(0.0, math.sqrt(2)),
                         BranchDatum(1e-12, math.sqrt(2 + 1e-12))])
+
+
+def test_collision_messages_and_pairs():
+    # punctures of z^2 - 2: p0 = -2, p1 = 2 (the repelling anchor), p2 = oo
+    def collision(run):
+        with pytest.raises(CollisionDetected) as info:
+            run._check_distinct()
+        return str(info.value), info.value.pair
+
+    # a free point on a puncture
+    run = cheb_run()
+    run.marked[0].history[-1] = ("free", 2.0)
+    assert collision(run) == ("positions p1 and m0 closer than eps_sep",
+                              ("p1", "m0"))
+
+    def two_point_run():
+        return init_run(CHEB, [BranchDatum(0.0, math.sqrt(2)),
+                               BranchDatum(0.5, math.sqrt(2.5))])
+
+    # two free points
+    run = two_point_run()
+    run.marked[1].history[-1] = ("free", 0.0)
+    assert collision(run) == ("positions m0 and m1 closer than eps_sep",
+                              ("m0", "m1"))
+
+    def anchor_both(run, eta0, eta1):
+        for track, eta in zip(run.marked, (eta0, eta1)):
+            track.anchor = run._anchors[1]
+            track.history[-1] = ("anchored", eta)
+
+    # two tracks at the same anchor, merged
+    run = two_point_run()
+    anchor_both(run, ScaledComplex(1e-3), ScaledComplex(1e-3))
+    assert collision(run) == ("marked points m0, m1 merged", ("m0", "m1"))
+    # ... and relatively close, although not merged
+    run = two_point_run()
+    anchor_both(run, ScaledComplex(1e-3), ScaledComplex(1e-3 * (1 + 1e-12)))
+    assert collision(run) == (
+        "marked points m0, m1 closer than eps_sep relative", ("m0", "m1"))
+    # opposite deviations far below double range stay apart in the chart,
+    # although both positions materialize to the anchor itself
+    run = two_point_run()
+    anchor_both(run, ScaledComplex(1.0, -2000), ScaledComplex(-1.0, -2000))
+    assert run.marked[0].position() == run.marked[1].position() == 2.0
+    run._check_distinct()
+
+
+def _deep_runs():
+    """Seeded z^2 - 2 and z^2 runs whose marked point falls into the
+    repelling puncture 2 (resp. 1) on the positive branch."""
+    rng = random.Random(20240611)
+    for _ in range(2):
+        b = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
+        yield init_run(CHEB, [BranchDatum(b, cmath.sqrt(b + 2))])
+        b = complex(rng.uniform(0.3, 0.7), rng.uniform(-0.3, 0.3))
+        yield init_run(SQUARE, [BranchDatum(b, cmath.sqrt(b))],
+                       extra_punctures=[1.0])
+
+
+def test_cached_record_values_match_their_formulas():
+    # the values a step keeps instead of recomputing (node count, the
+    # anchored step residual, distances from an anchor to the other
+    # punctures) equal their formulas at every step, through anchoring
+    # and past the end of double range
+    for run in _deep_runs():
+        track = run.marked[0]
+        for _ in range(1100):
+            run.pullback_step()
+            rec = run.trace_record()
+            assert rec["path_nodes"] == \
+                1 + sum(len(b) - 1 for b in track.blocks) == \
+                len(track.full_path())
+            (mode_old, old), (mode_new, new) = track.history[-2:]
+            if mode_new == "anchored":
+                chart = track.anchor.chart
+                if mode_old == "free":
+                    old = chart.deviation_of(old)
+                residual = chart.step_residual(old, new)
+            else:
+                residual = chordal(run.g(new), old)
+            assert rec["diagram_residual"] == residual
+            for j, (lab, p) in enumerate(run.punctures):
+                if track.anchor is None:
+                    want = math.log10(max(chordal(track.position(), p), 1e-300))
+                elif track.anchor.index == j:
+                    want = track.anchor.chart.log10_dist_to_anchor(track.eta())
+                else:
+                    want = math.log10(max(chordal(track.anchor.puncture, p),
+                                          1e-300))
+                assert rec["points"]["m0"]["dist_log10"][lab] == want
+                assert run.dist_log10(track, lab) == want
+        assert track.mode == "anchored" and track.eta().log2_abs() < -1074
 
 
 def test_trace_records_shape():

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -110,3 +111,31 @@ def test_materialize():
     assert abs(chart.materialize(eta) - (2.0 + 1e-3)) < 1e-16
     deep = ScaledComplex(1 + 0j, -4000)
     assert chart.materialize(deep) == 2.0
+
+
+def test_reporting_constants_match_their_formulas():
+    # the chart keeps log10/log2 of its chordal factor and log2(quad) from
+    # construction; the reporting methods equal the formulas that take
+    # those logs afresh, at every step of seeded walks into the anchor
+    rng = random.Random(7)
+    for g, p in ((CHEB, 2.0 + 0j), (RationalMap([0, 0, 1]), 1.0 + 0j)):
+        chart = LocalFixedChart(g, p)
+        for _ in range(3):
+            eta = ScaledComplex(complex(rng.uniform(-0.2, 0.2),
+                                        rng.uniform(-0.2, 0.2)))
+            for _ in range(1200):
+                nxt = chart.inv_step(eta)
+                assert chart.log10_dist_to_anchor(nxt) == \
+                    math.log10(chart.chordal_factor) + nxt.log10_abs()
+                if nxt.log2_abs() < math.log(1e-12, 2):
+                    log2_res = 2.0 * nxt.log2_abs() + \
+                        math.log2(chart.quad + 1e-300)
+                    log2_res += math.log2(chart.chordal_factor)
+                    want = 0.0 if log2_res < -1070 else 2.0 ** log2_res
+                else:
+                    fwd = chart.T(chart.eps_star + nxt.to_complex())
+                    want = chart.chordal_factor * abs(
+                        fwd - (chart.eps_star + eta.to_complex()))
+                assert chart.step_residual(eta, nxt) == want
+                eta = nxt
+            assert eta.log2_abs() < -1074
