@@ -669,10 +669,11 @@ def _representative_curves(run, annulus, k):
     windings = [_winding(core, annulus.center)]
     current = curves[0]
     for _ in range(k):
-        seed = _newton_preimage(gm, complex(current.nodes[0]),
-                                complex(current.nodes[0]))
-        if seed is None:
+        found = _newton_preimage(gm, complex(current.nodes[0]),
+                                 complex(current.nodes[0]))
+        if found is None:
             return None, None
+        seed = found[0]
         try:
             res, closes = lift_closed_curve(run.g, current, seed,
                                             check_clearance=False)

@@ -2,11 +2,15 @@
 the base map along polyline paths, closed-curve lifts and monodromy
 detection, concatenation and corridor-based simplification.
 
-Continuation is Newton seeded at the previous lift node; a step is accepted
-only when the displacement stays below eta times the distance from the
-previous node to the nearest critical point, otherwise the target segment
-is bisected (up to a fixed depth). This safeguard is what prevents silent
-branch jumps near critical points.
+Continuation is Newton seeded at the previous lift node, with the value and
+derivative of g there that the previous node's own solve computed, and the
+residual check reads g at Newton's answer from the same solve. A node
+therefore costs only the evaluations after Newton's first step: one when
+that step hits the target exactly, as on the small anchored circles of a
+certificate. A step is accepted only when the displacement stays below eta
+times the distance from the previous node to the nearest critical point,
+otherwise the target segment is bisected (up to a fixed depth). This
+safeguard is what prevents silent branch jumps near critical points.
 
 A Path may carry an ``anchor``: its nodes are then offsets from that point.
 Lifting an anchored path uses the translated map g(anchor + w) - anchor,
@@ -174,18 +178,28 @@ def _finite_critical_points(g, anchor=None):
     return pts
 
 
-def _newton_preimage(gm, target, seed, max_iter=60):
-    """Newton solve of gm(w) = target; returns the best iterate found (the
-    caller judges it by its residual) or None if nothing was usable."""
+def _newton_preimage(gm, target, seed, seed_eval=None, max_iter=60):
+    """Newton solve of gm(w) = target from ``seed``.
+
+    Returns (w, gm(w), gm'(w)) for the best iterate found, both values from
+    the evaluation that judged it (the caller judges w by its residual), or
+    None if nothing was usable. A caller that already holds
+    gm.evaluate_with_derivative(seed) passes it as ``seed_eval``, which then
+    stands in for Newton's first evaluation.
+    """
     w = seed
     best, best_res = None, math.inf
     for _ in range(max_iter):
-        gv, gd = gm.evaluate_with_derivative(w)
+        if seed_eval is None:
+            gv, gd = gm.evaluate_with_derivative(w)
+        else:
+            gv, gd = seed_eval
+            seed_eval = None
         if is_inf(gv) or gd == 0:
             break
         res = abs(gv - target)
         if res < best_res:
-            best, best_res = w, res
+            best, best_res = (w, gv, gd), res
         if res == 0.0:
             break
         step = (gv - target) / gd
@@ -193,18 +207,11 @@ def _newton_preimage(gm, target, seed, max_iter=60):
             break
         w = w - step
         if abs(step) <= 4e-16 * max(abs(w), 1e-300):
-            gv2, _ = gm.evaluate_with_derivative(w)
+            gv2, gd2 = gm.evaluate_with_derivative(w)
             if not is_inf(gv2) and abs(gv2 - target) <= best_res:
-                best = w
+                best = (w, gv2, gd2)
             break
     return best
-
-
-def _chordal_in_chart(anchor, u, v):
-    if anchor is None:
-        return chordal(u, v)
-    # both points sit near the anchor; translate back for the metric factor
-    return 2.0 * abs(u - v) / (1.0 + abs(anchor) ** 2)
 
 
 def lift_path(g, path, start_lift, eps_lift=EPS_LIFT, eps_cv=EPS_CV,
@@ -217,7 +224,20 @@ def lift_path(g, path, start_lift, eps_lift=EPS_LIFT, eps_cv=EPS_CV,
     """
     gm, anchor = _chart_map(g, path.anchor)
     crit = _finite_critical_points(g, anchor)
-    start_res = _chordal_in_chart(anchor, gm(complex(start_lift)), path.start)
+    if anchor is None:
+        residual = chordal
+    else:
+        denom = 1.0 + abs(anchor) ** 2
+
+        def residual(u, v):
+            # both points sit near the anchor; translate back for the
+            # metric factor
+            return 2.0 * abs(u - v) / denom
+
+    start_lift = complex(start_lift)
+    # (g, g') at lifted[-1], which seeds the next node's Newton solve
+    last_eval = gm.evaluate_with_derivative(start_lift)
+    start_res = residual(last_eval[0], path.start)
     if start_res > eps_lift:
         raise EndpointMismatch(
             "g(start_lift) misses path start by chordal %.3g" % start_res)
@@ -228,7 +248,7 @@ def lift_path(g, path, start_lift, eps_lift=EPS_LIFT, eps_cv=EPS_CV,
             raise NearCriticalValue(
                 "path clearance %.3g to a critical value" % clr)
 
-    lifted = [complex(start_lift)]
+    lifted = [start_lift]
     targets = [path.start]
     max_res = start_res
     subdivisions = 0
@@ -245,13 +265,14 @@ def lift_path(g, path, start_lift, eps_lift=EPS_LIFT, eps_cv=EPS_CV,
         while pending:
             z_to, depth = pending.pop()
             w_prev = lifted[-1]
-            w = _newton_preimage(gm, z_to, w_prev)
+            found = _newton_preimage(gm, z_to, w_prev, last_eval)
             ok = False
-            if w is not None:
+            if found is not None:
+                w, gv, gd = found
                 allowed = eta * crit_distance(w_prev)
                 ok = abs(w - w_prev) < allowed
             if ok:
-                res = _chordal_in_chart(anchor, gm(w), z_to)
+                res = residual(gv, z_to)
                 if res > eps_lift:
                     ok = False
             if ok and anchor is None and abs(w) > CHART_LIMIT:
@@ -272,6 +293,7 @@ def lift_path(g, path, start_lift, eps_lift=EPS_LIFT, eps_cv=EPS_CV,
                 continue  # keep the node lists aligned pairwise
             lifted.append(w)
             targets.append(z_to)
+            last_eval = gv, gd
 
     return LiftResult(Path(lifted, anchor=anchor),
                       Path(targets, anchor=anchor), max_res, subdivisions)

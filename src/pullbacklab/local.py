@@ -26,6 +26,9 @@ from .sphere import INF, is_inf
 # to < 1e-11 over any run
 _DEEP_CUTOFF_LOG2 = math.log(1e-12, 2)
 _LOG2_10 = math.log2(10.0)
+# residual |T(w) - target| / |target| of a Newton iterate at rounding level:
+# about 4.5 units in the last place
+_NEWTON_RES_ROUNDING = 1e-15
 
 
 class ScaledComplex:
@@ -138,16 +141,25 @@ class LocalFixedChart:
             return eta.mul_complex(self.inv_lam)
         target = eta.to_complex() + self.eps_star
         w = self.eps_star + (target - self.eps_star) * self.inv_lam
+        best, best_res = w, math.inf
         for it in range(60):
             fv, fd = self.T.evaluate_with_derivative(w)
             if is_inf(fv) or fd == 0:
                 raise BranchJumpSuspected("local inverse left its chart")
+            res = abs(fv - target)
+            if res < best_res:
+                best, best_res = w, res
             step = (fv - target) / fd
             w = w - step
             if abs(step) <= 1e-16 * abs(w):
                 break
         else:
-            raise BranchJumpSuspected("local inverse Newton did not converge")
+            # T(0) != 0, so the steps can settle just above the relative
+            # test; the best iterate is then as good as rounding allows
+            if not best_res <= _NEWTON_RES_ROUNDING * abs(target):
+                raise BranchJumpSuspected(
+                    "local inverse Newton did not converge")
+            w = best
         return ScaledComplex(w - self.eps_star)
 
     def deviation_of(self, x):

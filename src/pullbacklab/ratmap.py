@@ -130,7 +130,7 @@ class RationalMap:
     """g = N/D of degree >= 2 with no common roots."""
 
     __slots__ = ("numerator", "denominator", "_dnum", "_dden", "degree",
-                 "_cache")
+                 "_cache", "_hN", "_hD", "_hdN", "_hdD")
 
     def __init__(self, numerator, denominator=(1.0,), check=True):
         N = _trim(numerator)
@@ -141,6 +141,11 @@ class RationalMap:
         self.denominator = D
         self._dnum = _pderiv(N)
         self._dden = _pderiv(D)
+        # N, D, N' and D' in Horner order (highest degree first)
+        self._hN = N[::-1]
+        self._hD = D[::-1]
+        self._hdN = self._dnum[::-1]
+        self._hdD = self._dden[::-1]
         self.degree = max(len(N), len(D)) - 1
         self._cache = {}
         if check:
@@ -163,12 +168,21 @@ class RationalMap:
         standard affine charts, swapping to w = 1/z at either end as needed,
         so chaining the returned values along an orbit gives cycle
         multipliers that are correct through oo."""
-        if is_inf(z):
+        if z is INF:
             return self._eval_at_infinity()
-        Nv = _peval(self.numerator, z)
-        Dv = _peval(self.denominator, z)
-        dNv = _peval(self._dnum, z)
-        dDv = _peval(self._dden, z)
+        # the four Horner loops of _peval, inlined: same operations, same order
+        Nv = 0j
+        for c in self._hN:
+            Nv = Nv * z + c
+        Dv = 0j
+        for c in self._hD:
+            Dv = Dv * z + c
+        dNv = 0j
+        for c in self._hdN:
+            dNv = dNv * z + c
+        dDv = 0j
+        for c in self._hdD:
+            dDv = dDv * z + c
         if Dv == 0:
             # pole: value oo; derivative of 1/g = (D/N)' at z
             der = (dDv * Nv - Dv * dNv) / (Nv * Nv)

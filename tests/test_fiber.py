@@ -7,10 +7,10 @@ import random
 import pytest
 
 import pullbacklab
+from pullbacklab.certify import classify_run
 from pullbacklab.cli import _build_run, load_config
 
-from pullbacklab.errors import (BranchJumpSuspected, CollisionDetected,
-                                InvalidBranchDatum)
+from pullbacklab.errors import CollisionDetected, InvalidBranchDatum
 from pullbacklab.fiber import (BranchDatum, Tolerances, TrivialMarkedSpec,
                                compose_iterate_run, init_run, run_until,
                                stopping_status)
@@ -227,10 +227,7 @@ def _seeded_runs():
 def test_stopping_status_first_fires_where_run_until_stopped():
     kinds = set()
     for name, run, cap in _seeded_runs():
-        try:
-            trace, status = run_until(run, max_iters=cap)
-        except BranchJumpSuspected:
-            continue  # known anchored-Newton defect: the run has no status
+        trace, status = run_until(run, max_iters=cap)
         fired = [stopping_status(trace.records[:end], run.punctures, run.tol)
                  for end in range(1, len(trace.records) + 1)]
         first = next((s for s in fired if s is not None), None)
@@ -243,6 +240,24 @@ def test_stopping_status_first_fires_where_run_until_stopped():
                 first.steps) == (status.kind, status.puncture_label,
                                  status.puncture, status.steps), name
     assert kinds == {"candidate_puncture", "candidate_realized", "undecided"}
+
+
+def test_run_into_an_inexact_fixed_puncture():
+    # z^2 + c whose critical orbit lands on the fixed point alpha, which is
+    # no double (T(0) != 0 in the anchored chart): the anchored Newton
+    # steps settle at rounding level just above their relative test
+    c = -1.5436890126920764
+    g = RationalMap([c, 0, 1])
+    b = 0.3 + 0.2j
+    run = init_run(g, [BranchDatum(b, -cmath.sqrt(b - c))])
+    trace, status = run_until(run)
+    assert status.kind == "candidate_puncture"
+    alpha = status.puncture
+    assert abs(alpha + 0.83929) < 1e-5
+    cls = classify_run(trace, g, run.punctures, tol=run.tol)
+    assert cls.verdict == "obstructed" and cls.puncture == alpha
+    _, mult = g.evaluate_with_derivative(alpha)
+    assert abs(cls.rate_estimate * abs(mult) - 1.0) < 1e-3
 
 
 def test_step_bound_monotone_with_slack():

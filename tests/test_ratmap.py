@@ -1,7 +1,9 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pullbacklab.errors import NotPostsingularlyFinite
 from pullbacklab.ratmap import (RationalMap, compose, critical_points,
@@ -41,6 +43,124 @@ def test_derivative_when_denominator_square_underflows():
     h = RationalMap([1, 0, 1], [1e-170])  # (z^2 + 1) 1e170
     v, d = h.evaluate_with_derivative(1e-200)
     assert v == 1e170 and abs(d - 2e-30) < 1e-44
+
+
+def _horner(coeffs, z):
+    acc = 0j
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
+
+
+def _reference_evaluate(g, z):
+    """evaluate_with_derivative as four separate Horner evaluations (the
+    form the inlined kernel replaced); returns (value, derivative) and the
+    quotient-rule branch taken."""
+    if is_inf(z):
+        return g._eval_at_infinity(), "inf"
+    Nv = _horner(g.numerator, z)
+    Dv = _horner(g.denominator, z)
+    dNv = _horner(g._dnum, z)
+    dDv = _horner(g._dden, z)
+    if Dv == 0:
+        return (INF, (dDv * Nv - Dv * dNv) / (Nv * Nv)), "pole"
+    w = Nv / Dv
+    if not cmath.isfinite(w):
+        return (INF, (dDv * Nv - Dv * dNv) / (Nv * Nv)), "non-finite"
+    DD = Dv * Dv
+    if DD == 0:
+        return (w, (dNv - w * dDv) / Dv), "underflow"
+    return (w, (dNv * Dv - Nv * dDv) / DD), "quotient"
+
+
+def _bits(point):
+    if is_inf(point):
+        return "INF"
+    return point.real.hex(), point.imag.hex()
+
+
+def _assert_kernel_matches(g, z):
+    """Bit-for-bit agreement, signed zeros included, or the same exception
+    (0/0 where N and D share a root); returns the branch."""
+    try:
+        want, branch = _reference_evaluate(g, z)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            g.evaluate_with_derivative(z)
+        return "common root"
+    got = g.evaluate_with_derivative(z)
+    assert tuple(map(_bits, got)) == tuple(map(_bits, want)), (g, z)
+    return branch
+
+
+_unit = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def rational_maps(draw):
+    """Degree 2..8, either part of full degree; sometimes D(0) = 0."""
+    degree = draw(st.integers(2, 8))
+    lower = draw(st.integers(0, degree))
+    sizes = [degree, lower] if draw(st.booleans()) else [lower, degree]
+
+    def coeffs(size):
+        out = [complex(draw(_unit), draw(_unit)) for _ in range(size)]
+        lead = cmath.rect(draw(st.floats(0.25, 4.0)),
+                          draw(st.floats(-math.pi, math.pi)))
+        return out + [lead]
+    N, D = coeffs(sizes[0]), coeffs(sizes[1])
+    if len(D) > 1 and draw(st.booleans()):
+        D[0] = 0j   # a pole at 0
+        N[0] = 1 + 0j
+    return RationalMap(N, D, check=False)
+
+
+@st.composite
+def points(draw):
+    """Mantissa times 2**e over the whole double range, or a signed zero."""
+    if draw(st.integers(0, 9)) == 0:
+        return complex(draw(st.sampled_from((0.0, -0.0))),
+                       draw(st.sampled_from((0.0, -0.0))))
+    e = draw(st.integers(-1100, 60))
+    return complex(math.ldexp(draw(_unit), e), math.ldexp(draw(_unit), e))
+
+
+kernel = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+@kernel
+@given(rational_maps(), points())
+def test_kernel_matches_four_horner_evaluations(g, z):
+    _assert_kernel_matches(g, z)
+    _assert_kernel_matches(g.reciprocal_conjugate(), z)
+
+
+@kernel
+@given(rational_maps(), st.complex_numbers(max_magnitude=3.0),
+       st.complex_numbers(min_magnitude=0.05, max_magnitude=20.0))
+def test_kernel_matches_on_shifted_maps_near_1e_60(g, anchor, offset):
+    # the anchored chart: T(w) = g(anchor + w) - anchor at tiny offsets w
+    _assert_kernel_matches(g.shifted(anchor), offset * 1e-60)
+
+
+def test_kernel_matches_on_every_branch():
+    pole_at_0 = RationalMap([1, 2, 1], [0, 1, 3], check=False)
+    inv_tiny = RationalMap([1e10, 0, 1], [0, 1])   # (z^2 + 1e10)/z
+    square_over = RationalMap([1, 0, 1], [0, 1])   # (z^2 + 1)/z
+    cases = [
+        (pole_at_0, 0j, "pole"), (pole_at_0, complex(-0.0, -0.0), "pole"),
+        (RationalMap([1], [0, 0, 1]), 0j, "pole"),
+        (inv_tiny, 1e-310 + 0j, "non-finite"),
+        (square_over, 1e-170 + 0j, "underflow"),
+        (square_over, complex(-3e-171, 1e-170), "underflow"),
+        (compose(square_over, CHEB), math.sqrt(2) + 1e-170j, "quotient"),
+        (CHEB, INF, "inf"), (RationalMap([0, 0, 1], [1, 3]), INF, "inf"),
+        (RationalMap([1], [0, 0, 1]), INF, "inf"),
+        (RationalMap([1, 0, 2], [3, 0, 1]), INF, "inf"),
+        (CHEB.shifted(2.0), 1e-60 - 3e-61j, "quotient"),
+    ]
+    for g, z, branch in cases:
+        assert _assert_kernel_matches(g, z) == branch, (g, z)
 
 
 def test_evaluate_at_infinity_chart():
