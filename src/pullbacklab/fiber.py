@@ -137,20 +137,25 @@ class TrivialMarkedSpec:
 
 
 class _AnchorChart:
-    """Precomputed anchoring data for one repelling fixed puncture;
-    ``log10_to[j]`` is the log10 chordal distance to puncture j (None at
-    the own index, where the distance is measured in the chart)."""
+    """Precomputed anchoring data for one repelling fixed puncture: ``rho``
+    is the chart distance to the nearest other puncture or obstacle,
+    ``disk_R`` the comparison-disk radius, and ``log10_to[j]`` the log10
+    chordal distance to puncture j (None at the own index, where the
+    distance is measured in the chart)."""
 
     __slots__ = ("index", "puncture", "chart", "rho", "r_anchor", "disk_R",
                  "log10_to")
 
-    def __init__(self, index, puncture, chart, rho, disk_R, points):
+    def __init__(self, index, puncture, chart, points, obstacles):
         self.index = index
         self.puncture = puncture
         self.chart = chart
-        self.rho = rho
-        self.r_anchor = rho / 8.0
-        self.disk_R = disk_R
+        others = [q for j, q in enumerate(points) if j != index]
+        self.rho = min(d for d in map(self.chart_distance,
+                                      others + list(obstacles)) if d > 0)
+        self.r_anchor = self.rho / 8.0
+        self.disk_R = self.rho if is_inf(puncture) else min(
+            self.chart_distance(q) for q in others if not is_inf(q))
         self.log10_to = tuple(
             None if j == index else math.log10(max(chordal(puncture, p), 1e-300))
             for j, p in enumerate(points))
@@ -314,28 +319,14 @@ class PullbackRun:
             if not abs(mult) > 1.0 + REPELLING_MARGIN:
                 continue
             chart = LocalFixedChart(self.g, p)
-            if is_inf(p):
-                def dist(q):
-                    return math.inf if (is_inf(q) or q == 0) else abs(1.0 / q)
-            else:
-                def dist(q, p=p):
-                    return math.inf if is_inf(q) else abs(q - p)
-            cands = [dist(q) for j, q in enumerate(pts) if j != idx]
-            cands += [dist(c) for c in crit_finite]
-            cands += [dist(b) for b, _ in preimages(self.g, p)
-                      if chordal(b, p) > 1e-9]
-            rho = min(d for d in cands if d > 0)
-            disk_R = min(dist(q) for j, q in enumerate(pts)
-                         if j != idx and not is_inf(q)) if not is_inf(p) else rho
-            anchors[idx] = _AnchorChart(idx, p, chart, rho, disk_R, pts)
+            near = crit_finite + [b for b, _ in preimages(self.g, p)
+                                  if chordal(b, p) > 1e-9]
+            anchors[idx] = _AnchorChart(idx, p, chart, pts, near)
         return anchors
 
     @property
     def k(self):
         return len(self.punctures) + len(self.marked) + len(self.trivial) - 3
-
-    def marked_labels(self):
-        return [t.label for t in self.marked] + [t.label for t in self.trivial]
 
     # -- the sigma step -------------------------------------------------------
 
@@ -505,6 +496,23 @@ class PullbackRun:
                 raise ValueError("run has not stepped yet")
             self._d0 = teich_step_bound(self, 1)
         return self._d0
+
+    def step_points(self, n):
+        """The step-n configuration: punctures, then the tracks in
+        processing order, as (label, "P" or "marked", z, deviation). An
+        anchored point has z = its anchor's puncture and deviation =
+        (chart, eta); every other point its position and None."""
+        if not 0 <= n <= self.n:
+            raise ValueError("run has no step %d" % n)
+        out = [(lab, "P", p, None) for lab, p in self.punctures]
+        for track in self._tracks:
+            mode, value = track.history[n]
+            if mode == "free":
+                out.append((track.label, "marked", value, None))
+            else:
+                out.append((track.label, "marked", track.anchor.puncture,
+                            (track.anchor.chart, value)))
+        return out
 
     def fiber_state(self, track_label):
         """Current FiberPointState of one marked coordinate."""

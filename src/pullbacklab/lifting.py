@@ -30,6 +30,7 @@ EPS_CV = 1e-6      # required path clearance to critical values
 EPS_CLEAR = 1e-8   # required path clearance to punctures
 ETA_SAFE = 0.25    # Newton displacement
 MAX_DEPTH = 40     # bisection depth before giving up
+_NEWTON_MAX_ITER = 60  # Newton iterations per preimage solve
 
 
 class Path:
@@ -178,7 +179,7 @@ def _finite_critical_points(g, anchor=None):
     return pts
 
 
-def _newton_preimage(gm, target, seed, seed_eval=None, max_iter=60):
+def _newton_preimage(gm, target, seed, seed_eval=None):
     """Newton solve of gm(w) = target from ``seed``.
 
     Returns (w, gm(w), gm'(w)) for the best iterate found, both values from
@@ -189,7 +190,7 @@ def _newton_preimage(gm, target, seed, seed_eval=None, max_iter=60):
     """
     w = seed
     best, best_res = None, math.inf
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         if seed_eval is None:
             gv, gd = gm.evaluate_with_derivative(w)
         else:

@@ -45,10 +45,6 @@ class ScaledComplex:
         self.m = complex(math.ldexp(m.real, -k), math.ldexp(m.imag, -k))
         self.e = e + k
 
-    @classmethod
-    def from_complex(cls, z):
-        return cls(z, 0)
-
     def to_complex(self):
         """Plain complex value; None when outside double range."""
         if not -1020 < self.e < 1020:
@@ -95,7 +91,7 @@ class LocalFixedChart:
     the true fixed point p + eps_star.
     """
 
-    def __init__(self, g, p, repelling_margin=REPELLING_MARGIN):
+    def __init__(self, g, p):
         self.puncture = p
         if is_inf(p):
             self.T = g.reciprocal_conjugate().shifted(0.0)
@@ -105,7 +101,7 @@ class LocalFixedChart:
             self.chordal_factor = 2.0 / (1.0 + abs(p) ** 2)
         self.eps_star = self._solve_offset()
         _, lam = self.T.evaluate_with_derivative(self.eps_star)
-        if not abs(lam) > 1.0 + repelling_margin:
+        if not abs(lam) > 1.0 + REPELLING_MARGIN:
             raise ValueError(
                 "anchor %r is not a repelling fixed point (|mult| = %.6g)"
                 % (p, abs(lam)))

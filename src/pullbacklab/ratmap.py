@@ -16,7 +16,6 @@ from .errors import (AmbiguousCycle, NotPostsingularlyFinite,
                      RootFindingFailure)
 from .sphere import INF, Configuration, chordal, is_inf
 
-EPS_FIX = 1e-9          # fixed-point residual |g(x) - x|
 REPELLING_MARGIN = 1e-9  # repelling means |multiplier| > 1 + this
 _CLUSTER_TOL = 1e-6     # root clustering scale for multiplicity detection
 
@@ -429,10 +428,6 @@ class PostsingularAnalysis:
         self.portrait = portrait
         self.transitions = transitions
         self.is_psf = True
-
-    @property
-    def P(self):
-        return self.postsingular
 
     def to_json(self):
         return {

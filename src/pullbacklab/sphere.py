@@ -86,9 +86,6 @@ class MobiusTransform:
             raise DegenerateTriple("degenerate Mobius matrix (det ~ 0)")
         self.a, self.b, self.c, self.d = a, b, c, d
 
-    def det(self):
-        return self.a * self.d - self.b * self.c
-
     def inverse(self):
         return MobiusTransform(self.d, -self.b, -self.c, self.a)
 
@@ -232,9 +229,6 @@ class ModuliCoordinates:
 
     def __len__(self):
         return len(self.coords)
-
-    def coord(self, label):
-        return self.coords[self.labels.index(label)]
 
     def to_json(self):
         return {

@@ -1,21 +1,28 @@
 import cmath
 import copy
+import glob
 import math
+import os
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import pullbacklab
 from pullbacklab.certify import (certify_obstructed, classify_run,
                                  emit_levy_certificate,
                                  find_separating_annulus, injectivity_test,
                                  verify_certificate, LevyCertificate,
-                                 _apply_map, _circle, _segments_intersect_any)
+                                 _apply_map, _circle, _log_euclid_dist,
+                                 _segments_intersect_any, _step_chart_entries)
+from pullbacklab.cli import _build_run, load_config
 from pullbacklab.errors import (InjectivityUndetermined, NoSeparatingAnnulus)
 from pullbacklab.fiber import BranchDatum, init_run, run_until
 from pullbacklab.hyperbolic import (ELL_STAR, RoundAnnulus, annulus_modulus)
+from pullbacklab.lifting import Path
 from pullbacklab.ratmap import RationalMap
-from pullbacklab.sphere import Configuration, INF
+from pullbacklab.sphere import Configuration, INF, chordal, is_inf
 
 CHEB = RationalMap([-2, 0, 1])
 BASILICA = RationalMap([-1, 0, 1])
@@ -299,21 +306,53 @@ def test_certificate_modulus_growth():
     assert abs(per_step - target) < 0.1 * target
 
 
+def _with_moved_node(curves, idx):
+    """The curves with the middle node of curve idx scaled by 1.5."""
+    nodes = list(curves[idx].nodes)
+    nodes[len(nodes) // 2] *= 1.5
+    return curves[:idx] + (Path(nodes, anchor=curves[idx].anchor),) + \
+        curves[idx + 1:]
+
+
 def test_certificate_tamper_detection():
     run, _, _ = finished(CHEB, BranchDatum(0.0, math.sqrt(2)), max_iters=2000)
     cert = certify_obstructed(run)
-    bad = copy.copy(cert)
-    bad.modulus = cert.modulus * 0.5
-    assert not verify_certificate(bad, run)
-    forged = copy.copy(cert)
-    forged.inner_count_B = 2
-    assert not verify_certificate(forged, run)
-    moved = copy.copy(cert)
-    moved.annulus = RoundAnnulus(cert.annulus.center,
-                                 cert.annulus.log_rin - 5.0,
-                                 cert.annulus.log_rout,
-                                 anchor=cert.annulus.anchor)
-    assert not verify_certificate(moved, run)
+    ann = cert.annulus
+    curves = cert.representative_curves
+    # each stored field, changed alone, fails with the messages naming the
+    # conditions it breaks
+    tampers = [
+        ("modulus", cert.modulus * 0.5, ["modulus mismatch"]),
+        ("annulus", RoundAnnulus(ann.center, ann.log_rin - 5.0, ann.log_rout,
+                                 anchor=ann.anchor),
+         ["modulus mismatch", "essential-in-A side condition",
+          "curve 0 is not the annulus core circle"]),
+        ("k", cert.k + 1, ["k mismatch", "curve count 2 != k+1"]),
+        ("d0_bound", cert.d0_bound * 1.1, ["d0 bound mismatch"]),
+        ("threshold", cert.threshold * 2,
+         ["threshold formula", "modulus does not exceed threshold"]),
+        ("length_bound", cert.length_bound * 1.01, ["length bound formula"]),
+        ("length_bound", 2.0,
+         ["length bound formula", "length bound not below ell*"]),
+        ("inner_count_A", 1, ["side counts mismatch"]),
+        ("inner_count_B", 2, ["side counts mismatch"]),
+        ("outer_count_A", 1, ["side counts mismatch"]),
+        ("outer_count_B", 3, ["side counts mismatch"]),
+        ("curve_enclosed_labels", (("p0",), ("m0", "p1")),
+         ["curve 0 enclosed labels mismatch", "short-curve budget exceeded"]),
+        ("representative_curves", _with_moved_node(curves, 0),
+         ["curve 0 is not the annulus core circle"]),
+        ("representative_curves", _with_moved_node(curves, 1),
+         ["re-lift of curve 0 does not match curve 1"]),
+    ]
+    for name, value, messages in tampers:
+        bad = copy.copy(cert)
+        setattr(bad, name, value)
+        result = verify_certificate(bad, run)
+        assert not result
+        for message in messages:
+            assert any(m.startswith(message) for m in result.mismatches), \
+                (name, message, result.mismatches)
 
 
 def test_certificate_json_roundtrip():
@@ -339,3 +378,129 @@ def test_emission_floor_reason():
     cert, note = certify_obstructed(run, with_reason=True, max_steps=50)
     assert cert is None
     assert "below the double-range" in note
+
+
+# -- the step configuration against the reading it replaced ------------------
+
+def _reference_chart_entries(run, n, shift):
+    """The chart entries as read from the tracks before ``step_points``."""
+    entries = []
+    for lab, p in run.punctures:
+        entries.append((lab, "P", None if is_inf(p) else p - shift))
+    for track in list(run.marked) + list(run.trivial):
+        mode, value = track.history[n] if n < len(track.history) \
+            else track.history[-1]
+        if mode == "free":
+            entries.append((track.label, "marked", value - shift))
+        else:
+            chart = track.anchor.chart
+            eta = value.to_complex()
+            if eta is None:
+                raise NoSeparatingAnnulus(
+                    "deviation below double range; certificate chart cannot "
+                    "represent the cluster at step %d" % n)
+            pos = (track.anchor.puncture - shift) + chart.eps_star + eta
+            entries.append((track.label, "marked", pos))
+    return entries
+
+
+def _reference_log_dist(run, n, e1, e2):
+    """The clustering distance as read from the tracks by label."""
+    _LN2 = math.log(2.0)
+
+    def resolve(label, kind):
+        if kind == "P":
+            return ("point", run.punctures.point(label))
+        for track in run.marked:
+            if track.label == label:
+                mode, value = track.history[n]
+                if mode == "anchored":
+                    return ("anchored", (track.anchor, value))
+                return ("point", value)
+        for track in run.trivial:
+            if track.label == label:
+                return ("point", track.history[n][1])
+        raise KeyError(label)
+
+    r1, r2 = resolve(e1[0], e1[1]), resolve(e2[0], e2[1])
+    if r1[0] == "anchored" and r2[0] == "anchored":
+        a1, eta1 = r1[1]
+        a2, eta2 = r2[1]
+        if a1.index == a2.index:
+            try:
+                gap = eta1.sub(eta2)
+            except ValueError:
+                return -math.inf
+            return gap.log2_abs() * _LN2
+        if is_inf(a1.puncture) or is_inf(a2.puncture):
+            return math.inf
+        return math.log(max(abs(a1.puncture - a2.puncture), 1e-300))
+    if r1[0] == "anchored" or r2[0] == "anchored":
+        (a, eta), other = (r1[1], r2) if r1[0] == "anchored" else (r2[1], r1)
+        q = other[1]
+        if is_inf(q) or is_inf(a.puncture):
+            return math.inf
+        if chordal(a.puncture, q) <= 1e-12:
+            return eta.log2_abs() * _LN2
+        return math.log(max(abs(a.puncture - q), 1e-300))
+    p, q = r1[1], r2[1]
+    if is_inf(p) or is_inf(q):
+        return math.inf
+    d = abs(p - q)
+    return math.log(d) if d > 0 else -math.inf
+
+
+def _bits(x):
+    return None if x is None else struct.pack("<dd", x.real, x.imag)
+
+
+def _bit_entries(entries, *args):
+    """The chart entries, positions as bit patterns, or the error raised."""
+    try:
+        return [(lab, kind, _bits(z)) for lab, kind, z in entries(*args)]
+    except NoSeparatingAnnulus as exc:
+        return str(exc)
+
+
+DEMO_CONFIGS = sorted(glob.glob(os.path.join(
+    os.path.dirname(pullbacklab.__file__), "demo_configs", "*.json")))
+
+
+def _reference_runs():
+    """The corpus configs (trivial_point has a trivial track), a k = 2 run
+    whose two marked points anchor at the same puncture, and a run into
+    the alpha fixed point of z^2 + c, which is no double (eps* != 0)."""
+    for path in DEMO_CONFIGS:
+        yield os.path.basename(path), _build_run(load_config(path))
+    yield "two_anchored", init_run(CHEB, [BranchDatum(0.0, math.sqrt(2)),
+                                          BranchDatum(0.5, math.sqrt(2.5))])
+    c, b = -1.5436890126920764, 0.3 + 0.2j
+    yield "alpha", init_run(RationalMap([c, 0, 1]),
+                            [BranchDatum(b, -cmath.sqrt(b - c))])
+
+
+def test_step_points_match_the_track_reading():
+    same_chart = 0
+    for name, run in _reference_runs():
+        for n in range(1, 221):
+            run.pullback_step()
+            points = run.step_points(n)
+            assert [p[0] for p in points] == list(run.punctures.labels) + \
+                [t.label for t in list(run.marked) + list(run.trivial)]
+            for a in points:
+                for b in points:
+                    want = _reference_log_dist(run, n, a[:2], b[:2])
+                    got = _log_euclid_dist(a, b)
+                    assert struct.pack("<d", got) == struct.pack("<d", want), \
+                        (name, n, a[0], b[0], got, want)
+                    same_chart += a[3] is not None and b[3] is not None and \
+                        a[0] != b[0] and a[3][0] is b[3][0]
+            for shift in [0j] + [p for p in run.punctures.points
+                                 if not is_inf(p)]:
+                assert _bit_entries(_step_chart_entries, points, shift, n) == \
+                    _bit_entries(_reference_chart_entries, run, n, shift), \
+                    (name, n, shift)
+    # the two-anchored run compares its marked points in one chart
+    assert same_chart > 0
+    with pytest.raises(ValueError):
+        run.step_points(run.n + 1)

@@ -2,6 +2,7 @@ import glob
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -9,6 +10,11 @@ import pytest
 
 import pullbacklab
 from pullbacklab.cli import main
+
+
+def read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
 
 
 def write_config(tmp_path, cfgname="cheb", **overrides):
@@ -30,11 +36,11 @@ def test_run_obstructed_with_certificate(tmp_path):
     cfgp = write_config(tmp_path)
     out = str(tmp_path / "out")
     assert main(["run", "--config", cfgp, "--out", out]) == 0
-    report = json.load(open(os.path.join(out, "cheb.report.json")))
+    report = read_json(os.path.join(out, "cheb.report.json"))
     assert report["classification"]["verdict"] == "obstructed"
     assert report["classification"]["puncture"] == [2.0, 0.0]
     assert report["certificate"] == "cheb.certificate.json"
-    cert = json.load(open(os.path.join(out, "cheb.certificate.json")))
+    cert = read_json(os.path.join(out, "cheb.certificate.json"))
     assert cert["trace_digest"] == report["trace_digest"]
 
 
@@ -47,7 +53,7 @@ def test_run_realized(tmp_path):
                  "branch_point": [-math.sqrt(0.4), 0.0]}])
     out = str(tmp_path / "out")
     assert main(["run", "--config", cfgp, "--out", out]) == 0
-    report = json.load(open(os.path.join(out, "bas.report.json")))
+    report = read_json(os.path.join(out, "bas.report.json"))
     assert report["classification"]["verdict"] == "realized"
     assert abs(report["classification"]["x_star"][0]
                - (1 - math.sqrt(5)) / 2) < 1e-8
@@ -74,19 +80,19 @@ def test_check_valid_and_tampered(tmp_path):
     assert main(["check", "--trace", trace, "--cert", cert]) == 0
 
     # edit one stored position: the diagram invariant and digest both fail
-    lines = open(trace).read().splitlines()
+    lines = pathlib.Path(trace).read_text().splitlines()
     rec = json.loads(lines[2])
     rec["points"]["m0"]["value"][0] += 1e-5
     lines[2] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
     tampered = os.path.join(out, "tampered.jsonl")
-    open(tampered, "w").write("\n".join(lines) + "\n")
+    pathlib.Path(tampered).write_text("\n".join(lines) + "\n")
     assert main(["check", "--trace", tampered, "--cert", cert]) == 1
 
     # certificate digest mismatch alone also fails
-    payload = json.load(open(cert))
+    payload = read_json(cert)
     payload["trace_digest"] = "0" * 64
     cert2 = os.path.join(out, "cert2.json")
-    json.dump(payload, open(cert2, "w"))
+    pathlib.Path(cert2).write_text(json.dumps(payload))
     assert main(["check", "--trace", trace, "--cert", cert2]) == 1
 
 
@@ -95,8 +101,8 @@ def test_determinism_byte_identical_traces(tmp_path):
     out1, out2 = str(tmp_path / "o1"), str(tmp_path / "o2")
     main(["run", "--config", cfgp, "--out", out1])
     main(["run", "--config", cfgp, "--out", out2])
-    t1 = open(os.path.join(out1, "cheb.trace.jsonl"), "rb").read()
-    t2 = open(os.path.join(out2, "cheb.trace.jsonl"), "rb").read()
+    t1 = pathlib.Path(out1, "cheb.trace.jsonl").read_bytes()
+    t2 = pathlib.Path(out2, "cheb.trace.jsonl").read_bytes()
     assert t1 == t2
 
 
@@ -126,10 +132,10 @@ def test_check_reproduces_report_verdict(tmp_path):
                  "--cert", os.path.join(out, "cheb.certificate.json"),
                  "--report", os.path.join(out, "cheb.report.json")]) == 0
     # a forged verdict in the report is caught
-    rep = json.load(open(os.path.join(out, "cheb.report.json")))
+    rep = read_json(os.path.join(out, "cheb.report.json"))
     rep["classification"]["verdict"] = "realized"
     forged = os.path.join(out, "forged.report.json")
-    json.dump(rep, open(forged, "w"))
+    pathlib.Path(forged).write_text(json.dumps(rep))
     assert main(["check",
                  "--trace", os.path.join(out, "cheb.trace.jsonl"),
                  "--cert", os.path.join(out, "cheb.certificate.json"),
@@ -140,7 +146,7 @@ def test_analyze_subcommand(tmp_path):
     cfgp = write_config(tmp_path)
     out = str(tmp_path / "out")
     assert main(["analyze", "--config", cfgp, "--out", out]) == 0
-    an = json.load(open(os.path.join(out, "cheb.analysis.json")))
+    an = read_json(os.path.join(out, "cheb.analysis.json"))
     assert an["is_psf"]
     assert len(an["postsingular"]) == 3
 
@@ -151,8 +157,15 @@ def test_tol_override_and_env(tmp_path, monkeypatch):
     monkeypatch.setenv("PULLBACK_LAB_OUT", out)
     assert main(["run", "--config", cfgp, "--max-iters", "40",
                  "--tol", "eps_P=1e-6"]) == 0
-    report = json.load(open(os.path.join(out, "cheb.report.json")))
+    report = read_json(os.path.join(out, "cheb.report.json"))
     assert report["steps"] <= 120  # certification tail included
+    # --out wins over the environment variable
+    os.remove(os.path.join(out, "cheb.report.json"))
+    flag_out = str(tmp_path / "flagout")
+    assert main(["run", "--config", cfgp, "--max-iters", "40",
+                 "--out", flag_out]) == 0
+    assert os.path.exists(os.path.join(flag_out, "cheb.report.json"))
+    assert not os.path.exists(os.path.join(out, "cheb.report.json"))
 
 
 def test_batch_flag(tmp_path):
@@ -200,7 +213,7 @@ def corpus_out(tmp_path_factory):
 @pytest.mark.parametrize("path", DEMO_CONFIGS, ids=os.path.basename)
 def test_classify_without_report_matches_run(corpus_out, path, capsys):
     name = os.path.splitext(os.path.basename(path))[0]
-    report = json.load(open(os.path.join(corpus_out, name + ".report.json")))
+    report = read_json(os.path.join(corpus_out, name + ".report.json"))
     capsys.readouterr()
     assert main(["classify", "--config", path, "--trace",
                  os.path.join(corpus_out, name + ".trace.jsonl")]) == 0
@@ -211,8 +224,8 @@ def test_classify_without_report_matches_run(corpus_out, path, capsys):
 @pytest.mark.parametrize("path", DEMO_CONFIGS, ids=os.path.basename)
 def test_certification_tail_records_are_full(corpus_out, path):
     name = os.path.splitext(os.path.basename(path))[0]
-    report = json.load(open(os.path.join(corpus_out, name + ".report.json")))
-    lines = open(os.path.join(corpus_out, name + ".trace.jsonl")).readlines()
+    report = read_json(os.path.join(corpus_out, name + ".report.json"))
+    lines = pathlib.Path(corpus_out, name + ".trace.jsonl").read_text().splitlines()
     records = [json.loads(line) for line in lines]
     assert [rec["n"] for rec in records] == list(range(report["steps"] + 1))
     for rec in records[report["status"]["steps"] + 1:]:
@@ -239,8 +252,8 @@ def test_check_judges_with_the_runs_tolerances(tmp_path):
     assert main(["run", "--config", config, "--tol", "eps_P=1e-3",
                  "--out", out]) == 0
     base = os.path.join(out, "squaring_b")
-    report = json.load(open(base + ".report.json"))
-    payload = json.load(open(base + ".certificate.json"))
+    report = read_json(base + ".report.json")
+    payload = read_json(base + ".certificate.json")
     assert report["status"]["steps"] == 10
     records = _read_trace(base + ".trace.jsonl")
     run = _build_run(_certificate_config(payload))
