@@ -134,17 +134,10 @@ def classify_run(trace, g, punctures, tol=None):
 
 
 def _decay_rate(records, p_label, window=8):
-    drops = []
-    prev = None
-    for rec in records[-(window + 1):]:
-        best = None
-        for entry in rec["points"].values():
-            d = entry["dist_log10"].get(p_label)
-            if d is not None and (best is None or d < best):
-                best = d
-        if prev is not None and best is not None:
-            drops.append(best - prev)
-        prev = best
+    """Mean per-step ratio of the closest approach to the puncture over the
+    last ``window`` steps, from each record's ``min_dist_log10``."""
+    logs = [rec["min_dist_log10"][p_label] for rec in records[-(window + 1):]]
+    drops = [b - a for a, b in zip(logs, logs[1:])]
     if not drops:
         return None
     return 10.0 ** (sum(drops) / len(drops))
@@ -439,7 +432,7 @@ class LevyCertificate:
         self.curve_windings = tuple(curve_windings)
         self.curve_enclosed_labels = tuple(tuple(sorted(lbls))
                                            for lbls in curve_enclosed_labels)
-        self.promotion_flag = length_bound < ELL_STAR * math.exp(-k * d0_bound)
+        self.promotion_flag = _promotion_flag(length_bound, k, d0_bound)
         self.engine_version = engine_version
         self.tolerances = tolerances or {}
         self.trace_digest = trace_digest
@@ -490,6 +483,11 @@ def _threshold_product(k, d):
     a first-step bound d, divided by an annulus modulus the length bound of
     the core geodesic."""
     return (k + 4) * math.pi * math.exp(k * d)
+
+
+def _promotion_flag(length_bound, k, d):
+    """Whether the length bound stays below ell* e^{-k d}."""
+    return length_bound < ELL_STAR * math.exp(-k * d)
 
 
 def _annulus_faults(modulus, threshold, counts, ring):
@@ -739,6 +737,19 @@ class VerifyResult:
         return "VerifyResult(failed: %s)" % "; ".join(self.mismatches)
 
 
+def _same_evidence(got, want):
+    """Same keys, list lengths and non-float values; floats within 1e-6
+    relative, as ``_same_nodes``."""
+    if isinstance(got, float) and isinstance(want, float):
+        return abs(got - want) <= 1e-6 * abs(want)
+    if isinstance(got, dict) and isinstance(want, dict):
+        return got.keys() == want.keys() and \
+            all(_same_evidence(got[key], want[key]) for key in got)
+    if isinstance(got, list) and isinstance(want, list):
+        return len(got) == len(want) and all(map(_same_evidence, got, want))
+    return type(got) is type(want) and got == want
+
+
 def _same_nodes(got, want):
     """Same node count, each node within 1e-6 of want's largest |node|
     (np.exp, which draws the curves, may round differently elsewhere)."""
@@ -772,6 +783,9 @@ def verify_certificate(cert, run):
     lb = product / mod
     check(abs(lb - cert.length_bound) <= 1e-9 * max(1.0, lb),
           "length bound formula")
+    check(cert.promotion_flag ==
+          _promotion_flag(cert.length_bound, cert.k, cert.d0_bound),
+          "promotion flag mismatch: stored %r" % (cert.promotion_flag,))
 
     # side counts against the recorded step configuration; when they cannot
     # be recomputed, the annulus conditions judge the stored ones
@@ -788,9 +802,19 @@ def verify_certificate(cert, run):
     check(counts == stored, "side counts mismatch: stored %r, "
           "recomputed %r" % (stored, counts))
     bad.extend(_annulus_faults(mod, cert.threshold, counts, ring))
+    if entries is not None:
+        r_in = cert.annulus.r_in
+        inner = {lab for lab, _, z in entries
+                 if z is not None and abs(z - cert.annulus.center) <= r_in}
+        check(set(cert.cluster_labels) == inner,
+              "cluster labels mismatch: stored %r, inner side %r"
+              % (cert.cluster_labels, sorted(inner)))
 
     try:
-        injectivity_test(run.g, cert.annulus, cert.k, eps_cv=run.tol.eps_cv)
+        evidence = injectivity_test(run.g, cert.annulus, cert.k,
+                                    eps_cv=run.tol.eps_cv)
+        check(_same_evidence(evidence, cert.injectivity_evidence),
+              "injectivity evidence mismatch")
     except InjectivityUndetermined as exc:
         bad.append("injectivity evidence did not reproduce: %s" % exc)
 
@@ -800,12 +824,17 @@ def verify_certificate(cert, run):
     check(len(curves) == cert.k + 1, "curve count %d != k+1" % len(curves))
     check(curves and _same_nodes(_core_curve(cert.annulus), curves[0]),
           "curve 0 is not the annulus core circle")
+    windings = []
     for idx, curve in enumerate(curves):
         check(curve.is_closed(1e-6 * max(abs(z) for z in curve.nodes)),
               "curve %d is not closed" % idx)
         w = _closed_winding(curve, cert.annulus.center)
         check(w is not None and abs(w) == 1,
               "curve %d does not wind once around the annulus core" % idx)
+        windings.append(w)
+    check(tuple(cert.curve_windings) == tuple(windings),
+          "curve windings mismatch: stored %r, recomputed %r"
+          % (tuple(cert.curve_windings), tuple(windings)))
     for idx in range(len(curves) - 1):
         nxt = curves[idx + 1]
         try:
@@ -819,12 +848,14 @@ def verify_certificate(cert, run):
             bad.append("curve %d re-lift failed: %s" % (idx, exc))
 
     # enclosed labels reproduce, and the curve conditions hold
+    enclosed = cert.curve_enclosed_labels
+    check(len(enclosed) == len(curves),
+          "enclosed-label count %d != curve count %d"
+          % (len(enclosed), len(curves)))
     if entries is not None:
-        for idx, curve in enumerate(curves):
+        for idx, (curve, want) in enumerate(zip(curves, enclosed)):
             got = _enclosed_labels(curve, entries)
-            check(got == cert.curve_enclosed_labels[idx],
-                  "curve %d enclosed labels mismatch: %r vs %r"
-                  % (idx, got, cert.curve_enclosed_labels[idx]))
-    bad.extend(_curve_faults(cert.length_bound, cert.curve_enclosed_labels,
-                             cert.k))
+            check(got == want, "curve %d enclosed labels mismatch: %r vs %r"
+                  % (idx, got, want))
+    bad.extend(_curve_faults(cert.length_bound, enclosed, cert.k))
     return VerifyResult(not bad, bad)

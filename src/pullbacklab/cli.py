@@ -26,7 +26,7 @@ from . import __version__
 from .certify import (LevyCertificate, certify_obstructed, classify_run,
                       verify_certificate)
 from .errors import PullbackLabError
-from .fiber import (BranchDatum, RunStatus, Tolerances, Trace,
+from .fiber import (JSON_ENCODER, BranchDatum, RunStatus, Tolerances, Trace,
                     TrivialMarkedSpec, compose_iterate_run, init_run,
                     run_until, stopping_status)
 from .lifting import Path
@@ -49,14 +49,16 @@ def parse_config(raw, tol_overrides=(), max_iters=None, name=None):
     if "map" not in raw:
         raise ValueError("config needs a 'map' record")
     g = RationalMap.from_json(raw["map"])
+    # each source overrides the one before: config tolerances, config
+    # max_iters, --tol, --max-iters
     tols = dict(raw.get("tolerances", {}))
+    if "max_iters" in raw:
+        tols["max_iters"] = raw["max_iters"]
     for tol_name, value in tol_overrides:
         tols[tol_name] = float(value)
-    tol = Tolerances(**tols)
     if max_iters is not None:
-        tol.max_iters = int(max_iters)
-    elif "max_iters" in raw:
-        tol.max_iters = int(raw["max_iters"])
+        tols["max_iters"] = max_iters
+    tol = Tolerances(**tols)
     marked, trivial = [], []
     for spec in raw.get("marked", []):
         kind = spec.get("type", "fixed")
@@ -106,7 +108,7 @@ def _out_dir(args):
 
 def _write_json(path, obj):
     with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=1)
+        fh.write(JSON_ENCODER.encode(obj))
         fh.write("\n")
 
 

@@ -28,9 +28,13 @@ coefficient (``LocalFixedChart``), the log10 distances from the anchor to
 every other puncture (``_AnchorChart.log10_to``), and the processing order
 of the tracks. Computed per step: the inverse step eta -> eta', its
 residual (``step_residual``, which the record's diagram residual reuses),
-the comparison-disk radius and step bound, the log10 distance to the own
-anchor, and the distinctness check; the path-node count is updated when a
-block is appended, so an anchored step leaves it as it is.
+the log10 distance to the own anchor, and the distinctness check; the
+path-node count is updated when a block is appended, so an anchored step
+leaves it as it is.
+
+A step only moves points: each track keeps its ``history`` of positions
+(and a marked track its ``blocks``), and ``step_connectors`` derives a
+step's moves from them when its bound is asked for.
 """
 
 import json
@@ -46,8 +50,9 @@ from .ratmap import (REPELLING_MARGIN, critical_points, critical_values,
                      iterate, postsingular_analysis, preimages)
 from .sphere import Configuration, chordal, encode_point, is_inf
 
-# one encoder for every trace line (json.dumps would build one per record)
-_JSONL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# one compact sorted encoder for every trace line and every file the CLI
+# writes (json.dumps would build one per record)
+JSON_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 class Tolerances:
@@ -103,11 +108,6 @@ class BranchDatum:
             raise InvalidBranchDatum(
                 "delta clearance %.3g to the punctures" % clr)
 
-    def to_json(self):
-        return {"basepoint": encode_point(self.basepoint),
-                "branch_point": encode_point(self.branch_point),
-                "delta": self.delta.to_json()}
-
 
 class TrivialMarkedSpec:
     """A strictly preperiodic marked point: image q in P and the chosen
@@ -129,11 +129,6 @@ class TrivialMarkedSpec:
             if min(chordal(z, p) for p in punctures.points) <= tol.eps_sep:
                 raise CollisionDetected(
                     "trivial %s collides with a puncture" % name)
-
-    def to_json(self):
-        return {"image": encode_point(self.image),
-                "preimage": encode_point(self.preimage),
-                "start": encode_point(self.start)}
 
 
 class _AnchorChart:
@@ -174,8 +169,8 @@ class _AnchorChart:
 class _MarkedTrack:
     """Mutable per-marked-point state inside a run."""
 
-    __slots__ = ("label", "datum", "blocks", "nodes", "history",
-                 "connectors", "anchor", "last_residual")
+    __slots__ = ("label", "datum", "blocks", "nodes", "history", "anchor",
+                 "last_residual")
 
     def __init__(self, label, datum):
         self.label = label
@@ -183,7 +178,6 @@ class _MarkedTrack:
         self.blocks = []
         self.nodes = 1  # nodes of full_path(), kept by append_block
         self.history = [("free", datum.basepoint)]
-        self.connectors = [("zero", None)]
         self.anchor = None
         self.last_residual = 0.0
 
@@ -191,11 +185,15 @@ class _MarkedTrack:
     def mode(self):
         return self.history[-1][0]
 
-    def position(self):
-        mode, value = self.history[-1]
+    def position(self, n=-1):
+        mode, value = self.history[n]
         if mode == "free":
             return value
         return self.anchor.chart.materialize(value)
+
+    def block(self, n):
+        """The path of free step n (each free step appends one block)."""
+        return self.blocks[n - 1]
 
     def eta(self):
         return self.history[-1][1] if self.mode == "anchored" else None
@@ -212,16 +210,22 @@ class _MarkedTrack:
 
 
 class _TrivialTrack:
-    __slots__ = ("label", "spec", "history", "connectors")
+    """A trivial point: start at step 0, its preimage q' from step 1 on."""
+
+    __slots__ = ("label", "spec", "history")
+    anchor = None
 
     def __init__(self, label, spec):
         self.label = label
         self.spec = spec
         self.history = [("free", spec.start)]
-        self.connectors = [("zero", None)]
 
-    def position(self):
-        return self.history[-1][1]
+    def position(self, n=-1):
+        return self.history[n][1]
+
+    def block(self, n):
+        """The settling segment start -> q' at step 1; no move after it."""
+        return Path([self.spec.start, self.spec.preimage]) if n == 1 else None
 
 
 class FiberPointState:
@@ -283,15 +287,14 @@ class Trace:
 
     def jsonl_lines(self):
         for rec in self.records:
-            yield _JSONL_ENCODER.encode(rec)
+            yield JSON_ENCODER.encode(rec)
 
 
 class PullbackRun:
     """Sequential pullback iteration state; step n+1 consumes step n."""
 
-    def __init__(self, g, analysis, punctures, marked, trivial, tol):
+    def __init__(self, g, punctures, marked, trivial, tol):
         self.g = g
-        self.analysis = analysis
         self.punctures = punctures
         self.marked = marked
         self.trivial = trivial
@@ -332,15 +335,11 @@ class PullbackRun:
 
     def pullback_step(self):
         self.n += 1
-        n = self.n
         for track in self.marked:
             if track.anchor is not None:
                 eta_prev = track.history[-1][1]
                 eta_next = track.anchor.chart.inv_step(eta_prev)
                 track.history.append(("anchored", eta_next))
-                track.connectors.append(
-                    ("anchored", (self._anchored_disk_radius(track),
-                                  eta_prev, eta_next)))
                 track.last_residual = track.anchor.chart.step_residual(
                     eta_prev, eta_next)
                 continue
@@ -357,68 +356,12 @@ class PullbackRun:
                                           margin=2 * self.tol.eps_clear)
                 track.last_residual = res.max_residual
             track.append_block(new_block)
-            x_new = new_block.end
-            track.history.append(("free", x_new))
-            track.connectors.append(
-                self._path_connector(track, new_block))
+            track.history.append(("free", new_block.end))
             self._maybe_anchor(track, new_block)
         for triv in self.trivial:
-            if n == 1:
-                triv.history.append(("free", triv.spec.preimage))
-                triv.connectors.append(self._path_connector(
-                    triv, Path([triv.spec.start, triv.spec.preimage])))
-            else:
-                # bitwise-constant from step 1 on
-                triv.history.append(("free", triv.spec.preimage))
-                triv.connectors.append(("zero", None))
+            triv.history.append(("free", triv.spec.preimage))
         self._check_distinct()
         return self
-
-    def _path_connector(self, track, block):
-        """Connector descriptor for one coordinate's move. The sequential
-        one-at-a-time decomposition is only a valid fiber path when the
-        block avoids the other coordinates' frozen positions; a crossing
-        leaves configuration space, so the step bound is then uncertified
-        rather than fabricated."""
-        others = self._other_positions(track)
-        if len(block) > 1 and others and \
-                path_clearance(block, others) <= 2 * self.tol.eps_clear:
-            return ("uncertified",
-                    "connector of %s crosses another marked coordinate"
-                    % track.label)
-        return ("path", (block, self._density_punctures(track)))
-
-    def _other_positions(self, moving):
-        """Positions of the other coordinates at this instant of the step.
-
-        Coordinates move one at a time in processing order, so the correct
-        exclusion set for the moving one is each other's current history
-        head: already-stepped tracks contribute their new position, not yet
-        stepped ones their old."""
-        out = []
-        for other in self._tracks:
-            if other is moving:
-                continue
-            mode, value = other.history[-1]
-            out.append(value if mode == "free"
-                       else other.anchor.chart.materialize(value))
-        return out
-
-    def _density_punctures(self, moving):
-        pts = list(self.punctures.points)
-        for x in self._other_positions(moving):
-            if min(chordal(x, p) for p in pts) > 1e-9:
-                pts.append(x)
-        return pts
-
-    def _anchored_disk_radius(self, track):
-        """Comparison-disk radius at the anchor: must clear the other
-        punctures and every other marked position."""
-        anchor = track.anchor
-        R = anchor.disk_R
-        for x in self._other_positions(track):
-            R = min(R, anchor.chart_distance(x))
-        return R
 
     def _maybe_anchor(self, track, block):
         x_new = track.history[-1][1]
@@ -441,9 +384,9 @@ class PullbackRun:
         """Punctures against the moving coordinates, then the moving
         coordinates pairwise; the first pair closer than eps_sep raises."""
         eps = self.tol.eps_sep
-        moving = [(t.label, t.position(), t.anchor, t.eta())
-                  for t in self.marked]
-        moving += [(t.label, t.position(), None, None) for t in self.trivial]
+        # the deviation is read only where the anchor is not None
+        moving = [(t.label, t.position(), t.anchor, t.history[-1][1])
+                  for t in self._tracks]
         for idx, (lp, p) in enumerate(self.punctures):
             for lm, x, anchor, _ in moving:
                 # separation from the own anchor is certified in-chart
@@ -475,17 +418,46 @@ class PullbackRun:
     # -- bounds / reporting ------------------------------------------------------
 
     def step_connectors(self, n):
-        """Connector descriptors for the move tau_{n-1} -> tau_n."""
+        """Connector descriptors for the move tau_{n-1} -> tau_n, read from
+        ``history`` and ``blocks``.
+
+        The coordinates move one at a time in processing order
+        (``_tracks``): while track i moves, a track before it stands at its
+        step-n position and a track after it at its step-(n-1) position;
+        those positions join the punctures. An anchored track moves within
+        its chart, ("anchored", (R, eta_{n-1}, eta_n)), on a comparison disk
+        of radius R that clears the other punctures and positions. A free
+        track moves along its step-n block, ("path", (block, punctures));
+        the decomposition is only a valid fiber path when the block avoids
+        the other positions, so a crossing raises NoApplicableComparison
+        rather than fabricating a bound."""
         if not 1 <= n <= self.n:
             raise ValueError("run has no step %d" % n)
         out = []
-        for track in self._tracks:
-            kind, payload = track.connectors[n]
-            if kind == "uncertified":
+        for i, track in enumerate(self._tracks):
+            others = [other.position(n if j < i else n - 1)
+                      for j, other in enumerate(self._tracks) if j != i]
+            mode, prev = track.history[n - 1]
+            if mode == "anchored":
+                anchor = track.anchor
+                R = anchor.disk_R
+                for x in others:
+                    R = min(R, anchor.chart_distance(x))
+                out.append(("anchored", (R, prev, track.history[n][1])))
+                continue
+            block = track.block(n)
+            if block is None:
+                continue
+            if len(block) > 1 and others and \
+                    path_clearance(block, others) <= 2 * self.tol.eps_clear:
                 raise NoApplicableComparison(
-                    "step %d bound not certified: %s" % (n, payload))
-            if kind in ("path", "anchored"):
-                out.append((kind, payload))
+                    "step %d bound not certified: connector of %s crosses "
+                    "another marked coordinate" % (n, track.label))
+            pts = list(self.punctures.points)
+            for x in others:
+                if min(chordal(x, p) for p in pts) > 1e-9:
+                    pts.append(x)
+            out.append(("path", (block, pts)))
         return out
 
     def d0_bound(self):
@@ -539,7 +511,7 @@ class PullbackRun:
         """log10 chordal distance from a marked track to every puncture,
         by label. An anchored track's distance to its own anchor is
         measured in the chart; to the other punctures it is the anchor's."""
-        anchor = getattr(track, "anchor", None)
+        anchor = track.anchor
         if anchor is None:
             x = track.position()
             return {lab: math.log10(max(chordal(x, p), 1e-300))
@@ -607,8 +579,7 @@ class PullbackRun:
 
 # ---------------------------------------------------------------------------
 
-def init_run(g, marked, trivial=(), extra_punctures=(), tol=None,
-             analysis=None):
+def init_run(g, marked, trivial=(), extra_punctures=(), tol=None):
     """Validate inputs and build the step-0 run state.
 
     ``extra_punctures`` extends the postsingular set by forward-invariant
@@ -616,9 +587,8 @@ def init_run(g, marked, trivial=(), extra_punctures=(), tol=None,
     e.g. z -> z^2 needs a third puncture). Invariance is checked for the
     whole set: an extra may map onto another extra, as in a cycle."""
     tol = tol or Tolerances()
-    if analysis is None:
-        analysis = postsingular_analysis(g, max_orbit=tol.max_orbit,
-                                         eps_cycle=tol.eps_cycle)
+    analysis = postsingular_analysis(g, max_orbit=tol.max_orbit,
+                                     eps_cycle=tol.eps_cycle)
     if not analysis.is_psf:
         raise NotPostsingularlyFinite("base map is not psf")
     pts = list(analysis.postsingular.points)
@@ -660,7 +630,7 @@ def init_run(g, marked, trivial=(), extra_punctures=(), tol=None,
            path_clearance(seg, punctures.points) <= tol.eps_clear:
             raise InvalidBranchDatum("trivial settling segment hits P")
         trivial_tracks.append(_TrivialTrack("t%d" % i, spec))
-    return PullbackRun(g, analysis, punctures, tracks, trivial_tracks, tol)
+    return PullbackRun(g, punctures, tracks, trivial_tracks, tol)
 
 
 def step_until(run, stop, cap, records=None):
@@ -749,12 +719,11 @@ def compose_iterate_run(g, m, datum, trivial=(), extra_punctures=(),
     tol = tol or Tolerances()
     if m < 1:
         raise ValueError("m must be >= 1")
-    base_analysis = postsingular_analysis(g, max_orbit=tol.max_orbit,
-                                          eps_cycle=tol.eps_cycle)
     if m == 1:
         return init_run(g, [datum], trivial=trivial,
-                        extra_punctures=extra_punctures, tol=tol,
-                        analysis=base_analysis)
+                        extra_punctures=extra_punctures, tol=tol)
+    base_analysis = postsingular_analysis(g, max_orbit=tol.max_orbit,
+                                          eps_cycle=tol.eps_cycle)
     blocks = [datum.delta]
     for _ in range(m - 1):
         res = lift_path(g, blocks[-1], blocks[-1].end, eps_lift=tol.eps_lift,

@@ -236,14 +236,10 @@ def teich_step_bound(run, n):
     """
     total = 0.0
     for kind, payload in run.step_connectors(n):
-        if kind == "zero":
-            continue
         if kind == "path":
             path, punctures = payload
             total += float(path_length_upper_bound(punctures, path))
-        elif kind == "anchored":
+        else:
             R, eta_a, eta_b = payload
             total += anchored_step_bound(R, eta_a, eta_b)
-        else:  # pragma: no cover
-            raise ValueError("unknown connector kind %r" % kind)
     return total

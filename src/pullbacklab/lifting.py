@@ -111,14 +111,13 @@ class Path:
 
 
 class LiftResult:
-    """Outcome of a continuation: the lifted path, the matching target
-    subdivision, the worst chordal residual and the subdivision count."""
+    """Outcome of a continuation: the lifted path, the worst chordal
+    residual and the subdivision count."""
 
-    __slots__ = ("lifted", "targets", "max_residual", "subdivisions")
+    __slots__ = ("lifted", "max_residual", "subdivisions")
 
-    def __init__(self, lifted, targets, max_residual, subdivisions):
+    def __init__(self, lifted, max_residual, subdivisions):
         self.lifted = lifted
-        self.targets = targets
         self.max_residual = max_residual
         self.subdivisions = subdivisions
 
@@ -250,7 +249,7 @@ def lift_path(g, path, start_lift, eps_lift=EPS_LIFT, eps_cv=EPS_CV,
                 "path clearance %.3g to a critical value" % clr)
 
     lifted = [start_lift]
-    targets = [path.start]
+    last_target = path.start  # the target lifted[-1] was solved for
     max_res = start_res
     subdivisions = 0
 
@@ -290,14 +289,13 @@ def lift_path(g, path, start_lift, eps_lift=EPS_LIFT, eps_cv=EPS_CV,
                 continue
             max_res = max(max_res, res)
             z_from = z_to
-            if w == lifted[-1] or z_to == targets[-1]:
-                continue  # keep the node lists aligned pairwise
+            if w == lifted[-1] or z_to == last_target:
+                continue  # keep lifted nodes and their targets aligned
             lifted.append(w)
-            targets.append(z_to)
+            last_target = z_to
             last_eval = gv, gd
 
-    return LiftResult(Path(lifted, anchor=anchor),
-                      Path(targets, anchor=anchor), max_res, subdivisions)
+    return LiftResult(Path(lifted, anchor=anchor), max_res, subdivisions)
 
 
 def lift_closed_curve(g, loop, start_lift, **kw):

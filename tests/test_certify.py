@@ -314,6 +314,13 @@ def _with_moved_node(curves, idx):
         curves[idx + 1:]
 
 
+def _with_scaled_clearance(evidence, factor):
+    """The evidence with stage 0's critical clearance scaled by factor."""
+    out = copy.deepcopy(evidence)
+    out["stages"][0]["critical_clearance"] *= factor
+    return out
+
+
 def test_certificate_tamper_detection():
     run, _, _ = finished(CHEB, BranchDatum(0.0, math.sqrt(2)), max_iters=2000)
     cert = certify_obstructed(run)
@@ -344,6 +351,15 @@ def test_certificate_tamper_detection():
          ["curve 0 is not the annulus core circle"]),
         ("representative_curves", _with_moved_node(curves, 1),
          ["re-lift of curve 0 does not match curve 1"]),
+        ("cluster_labels", ("p0", "p2"), ["cluster labels mismatch"]),
+        ("curve_windings", (3, -7), ["curve windings mismatch"]),
+        ("promotion_flag", not cert.promotion_flag,
+         ["promotion flag mismatch"]),
+        ("injectivity_evidence", {"samples": 1, "stages": [], "k": 9},
+         ["injectivity evidence mismatch"]),
+        ("injectivity_evidence", _with_scaled_clearance(
+            cert.injectivity_evidence, 1.01),
+         ["injectivity evidence mismatch"]),
     ]
     for name, value, messages in tampers:
         bad = copy.copy(cert)

@@ -96,6 +96,50 @@ def test_check_valid_and_tampered(tmp_path):
     assert main(["check", "--trace", trace, "--cert", cert2]) == 1
 
 
+def test_check_reports_missing_enclosed_labels(tmp_path, capsys):
+    # a certificate with fewer enclosed-label lists than curves is a
+    # mismatch, not a crash
+    cfgp = write_config(tmp_path)
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", cfgp, "--out", out]) == 0
+    trace = os.path.join(out, "cheb.trace.jsonl")
+    payload = read_json(os.path.join(out, "cheb.certificate.json"))
+    payload["curve_enclosed_labels"] = []
+    cert = os.path.join(out, "short.json")
+    pathlib.Path(cert).write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["check", "--trace", trace, "--cert", cert]) == 1
+    assert "CHECK FAIL: enclosed-label count 0 != curve count 2" in \
+        capsys.readouterr().out
+
+
+def test_tolerance_sources_override_in_order(tmp_path):
+    # config tolerances, config max_iters, --tol, --max-iters: each source
+    # overrides the one before
+    from pullbacklab.cli import load_config
+    cheb = [p for p in DEMO_CONFIGS if p.endswith("chebyshev.json")][0]
+    assert load_config(cheb)["tol"].max_iters == 2000
+    override = [("max_iters", "40")]
+    assert load_config(cheb, override)["tol"].max_iters == 40
+    assert load_config(cheb, override, max_iters=50)["tol"].max_iters == 50
+    cfgp = write_config(tmp_path, tolerances={"max_iters": 10, "eps_P": 1e-7})
+    tol = load_config(cfgp)["tol"]
+    assert tol.max_iters == 2000 and tol.eps_P == 1e-7
+    tol = load_config(cfgp, tol_overrides=[("eps_P", "1e-6")])["tol"]
+    assert tol.max_iters == 2000 and tol.eps_P == 1e-6
+
+
+def test_reports_and_certificates_are_compact_json(tmp_path):
+    cfgp = write_config(tmp_path)
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", cfgp, "--out", out]) == 0
+    for name in ("cheb.report.json", "cheb.certificate.json"):
+        text = pathlib.Path(out, name).read_text()
+        obj = json.loads(text)
+        assert text == json.dumps(obj, sort_keys=True,
+                                  separators=(",", ":")) + "\n"
+
+
 def test_determinism_byte_identical_traces(tmp_path):
     cfgp = write_config(tmp_path)
     out1, out2 = str(tmp_path / "o1"), str(tmp_path / "o2")

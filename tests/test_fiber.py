@@ -7,10 +7,11 @@ import random
 import pytest
 
 import pullbacklab
-from pullbacklab.certify import classify_run
+from pullbacklab.certify import certify_obstructed, classify_run
 from pullbacklab.cli import _build_run, load_config
 
-from pullbacklab.errors import CollisionDetected, InvalidBranchDatum
+from pullbacklab.errors import (CollisionDetected, InvalidBranchDatum,
+                                NoApplicableComparison)
 from pullbacklab.fiber import (BranchDatum, Tolerances, TrivialMarkedSpec,
                                compose_iterate_run, init_run, run_until,
                                stopping_status)
@@ -419,6 +420,47 @@ def test_uncertified_step_bound_on_coordinate_crossing():
                      trivial=[TrivialMarkedSpec(-2.0, 0.0, start=0.4j)])
     clean.pullback_step()
     assert clean.trace_record()["step_bound"] > 0
+
+
+DEMO_CONFIGS = sorted(glob.glob(os.path.join(
+    os.path.dirname(pullbacklab.__file__), "demo_configs", "*.json")))
+
+
+def _finished_runs():
+    """The corpus configs run as ``cli run`` runs them (certification tail
+    included), a run whose first step crosses a trivial point, and a k = 2
+    chebyshev run with a trivial point."""
+    for path in DEMO_CONFIGS:
+        run = _build_run(load_config(path))
+        trace, _ = run_until(run)
+        cls = classify_run(trace, run.g, run.punctures, tol=run.tol)
+        if cls.verdict == "obstructed":
+            certify_obstructed(run, records=trace.records)
+        yield os.path.basename(path), run, trace.records
+    for name, start in (("crossing", 0.5), ("k2_trivial", 0.4j)):
+        run = init_run(CHEB, [BranchDatum(0.0, math.sqrt(2))],
+                       trivial=[TrivialMarkedSpec(-2.0, 0.0, start=start)])
+        trace, _ = run_until(run, max_iters=60)
+        yield name, run, trace.records
+
+
+def test_past_step_bounds_do_not_drift():
+    # a step's bound recomputed on the finished run is the one its record
+    # stored when the step was taken, bit for bit
+    uncertified = set()
+    for name, run, records in _finished_runs():
+        assert records[-1]["n"] == run.n
+        for rec in records[1:]:
+            try:
+                again = teich_step_bound(run, rec["n"])
+            except NoApplicableComparison:
+                again = None
+                uncertified.add(name)
+            stored = rec["step_bound"]
+            assert (stored is None) == (again is None), (name, rec["n"])
+            assert stored is None or stored.hex() == again.hex(), \
+                (name, rec["n"])
+    assert uncertified == {"crossing"}
 
 
 def test_fiber_state_view():

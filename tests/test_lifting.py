@@ -291,8 +291,7 @@ def _reference_lift(g, path, start_lift, eps_lift=lifting.EPS_LIFT,
                 continue
             lifted.append(w)
             targets.append(z_to)
-    return lifting.LiftResult(Path(lifted, anchor=anchor),
-                              Path(targets, anchor=anchor), max_res,
+    return lifting.LiftResult(Path(lifted, anchor=anchor), max_res,
                               subdivisions)
 
 
@@ -301,8 +300,8 @@ def _hex_nodes(path):
 
 
 def _result_bits(res):
-    return (_hex_nodes(res.lifted), res.lifted.anchor, _hex_nodes(res.targets),
-            res.targets.anchor, res.max_residual.hex(), res.subdivisions)
+    return (_hex_nodes(res.lifted), res.lifted.anchor, res.max_residual.hex(),
+            res.subdivisions)
 
 
 def _outcome(lift, *args, **kw):
