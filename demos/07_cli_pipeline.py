@@ -1,9 +1,11 @@
 """The persistence pipeline: run -> trace + report + certificate -> check.
 
 Everything the CLI writes is deterministic (byte-identical traces for
-identical configs) and self-verifying: `check` replays the diagram
-invariant from the stored records, re-derives every certificate quantity,
-and compares the trace digest embedded in the certificate.
+identical configs) and self-verifying: `check` rebuilds the run from the
+config embedded in the certificate, steps it to the certificate's step
+while comparing each stored trace record with it, re-derives every
+certificate quantity on it, and compares the trace digest embedded in the
+certificate.
 """
 
 import json

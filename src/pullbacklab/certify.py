@@ -133,10 +133,10 @@ def classify_run(trace, g, punctures, tol=None):
     return Classification("undecided", reason=status.reason or "max_iters")
 
 
-def _decay_rate(records, p_label, window=8):
+def _decay_rate(records, p_label):
     """Mean per-step ratio of the closest approach to the puncture over the
-    last ``window`` steps, from each record's ``min_dist_log10``."""
-    logs = [rec["min_dist_log10"][p_label] for rec in records[-(window + 1):]]
+    last 8 steps, from each record's ``min_dist_log10``."""
+    logs = [rec["min_dist_log10"][p_label] for rec in records[-9:]]
     drops = [b - a for a, b in zip(logs, logs[1:])]
     if not drops:
         return None
@@ -559,13 +559,13 @@ def _log_euclid_dist(a, b):
     return math.log(max(abs(z1 - z2), 1e-300))
 
 
-def emit_levy_certificate(run, n=None, engine_version=""):
-    """Attempt certificate emission at step n (default: the current step).
+def emit_levy_certificate(run, engine_version=""):
+    """Attempt certificate emission at the run's current step.
 
     Returns None when no cluster at the threshold scale yields a qualifying
     annulus; raises nothing on ordinary failure paths."""
-    n = run.n if n is None else n
-    if n > run.n or n < 1:
+    n = run.n
+    if n < 1:
         raise ValueError("run has no step %d" % n)
     if run.k < 1:
         return None
@@ -737,16 +737,17 @@ class VerifyResult:
         return "VerifyResult(failed: %s)" % "; ".join(self.mismatches)
 
 
-def _same_evidence(got, want):
-    """Same keys, list lengths and non-float values; floats within 1e-6
-    relative, as ``_same_nodes``."""
+def same_within(got, want, rel, floor):
+    """Same keys, list lengths, strings and ints; floats within
+    rel * max(floor, |want|): injectivity evidence and replayed records."""
     if isinstance(got, float) and isinstance(want, float):
-        return abs(got - want) <= 1e-6 * abs(want)
+        return abs(got - want) <= rel * max(floor, abs(want))
     if isinstance(got, dict) and isinstance(want, dict):
-        return got.keys() == want.keys() and \
-            all(_same_evidence(got[key], want[key]) for key in got)
+        return got.keys() == want.keys() and all(
+            same_within(got[key], want[key], rel, floor) for key in got)
     if isinstance(got, list) and isinstance(want, list):
-        return len(got) == len(want) and all(map(_same_evidence, got, want))
+        return len(got) == len(want) and all(
+            same_within(a, b, rel, floor) for a, b in zip(got, want))
     return type(got) is type(want) and got == want
 
 
@@ -813,7 +814,7 @@ def verify_certificate(cert, run):
     try:
         evidence = injectivity_test(run.g, cert.annulus, cert.k,
                                     eps_cv=run.tol.eps_cv)
-        check(_same_evidence(evidence, cert.injectivity_evidence),
+        check(same_within(evidence, cert.injectivity_evidence, 1e-6, 0.0),
               "injectivity evidence mismatch")
     except InjectivityUndetermined as exc:
         bad.append("injectivity evidence did not reproduce: %s" % exc)

@@ -10,7 +10,9 @@ stopping rule, then ``certify_obstructed`` onwards, both recording into
 the same trace. A stored trace is judged by the same rule,
 ``fiber.stopping_status``, at the first record where it fires. ``check``
 rebuilds the run from the config and the tolerances its certificate
-stores, so it judges a trace with the tolerances that produced it.
+stores (those that produced the trace), steps it through the stored
+records 0..step, each of which must be the run's at that step, and
+verifies the certificate against it.
 """
 
 import argparse
@@ -24,15 +26,14 @@ import time
 
 from . import __version__
 from .certify import (LevyCertificate, certify_obstructed, classify_run,
-                      verify_certificate)
+                      same_within, verify_certificate)
 from .errors import PullbackLabError
 from .fiber import (JSON_ENCODER, BranchDatum, RunStatus, Tolerances, Trace,
                     TrivialMarkedSpec, compose_iterate_run, init_run,
-                    run_until, stopping_status)
+                    min_dist_log10, run_until, stopping_status)
 from .lifting import Path
-from .local import LocalFixedChart, ScaledComplex
 from .ratmap import RationalMap, postsingular_analysis
-from .sphere import chordal, decode_point
+from .sphere import decode_point
 
 
 def load_config(path, tol_overrides=(), max_iters=None):
@@ -259,12 +260,16 @@ def cmd_check(args):
         cfg = _certificate_config(payload)
         records = _read_trace(args.trace)
         run = _build_run(cfg)
-        failures.extend(_trace_invariant_suite(records, run))
-        while run.n < cert.step:
-            run.pullback_step()
-        result = verify_certificate(cert, run)
-        if not result:
-            failures.extend(result.mismatches)
+        # the steps come first: a forged cert.step must not drive stepping
+        if [rec.get("n") for rec in records] != list(range(len(records))) \
+                or len(records) != cert.step + 1:
+            failures.append("trace records are not the steps 0..%d of the "
+                            "certificate, in order" % cert.step)
+        else:
+            failures.extend(_replay_mismatches(records, run))
+            result = verify_certificate(cert, run)
+            if not result:
+                failures.extend(result.mismatches)
         base = getattr(args, "base_trace", None)
         if base:
             failures.extend(_functoriality_suite(records, base,
@@ -304,50 +309,24 @@ def _report_reproducible(records, run, report_path):
     return []
 
 
-def _trace_invariant_suite(records, run):
-    """Diagram invariants recomputed from the stored records alone (an
-    edited position breaks |g(x_{n+1}) - x_n| at that step); ``run`` only
-    supplies the map (the composed one for iterate configs) and the
-    punctures."""
-    g = run.g
-    punctures = run.punctures
-    failures = []
-    charts = {}
-
-    def chart_for(label):
-        if label not in charts:
-            charts[label] = LocalFixedChart(g, punctures.point(label))
-        return charts[label]
-
-    prev = None
+def _replay_mismatches(records, run):
+    """Step ``run`` through consecutive records from ``run.n`` on; each
+    record's points and minima must be the run's, floats within 1e-12
+    max(1, |x|) (another machine's libm may round the last bit apart)."""
+    differ = []
     for rec in records:
-        for lab, entry in rec["points"].items():
-            if prev is None or lab not in prev["points"]:
-                continue
-            before = prev["points"][lab]
-            if entry["mode"] == "free" and before["mode"] == "free":
-                x_new = complex(*entry["value"])
-                x_old = complex(*before["value"])
-                if rec["n"] >= 1:
-                    res = chordal(g(x_new), x_old)
-                    if res >= 1e-8:
-                        failures.append(
-                            "diagram invariant fails at n=%d, %s: %.3g"
-                            % (rec["n"], lab, res))
-            elif entry["mode"] == "anchored":
-                chart = chart_for(entry["anchor"])
-                eta_new = ScaledComplex(complex(*entry["eta"]), entry["exp2"])
-                if before["mode"] == "anchored":
-                    eta_old = ScaledComplex(complex(*before["eta"]),
-                                            before["exp2"])
-                else:
-                    eta_old = chart.deviation_of(complex(*before["value"]))
-                if not chart.check_step(eta_old, eta_new, rel_tol=1e-8):
-                    failures.append(
-                        "anchored diagram invariant fails at n=%d, %s"
-                        % (rec["n"], lab))
-        prev = rec
-    return failures
+        if rec["n"] > run.n:
+            run.pullback_step()
+        points = run.point_entries()
+        want = {"points": points, "min_dist_log10": min_dist_log10(
+            points, run.punctures.labels)}
+        got = {key: rec.get(key) for key in want}
+        if got != want and not same_within(got, want, 1e-12, 1.0):
+            differ.append(rec["n"])
+    if differ:
+        return ["trace differs from the re-stepped run at %d of %d records, "
+                "first at n=%d" % (len(differ), len(records), differ[0])]
+    return []
 
 
 def _functoriality_suite(records, base_trace_path, m):

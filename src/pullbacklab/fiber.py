@@ -520,32 +520,38 @@ class PullbackRun:
         return {lab: own if j == anchor.index else anchor.log10_to[j]
                 for j, lab in enumerate(self.punctures.labels)}
 
-    def trace_record(self):
+    def point_entries(self):
+        """The ``points`` of the current step's trace record: each track's
+        position or anchored deviation, and its log10 distances."""
         points = {}
-        diag = 0.0
-        residual = 0.0
-        nodes = 0
         for track in self.marked:
             if track.anchor is not None:
                 eta = track.eta()
-                points[track.label] = {
-                    "mode": "anchored", "type": "fixed",
-                    "anchor": self.punctures.labels[track.anchor.index],
-                    "eta": [eta.m.real, eta.m.imag], "exp2": eta.e,
-                }
+                entry = {"mode": "anchored", "type": "fixed",
+                         "anchor": self.punctures.labels[track.anchor.index],
+                         "eta": [eta.m.real, eta.m.imag], "exp2": eta.e}
             else:
                 x = track.position()
-                points[track.label] = {"mode": "free", "type": "fixed",
-                                       "value": [x.real, x.imag]}
-            points[track.label]["dist_log10"] = self.log10_distances(track)
-            residual = max(residual, track.last_residual)
-            diag = max(diag, self._diagram_residual(track))
-            nodes += track.nodes
+                entry = {"mode": "free", "type": "fixed",
+                         "value": [x.real, x.imag]}
+            entry["dist_log10"] = self.log10_distances(track)
+            points[track.label] = entry
         for triv in self.trivial:
             x = triv.position()
             points[triv.label] = {
                 "mode": "free", "type": "trivial", "value": [x.real, x.imag],
                 "dist_log10": self.log10_distances(triv)}
+        return points
+
+    def trace_record(self):
+        points = self.point_entries()
+        diag = 0.0
+        residual = 0.0
+        nodes = 0
+        for track in self.marked:
+            residual = max(residual, track.last_residual)
+            diag = max(diag, self._diagram_residual(track))
+            nodes += track.nodes
         if self.n >= 1:
             try:
                 step_bound = teich_step_bound(self, self.n)
@@ -553,12 +559,11 @@ class PullbackRun:
                 step_bound = None  # no certified bound for this step
         else:
             step_bound = 0.0
-        rows = [entry["dist_log10"] for entry in points.values()]
-        min_dist = {lab: min([row[lab] for row in rows])
-                    for lab in self.punctures.labels}
         return {"n": self.n, "points": points, "lift_residual": residual,
                 "path_nodes": nodes, "step_bound": step_bound,
-                "diagram_residual": diag, "min_dist_log10": min_dist}
+                "diagram_residual": diag,
+                "min_dist_log10": min_dist_log10(points,
+                                                 self.punctures.labels)}
 
     def _diagram_residual(self, track):
         """Chordal |g(x_n) - x_{n-1}| for the most recent step."""
@@ -578,6 +583,12 @@ class PullbackRun:
 
 
 # ---------------------------------------------------------------------------
+
+def min_dist_log10(points, labels):
+    """Per-puncture minimum of the points' log10 distances, by label."""
+    rows = [entry["dist_log10"] for entry in points.values()]
+    return {lab: min([row[lab] for row in rows]) for lab in labels}
+
 
 def init_run(g, marked, trivial=(), extra_punctures=(), tol=None):
     """Validate inputs and build the step-0 run state.

@@ -213,6 +213,8 @@ def anchored_step_bound(R, eta_a, eta_b):
     radial leg has the exact log-log closed form. This path never crosses
     the puncture and its cost vanishes with depth, unlike a straight chord
     between nearly opposite rays."""
+    if not R > 0:
+        raise NoApplicableComparison("empty comparison disk")
     ln2 = math.log(2.0)
     la = math.log(abs(eta_a.m)) + eta_a.e * ln2
     lb = math.log(abs(eta_b.m)) + eta_b.e * ln2

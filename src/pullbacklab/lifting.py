@@ -326,15 +326,15 @@ def concatenate(p1, p2, tol=EPS_LIFT):
     return Path(p1.nodes + p2.nodes[1:], anchor=p1.anchor)
 
 
-def cancel_retraces(path, rel_tol=1e-14):
-    """Remove immediate back-tracking (a, b, a patterns), which is always a
-    homotopy along the path itself."""
+def cancel_retraces(path):
+    """Remove immediate back-tracking (a, b, a patterns, the two a's within
+    1e-14 relative), which is always a homotopy along the path itself."""
     stack = [path.nodes[0]]
     for z in path.nodes[1:]:
         if len(stack) >= 2:
             prev2 = stack[-2]
             scale = max(abs(z), abs(prev2), 1e-300)
-            if abs(z - prev2) <= rel_tol * scale:
+            if abs(z - prev2) <= 1e-14 * scale:
                 stack.pop()
                 continue
         stack.append(z)

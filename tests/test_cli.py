@@ -1,4 +1,5 @@
 import glob
+import hashlib
 import json
 import math
 import os
@@ -9,7 +10,7 @@ import sys
 import pytest
 
 import pullbacklab
-from pullbacklab.cli import main
+from pullbacklab.cli import load_config, main
 
 
 def read_json(path):
@@ -79,7 +80,7 @@ def test_check_valid_and_tampered(tmp_path):
     cert = os.path.join(out, "cheb.certificate.json")
     assert main(["check", "--trace", trace, "--cert", cert]) == 0
 
-    # edit one stored position: the diagram invariant and digest both fail
+    # edit one stored position: the replay comparison and digest both fail
     lines = pathlib.Path(trace).read_text().splitlines()
     rec = json.loads(lines[2])
     rec["points"]["m0"]["value"][0] += 1e-5
@@ -116,7 +117,6 @@ def test_check_reports_missing_enclosed_labels(tmp_path, capsys):
 def test_tolerance_sources_override_in_order(tmp_path):
     # config tolerances, config max_iters, --tol, --max-iters: each source
     # overrides the one before
-    from pullbacklab.cli import load_config
     cheb = [p for p in DEMO_CONFIGS if p.endswith("chebyshev.json")][0]
     assert load_config(cheb)["tol"].max_iters == 2000
     override = [("max_iters", "40")]
@@ -325,3 +325,100 @@ def test_parser_is_built_once_and_keeps_no_options(tmp_path, monkeypatch):
     assert main(["analyze", "--config", cfgp]) == 0
     assert seen[0].tol == [("eps_P", "1e-3")]
     assert seen[1].tol == []
+
+
+def _write_records(path, records):
+    pathlib.Path(path).write_text("".join(
+        json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
+        for rec in records))
+
+
+def _stored_records(out, name):
+    return [json.loads(line) for line in pathlib.Path(
+        out, name + ".trace.jsonl").read_text().splitlines()]
+
+
+def _realized_branch(records, out):
+    # the realized branch of the same map, stepped as far as the
+    # chebyshev certificate
+    from pullbacklab.cli import _build_run
+    run = _build_run(load_config(
+        [p for p in DEMO_CONFIGS if p.endswith("chebyshev_realized.json")][0]))
+    stepped = [run.trace_record()]
+    while run.n < records[-1]["n"]:
+        run.pullback_step()
+        stepped.append(run.trace_record())
+    return stepped
+
+
+def _lower_dist_log10(records, out):
+    records[5]["points"]["m0"]["dist_log10"]["p0"] -= 3.0
+    return records
+
+
+def _move_position(records, out):
+    records[2]["points"]["m0"]["value"][0] += 1e-6
+    return records
+
+
+# (case, the stored trace for the chebyshev certificate as an edit of its
+# own records, the report passed to check or None, check's exit status);
+# each trace's digest is rewritten into the certificate
+TRACE_TAMPER_ROWS = [
+    ("genuine_with_report", lambda records, out: records, "chebyshev", 0),
+    ("realized_trace_and_report",
+     lambda records, out: _stored_records(out, "chebyshev_realized"),
+     "chebyshev_realized", 1),
+    ("realized_branch_same_steps", _realized_branch, None, 1),
+    ("last_record_dropped", lambda records, out: records[:-1], None, 1),
+    ("dist_log10_lowered_at_5", _lower_dist_log10, None, 1),
+    ("last_record_duplicated", lambda records, out: records + records[-1:],
+     None, 1),
+    ("position_moved_at_2", _move_position, None, 1),
+]
+
+
+@pytest.mark.parametrize("row", TRACE_TAMPER_ROWS, ids=lambda r: r[0])
+def test_check_ties_the_trace_to_the_restepped_run(corpus_out, tmp_path, row):
+    _, edit, report_name, want = row
+    payload = read_json(os.path.join(corpus_out, "chebyshev.certificate.json"))
+    trace = str(tmp_path / "stored.trace.jsonl")
+    _write_records(trace, edit(_stored_records(corpus_out, "chebyshev"),
+                               corpus_out))
+    payload["trace_digest"] = hashlib.sha256(
+        pathlib.Path(trace).read_bytes()).hexdigest()
+    cert = str(tmp_path / "stored.certificate.json")
+    pathlib.Path(cert).write_text(json.dumps(payload))
+    argv = ["check", "--trace", trace, "--cert", cert]
+    if report_name is not None:
+        argv += ["--report", os.path.join(corpus_out,
+                                          report_name + ".report.json")]
+    assert main(argv) == want
+
+
+def test_check_report_accepts_every_corpus_certificate(corpus_out):
+    certs = sorted(glob.glob(os.path.join(corpus_out, "*.certificate.json")))
+    assert [os.path.basename(c).split(".")[0] for c in certs] == [
+        "chebyshev", "iterate_composition", "squaring_a", "squaring_b"]
+    for cert in certs:
+        base = cert[:-len(".certificate.json")]
+        assert main(["check", "--trace", base + ".trace.jsonl", "--cert", cert,
+                     "--report", base + ".report.json"]) == 0, base
+
+
+@pytest.mark.parametrize("path", DEMO_CONFIGS, ids=os.path.basename)
+def test_stored_trace_replays_against_its_rebuilt_run(corpus_out, path):
+    # every stored record, trivial points included, is its rebuilt run's
+    # record at that step; a last-bit change in one float is within the
+    # comparison's tolerance
+    from pullbacklab.cli import _build_run, _read_trace, _replay_mismatches
+    name = os.path.splitext(os.path.basename(path))[0]
+    records = _read_trace(os.path.join(corpus_out, name + ".trace.jsonl"))
+    assert _replay_mismatches(records, _build_run(load_config(path))) == []
+    entry = records[-1]["points"]["m0"]
+    key = "value" if entry["mode"] == "free" else "eta"
+    entry[key][0] = math.nextafter(entry[key][0], math.inf)
+    assert _replay_mismatches(records, _build_run(load_config(path))) == []
+    entry[key][0] += 1e-9 * max(1.0, abs(entry[key][0]))
+    assert len(_replay_mismatches(records, _build_run(load_config(path)))) \
+        == 1

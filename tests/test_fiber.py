@@ -477,3 +477,18 @@ def test_fiber_state_view():
     assert deep.anchor_label == "p1"
     assert deep.deviation is not None
     assert abs(deep.position - 2.0) < 1e-6
+
+
+def test_two_points_anchored_at_one_puncture_step_without_error():
+    # both points fall into the puncture 2; once the other point sits on
+    # it, the comparison disk around the anchor is empty, and the step has
+    # no certified bound rather than a math domain error
+    run = init_run(CHEB, [BranchDatum(0, math.sqrt(2)),
+                          BranchDatum(0.5 + 0.3j, cmath.sqrt(2.5 + 0.3j))])
+    bounds = []
+    for _ in range(600):
+        run.pullback_step()
+        bounds.append(run.trace_record()["step_bound"])
+    assert [t.mode for t in run.marked] == ["anchored", "anchored"]
+    assert all(b is not None for b in bounds[:3])
+    assert all(b is None for b in bounds[3:])
