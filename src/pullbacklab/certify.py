@@ -19,14 +19,12 @@ the messages ``check`` prints.
 
 import math
 
-import numpy as np
-
 from .errors import InjectivityUndetermined, NoSeparatingAnnulus
 from .fiber import Tolerances, step_until
 from .hyperbolic import ELL_STAR, RoundAnnulus, annulus_modulus
 from .lifting import Path, lift_closed_curve, _newton_preimage
 from .ratmap import critical_points
-from .sphere import chordal, encode_point, is_inf
+from .sphere import chordal, encode_point, is_inf, json_typed
 
 TWO_PI = 2.0 * math.pi
 _LN2 = math.log(2.0)
@@ -196,8 +194,13 @@ def _side_counts(entries, annulus):
 
 # ---------------------------------------------------------------------------
 # injectivity evidence
+#
+# numpy is imported inside each function that uses it: only certificate
+# geometry needs it, so runs that never build or check a certificate do not
+# pay for loading it.
 
 def _circle(center, radius, n):
+    import numpy as np
     th = np.linspace(0.0, TWO_PI, n + 1)
     return center + radius * np.exp(1j * th)
 
@@ -205,6 +208,7 @@ def _circle(center, radius, n):
 def _horner(coeffs, zr, zi):
     """Real and imaginary parts of ``ratmap._peval`` on arrays, replaying
     CPython's ``acc * z + c`` one rounded operation at a time."""
+    import numpy as np
     ar = np.zeros_like(zr)
     ai = np.zeros_like(zr)
     for c in reversed(coeffs):
@@ -216,6 +220,7 @@ def _apply_map(gm, zs):
     """gm on every sample, bit-for-bit equal to ``gm(z)`` per sample: real
     Horner plus CPython's complex division (Smith's method, as
     ``_Py_c_quot``). numpy's complex arithmetic may round differently."""
+    import numpy as np
     zr, zi = zs.real, zs.imag
     nr, ni = _horner(gm.numerator, zr, zi)
     dr, di = _horner(gm.denominator, zr, zi)
@@ -240,6 +245,7 @@ def _apply_map(gm, zs):
 
 
 def _winding(zs, q):
+    import numpy as np
     rel = zs - q
     if np.any(rel == 0):
         return None
@@ -250,10 +256,12 @@ def _winding(zs, q):
 def _closed_winding(curve, q):
     """Winding number around q of a Path closed by joining its last node
     to its first; None when q is a node."""
+    import numpy as np
     return _winding(np.array(curve.nodes + (curve.nodes[0],)), q)
 
 
 def _poly_min_dist(zs, q):
+    import numpy as np
     a, b = zs[:-1], zs[1:]
     d = b - a
     L2 = (d * d.conjugate()).real
@@ -285,6 +293,7 @@ def _segments_intersect_any(z1, z2, skip_adjacent):
     cross products are rounding noise. Work is (n + m) log m plus the
     kept windows, at most the n m of testing all pairs (long segments
     widen the windows)."""
+    import numpy as np
     a, b = z1[:-1], z1[1:]
     c, d = z2[:-1], z2[1:]
     n = len(a)
@@ -405,9 +414,11 @@ class LevyCertificate:
     """Quantitative witness of a degenerate Levy multicurve, built from one
     separating annulus at one recorded step of an obstructed run."""
 
-    FIELDS = ("step", "k", "d0_bound", "modulus", "threshold", "length_bound",
-              "inner_count_A", "inner_count_B", "outer_count_A",
-              "outer_count_B", "promotion_flag")
+    FIELDS = {"step": int, "k": int, "d0_bound": float, "modulus": float,
+              "threshold": float, "length_bound": float,
+              "inner_count_A": int, "inner_count_B": int,
+              "outer_count_A": int, "outer_count_B": int,
+              "promotion_flag": bool}
 
     def __init__(self, step, annulus, k, d0_bound, modulus, threshold,
                  injectivity_evidence, length_bound, inner_count_A,
@@ -462,8 +473,8 @@ class LevyCertificate:
     @classmethod
     def from_json(cls, obj):
         cert = cls.__new__(cls)
-        for name in cls.FIELDS:
-            setattr(cert, name, obj[name])
+        for name, kind in cls.FIELDS.items():
+            setattr(cert, name, json_typed(obj[name], kind, name))
         cert.annulus = RoundAnnulus.from_json(obj["annulus"])
         cert.injectivity_evidence = obj["injectivity_evidence"]
         cert.representative_curves = tuple(
@@ -754,6 +765,7 @@ def same_within(got, want, rel, floor):
 def _same_nodes(got, want):
     """Same node count, each node within 1e-6 of want's largest |node|
     (np.exp, which draws the curves, may round differently elsewhere)."""
+    import numpy as np
     scale = max(max(abs(z) for z in want.nodes), 1e-300)
     return len(got.nodes) == len(want.nodes) and bool(np.all(
         np.abs(np.subtract(got.nodes, want.nodes)) <= 1e-6 * scale))

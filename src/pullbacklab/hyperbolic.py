@@ -11,7 +11,7 @@ import math
 from cmath import phase as cmath_phase
 
 from .errors import NoApplicableComparison
-from .sphere import Configuration, is_inf
+from .sphere import Configuration, is_inf, json_typed
 
 ELL_STAR = math.log(3.0 + 2.0 * math.sqrt(2.0))
 
@@ -92,9 +92,18 @@ class RoundAnnulus:
 
     @classmethod
     def from_json(cls, obj):
-        anchor = obj.get("anchor")
-        return cls(complex(*obj["center"]), obj["log_rin"], obj["log_rout"],
-                   anchor=None if anchor is None else complex(*anchor))
+        def point(name):
+            pair = obj[name]
+            if not (isinstance(pair, list) and len(pair) == 2):
+                raise ValueError("annulus %s must be [re, im]" % name)
+            return complex(*(json_typed(x, float, "annulus " + name)
+                             for x in pair))
+
+        anchor = None if obj.get("anchor") is None else point("anchor")
+        return cls(point("center"),
+                   json_typed(obj["log_rin"], float, "annulus log_rin"),
+                   json_typed(obj["log_rout"], float, "annulus log_rout"),
+                   anchor=anchor)
 
     def __repr__(self):
         return "RoundAnnulus(center=%r, log radii %.4g..%.4g%s)" % (

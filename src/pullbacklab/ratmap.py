@@ -1,16 +1,19 @@
 """Analysis of the rational base map: evaluation with derivatives, critical
 points and values, postsingular orbits, fixed points, preimage solving.
 
-Polynomials are coefficient tuples in ascending degree. Roots come from the
-companion matrix (``numpy.roots``) and are polished by Newton; multiple
-roots are recovered by clustering, which is robust at the low degrees
-(<= 8) this engine targets.
+Polynomials are coefficient tuples in ascending degree. Roots come from
+the Aberth-Ehrlich simultaneous iteration (Bini, Numer. Algorithms 13,
+1996) in pure Python, so that importing the engine does not load numpy:
+exact zero roots are split off first, the rest start on a circle of
+coefficient-bound radius, and each stops once its residual is at the
+rounding level of its Horner evaluation. Every root is then polished by
+Newton, and multiple roots are recovered by clustering, which is robust at
+the low degrees (<= 8) this engine targets.
 """
 
 import cmath
 import math
-
-import numpy as np
+import sys
 
 from .errors import (AmbiguousCycle, NotPostsingularlyFinite,
                      RootFindingFailure)
@@ -18,6 +21,7 @@ from .sphere import INF, Configuration, chordal, is_inf
 
 REPELLING_MARGIN = 1e-9  # repelling means |multiplier| > 1 + this
 _CLUSTER_TOL = 1e-6     # root clustering scale for multiplicity detection
+_ABERTH_SWEEPS = 100    # a root not at rounding level by then raises
 
 
 # ---------------------------------------------------------------------------
@@ -78,21 +82,87 @@ def _pshift(coeffs, p):
     return _trim(out, rel=0.0)
 
 
+def _aberth(coeffs):
+    """Roots of a polynomial with a nonzero constant term, by Aberth-Ehrlich
+    sweeps. Root i stops once |p(z_i)| <= 8 n eps sum |a_k| |z_i|^k, the
+    rounding level of Horner's rule at z_i: a stop on the size of the
+    correction never fires at some clustered roots, where the iterate
+    wanders at rounding level."""
+    n = len(coeffs) - 1
+    lead = coeffs[-1]
+    # Fujiwara's bound on every root modulus (a_0 not halved: a bit looser)
+    radius = 2.0 * max(abs(coeffs[n - k] / lead) ** (1.0 / k)
+                       for k in range(1, n + 1))
+    # the offset keeps the start off any symmetry of real coefficients
+    zs = [radius * cmath.exp(1j * (2 * math.pi * j / n + 0.4))
+          for j in range(n)]
+    hcoeffs = coeffs[::-1]
+    habs = [abs(c) for c in hcoeffs]
+    dcoeffs = _pderiv(coeffs)[::-1]
+    rounding = 8 * n * sys.float_info.epsilon
+    busy = list(range(n))
+    for _ in range(_ABERTH_SWEEPS):
+        still = []
+        for i in busy:
+            z = zs[i]
+            pv = 0j
+            for c in hcoeffs:
+                pv = pv * z + c
+            r = abs(z)
+            bound = 0.0
+            for c in habs:
+                bound = bound * r + c
+            if bound == math.inf:
+                raise RootFindingFailure("polynomial overflows at an iterate")
+            if abs(pv) <= rounding * bound:
+                continue
+            dv = 0j
+            for c in dcoeffs:
+                dv = dv * z + c
+            s = 0j
+            for j, w in enumerate(zs):
+                if j != i and w != z:
+                    s += 1.0 / (z - w)
+            denom = dv - pv * s
+            still.append(i)
+            if denom == 0:
+                continue  # the other roots move on and change s
+            z -= pv / denom
+            if not cmath.isfinite(z):
+                raise RootFindingFailure("Aberth iterate left double range")
+            zs[i] = z
+        if not still:
+            return zs
+        busy = still
+    raise RootFindingFailure("Aberth iteration did not reach rounding level "
+                             "in %d sweeps" % _ABERTH_SWEEPS)
+
+
 def _proots(coeffs):
+    if not all(cmath.isfinite(c) for c in coeffs):
+        raise RootFindingFailure("non-finite polynomial coefficient")
     coeffs = _trim(coeffs)
     if len(coeffs) == 1:
         return []
-    arr = np.array(list(reversed(coeffs)), dtype=complex)
-    try:
-        roots = np.roots(arr)
-    except Exception as exc:  # pragma: no cover - numpy failure path
-        raise RootFindingFailure(str(exc))
-    if not np.all(np.isfinite(roots)):
-        raise RootFindingFailure("non-finite roots from companion matrix")
+    # exact zero roots are split off and listed after the others
+    zeros = 0
+    while coeffs[zeros] == 0:
+        zeros += 1
+    roots = _aberth(coeffs[zeros:]) if zeros < len(coeffs) - 1 else []
+    if all(c.imag == 0 for c in coeffs):
+        # real coefficients: the roots are closed under conjugation, so a
+        # root whose mirror image is nearer itself than every other root
+        # is real, and its imaginary part is rounding noise
+        def is_real(i, z):
+            mirror = z.conjugate()
+            return all(abs(mirror - z) < abs(mirror - w)
+                       for j, w in enumerate(roots) if j != i)
+        roots = [complex(z.real) if is_real(i, z) else z
+                 for i, z in enumerate(roots)]
+    roots += [0j] * zeros
     polished = []
     dcoeffs = _pderiv(coeffs)
     for r in roots:
-        r = complex(r)
         for _ in range(4):
             fv = _peval(coeffs, r)
             dv = _peval(dcoeffs, r)

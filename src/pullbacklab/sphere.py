@@ -71,6 +71,20 @@ def decode_point(obj):
     return complex(re, im)
 
 
+def json_typed(value, kind, what):
+    """``value`` read from JSON when it has type ``kind``: a bool for bool,
+    an int that is not a bool for int, an int or float that is not a bool
+    for float. Raises ValueError naming ``what`` otherwise."""
+    if isinstance(value, bool):
+        ok = kind is bool
+    else:
+        ok = isinstance(value, (int, float) if kind is float else kind)
+    if not ok:
+        raise ValueError("%s must be %s, not %r"
+                         % (what, kind.__name__, value))
+    return value
+
+
 class MobiusTransform:
     """z -> (a z + b) / (c z + d) with ad - bc bounded away from zero."""
 

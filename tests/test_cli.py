@@ -422,3 +422,76 @@ def test_stored_trace_replays_against_its_rebuilt_run(corpus_out, path):
     entry[key][0] += 1e-9 * max(1.0, abs(entry[key][0]))
     assert len(_replay_mismatches(records, _build_run(load_config(path)))) \
         == 1
+
+
+MISTYPED_FIELDS = [("step_string", ("step",), "116"),
+                   ("k_float", ("k",), 1.0),
+                   ("log_rin_string", ("annulus", "log_rin"), "x"),
+                   ("step_bool", ("step",), True)]
+
+
+@pytest.mark.parametrize("row", MISTYPED_FIELDS, ids=lambda r: r[0])
+def test_check_rejects_mistyped_certificate_fields(corpus_out, tmp_path,
+                                                   row, capsys):
+    _, keys, value = row
+    payload = read_json(os.path.join(corpus_out, "chebyshev.certificate.json"))
+    target = payload
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    cert = str(tmp_path / "mistyped.certificate.json")
+    pathlib.Path(cert).write_text(json.dumps(payload))
+    trace = os.path.join(corpus_out, "chebyshev.trace.jsonl")
+    assert main(["check", "--trace", trace, "--cert", cert]) == 2
+    assert "invalid config/input" in capsys.readouterr().err
+
+
+SRC_DIR = os.path.dirname(os.path.dirname(
+    os.path.abspath(pullbacklab.__file__)))
+
+
+def _python(code, *args):
+    """Run ``code`` in a fresh interpreter that imports this checkout."""
+    env = dict(os.environ, PYTHONPATH=SRC_DIR)
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_importing_the_cli_does_not_load_numpy():
+    proc = _python("import sys, pullbacklab.cli; "
+                   "sys.exit('numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+
+
+def _without_timing(path):
+    report = read_json(path)
+    del report["timing_s"]
+    return report
+
+
+def test_realized_run_and_analyze_need_no_numpy(corpus_out, tmp_path):
+    # numpy = None in sys.modules makes any import of it fail
+    out = str(tmp_path / "no_numpy")
+    basilica, chebyshev = (
+        [p for p in DEMO_CONFIGS if p.endswith(name + ".json")][0]
+        for name in ("basilica", "chebyshev"))
+    proc = _python(
+        "import sys; sys.modules['numpy'] = None\n"
+        "from pullbacklab import cli\n"
+        "out, basilica, chebyshev = sys.argv[1:]\n"
+        "assert cli.main(['run', '--config', basilica, '--out', out]) == 0\n"
+        "assert cli.main(['analyze', '--config', chebyshev,\n"
+        "                 '--out', out]) == 0",
+        out, basilica, chebyshev)
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(os.listdir(out)) == ["basilica.report.json",
+                                       "basilica.trace.jsonl",
+                                       "chebyshev.analysis.json"]
+    normal = str(tmp_path / "normal")
+    assert main(["analyze", "--config", chebyshev, "--out", normal]) == 0
+    assert pathlib.Path(out, "chebyshev.analysis.json").read_bytes() == \
+        pathlib.Path(normal, "chebyshev.analysis.json").read_bytes()
+    assert pathlib.Path(out, "basilica.trace.jsonl").read_bytes() == \
+        pathlib.Path(corpus_out, "basilica.trace.jsonl").read_bytes()
+    assert _without_timing(os.path.join(out, "basilica.report.json")) == \
+        _without_timing(os.path.join(corpus_out, "basilica.report.json"))

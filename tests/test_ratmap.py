@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pullbacklab.errors import NotPostsingularlyFinite
-from pullbacklab.ratmap import (RationalMap, compose, critical_points,
-                                fixed_points, iterate,
-                                postsingular_analysis, preimages)
+from pullbacklab import ratmap
+from pullbacklab.errors import NotPostsingularlyFinite, RootFindingFailure
+from pullbacklab.ratmap import (_CLUSTER_TOL, RationalMap, _cluster, _padd,
+                                _pderiv, _peval, _pmul, _proots, _trim,
+                                compose, critical_points, fixed_points,
+                                iterate, postsingular_analysis, preimages)
 from pullbacklab.sphere import INF, chordal, is_inf
 
 CHEB = RationalMap([-2, 0, 1])       # z^2 - 2
@@ -203,6 +205,110 @@ def test_riemann_hurwitz_exact():
               iterate(CHEB, 2), iterate(SQUARE, 3)]
     for g in corpus:
         assert sum(d - 1 for _, d in critical_points(g)) == 2 * g.degree - 2
+
+
+def _reference_proots(coeffs):
+    """The companion-matrix root finder the Aberth iteration replaced:
+    numpy.roots, then the same 4-step Newton polish."""
+    coeffs = _trim(coeffs)
+    if len(coeffs) == 1:
+        return []
+    roots = np.roots(np.array(list(reversed(coeffs)), dtype=complex))
+    assert np.all(np.isfinite(roots))
+    dcoeffs = _pderiv(coeffs)
+    polished = []
+    for r in roots:
+        r = complex(r)
+        for _ in range(4):
+            fv = _peval(coeffs, r)
+            dv = _peval(dcoeffs, r)
+            if abs(dv) < 1e-14 * max(1.0, abs(fv)):
+                break
+            step = fv / dv
+            if not cmath.isfinite(step):
+                break
+            r2 = r - step
+            if abs(_peval(coeffs, r2)) <= abs(fv):
+                r = r2
+            else:
+                break
+        polished.append(r)
+    return polished
+
+
+def _dickson(d):
+    """Dickson polynomial D_d(z, 1): D_0 = 2, D_1 = z,
+    D_n = z D_{n-1} - D_{n-2}; z^2 - 2 for d = 2."""
+    prev, cur = (2 + 0j,), (0j, 1 + 0j)
+    for _ in range(d - 1):
+        prev, cur = cur, _padd(_pmul((0j, 1 + 0j), cur), prev, sign=-1)
+    return cur
+
+
+def _pow_coeffs(d, constant=0):
+    return (constant,) + (0,) * (d - 1) + (1,)
+
+
+_ROOT_CASES = (
+    [("z^%d" % d, _pow_coeffs(d)) for d in range(2, 9)]
+    + [("T%d'" % d, _pderiv(_dickson(d))) for d in range(2, 9)]
+    + [("z^%d-1" % m, _pow_coeffs(m, -1)) for m in (3, 5, 8)]
+    + [("double_root_1+i", _pmul(_pmul((-1 - 1j, 1), (-1 - 1j, 1)), (2, 1))),
+       ("crit_iterate_cheb_3", _pderiv(iterate(CHEB, 3).numerator)),
+       ("spread_1e-6_1e6", (1e-6, -3e4, 2e-2, 1e6, -50.0, 7e-5, 4e3,
+                            -1.0, 2.5e2))])
+
+
+@pytest.mark.parametrize("coeffs", [c for _, c in _ROOT_CASES],
+                         ids=[name for name, _ in _ROOT_CASES])
+def test_proots_matches_the_companion_matrix_reference(coeffs):
+    got = _cluster(_proots(coeffs), _CLUSTER_TOL)
+    want = _cluster(_reference_proots(coeffs), _CLUSTER_TOL)
+    assert sorted(n for _, n in got) == sorted(n for _, n in want)
+    for r, n in want:
+        # simple roots to 1e-12 relative; a multiple root's centroid only
+        # to the clustering scale, as rounding splits it by about that
+        tol = (1e-12 if n == 1 else _CLUSTER_TOL) * max(1.0, abs(r))
+        assert any(m == n and abs(z - r) <= tol for z, m in got), (r, n, got)
+
+
+def test_proots_gives_exact_zero_roots():
+    for d in range(2, 9):
+        assert _proots(_pow_coeffs(d)) == [0j] * d
+    assert _proots((0, 0, -1, 0, 1))[2:] == [0j, 0j]
+
+
+def test_proots_keeps_real_roots_of_real_polynomials_real():
+    # a real root found a rounding error off the axis would move P by that
+    # error through the critical values
+    for d in range(2, 9):
+        assert all(z.imag == 0 for z in _proots(_pderiv(_dickson(d))))
+    assert all(c.imag == 0 for c, _ in critical_points(iterate(CHEB, 2))
+               if not is_inf(c))
+
+
+def test_critical_points_match_the_reference_multiplicities(monkeypatch):
+    maps = [RationalMap(_pow_coeffs(d)) for d in range(2, 9)] + \
+        [RationalMap(_dickson(d)) for d in range(2, 9)] + \
+        [iterate(CHEB, 3), RationalMap([1, 0, 1], [0, 1])]
+    got = [critical_points(RationalMap(g.numerator, g.denominator))
+           for g in maps]
+    monkeypatch.setattr(ratmap, "_proots", _reference_proots)
+    want = [critical_points(RationalMap(g.numerator, g.denominator))
+            for g in maps]
+
+    for g, a, b in zip(maps, got, want):
+        assert len(a) == len(b), g
+        for c, n in b:
+            assert any(m == n and chordal(z, c) <= 1e-6 for z, m in a), g
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, math.nan)])
+def test_proots_rejects_non_finite_coefficients(bad):
+    with pytest.raises(RootFindingFailure):
+        _proots((1, bad, 1))
+    with pytest.raises(RootFindingFailure):
+        _proots((1, 0, bad))
 
 
 def test_preimages():
