@@ -23,7 +23,7 @@ from .errors import InjectivityUndetermined, NoSeparatingAnnulus
 from .fiber import Tolerances, step_until
 from .hyperbolic import ELL_STAR, RoundAnnulus, annulus_modulus
 from .lifting import Path, lift_closed_curve, _newton_preimage
-from .ratmap import critical_points
+from .ratmap import REPELLING_MARGIN, critical_points
 from .sphere import chordal, encode_point, is_inf, json_typed
 
 TWO_PI = 2.0 * math.pi
@@ -113,7 +113,7 @@ def classify_run(trace, g, punctures, tol=None):
             return Classification(
                 "undecided",
                 reason="limit puncture is not fixed -- likely lifting fault")
-        if not abs(mult) > 1.0 + 1e-9:
+        if not abs(mult) > 1.0 + REPELLING_MARGIN:
             return Classification(
                 "undecided",
                 reason="limit at a non-repelling puncture -- likely lifting fault")
@@ -473,18 +473,27 @@ class LevyCertificate:
     @classmethod
     def from_json(cls, obj):
         cert = cls.__new__(cls)
+        json_typed(obj, dict, "certificate")
         for name, kind in cls.FIELDS.items():
             setattr(cert, name, json_typed(obj[name], kind, name))
         cert.annulus = RoundAnnulus.from_json(obj["annulus"])
         cert.injectivity_evidence = obj["injectivity_evidence"]
+        curves = json_typed(obj["representative_curves"], list,
+                            "representative_curves")
         cert.representative_curves = tuple(
-            Path.from_json(c) for c in obj["representative_curves"])
-        cert.cluster_labels = tuple(obj["cluster_labels"])
-        cert.curve_windings = tuple(obj["curve_windings"])
+            Path.from_json(c, "representative_curves[%d]" % i)
+            for i, c in enumerate(curves))
+        cert.cluster_labels = tuple(
+            json_typed(obj["cluster_labels"], list, "cluster_labels", str))
+        cert.curve_windings = tuple(
+            json_typed(obj["curve_windings"], list, "curve_windings"))
         cert.curve_enclosed_labels = tuple(
-            tuple(t) for t in obj["curve_enclosed_labels"])
+            tuple(json_typed(t, list, "curve_enclosed_labels item", str))
+            for t in json_typed(obj["curve_enclosed_labels"], list,
+                                "curve_enclosed_labels"))
         cert.engine_version = obj.get("engine_version", "")
-        cert.tolerances = obj.get("tolerances", {})
+        cert.tolerances = json_typed(obj.get("tolerances", {}), dict,
+                                     "tolerances")
         cert.trace_digest = obj.get("trace_digest")
         return cert
 

@@ -1,16 +1,27 @@
 """Command-line front end: config ingestion, run orchestration, trace and
 certificate persistence, corpus demos.
 
-Subcommands: analyze | run | classify | certify | check | demo.
+Subcommands and the flags each reads:
+
+- ``analyze | run | certify``: one of ``--config FILE`` / ``--batch GLOB``,
+  with ``--out``, ``--tol NAME=VALUE`` and ``--max-iters``;
+- ``classify``: ``--trace`` and one of ``--config`` / ``--report``, with
+  ``--tol`` and ``--max-iters``;
+- ``check``: ``--trace``, ``--cert``, ``--base-trace``, ``--report``;
+- ``demo``: ``--out``, ``--tol`` and ``--max-iters``.
+
 Exit codes: 0 done, 2 invalid config/usage, 3 numerical failure;
-``check`` exits 1 when a stored artifact fails verification.
+``check`` exits 1 when a stored artifact fails verification. A batch
+(``--batch`` or ``demo``) reports a config's numerical failure, goes on
+with the next config and exits 3 at the end.
 
 ``run`` drives the engine's one step loop: ``fiber.run_until`` up to the
 stopping rule, then ``certify_obstructed`` onwards, both recording into
-the same trace. A stored trace is judged by the same rule,
+the same trace. Reports and certificates store the run's config and
+tolerances, and ``artifact_config`` rebuilds the run from either. A
+stored trace is judged by the same stopping rule,
 ``fiber.stopping_status``, at the first record where it fires. ``check``
-rebuilds the run from the config and the tolerances its certificate
-stores (those that produced the trace), steps it through the stored
+rebuilds the run from its certificate, steps it through the stored
 records 0..step, each of which must be the run's at that step, and
 verifies the certificate against it.
 """
@@ -33,7 +44,7 @@ from .fiber import (JSON_ENCODER, BranchDatum, RunStatus, Tolerances, Trace,
                     min_dist_log10, run_until, stopping_status)
 from .lifting import Path
 from .ratmap import RationalMap, postsingular_analysis
-from .sphere import decode_point
+from .sphere import decode_point, json_typed
 
 
 def load_config(path, tol_overrides=(), max_iters=None):
@@ -47,12 +58,12 @@ def load_config(path, tol_overrides=(), max_iters=None):
 def parse_config(raw, tol_overrides=(), max_iters=None, name=None):
     """Parse and validate a run config dict; raises ValueError on schema
     issues. ``name`` is used when the config does not name itself."""
-    if "map" not in raw:
+    if "map" not in json_typed(raw, dict, "config"):
         raise ValueError("config needs a 'map' record")
     g = RationalMap.from_json(raw["map"])
     # each source overrides the one before: config tolerances, config
     # max_iters, --tol, --max-iters
-    tols = dict(raw.get("tolerances", {}))
+    tols = dict(json_typed(raw.get("tolerances", {}), dict, "tolerances"))
     if "max_iters" in raw:
         tols["max_iters"] = raw["max_iters"]
     for tol_name, value in tol_overrides:
@@ -87,6 +98,26 @@ def parse_config(raw, tol_overrides=(), max_iters=None, name=None):
     }
 
 
+def artifact_config(payload, tol_overrides=(), max_iters=None):
+    """The run config a report or certificate embeds, with the tolerances
+    its run used in place of the config's own when the artifact stores
+    them; ``--tol`` and ``--max-iters`` override these as they override a
+    config's."""
+    raw = json_typed(payload["run_config"], dict, "run_config")
+    stored = json_typed(payload.get("tolerances", {}), dict, "tolerances",
+                        float)
+    if stored:
+        raw = {key: value for key, value in raw.items() if key != "max_iters"}
+        raw["tolerances"] = stored
+    return parse_config(raw, tol_overrides, max_iters)
+
+
+def _read_artifact(path):
+    """A stored report or certificate: one JSON object."""
+    with open(path) as fh:
+        return json_typed(json.load(fh), dict, os.path.basename(path))
+
+
 def _build_run(cfg):
     m = cfg.get("compose_iterate")
     if m and m > 1:
@@ -101,8 +132,7 @@ def _build_run(cfg):
 
 
 def _out_dir(args):
-    out = getattr(args, "out", None) or os.environ.get("PULLBACK_LAB_OUT") \
-        or "."
+    out = args.out or os.environ.get("PULLBACK_LAB_OUT") or "."
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -186,6 +216,7 @@ def cmd_run(args, force_certificate=False):
         else os.path.basename(cert_path),
         "certificate_note": cert_note,
         "run_config": cfg["raw"],
+        "tolerances": run.tol.to_json(),
         "timing_s": time.perf_counter() - t_start,
     }
     report_path = os.path.join(out, name + ".report.json")
@@ -195,31 +226,26 @@ def cmd_run(args, force_certificate=False):
 
 
 def cmd_classify(args):
-    cfg = load_config(args.config, args.tol, args.max_iters)
+    if args.report:
+        cfg = artifact_config(_read_artifact(args.report), args.tol,
+                              args.max_iters)
+    else:
+        cfg = load_config(args.config, args.tol, args.max_iters)
     run = _build_run(cfg)  # punctures only; no stepping
-    records, status = _stored_status(_read_trace(args.trace), run,
-                                     getattr(args, "report", None))
+    records, status = _stored_status(_read_trace(args.trace), run)
     cls = classify_run(Trace(records, status), run.g, run.punctures,
-                       tol=cfg["tol"])
+                       tol=run.tol)
     print(json.dumps(cls.to_json(), sort_keys=True, indent=1))
     return 0
 
 
-def _stored_status(records, run, report_path=None):
+def _stored_status(records, run):
     """(records up to the stopping step, status) of a stored trace.
 
-    The status is the report's when one is given; otherwise the stopping
-    rule is applied to growing prefixes as ``run_until`` applied it, and
-    the first prefix where it fires ends the trace (undecided when none
-    does). Records past the stopping step are the certification tail."""
-    if report_path:
-        with open(report_path) as fh:
-            s = json.load(fh)["status"]
-        status = RunStatus(s["kind"], puncture_label=s.get("puncture_label"),
-                           puncture=None if s.get("puncture") is None
-                           else decode_point(s["puncture"]),
-                           reason=s.get("reason", ""), steps=s.get("steps", 0))
-        return [rec for rec in records if rec["n"] <= status.steps], status
+    The stopping rule is applied to growing prefixes as ``run_until``
+    applied it, and the first prefix where it fires ends the trace
+    (undecided when none does). Records past the stopping step are the
+    certification tail."""
     prefix = []
     for rec in records:
         prefix.append(rec)
@@ -246,8 +272,7 @@ def cmd_certify(args):
 
 def cmd_check(args):
     failures = []
-    with open(args.cert) as fh:
-        payload = json.load(fh)
+    payload = _read_artifact(args.cert)
     cert = LevyCertificate.from_json(payload)
     digest = _sha256(args.trace)
     if cert.trace_digest != digest:
@@ -257,7 +282,7 @@ def cmd_check(args):
     if payload.get("run_config") is None:
         failures.append("certificate does not embed its run config")
     else:
-        cfg = _certificate_config(payload)
+        cfg = artifact_config(payload)
         records = _read_trace(args.trace)
         run = _build_run(cfg)
         # the steps come first: a forged cert.step must not drive stepping
@@ -270,13 +295,11 @@ def cmd_check(args):
             result = verify_certificate(cert, run)
             if not result:
                 failures.extend(result.mismatches)
-        base = getattr(args, "base_trace", None)
-        if base:
-            failures.extend(_functoriality_suite(records, base,
+        if args.base_trace:
+            failures.extend(_functoriality_suite(records, args.base_trace,
                                                  cfg.get("compose_iterate")))
-        report_path = getattr(args, "report", None)
-        if report_path:
-            failures.extend(_report_reproducible(records, run, report_path))
+        if args.report:
+            failures.extend(_report_reproducible(records, run, args.report))
     if failures:
         for f in failures:
             print("CHECK FAIL:", f)
@@ -285,24 +308,14 @@ def cmd_check(args):
     return 0
 
 
-def _certificate_config(payload):
-    """The run config a certificate embeds, with the tolerances the run
-    used (``--tol`` / ``--max-iters`` included) when the certificate
-    stores them."""
-    cfg = parse_config(payload["run_config"])
-    if payload.get("tolerances"):
-        cfg["tol"] = Tolerances(**payload["tolerances"])
-    return cfg
-
-
 def _report_reproducible(records, run, report_path):
     """A report's verdict must be reproducible from its stored trace."""
-    with open(report_path) as fh:
-        rep = json.load(fh)
+    rep = _read_artifact(report_path)
     records, status = _stored_status(records, run)
     cls = classify_run(Trace(records, status), run.g, run.punctures,
                        tol=run.tol)
-    want = rep["classification"]["verdict"]
+    want = json_typed(rep["classification"], dict,
+                      "classification")["verdict"]
     if cls.verdict != want:
         return ["report verdict %r not reproduced from the trace (got %r)"
                 % (want, cls.verdict)]
@@ -363,14 +376,20 @@ def cmd_demo(args):
         with open(target, "w") as fh:
             fh.write(item.read_text())
         names.append(target)
+    return _each_config(cmd_run, args, names)
+
+
+def _each_config(handler, args, paths):
+    """``handler`` on each config path in turn. A numerical failure is
+    reported and the loop goes on with the next config; the status is 3
+    when any config failed. Input errors end the loop."""
     status = 0
-    for path in names:
-        ns = argparse.Namespace(config=path, out=out, tol=args.tol,
-                                max_iters=args.max_iters)
+    for path in paths:
+        args.config = path
         try:
-            cmd_run(ns)
+            status = max(status, handler(args))
         except PullbackLabError as exc:
-            print("demo %s failed: %s" % (path, exc))
+            print("numerical failure: %s: %s" % (path, exc), file=sys.stderr)
             status = 3
     return status
 
@@ -395,25 +414,30 @@ def build_parser():
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
-        if config:
-            p.add_argument("--config", required=False)
-        p.add_argument("--out", default=None)
+    def tolerances(p):
         p.add_argument("--max-iters", dest="max_iters", type=int, default=None)
         p.add_argument("--tol", action="append", type=_tol_pair, default=[])
-        p.add_argument("--batch", default=None,
-                       help="glob of config files to run in sequence")
 
-    p = sub.add_parser("analyze", help="postsingular analysis of the map")
-    common(p)
-    p = sub.add_parser("run", help="execute a pullback run end to end")
-    common(p)
+    def runs(name, help):
+        p = sub.add_parser(name, help=help)
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--config")
+        source.add_argument("--batch",
+                            help="glob of config files to run in sequence")
+        p.add_argument("--out", default=None)
+        tolerances(p)
+
+    runs("analyze", "postsingular analysis of the map")
+    runs("run", "execute a pullback run end to end")
     p = sub.add_parser("classify", help="re-classify a stored trace")
-    common(p)
     p.add_argument("--trace", required=True)
-    p.add_argument("--report", default=None)
-    p = sub.add_parser("certify", help="run and require a Levy certificate")
-    common(p)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config")
+    source.add_argument("--report",
+                        help="rebuild the run from this report's config and "
+                             "tolerances")
+    tolerances(p)
+    runs("certify", "run and require a Levy certificate")
     p = sub.add_parser("check", help="verify a stored trace + certificate")
     p.add_argument("--trace", required=True)
     p.add_argument("--cert", required=True)
@@ -421,7 +445,8 @@ def build_parser():
     p.add_argument("--report", default=None,
                    help="also re-derive this report's verdict from the trace")
     p = sub.add_parser("demo", help="run the shipped demo corpus")
-    common(p, config=False)
+    p.add_argument("--out", default=None)
+    tolerances(p)
     return ap
 
 
@@ -433,15 +458,8 @@ def main(argv=None):
     handler = handlers[args.command]
     try:
         if getattr(args, "batch", None):
-            status = 0
-            for path in sorted(globmod.glob(args.batch)):
-                args.config = path
-                status = max(status, handler(args))
-            return status
-        if args.command in ("analyze", "run", "classify", "certify") \
-                and not args.config:
-            print("error: --config is required", file=sys.stderr)
-            return 2
+            return _each_config(handler, args,
+                                sorted(globmod.glob(args.batch)))
         return handler(args)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print("invalid config/input: %s" % exc, file=sys.stderr)

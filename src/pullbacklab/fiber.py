@@ -228,31 +228,6 @@ class _TrivialTrack:
         return Path([self.spec.start, self.spec.preimage]) if n == 1 else None
 
 
-class FiberPointState:
-    """Snapshot of one marked coordinate: position, homotopy-tracking path
-    from the basepoint, and the step index. Positions deep in an anchored
-    chart materialize to the puncture itself; ``deviation`` then carries
-    the exact scaled offset."""
-
-    __slots__ = ("label", "position", "path", "step_index", "deviation",
-                 "anchor_label")
-
-    def __init__(self, label, position, path, step_index, deviation=None,
-                 anchor_label=None):
-        self.label = label
-        self.position = position
-        self.path = path
-        self.step_index = step_index
-        self.deviation = deviation
-        self.anchor_label = anchor_label
-
-    def __repr__(self):
-        extra = "" if self.anchor_label is None else \
-            ", anchored at %s" % self.anchor_label
-        return "FiberPointState(%s, n=%d, %r%s)" % (
-            self.label, self.step_index, self.position, extra)
-
-
 class RunStatus:
     """Outcome of run_until; classification is finalized in certify."""
 
@@ -486,23 +461,6 @@ class PullbackRun:
                             (track.anchor.chart, value)))
         return out
 
-    def fiber_state(self, track_label):
-        """Current FiberPointState of one marked coordinate."""
-        for track in self.marked:
-            if track.label == track_label:
-                if track.anchor is not None:
-                    return FiberPointState(
-                        track.label, track.position(), track.full_path(),
-                        self.n, deviation=track.eta(),
-                        anchor_label=self.punctures.labels[track.anchor.index])
-                return FiberPointState(track.label, track.position(),
-                                       track.full_path(), self.n)
-        for track in self.trivial:
-            if track.label == track_label:
-                return FiberPointState(track.label, track.position(),
-                                       Path([track.position()]), self.n)
-        raise KeyError(track_label)
-
     def dist_log10(self, track, p_label):
         """log10 chordal distance from a marked track to one puncture."""
         return self.log10_distances(track)[p_label]
@@ -721,8 +679,7 @@ def run_until(run, max_iters=None):
     return Trace(records, status), status
 
 
-def compose_iterate_run(g, m, datum, trivial=(), extra_punctures=(),
-                        tol=None):
+def compose_iterate_run(g, m, datum, extra_punctures=(), tol=None):
     """Run for the m-th iterate with the m-fold composed branch datum:
     delta_m = delta . lift(delta) . lift^2(delta) ... with starts chained
     through preimages; its positions at step n match the base run's
@@ -731,8 +688,7 @@ def compose_iterate_run(g, m, datum, trivial=(), extra_punctures=(),
     if m < 1:
         raise ValueError("m must be >= 1")
     if m == 1:
-        return init_run(g, [datum], trivial=trivial,
-                        extra_punctures=extra_punctures, tol=tol)
+        return init_run(g, [datum], extra_punctures=extra_punctures, tol=tol)
     base_analysis = postsingular_analysis(g, max_orbit=tol.max_orbit,
                                           eps_cycle=tol.eps_cycle)
     blocks = [datum.delta]
@@ -748,5 +704,4 @@ def compose_iterate_run(g, m, datum, trivial=(), extra_punctures=(),
     G = iterate(g, m)
     datum_m = BranchDatum(datum.basepoint, delta_m.end, delta_m)
     extra = list(extra_punctures) + list(base_analysis.postsingular.points)
-    return init_run(G, [datum_m], trivial=trivial, extra_punctures=extra,
-                    tol=tol)
+    return init_run(G, [datum_m], extra_punctures=extra, tol=tol)

@@ -11,19 +11,14 @@ import math
 from cmath import phase as cmath_phase
 
 from .errors import NoApplicableComparison
-from .sphere import Configuration, is_inf, json_typed
+from .sphere import Configuration, is_inf, json_complex, json_typed
 
-ELL_STAR = math.log(3.0 + 2.0 * math.sqrt(2.0))
+ELL_STAR = math.log(3.0 + 2.0 * math.sqrt(2.0))  # short-geodesic threshold
 
 TWO_PI = 2.0 * math.pi
 
 _REFINE_TOL = 0.01   # stop refining when successive estimates agree to 1%
 _ROUND_UP = 1.01     # reported bounds carry this upward pad
-
-
-def ell_star():
-    """Short-geodesic threshold log(3 + 2*sqrt(2))."""
-    return ELL_STAR
 
 
 class LengthBound:
@@ -92,15 +87,11 @@ class RoundAnnulus:
 
     @classmethod
     def from_json(cls, obj):
-        def point(name):
-            pair = obj[name]
-            if not (isinstance(pair, list) and len(pair) == 2):
-                raise ValueError("annulus %s must be [re, im]" % name)
-            return complex(*(json_typed(x, float, "annulus " + name)
-                             for x in pair))
-
-        anchor = None if obj.get("anchor") is None else point("anchor")
-        return cls(point("center"),
+        json_typed(obj, dict, "annulus")
+        anchor = obj.get("anchor")
+        if anchor is not None:
+            anchor = json_complex(anchor, "annulus anchor")
+        return cls(json_complex(obj["center"], "annulus center"),
                    json_typed(obj["log_rin"], float, "annulus log_rin"),
                    json_typed(obj["log_rout"], float, "annulus log_rout"),
                    anchor=anchor)
@@ -158,11 +149,6 @@ class DiskComparisons:
             raise NoApplicableComparison(
                 "point %r lies in no punctured-disk comparison region" % (z,))
         return best
-
-
-def density_upper_bound(P, z):
-    """Upper bound for the hyperbolic density of the puncture complement."""
-    return DiskComparisons(P).density(complex(z))
 
 
 def _segment_upper_sum(density, a, b):

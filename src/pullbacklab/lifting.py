@@ -23,7 +23,7 @@ import math
 from .errors import (BranchJumpSuspected, ChartOverflow, EndpointMismatch,
                      NearCriticalValue)
 from .ratmap import critical_points, critical_values
-from .sphere import CHART_LIMIT, chordal, is_inf
+from .sphere import CHART_LIMIT, chordal, is_inf, json_complex, json_typed
 
 EPS_LIFT = 1e-9    # chordal residual allowed for accepted lift nodes
 EPS_CV = 1e-6      # required path clearance to critical values
@@ -70,9 +70,6 @@ class Path:
         scale = max(abs(z) for z in self.nodes)
         return abs(self.start - self.end) <= max(tol, 1e-12 * scale)
 
-    def reverse(self):
-        return Path(tuple(reversed(self.nodes)), anchor=self.anchor)
-
     def refine(self, k):
         """Insert k-1 evenly spaced nodes on every segment."""
         if k < 2:
@@ -95,10 +92,13 @@ class Path:
         return obj
 
     @classmethod
-    def from_json(cls, obj):
-        anchor = obj.get("anchor")
-        return cls([complex(a, b) for a, b in obj["nodes"]],
-                   anchor=None if anchor is None else complex(*anchor))
+    def from_json(cls, obj, what="path"):
+        anchor = json_typed(obj, dict, what).get("anchor")
+        node = what + " node"
+        return cls([json_complex(z, node)
+                    for z in json_typed(obj["nodes"], list, node + "s")],
+                   anchor=None if anchor is None
+                   else json_complex(anchor, what + " anchor"))
 
     def __len__(self):
         return len(self.nodes)

@@ -74,10 +74,6 @@ class ScaledComplex:
     def log10_abs(self):
         return self.log2_abs() / _LOG2_10
 
-    def ratio_abs(self, other):
-        """|self| / |other| as a float (assumes moderate exponent gap)."""
-        return math.ldexp(abs(self.m) / abs(other.m), self.e - other.e)
-
     def __repr__(self):
         return "ScaledComplex(%r, %d)" % (self.m, self.e)
 
@@ -179,13 +175,6 @@ class LocalFixedChart:
 
     # -- reporting ------------------------------------------------------------
 
-    def chordal_dist_to_anchor(self, eta):
-        """Chordal distance to the anchor puncture; may underflow to 0.0."""
-        try:
-            return math.ldexp(self.chordal_factor * abs(eta.m), eta.e)
-        except OverflowError:
-            return math.inf
-
     def log10_dist_to_anchor(self, eta):
         return self._log10_factor + eta.log10_abs()
 
@@ -202,21 +191,3 @@ class LocalFixedChart:
         fwd = self.T(self.eps_star + eta_next.to_complex())
         res = abs(fwd - (self.eps_star + eta_prev.to_complex()))
         return self.chordal_factor * res
-
-    def check_step(self, eta_prev, eta_next, rel_tol=1e-9):
-        """Replay one anchored step: does T map eta_next back onto eta_prev?
-
-        Works in scaled arithmetic, so it stays meaningful far below double
-        range: compares lambda*eta_next (+ quadratic term when it matters)
-        against eta_prev.
-        """
-        if eta_next.log2_abs() >= _DEEP_CUTOFF_LOG2:
-            res = self.step_residual(eta_prev, eta_next)
-            scale = self.chordal_dist_to_anchor(eta_prev)
-            return res <= rel_tol * max(scale, 1e-300)
-        back = eta_next.mul_complex(self.lam)
-        try:
-            rel = back.sub(eta_prev)
-        except ValueError:
-            return True  # exact replay
-        return rel.log2_abs() - eta_prev.log2_abs() <= math.log2(rel_tol)

@@ -17,7 +17,7 @@ import sys
 
 from .errors import (AmbiguousCycle, NotPostsingularlyFinite,
                      RootFindingFailure)
-from .sphere import INF, Configuration, chordal, is_inf
+from .sphere import INF, Configuration, chordal, encode_point, is_inf
 
 REPELLING_MARGIN = 1e-9  # repelling means |multiplier| > 1 + this
 _CLUSTER_TOL = 1e-6     # root clustering scale for multiplicity detection
@@ -501,20 +501,15 @@ class PostsingularAnalysis:
 
     def to_json(self):
         return {
-            "critical": [[_enc(c), n] for c, n in self.critical],
-            "critical_values": [_enc(v) for v in self.critical_values],
+            "critical": [[encode_point(c), n] for c, n in self.critical],
+            "critical_values": [encode_point(v)
+                                for v in self.critical_values],
             "postsingular": self.postsingular.to_json(),
-            "portrait": [{"value": _enc(v), "preperiod": a, "period": b}
-                         for v, a, b in self.portrait],
+            "portrait": [{"value": encode_point(v), "preperiod": a,
+                          "period": b} for v, a, b in self.portrait],
             "transitions": {a: b for a, b in self.transitions.items()},
             "is_psf": self.is_psf,
         }
-
-
-def _enc(p):
-    if is_inf(p):
-        return "inf"
-    return [p.real, p.imag]
 
 
 def _refine_cycle(g, seed, period):

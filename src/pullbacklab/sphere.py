@@ -10,6 +10,7 @@ equal to 0 or 1, no two entries equal).
 
 import cmath
 import math
+import reprlib
 from typing import Union
 
 from .errors import CollisionDetected, DegenerateTriple
@@ -71,18 +72,32 @@ def decode_point(obj):
     return complex(re, im)
 
 
-def json_typed(value, kind, what):
+def json_typed(value, kind, what, item=None):
     """``value`` read from JSON when it has type ``kind``: a bool for bool,
     an int that is not a bool for int, an int or float that is not a bool
-    for float. Raises ValueError naming ``what`` otherwise."""
+    for float, a list for list, an object for dict; a list's elements or an
+    object's values must also have type ``item`` when it is given. Raises
+    ValueError naming ``what`` otherwise."""
     if isinstance(value, bool):
         ok = kind is bool
     else:
         ok = isinstance(value, (int, float) if kind is float else kind)
     if not ok:
-        raise ValueError("%s must be %s, not %r"
-                         % (what, kind.__name__, value))
+        raise ValueError("%s must be %s, not %s"
+                         % (what, kind.__name__, reprlib.repr(value)))
+    if item is not None:
+        what = "%s item" % what
+        for x in value.values() if kind is dict else value:
+            json_typed(x, item, what)
     return value
+
+
+def json_complex(value, what):
+    """A complex number read from its JSON form [re, im]."""
+    if len(json_typed(value, list, what, float)) != 2:
+        raise ValueError("%s must be [re, im], not %s"
+                         % (what, reprlib.repr(value)))
+    return complex(*value)
 
 
 class MobiusTransform:

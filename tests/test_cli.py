@@ -157,11 +157,10 @@ def test_classify_subcommand(tmp_path, capsys):
     trace = os.path.join(out, "cheb.trace.jsonl")
     report = os.path.join(out, "cheb.report.json")
     capsys.readouterr()  # drop cmd_run's summary line
-    assert main(["classify", "--config", cfgp, "--trace", trace,
-                 "--report", report]) == 0
+    # the run is rebuilt from the report's config, or from the config file
+    assert main(["classify", "--trace", trace, "--report", report]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["verdict"] == "obstructed"
-    # without the report the status is inferred from the records alone
     assert main(["classify", "--config", cfgp, "--trace", trace]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["verdict"] == "obstructed"
@@ -289,8 +288,8 @@ def test_check_judges_with_the_runs_tolerances(tmp_path):
     # a run with a looser eps_P stops earlier; check rebuilds its run with
     # the tolerances the certificate stores, so the stored trace's
     # stopping step is the report's, not the config's default one
-    from pullbacklab.cli import (_build_run, _certificate_config, _read_trace,
-                                 _stored_status, parse_config)
+    from pullbacklab.cli import (_build_run, _read_trace, _stored_status,
+                                 artifact_config, parse_config)
     config = [p for p in DEMO_CONFIGS if p.endswith("squaring_b.json")][0]
     out = str(tmp_path)
     assert main(["run", "--config", config, "--tol", "eps_P=1e-3",
@@ -300,7 +299,7 @@ def test_check_judges_with_the_runs_tolerances(tmp_path):
     payload = read_json(base + ".certificate.json")
     assert report["status"]["steps"] == 10
     records = _read_trace(base + ".trace.jsonl")
-    run = _build_run(_certificate_config(payload))
+    run = _build_run(artifact_config(payload))
     assert run.tol.eps_P == 1e-3
     assert _stored_status(records, run)[1].steps == 10
     # the config alone carries the default eps_P, which fires later
@@ -424,26 +423,58 @@ def test_stored_trace_replays_against_its_rebuilt_run(corpus_out, path):
         == 1
 
 
-MISTYPED_FIELDS = [("step_string", ("step",), "116"),
-                   ("k_float", ("k",), 1.0),
-                   ("log_rin_string", ("annulus", "log_rin"), "x"),
-                   ("step_bool", ("step",), True)]
+def _set(keys, value):
+    def edit(payload):
+        target = payload
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        return payload
+    return edit
+
+
+# (case, an edit of the chebyshev certificate, the field the error names)
+MISTYPED_FIELDS = [
+    ("step_string", _set(("step",), "116"), "step"),
+    ("k_float", _set(("k",), 1.0), "k"),
+    ("log_rin_string", _set(("annulus", "log_rin"), "x"), "annulus log_rin"),
+    ("step_bool", _set(("step",), True), "step"),
+    ("curve_node_string",
+     _set(("representative_curves", 0, "nodes", 0), ["a", 0]),
+     "representative_curves[0] node item"),
+    ("curve_nodes_int", _set(("representative_curves", 0, "nodes"), 7),
+     "representative_curves[0] nodes"),
+    ("curves_int", _set(("representative_curves",), 3),
+     "representative_curves"),
+    ("curves_of_ints", _set(("representative_curves",), [5, 6]),
+     "representative_curves[0]"),
+    ("cluster_labels_int", _set(("cluster_labels",), 5), "cluster_labels"),
+    ("curve_windings_int", _set(("curve_windings",), 5), "curve_windings"),
+    ("curve_windings_string", _set(("curve_windings",), "ab"),
+     "curve_windings"),
+    ("enclosed_labels_int", _set(("curve_enclosed_labels",), 5),
+     "curve_enclosed_labels"),
+    ("annulus_list", _set(("annulus",), [1]), "annulus"),
+    ("tolerances_list", _set(("tolerances",), [1]), "tolerances"),
+    ("tolerance_list", _set(("tolerances", "K"), [1]), "tolerances item"),
+    ("top_level_list", lambda payload: [payload],
+     "mistyped.certificate.json"),
+]
 
 
 @pytest.mark.parametrize("row", MISTYPED_FIELDS, ids=lambda r: r[0])
 def test_check_rejects_mistyped_certificate_fields(corpus_out, tmp_path,
                                                    row, capsys):
-    _, keys, value = row
-    payload = read_json(os.path.join(corpus_out, "chebyshev.certificate.json"))
-    target = payload
-    for key in keys[:-1]:
-        target = target[key]
-    target[keys[-1]] = value
+    _, edit, field = row
+    payload = edit(read_json(os.path.join(corpus_out,
+                                          "chebyshev.certificate.json")))
     cert = str(tmp_path / "mistyped.certificate.json")
     pathlib.Path(cert).write_text(json.dumps(payload))
     trace = os.path.join(corpus_out, "chebyshev.trace.jsonl")
+    capsys.readouterr()
     assert main(["check", "--trace", trace, "--cert", cert]) == 2
-    assert "invalid config/input" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config/input: %s must be " % field), err
 
 
 SRC_DIR = os.path.dirname(os.path.dirname(
@@ -495,3 +526,92 @@ def test_realized_run_and_analyze_need_no_numpy(corpus_out, tmp_path):
         pathlib.Path(corpus_out, "basilica.trace.jsonl").read_bytes()
     assert _without_timing(os.path.join(out, "basilica.report.json")) == \
         _without_timing(os.path.join(corpus_out, "basilica.report.json"))
+
+
+@pytest.mark.parametrize("path", DEMO_CONFIGS, ids=os.path.basename)
+def test_classify_from_the_report_alone_matches_run(corpus_out, path, capsys):
+    name = os.path.splitext(os.path.basename(path))[0]
+    base = os.path.join(corpus_out, name)
+    report = read_json(base + ".report.json")
+    capsys.readouterr()
+    assert main(["classify", "--trace", base + ".trace.jsonl",
+                 "--report", base + ".report.json"]) == 0
+    assert capsys.readouterr().out == json.dumps(
+        report["classification"], sort_keys=True, indent=1) + "\n"
+
+
+def test_classify_from_the_report_uses_the_runs_tolerances(tmp_path, capsys):
+    # the config alone carries the default eps_P, whose stopping step and
+    # rate estimate differ from the run's
+    config = [p for p in DEMO_CONFIGS if p.endswith("squaring_b.json")][0]
+    out = str(tmp_path)
+    assert main(["run", "--config", config, "--tol", "eps_P=1e-3",
+                 "--out", out]) == 0
+    base = os.path.join(out, "squaring_b")
+    report = read_json(base + ".report.json")
+    assert report["tolerances"]["eps_P"] == 1e-3
+    want = json.dumps(report["classification"], sort_keys=True, indent=1)
+    capsys.readouterr()
+    assert main(["classify", "--trace", base + ".trace.jsonl",
+                 "--report", base + ".report.json"]) == 0
+    assert capsys.readouterr().out == want + "\n"
+    assert main(["classify", "--trace", base + ".trace.jsonl",
+                 "--config", config]) == 0
+    from_config = capsys.readouterr().out
+    assert from_config != want + "\n"
+    # --tol overrides the stored tolerances
+    assert main(["classify", "--trace", base + ".trace.jsonl",
+                 "--report", base + ".report.json",
+                 "--tol", "eps_P=1e-8"]) == 0
+    assert capsys.readouterr().out == from_config
+
+
+def test_report_tolerances_are_the_runs(corpus_out):
+    for path in DEMO_CONFIGS:
+        base = os.path.join(corpus_out,
+                            os.path.splitext(os.path.basename(path))[0])
+        report = read_json(base + ".report.json")
+        assert report["tolerances"] == load_config(path)["tol"].to_json()
+        if report["certificate"] is not None:
+            cert = read_json(base + ".certificate.json")
+            assert report["tolerances"] == cert["tolerances"]
+
+
+# argv lists with a flag the subcommand does not read, or without exactly
+# one source of configs
+UNREAD_FLAGS = [
+    ("classify_out", ["classify", "--trace", "t", "--config", "c",
+                      "--out", "o"]),
+    ("classify_batch", ["classify", "--trace", "t", "--batch", "*.json"]),
+    ("classify_config_and_report", ["classify", "--trace", "t",
+                                    "--config", "c", "--report", "r"]),
+    ("demo_batch", ["demo", "--batch", "*.json"]),
+    ("run_without_config", ["run", "--out", "o"]),
+    ("run_config_and_batch", ["run", "--config", "c", "--batch", "*.json"]),
+]
+
+
+@pytest.mark.parametrize("row", UNREAD_FLAGS, ids=lambda r: r[0])
+def test_subcommands_take_only_the_flags_they_read(row, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(row[1])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_batch_goes_on_after_a_numerical_failure(tmp_path, capsys):
+    # z^2 + 0.3 sorts first and fails in its postsingular analysis
+    failing = write_config(
+        tmp_path, cfgname="a",
+        map={"numerator": [[0.3, 0], [0, 0], [1, 0]],
+             "denominator": [[1, 0]]},
+        marked=[{"type": "fixed", "basepoint": [0.0, 0.0],
+                 "branch_point": [0.0, math.sqrt(0.3)]}])
+    write_config(tmp_path, cfgname="b")
+    out = str(tmp_path / "out")
+    assert main(["run", "--batch", str(tmp_path / "*.json"),
+                 "--out", out]) == 3
+    assert sorted(os.listdir(out)) == ["b.certificate.json", "b.report.json",
+                                       "b.trace.jsonl"]
+    assert "numerical failure: %s: orbit points" % failing in \
+        capsys.readouterr().err

@@ -463,22 +463,6 @@ def test_past_step_bounds_do_not_drift():
     assert uncertified == {"crossing"}
 
 
-def test_fiber_state_view():
-    run = cheb_run()
-    for _ in range(2):
-        run.pullback_step()
-    state = run.fiber_state("m0")
-    assert state.step_index == 2
-    assert state.path.start == 0 and state.path.end == state.position
-    assert state.anchor_label is None
-    for _ in range(10):
-        run.pullback_step()
-    deep = run.fiber_state("m0")
-    assert deep.anchor_label == "p1"
-    assert deep.deviation is not None
-    assert abs(deep.position - 2.0) < 1e-6
-
-
 def test_two_points_anchored_at_one_puncture_step_without_error():
     # both points fall into the puncture 2; once the other point sits on
     # it, the comparison disk around the anchor is empty, and the step has

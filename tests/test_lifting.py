@@ -34,7 +34,6 @@ def test_path_basics():
     p = Path([0, 1, 1, 2])       # exact duplicate dropped
     assert p.nodes == (0j, 1 + 0j, 2 + 0j)
     assert p.start == 0 and p.end == 2
-    assert p.reverse().nodes == (2 + 0j, 1 + 0j, 0j)
     assert len(p.refine(2)) == 5
     with pytest.raises(ValueError):
         Path([])

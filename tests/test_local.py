@@ -9,6 +9,11 @@ from pullbacklab.ratmap import RationalMap
 CHEB = RationalMap([-2, 0, 1])
 
 
+def ratio_abs(a, b):
+    """|a| / |b| of two ScaledComplex values at a moderate exponent gap."""
+    return math.ldexp(abs(a.m) / abs(b.m), a.e - b.e)
+
+
 def test_scaled_complex_normalization():
     s = ScaledComplex(3 + 4j)
     assert 0.5 <= abs(s.m) < 1.0
@@ -33,7 +38,7 @@ def test_scaled_complex_sub_and_ratio():
     a = ScaledComplex(1.0 + 0j)
     b = ScaledComplex(0.25 + 0j)
     assert abs(a.sub(b).to_complex() - 0.75) < 1e-15
-    assert abs(a.ratio_abs(b) - 4.0) < 1e-12
+    assert abs(ratio_abs(a, b) - 4.0) < 1e-12
     tiny = ScaledComplex(1 + 0j, -2000)
     assert a.sub(tiny).to_complex() == 1.0  # negligible subtrahend
     with pytest.raises(ValueError):
@@ -72,25 +77,13 @@ def test_chart_deep_regime_ratio():
     # 1200 steps of contraction by 4: far out of double range, ratio exact
     assert abs(eta.log2_abs() - (math.log2(0.3) - 2 * 1200)) < 1.0
     nxt = chart.inv_step(eta)
-    assert abs(nxt.ratio_abs(eta) - 0.25) < 1e-12
+    assert abs(ratio_abs(nxt, eta) - 0.25) < 1e-12
 
 
 def test_chart_offset_recovery():
     # perturb the anchor: the chart recovers the true fixed point offset
     chart = LocalFixedChart(CHEB, 2.0 + 1e-11 + 0j)
     assert abs((2.0 + 1e-11 + chart.eps_star.real) - 2.0) < 1e-13
-
-
-def test_chart_check_step():
-    chart = LocalFixedChart(CHEB, 2.0 + 0j)
-    eta = ScaledComplex(-0.05 + 0j)
-    nxt = chart.inv_step(eta)
-    assert chart.check_step(eta, nxt)
-    assert not chart.check_step(eta, nxt.mul_complex(1.001))
-    deep = ScaledComplex(1 + 1j, -700)
-    deep_next = chart.inv_step(deep)
-    assert chart.check_step(deep, deep_next)
-    assert not chart.check_step(deep, deep_next.mul_complex(1.1))
 
 
 def test_chart_at_infinity():
@@ -102,7 +95,7 @@ def test_chart_at_infinity():
     eta = ScaledComplex(0.01 + 0j)
     nxt = chart.inv_step(eta)
     # the inverse branch at oo contracts deviations by ~1/3 in the 1/z chart
-    assert abs(nxt.ratio_abs(eta) - 1 / 3) < 0.01
+    assert abs(ratio_abs(nxt, eta) - 1 / 3) < 0.01
 
 
 def test_materialize():
