@@ -20,9 +20,9 @@ the messages ``check`` prints.
 import math
 
 from .errors import InjectivityUndetermined, NoSeparatingAnnulus
-from .fiber import Tolerances, step_until
+from .fiber import EPS_FIX, Tolerances, step_until
 from .hyperbolic import ELL_STAR, RoundAnnulus, annulus_modulus
-from .lifting import Path, lift_closed_curve, _newton_preimage
+from .lifting import EPS_CV, Path, lift_closed_curve, _newton_preimage
 from .ratmap import REPELLING_MARGIN, critical_points
 from .sphere import chordal, encode_point, is_inf, json_typed
 
@@ -100,7 +100,7 @@ def classify_run(trace, g, punctures, tol=None):
             if dmin <= 10 * tol.eps_P:
                 return Classification("undecided",
                                       reason="limit too close to a puncture")
-        if worst_res >= tol.eps_fix:
+        if worst_res >= EPS_FIX:
             return Classification(
                 "undecided", reason="fixed-point residual %.3g" % worst_res)
         return Classification("realized", x_star=x_star, residual=worst_res,
@@ -109,7 +109,7 @@ def classify_run(trace, g, punctures, tol=None):
     if status.kind == "candidate_puncture":
         p = status.puncture
         gp, mult = g.evaluate_with_derivative(p)
-        if chordal(gp, p) >= tol.eps_fix:
+        if chordal(gp, p) >= EPS_FIX:
             return Classification(
                 "undecided",
                 reason="limit puncture is not fixed -- likely lifting fault")
@@ -340,7 +340,7 @@ def _is_simple(zs):
     return not _segments_intersect_any(zs, zs, skip_adjacent=True)
 
 
-def injectivity_test(g, annulus, k, eps_cv=1e-6):
+def injectivity_test(g, annulus, k):
     """Conservative sufficient evidence that g^{ok} is injective on the
     annulus: for each forward stage, no critical point inside the tracked
     region (with clearance), simple and mutually disjoint boundary images,
@@ -375,7 +375,7 @@ def injectivity_test(g, annulus, k, eps_cv=1e-6):
                     % (c, j))
             clear = min(clear, _poly_min_dist(inner, c),
                         _poly_min_dist(outer, c))
-        if not clear > eps_cv:
+        if not clear > EPS_CV:
             raise InjectivityUndetermined(
                 "critical clearance %.3g at stage %d" % (clear, j))
         img_inner = _apply_map(gm, inner)
@@ -645,7 +645,7 @@ def _try_cluster(run, n, points, cluster, d0, product, engine_version):
         return None
 
     try:
-        evidence = injectivity_test(run.g, annulus, k, eps_cv=run.tol.eps_cv)
+        evidence = injectivity_test(run.g, annulus, k)
     except InjectivityUndetermined:
         return None
 
@@ -833,8 +833,7 @@ def verify_certificate(cert, run):
               % (cert.cluster_labels, sorted(inner)))
 
     try:
-        evidence = injectivity_test(run.g, cert.annulus, cert.k,
-                                    eps_cv=run.tol.eps_cv)
+        evidence = injectivity_test(run.g, cert.annulus, cert.k)
         check(same_within(evidence, cert.injectivity_evidence, 1e-6, 0.0),
               "injectivity evidence mismatch")
     except InjectivityUndetermined as exc:

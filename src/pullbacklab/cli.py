@@ -4,7 +4,7 @@ certificate persistence, corpus demos.
 Subcommands and the flags each reads:
 
 - ``analyze | run | certify``: one of ``--config FILE`` / ``--batch GLOB``,
-  with ``--out``, ``--tol NAME=VALUE`` and ``--max-iters``;
+  with ``--out``, ``--tol eps_P=VALUE|max_iters=N`` and ``--max-iters``;
 - ``classify``: ``--trace`` and one of ``--config`` / ``--report``, with
   ``--tol`` and ``--max-iters``;
 - ``check``: ``--trace``, ``--cert``, ``--base-trace``, ``--report``;
@@ -17,13 +17,14 @@ with the next config and exits 3 at the end.
 
 ``run`` drives the engine's one step loop: ``fiber.run_until`` up to the
 stopping rule, then ``certify_obstructed`` onwards, both recording into
-the same trace. Reports and certificates store the run's config and
-tolerances, and ``artifact_config`` rebuilds the run from either. A
-stored trace is judged by the same stopping rule,
-``fiber.stopping_status``, at the first record where it fires. ``check``
-rebuilds the run from its certificate, steps it through the stored
-records 0..step, each of which must be the run's at that step, and
-verifies the certificate against it.
+the same trace. Reports and certificates store the run's config and all
+13 tolerances; a config, ``--tol`` or stored value for one of the 11 in
+``fiber.FIXED_TOLERANCES`` must be the engine's. ``artifact_config``
+rebuilds the run from either artifact. A stored trace is judged by the
+same stopping rule, ``fiber.stopping_status``, at the first record where
+it fires. ``check`` rebuilds the run from its certificate, steps it
+through the stored records 0..step, each of which must be the run's at
+that step, and verifies the certificate against it.
 """
 
 import argparse
@@ -44,7 +45,7 @@ from .fiber import (JSON_ENCODER, BranchDatum, RunStatus, Tolerances, Trace,
                     min_dist_log10, run_until, stopping_status)
 from .lifting import Path
 from .ratmap import RationalMap, postsingular_analysis
-from .sphere import decode_point, json_typed
+from .sphere import decode_point, json_complex, json_typed
 
 
 def load_config(path, tol_overrides=(), max_iters=None):
@@ -55,45 +56,51 @@ def load_config(path, tol_overrides=(), max_iters=None):
                         name=os.path.splitext(os.path.basename(path))[0])
 
 
-def parse_config(raw, tol_overrides=(), max_iters=None, name=None):
+def parse_config(raw, tol_overrides=(), max_iters=None, name=""):
     """Parse and validate a run config dict; raises ValueError on schema
-    issues. ``name`` is used when the config does not name itself."""
+    issues, naming a mistyped field. ``name`` is used when the config does
+    not name itself."""
     if "map" not in json_typed(raw, dict, "config"):
         raise ValueError("config needs a 'map' record")
     g = RationalMap.from_json(raw["map"])
     # each source overrides the one before: config tolerances, config
     # max_iters, --tol, --max-iters
-    tols = dict(json_typed(raw.get("tolerances", {}), dict, "tolerances"))
+    tols = dict(json_typed(raw.get("tolerances", {}), dict, "tolerances",
+                           float))
     if "max_iters" in raw:
-        tols["max_iters"] = raw["max_iters"]
+        tols["max_iters"] = json_typed(raw["max_iters"], float, "max_iters")
     for tol_name, value in tol_overrides:
         tols[tol_name] = float(value)
     if max_iters is not None:
         tols["max_iters"] = max_iters
     tol = Tolerances(**tols)
     marked, trivial = [], []
-    for spec in raw.get("marked", []):
+    for spec in json_typed(raw.get("marked", []), list, "marked", dict):
         kind = spec.get("type", "fixed")
         if kind == "fixed":
-            b = decode_point(spec["basepoint"])
-            bp = decode_point(spec["branch_point"])
-            delta = None
-            if "delta" in spec:
-                delta = Path([complex(a, b2) for a, b2 in spec["delta"]])
-            marked.append(BranchDatum(b, bp, delta))
+            delta = Path.from_json({"nodes": spec["delta"]}, "delta") \
+                if "delta" in spec else None
+            marked.append(BranchDatum(
+                json_complex(spec["basepoint"], "basepoint"),
+                json_complex(spec["branch_point"], "branch_point"), delta))
         elif kind == "trivial":
             trivial.append(TrivialMarkedSpec(
-                decode_point(spec["image"]), decode_point(spec["preimage"]),
-                decode_point(spec["start"]) if "start" in spec else None))
+                decode_point(spec["image"], "image"),
+                json_complex(spec["preimage"], "preimage"),
+                json_complex(spec["start"], "start") if "start" in spec
+                else None))
         else:
             raise ValueError("unknown marked type %r" % kind)
     if not marked and not trivial:
         raise ValueError("config needs at least one marked point")
-    extra = [decode_point(p) for p in raw.get("extra_punctures", [])]
+    extra = [decode_point(p, "extra_punctures item") for p in
+             json_typed(raw.get("extra_punctures", []), list,
+                        "extra_punctures")]
     return {
-        "name": raw.get("name", name),
+        "name": json_typed(raw.get("name", name), str, "name"),
         "g": g, "marked": marked, "trivial": trivial, "extra": extra,
-        "tol": tol, "compose_iterate": raw.get("compose_iterate"),
+        "tol": tol, "compose_iterate": json_typed(
+            raw.get("compose_iterate", 1), int, "compose_iterate"),
         "raw": raw,
     }
 
@@ -104,8 +111,7 @@ def artifact_config(payload, tol_overrides=(), max_iters=None):
     them; ``--tol`` and ``--max-iters`` override these as they override a
     config's."""
     raw = json_typed(payload["run_config"], dict, "run_config")
-    stored = json_typed(payload.get("tolerances", {}), dict, "tolerances",
-                        float)
+    stored = json_typed(payload.get("tolerances", {}), dict, "tolerances")
     if stored:
         raw = {key: value for key, value in raw.items() if key != "max_iters"}
         raw["tolerances"] = stored
@@ -119,12 +125,12 @@ def _read_artifact(path):
 
 
 def _build_run(cfg):
-    m = cfg.get("compose_iterate")
-    if m and m > 1:
+    m = cfg["compose_iterate"]
+    if m > 1:
         if len(cfg["marked"]) != 1 or cfg["trivial"]:
             raise ValueError("compose_iterate runs take exactly one fixed "
                              "marked point")
-        return compose_iterate_run(cfg["g"], int(m), cfg["marked"][0],
+        return compose_iterate_run(cfg["g"], m, cfg["marked"][0],
                                    extra_punctures=cfg["extra"],
                                    tol=cfg["tol"])
     return init_run(cfg["g"], cfg["marked"], trivial=cfg["trivial"],
@@ -163,8 +169,7 @@ def _sha256(path):
 
 def cmd_analyze(args):
     cfg = load_config(args.config, args.tol, args.max_iters)
-    an = postsingular_analysis(cfg["g"], max_orbit=cfg["tol"].max_orbit,
-                               eps_cycle=cfg["tol"].eps_cycle)
+    an = postsingular_analysis(cfg["g"])
     out = os.path.join(_out_dir(args), cfg["name"] + ".analysis.json")
     _write_json(out, an.to_json())
     print("analysis written to", out)
@@ -257,13 +262,10 @@ def _stored_status(records, run):
 
 
 def _read_trace(path):
-    records = []
+    """A stored trace: one JSON object per non-blank line."""
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
+        return [json_typed(json.loads(line), dict, "trace line")
+                for line in fh if line.strip()]
 
 
 def cmd_certify(args):
@@ -297,7 +299,7 @@ def cmd_check(args):
                 failures.extend(result.mismatches)
         if args.base_trace:
             failures.extend(_functoriality_suite(records, args.base_trace,
-                                                 cfg.get("compose_iterate")))
+                                                 cfg["compose_iterate"]))
         if args.report:
             failures.extend(_report_reproducible(records, run, args.report))
     if failures:
@@ -345,7 +347,7 @@ def _replay_mismatches(records, run):
 def _functoriality_suite(records, base_trace_path, m):
     """Composed-run positions must subsample the base run's."""
     failures = []
-    if not m or m < 2:
+    if m < 2:
         return ["functoriality check needs a compose_iterate config"]
     base = _read_trace(base_trace_path)
     for j, rec in enumerate(records):
@@ -416,7 +418,8 @@ def build_parser():
 
     def tolerances(p):
         p.add_argument("--max-iters", dest="max_iters", type=int, default=None)
-        p.add_argument("--tol", action="append", type=_tol_pair, default=[])
+        p.add_argument("--tol", action="append", type=_tol_pair, default=[],
+                       help="eps_P=VALUE or max_iters=N")
 
     def runs(name, help):
         p = sub.add_parser(name, help=help)

@@ -46,43 +46,50 @@ from .hyperbolic import teich_step_bound
 from .lifting import (EPS_CLEAR, EPS_CV, EPS_LIFT, ETA_SAFE, MAX_DEPTH, Path,
                       lift_path, path_clearance, simplify_path)
 from .local import LocalFixedChart
-from .ratmap import (REPELLING_MARGIN, critical_points, critical_values,
-                     iterate, postsingular_analysis, preimages)
-from .sphere import Configuration, chordal, encode_point, is_inf
+from .ratmap import (EPS_CYCLE, MAX_ORBIT, REPELLING_MARGIN, critical_points,
+                     critical_values, iterate, postsingular_analysis,
+                     preimages)
+from .sphere import EPS_SEP, Configuration, chordal, encode_point, is_inf
 
 # one compact sorted encoder for every trace line and every file the CLI
 # writes (json.dumps would build one per record)
 JSON_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
+K = 5             # steps in the interior-convergence window
+EPS_CONV = 1e-10  # chordal move below which a free point has converged
+EPS_FIX = 1e-9    # chordal residual of g(p) = p for a fixed point
+
+# the tolerances no run sets, under the names artifacts record them by
+FIXED_TOLERANCES = {
+    "eps_sep": EPS_SEP, "eps_lift": EPS_LIFT, "eps_cv": EPS_CV,
+    "eps_clear": EPS_CLEAR, "eps_conv": EPS_CONV, "eps_fix": EPS_FIX,
+    "K": K, "eta": ETA_SAFE, "max_depth": MAX_DEPTH, "max_orbit": MAX_ORBIT,
+    "eps_cycle": EPS_CYCLE}
+
 
 class Tolerances:
-    """All engine tolerances, overridable per run."""
+    """The two tolerances a run sets: ``eps_P`` (finite, > 0) and
+    ``max_iters`` (an integer >= 0). A value given for any other must be
+    its ``FIXED_TOLERANCES`` value; ``to_json`` lists all 13."""
 
-    __slots__ = ("eps_sep", "eps_lift", "eps_cv", "eps_clear", "eps_conv",
-                 "eps_P", "eps_fix", "K", "max_iters", "eta", "max_depth",
-                 "max_orbit", "eps_cycle")
+    __slots__ = ("eps_P", "max_iters")
 
-    def __init__(self, **kw):
-        self.eps_sep = 1e-9
-        self.eps_lift = EPS_LIFT
-        self.eps_cv = EPS_CV
-        self.eps_clear = EPS_CLEAR
-        self.eps_conv = 1e-10
-        self.eps_P = 1e-8
-        self.eps_fix = 1e-9
-        self.K = 5
-        self.max_iters = 5000
-        self.eta = ETA_SAFE
-        self.max_depth = MAX_DEPTH
-        self.max_orbit = 200
-        self.eps_cycle = 1e-6
-        for name, value in kw.items():
-            if name not in self.__slots__:
-                raise ValueError("unknown tolerance %r" % name)
-            setattr(self, name, type(getattr(self, name))(value))
+    def __init__(self, eps_P=1e-8, max_iters=5000, **fixed):
+        for name, value in fixed.items():
+            if value != FIXED_TOLERANCES.get(name, math.nan):
+                raise ValueError("tolerance %s=%r: a run sets only eps_P and "
+                                 "max_iters" % (name, value))
+        self.eps_P = float(eps_P)
+        if not 0.0 < self.eps_P < math.inf:
+            raise ValueError("tolerance eps_P=%r is not in (0, inf)" % eps_P)
+        if not (float(max_iters).is_integer() and max_iters >= 0):
+            raise ValueError("tolerance max_iters=%r is not an integer >= 0"
+                             % (max_iters,))
+        self.max_iters = int(max_iters)
 
     def to_json(self):
-        return {name: getattr(self, name) for name in self.__slots__}
+        return dict(FIXED_TOLERANCES, eps_P=self.eps_P,
+                    max_iters=self.max_iters)
 
 
 class BranchDatum:
@@ -98,13 +105,17 @@ class BranchDatum:
             delta = Path([self.basepoint, self.branch_point])
         self.delta = delta
 
-    def validate(self, g, punctures, tol):
-        if chordal(g(self.branch_point), self.basepoint) > tol.eps_lift:
+    def validate(self, g, punctures):
+        for z, what in ((self.basepoint, "basepoint"),
+                        (self.branch_point, "branch point")):
+            if min(chordal(z, p) for p in punctures.points) <= EPS_SEP:
+                raise CollisionDetected("%s lies on a puncture" % what)
+        if chordal(g(self.branch_point), self.basepoint) > EPS_LIFT:
             raise InvalidBranchDatum("g(branch_point) misses the basepoint")
         if self.delta.start != self.basepoint or self.delta.end != self.branch_point:
             raise InvalidBranchDatum("delta must run from b to b'")
         clr = path_clearance(self.delta, punctures.points)
-        if clr <= tol.eps_clear:
+        if clr <= EPS_CLEAR:
             raise InvalidBranchDatum(
                 "delta clearance %.3g to the punctures" % clr)
 
@@ -120,15 +131,19 @@ class TrivialMarkedSpec:
         self.preimage = complex(preimage)
         self.start = self.preimage if start is None else complex(start)
 
-    def validate(self, g, punctures, tol):
-        if chordal(g(self.preimage), self.image) > tol.eps_lift:
+    def validate(self, g, punctures):
+        if chordal(g(self.preimage), self.image) > EPS_LIFT:
             raise InvalidBranchDatum("g(q') misses the trivial image q")
         if not any(chordal(self.image, p) <= 1e-9 for p in punctures.points):
             raise InvalidBranchDatum("trivial image q must lie in P")
         for z, name in ((self.preimage, "q'"), (self.start, "start")):
-            if min(chordal(z, p) for p in punctures.points) <= tol.eps_sep:
+            if min(chordal(z, p) for p in punctures.points) <= EPS_SEP:
                 raise CollisionDetected(
                     "trivial %s collides with a puncture" % name)
+        if self.start != self.preimage and path_clearance(
+                Path([self.start, self.preimage]),
+                punctures.points) <= EPS_CLEAR:
+            raise InvalidBranchDatum("trivial settling segment hits P")
 
 
 class _AnchorChart:
@@ -291,7 +306,7 @@ class PullbackRun:
         pts = self.punctures.points
         crit_finite = [c for c, _ in critical_points(self.g) if not is_inf(c)]
         for idx, p in enumerate(pts):
-            if chordal(self.g(p), p) > self.tol.eps_fix:
+            if chordal(self.g(p), p) > EPS_FIX:
                 continue
             _, mult = self.g.evaluate_with_derivative(p)
             if not abs(mult) > 1.0 + REPELLING_MARGIN:
@@ -323,12 +338,8 @@ class PullbackRun:
                 track.last_residual = 0.0
             else:
                 prev = track.blocks[-1]
-                res = lift_path(self.g, prev, prev.end,
-                                eps_lift=self.tol.eps_lift,
-                                eps_cv=self.tol.eps_cv, eta=self.tol.eta,
-                                max_depth=self.tol.max_depth)
-                new_block = simplify_path(res.lifted, self._obstacles,
-                                          margin=2 * self.tol.eps_clear)
+                res = lift_path(self.g, prev, prev.end)
+                new_block = simplify_path(res.lifted, self._obstacles)
                 track.last_residual = res.max_residual
             track.append_block(new_block)
             track.history.append(("free", new_block.end))
@@ -358,7 +369,6 @@ class PullbackRun:
     def _check_distinct(self):
         """Punctures against the moving coordinates, then the moving
         coordinates pairwise; the first pair closer than eps_sep raises."""
-        eps = self.tol.eps_sep
         # the deviation is read only where the anchor is not None
         moving = [(t.label, t.position(), t.anchor, t.history[-1][1])
                   for t in self._tracks]
@@ -367,7 +377,7 @@ class PullbackRun:
                 # separation from the own anchor is certified in-chart
                 if anchor is not None and anchor.index == idx:
                     continue
-                if chordal(p, x) <= eps:
+                if chordal(p, x) <= EPS_SEP:
                     raise CollisionDetected(
                         "positions %s and %s closer than eps_sep" % (lp, lm),
                         pair=(lp, lm))
@@ -381,11 +391,11 @@ class PullbackRun:
                             "marked points %s, %s merged" % (li, lj),
                             pair=(li, lj))
                     rel = gap.log2_abs() - max(ei.log2_abs(), ej.log2_abs())
-                    if rel <= math.log2(eps):
+                    if rel <= math.log2(EPS_SEP):
                         raise CollisionDetected(
                             "marked points %s, %s closer than eps_sep "
                             "relative" % (li, lj), pair=(li, lj))
-                elif chordal(xi, xj) <= eps:
+                elif chordal(xi, xj) <= EPS_SEP:
                     raise CollisionDetected(
                         "positions %s and %s closer than eps_sep" % (li, lj),
                         pair=(li, lj))
@@ -424,7 +434,7 @@ class PullbackRun:
             if block is None:
                 continue
             if len(block) > 1 and others and \
-                    path_clearance(block, others) <= 2 * self.tol.eps_clear:
+                    path_clearance(block, others) <= 2 * EPS_CLEAR:
                 raise NoApplicableComparison(
                     "step %d bound not certified: connector of %s crosses "
                     "another marked coordinate" % (n, track.label))
@@ -556,8 +566,7 @@ def init_run(g, marked, trivial=(), extra_punctures=(), tol=None):
     e.g. z -> z^2 needs a third puncture). Invariance is checked for the
     whole set: an extra may map onto another extra, as in a cycle."""
     tol = tol or Tolerances()
-    analysis = postsingular_analysis(g, max_orbit=tol.max_orbit,
-                                     eps_cycle=tol.eps_cycle)
+    analysis = postsingular_analysis(g)
     if not analysis.is_psf:
         raise NotPostsingularlyFinite("base map is not psf")
     pts = list(analysis.postsingular.points)
@@ -583,22 +592,11 @@ def init_run(g, marked, trivial=(), extra_punctures=(), tol=None):
     trivial = list(trivial)
     if len(pts) + len(marked) + len(trivial) < 4:
         raise InvalidBranchDatum("need |A| >= 4 (punctures plus marked)")
-    tracks = []
-    for i, datum in enumerate(marked):
-        for z, what in ((datum.basepoint, "basepoint"),
-                        (datum.branch_point, "branch point")):
-            if min(chordal(z, p) for p in punctures.points) <= tol.eps_sep:
-                raise CollisionDetected("%s lies on a puncture" % what)
-        datum.validate(g, punctures, tol)
-        tracks.append(_MarkedTrack("m%d" % i, datum))
-    trivial_tracks = []
-    for i, spec in enumerate(trivial):
-        spec.validate(g, punctures, tol)
-        seg = Path([spec.start, spec.preimage])
-        if spec.start != spec.preimage and \
-           path_clearance(seg, punctures.points) <= tol.eps_clear:
-            raise InvalidBranchDatum("trivial settling segment hits P")
-        trivial_tracks.append(_TrivialTrack("t%d" % i, spec))
+    for datum in marked + trivial:
+        datum.validate(g, punctures)
+    tracks = [_MarkedTrack("m%d" % i, d) for i, d in enumerate(marked)]
+    trivial_tracks = [_TrivialTrack("t%d" % i, s)
+                      for i, s in enumerate(trivial)]
     return PullbackRun(g, punctures, tracks, trivial_tracks, tol)
 
 
@@ -648,8 +646,8 @@ def stopping_status(records, punctures, tol):
             return RunStatus("candidate_puncture", puncture_label=p_label,
                              puncture=punctures.point(p_label),
                              steps=last["n"])
-    window = records[-(tol.K + 1):]
-    if len(window) < tol.K + 1:
+    window = records[-(K + 1):]
+    if len(window) < K + 1:
         return None
     for lab in fixed:
         entries = [rec["points"][lab] for rec in window]
@@ -657,7 +655,7 @@ def stopping_status(records, punctures, tol):
             return None
         values = [complex(*entry["value"]) for entry in entries]
         # newest move first: it is the one most likely to be too large
-        if any(chordal(values[i - 1], values[i]) >= tol.eps_conv
+        if any(chordal(values[i - 1], values[i]) >= EPS_CONV
                for i in range(len(values) - 1, 0, -1)):
             return None
         if not min(chordal(values[-1], p) for p in punctures.points) \
@@ -684,19 +682,14 @@ def compose_iterate_run(g, m, datum, extra_punctures=(), tol=None):
     delta_m = delta . lift(delta) . lift^2(delta) ... with starts chained
     through preimages; its positions at step n match the base run's
     positions at step m*n."""
-    tol = tol or Tolerances()
     if m < 1:
         raise ValueError("m must be >= 1")
     if m == 1:
         return init_run(g, [datum], extra_punctures=extra_punctures, tol=tol)
-    base_analysis = postsingular_analysis(g, max_orbit=tol.max_orbit,
-                                          eps_cycle=tol.eps_cycle)
+    base_analysis = postsingular_analysis(g)
     blocks = [datum.delta]
     for _ in range(m - 1):
-        res = lift_path(g, blocks[-1], blocks[-1].end, eps_lift=tol.eps_lift,
-                        eps_cv=tol.eps_cv, eta=tol.eta,
-                        max_depth=tol.max_depth)
-        blocks.append(res.lifted)
+        blocks.append(lift_path(g, blocks[-1], blocks[-1].end).lifted)
     nodes = list(blocks[0].nodes)
     for block in blocks[1:]:
         nodes.extend(block.nodes[1:])

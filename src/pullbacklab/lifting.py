@@ -214,8 +214,7 @@ def _newton_preimage(gm, target, seed, seed_eval=None):
     return best
 
 
-def lift_path(g, path, start_lift, eps_lift=EPS_LIFT, eps_cv=EPS_CV,
-              eta=ETA_SAFE, max_depth=MAX_DEPTH, check_clearance=True):
+def lift_path(g, path, start_lift, check_clearance=True):
     """Unique continuation of the inverse branch of g along ``path`` from
     ``start_lift`` (with g(start_lift) = path.start).
 
@@ -238,13 +237,13 @@ def lift_path(g, path, start_lift, eps_lift=EPS_LIFT, eps_cv=EPS_CV,
     # (g, g') at lifted[-1], which seeds the next node's Newton solve
     last_eval = gm.evaluate_with_derivative(start_lift)
     start_res = residual(last_eval[0], path.start)
-    if start_res > eps_lift:
+    if start_res > EPS_LIFT:
         raise EndpointMismatch(
             "g(start_lift) misses path start by chordal %.3g" % start_res)
     if check_clearance and anchor is None:
         cv = critical_values(g)
         clr = path_clearance(path, cv)
-        if clr <= eps_cv:
+        if clr <= EPS_CV:
             raise NearCriticalValue(
                 "path clearance %.3g to a critical value" % clr)
 
@@ -269,17 +268,17 @@ def lift_path(g, path, start_lift, eps_lift=EPS_LIFT, eps_cv=EPS_CV,
             ok = False
             if found is not None:
                 w, gv, gd = found
-                allowed = eta * crit_distance(w_prev)
+                allowed = ETA_SAFE * crit_distance(w_prev)
                 ok = abs(w - w_prev) < allowed
             if ok:
                 res = residual(gv, z_to)
-                if res > eps_lift:
+                if res > EPS_LIFT:
                     ok = False
             if ok and anchor is None and abs(w) > CHART_LIMIT:
                 raise ChartOverflow(
                     "lift reached |w| = %.3g; transport the chart" % abs(w))
             if not ok:
-                if depth >= max_depth:
+                if depth >= MAX_DEPTH:
                     raise BranchJumpSuspected(
                         "safeguard violated at depth %d near %r" % (depth, z_to))
                 mid = 0.5 * (z_from + z_to)
@@ -298,29 +297,27 @@ def lift_path(g, path, start_lift, eps_lift=EPS_LIFT, eps_cv=EPS_CV,
     return LiftResult(Path(lifted, anchor=anchor), max_res, subdivisions)
 
 
-def lift_closed_curve(g, loop, start_lift, **kw):
+def lift_closed_curve(g, loop, start_lift, check_clearance=True):
     """Lift a closed loop; closes = True means trivial monodromy, i.e. the
     lift is again a closed curve mapped with degree 1."""
-    if not loop.is_closed(kw.get("eps_lift", EPS_LIFT)):
+    if not loop.is_closed():
         raise EndpointMismatch("loop is not closed")
-    res = lift_path(g, loop, start_lift, **kw)
+    res = lift_path(g, loop, start_lift, check_clearance=check_clearance)
     end, start = res.lifted.end, res.lifted.start
     diam = max(abs(z - start) for z in res.lifted.nodes)
-    tol = max(kw.get("eps_lift", EPS_LIFT), 1e-9 * diam)
-    closes = abs(end - start) <= tol
-    return res, closes
+    return res, abs(end - start) <= max(EPS_LIFT, 1e-9 * diam)
 
 
 # ---------------------------------------------------------------------------
 # concatenation and simplification
 
-def concatenate(p1, p2, tol=EPS_LIFT):
+def concatenate(p1, p2):
     """Join two polylines, snapping p2's start onto p1's end."""
     if (p1.anchor is None) != (p2.anchor is None) or (
             p1.anchor is not None and p1.anchor != p2.anchor):
         raise EndpointMismatch("paths live in different charts")
     scale = max(abs(p1.end), abs(p2.start), 1e-300)
-    if abs(p1.end - p2.start) > max(tol, 1e-12 * scale):
+    if abs(p1.end - p2.start) > max(EPS_LIFT, 1e-12 * scale):
         raise EndpointMismatch(
             "p1 ends at %r but p2 starts at %r" % (p1.end, p2.start))
     return Path(p1.nodes + p2.nodes[1:], anchor=p1.anchor)
@@ -369,9 +366,9 @@ def _triangle_clear(a, b, c, obstacles, margin):
     return True
 
 
-def simplify_path(path, obstacles, margin=2 * EPS_CLEAR):
+def simplify_path(path, obstacles):
     """Drop interior nodes whose corridor (the swept triangle) stays clear
-    of the obstacle points by the margin; endpoints and homotopy class are
+    of the obstacle points by 2 EPS_CLEAR; endpoints and homotopy class are
     preserved by the corridor check."""
     path = cancel_retraces(path)
     if path.anchor is not None:
@@ -385,7 +382,7 @@ def simplify_path(path, obstacles, margin=2 * EPS_CLEAR):
         i = 1
         while i < len(nodes) - 1:
             a, b, c = nodes[i - 1], nodes[i], nodes[i + 1]
-            if a == c or _triangle_clear(a, b, c, obstacles, margin):
+            if a == c or _triangle_clear(a, b, c, obstacles, 2 * EPS_CLEAR):
                 del nodes[i]
                 changed = True
             else:

@@ -17,11 +17,14 @@ import sys
 
 from .errors import (AmbiguousCycle, NotPostsingularlyFinite,
                      RootFindingFailure)
-from .sphere import INF, Configuration, chordal, encode_point, is_inf
+from .sphere import (INF, Configuration, chordal, encode_point, is_inf,
+                     json_complex, json_typed)
 
 REPELLING_MARGIN = 1e-9  # repelling means |multiplier| > 1 + this
 _CLUSTER_TOL = 1e-6     # root clustering scale for multiplicity detection
 _ABERTH_SWEEPS = 100    # a root not at rounding level by then raises
+MAX_ORBIT = 200         # critical-value orbit steps before "not psf"
+EPS_CYCLE = 1e-6        # chordal gap at which an orbit counts as closed
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +318,10 @@ class RationalMap:
 
     @classmethod
     def from_json(cls, obj):
-        return cls([complex(a, b) for a, b in obj["numerator"]],
-                   [complex(a, b) for a, b in obj["denominator"]])
+        json_typed(obj, dict, "map")
+        return cls(*([json_complex(c, "map %s item" % key)
+                      for c in json_typed(obj[key], list, "map " + key)]
+                     for key in ("numerator", "denominator")))
 
     def __repr__(self):
         return "RationalMap(%r, %r)" % (self.numerator, self.denominator)
@@ -548,7 +553,7 @@ def _cycle_multiplier(g, cycle):
     return mult
 
 
-def postsingular_analysis(g, max_orbit=200, eps_cycle=1e-6):
+def postsingular_analysis(g):
     """Iterate the critical values until every orbit lands on a repelling or
     superattracting cycle; snap cycles by Newton and assemble P.
 
@@ -573,12 +578,12 @@ def postsingular_analysis(g, max_orbit=200, eps_cycle=1e-6):
     for v in cvals:
         orbit = [v]
         closed = False
-        for _ in range(max_orbit):
+        for _ in range(MAX_ORBIT):
             z = orbit[-1]
             w = g(z)
             hit = None
             for i, prev in enumerate(orbit):
-                if chordal(w, prev) < eps_cycle:
+                if chordal(w, prev) < EPS_CYCLE:
                     hit = i
                     break
             orbit.append(w)
@@ -607,7 +612,7 @@ def postsingular_analysis(g, max_orbit=200, eps_cycle=1e-6):
             break
         if not closed:
             raise NotPostsingularlyFinite(
-                "orbit of %r did not close within %d steps" % (v, max_orbit))
+                "orbit of %r did not close within %d steps" % (v, MAX_ORBIT))
 
     # deterministic labels: finite points lexicographically, oo last
     order = sorted(range(len(points)),

@@ -65,11 +65,9 @@ def encode_point(p):
     return [p.real, p.imag]
 
 
-def decode_point(obj):
-    if obj == "inf":
-        return INF
-    re, im = obj
-    return complex(re, im)
+def decode_point(obj, what="point"):
+    """The point of a JSON form written by ``encode_point``."""
+    return INF if obj == "inf" else json_complex(obj, what)
 
 
 def json_typed(value, kind, what, item=None):

@@ -72,6 +72,50 @@ def test_malformed_config_exit_2(tmp_path):
                  "--out", str(tmp_path)]) == 2
 
 
+# (case, config fields replaced, extra run flags, how the message starts:
+# it names the field)
+MALFORMED_RUNS = [
+    ("marked_int", {"marked": [5]}, [], "marked item must be"),
+    ("numerator_int", {"map": {"numerator": 5, "denominator": [[1, 0]]}},
+     [], "map numerator must be"),
+    ("extra_punctures_int", {"extra_punctures": 5}, [],
+     "extra_punctures must be"),
+    ("compose_iterate_string", {"compose_iterate": "2"}, [],
+     "compose_iterate must be"),
+    ("name_int", {"name": 5}, [], "name must be"),
+    ("basepoint_string",
+     {"marked": [{"type": "fixed", "basepoint": "ab",
+                  "branch_point": [math.sqrt(2), 0.0]}]}, [],
+     "basepoint must be"),
+    ("max_iters_string", {"max_iters": "20"}, [], "max_iters must be"),
+    ("tolerance_list", {"tolerances": {"K": [1]}}, [],
+     "tolerances item must be"),
+    ("config_fixed_tolerance", {"tolerances": {"eps_sep": 1e-3}}, [],
+     "tolerance eps_sep=0.001: "),
+    ("tol_fixed", {}, ["--tol", "eps_sep=1e-3"], "tolerance eps_sep=0.001: "),
+    ("tol_max_iters_overflow", {}, ["--tol", "max_iters=1e400"],
+     "tolerance max_iters=inf is not"),
+    ("tol_max_iters_fraction", {}, ["--tol", "max_iters=2.7"],
+     "tolerance max_iters=2.7 is not"),
+    ("tol_eps_P_negative", {}, ["--tol", "eps_P=-1"],
+     "tolerance eps_P=-1.0 is not"),
+    ("tol_eps_P_nan", {}, ["--tol", "eps_P=nan"], "tolerance eps_P=nan is not"),
+    ("max_iters_negative", {}, ["--max-iters", "-1"],
+     "tolerance max_iters=-1 is not"),
+]
+
+
+@pytest.mark.parametrize("row", MALFORMED_RUNS, ids=lambda r: r[0])
+def test_run_rejects_malformed_fields_and_tolerances(tmp_path, row, capsys):
+    _, fields, flags, message = row
+    cfgp = write_config(tmp_path, **fields)
+    capsys.readouterr()
+    assert main(["run", "--config", cfgp, "--out", str(tmp_path / "out")]
+                + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config/input: " + message), err
+
+
 def test_check_valid_and_tampered(tmp_path):
     cfgp = write_config(tmp_path)
     out = str(tmp_path / "out")
@@ -308,6 +352,15 @@ def test_check_judges_with_the_runs_tolerances(tmp_path):
     assert main(["check", "--trace", base + ".trace.jsonl",
                  "--cert", base + ".certificate.json",
                  "--report", base + ".report.json"]) == 0
+    # a stored fixed tolerance other than the engine's does not rebuild
+    for kind in ("certificate", "report"):
+        payload = read_json("%s.%s.json" % (base, kind))
+        payload["tolerances"]["eps_sep"] = 1e-3
+        pathlib.Path(base + ".changed.json").write_text(json.dumps(payload))
+        argv = {"certificate": ["check", "--cert"],
+                "report": ["classify", "--report"]}[kind]
+        assert main(argv + [base + ".changed.json",
+                            "--trace", base + ".trace.jsonl"]) == 2
 
 
 def test_parser_is_built_once_and_keeps_no_options(tmp_path, monkeypatch):
@@ -393,6 +446,18 @@ def test_check_ties_the_trace_to_the_restepped_run(corpus_out, tmp_path, row):
         argv += ["--report", os.path.join(corpus_out,
                                           report_name + ".report.json")]
     assert main(argv) == want
+
+
+def test_trace_lines_must_be_json_objects(corpus_out, tmp_path, capsys):
+    trace = tmp_path / "list.trace.jsonl"
+    trace.write_text(json.dumps({"n": 0}) + "\n[1, 2]\n")
+    base = os.path.join(corpus_out, "chebyshev")
+    for argv in (["check", "--cert", base + ".certificate.json"],
+                 ["classify", "--report", base + ".report.json"]):
+        capsys.readouterr()
+        assert main(argv + ["--trace", str(trace)]) == 2
+        assert capsys.readouterr().err == \
+            "invalid config/input: trace line must be dict, not [1, 2]\n"
 
 
 def test_check_report_accepts_every_corpus_certificate(corpus_out):

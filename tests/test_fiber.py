@@ -399,8 +399,31 @@ def test_trace_records_shape():
 def test_tolerances_validation():
     tol = Tolerances(eps_P=1e-7, max_iters=100)
     assert tol.eps_P == 1e-7 and tol.max_iters == 100
+    assert Tolerances.__slots__ == ("eps_P", "max_iters")
     with pytest.raises(ValueError):
         Tolerances(nonsense=1.0)
+    # an integral float is a step cap; an artifact writes it as an int
+    assert type(Tolerances(max_iters=40.0).max_iters) is int
+    for name, value in (("eps_P", -1.0), ("eps_P", 0.0), ("eps_P", math.nan),
+                        ("eps_P", math.inf), ("max_iters", 2.7),
+                        ("max_iters", math.inf), ("max_iters", -1)):
+        with pytest.raises(ValueError, match="tolerance %s=" % name):
+            Tolerances(**{name: value})
+    # the other tolerances are fixed: the engine's value is accepted, as a
+    # stored artifact gives it, and any other refused by name
+    assert Tolerances(eps_sep=1e-9, K=5.0).to_json() == \
+        Tolerances().to_json()
+    with pytest.raises(ValueError, match="tolerance eps_sep=0.001: a run"):
+        Tolerances(eps_sep=1e-3)
+    # artifacts still record all 13, at the values runs have always used
+    assert Tolerances(eps_P=1e-7, max_iters=100).to_json() == {
+        "eps_sep": 1e-9, "eps_lift": 1e-9, "eps_cv": 1e-6,
+        "eps_clear": 1e-8, "eps_conv": 1e-10, "eps_P": 1e-7,
+        "eps_fix": 1e-9, "K": 5, "max_iters": 100, "eta": 0.25,
+        "max_depth": 40, "max_orbit": 200, "eps_cycle": 1e-6}
+    assert all(type(value) is int
+               for name, value in Tolerances().to_json().items()
+               if name in ("K", "max_iters", "max_depth", "max_orbit"))
 
 
 def test_uncertified_step_bound_on_coordinate_crossing():

@@ -176,13 +176,13 @@ def test_concatenate_lift_example():
 
 def test_simplify_preserves_endpoints_and_avoids_obstacles():
     zig = Path([0, 0.5 + 0.01j, 1 + 0j, 1.5 - 0.01j, 2 + 0j])
-    out = simplify_path(zig, [10 + 0j], margin=2e-8)
+    out = simplify_path(zig, [10 + 0j])
     assert out.start == zig.start and out.end == zig.end
     assert len(out) == 2  # everything collapses: no obstacle anywhere near
 
     # an obstacle inside the swept corridor blocks the shortcut
     detour = Path([0, 1 + 1j, 2 + 0j])
-    kept = simplify_path(detour, [1 + 0.5j], margin=2e-8)
+    kept = simplify_path(detour, [1 + 0.5j])
     assert len(kept) == 3
 
 
@@ -190,7 +190,7 @@ def test_simplify_keeps_homotopy_class_around_puncture():
     # a path winding over the top of the puncture must not be flattened
     # through it
     arc = Path([-1, -0.7 + 0.8j, 0.7 + 0.8j, 1 + 0j])
-    out = simplify_path(arc, [0j], margin=2e-8)
+    out = simplify_path(arc, [0j])
     # the straight chord [-1, 1] passes through the puncture; simplification
     # must keep at least one waypoint above
     assert len(out) >= 3
