@@ -349,11 +349,11 @@ def _point_in_triangle(q, a, b, c):
     return not (neg and pos)
 
 
-def _triangle_clear(a, b, c, obstacles, margin):
+def _triangle_clear(a, b, c, obstacles):
     for q in obstacles:
         if is_inf(q):
             far = max(abs(a), abs(b), abs(c))
-            if 2.0 / math.hypot(1.0, far) <= margin:
+            if 2.0 / math.hypot(1.0, far) <= 2 * EPS_CLEAR:
                 return False
             continue
         if _point_in_triangle(q, a, b, c):
@@ -361,7 +361,7 @@ def _triangle_clear(a, b, c, obstacles, margin):
         d = min(_chordal_seg_to_point(a, b, q),
                 _chordal_seg_to_point(b, c, q),
                 _chordal_seg_to_point(a, c, q))
-        if d <= margin:
+        if d <= 2 * EPS_CLEAR:
             return False
     return True
 
@@ -382,7 +382,7 @@ def simplify_path(path, obstacles):
         i = 1
         while i < len(nodes) - 1:
             a, b, c = nodes[i - 1], nodes[i], nodes[i + 1]
-            if a == c or _triangle_clear(a, b, c, obstacles, 2 * EPS_CLEAR):
+            if a == c or _triangle_clear(a, b, c, obstacles):
                 del nodes[i]
                 changed = True
             else:
