@@ -82,11 +82,12 @@ class Tolerances:
         self.eps_P = float(eps_P)
         if not 0.0 < self.eps_P < math.inf:
             raise ValueError("tolerance eps_P=%r is not in (0, inf)" % eps_P)
-        iters = float(max_iters)
-        if not (iters.is_integer() and iters >= 0):
+        if isinstance(max_iters, float) and max_iters.is_integer():
+            max_iters = int(max_iters)
+        if not isinstance(max_iters, int) or max_iters < 0:
             raise ValueError("tolerance max_iters=%r is not an integer >= 0"
                              % (max_iters,))
-        self.max_iters = int(iters)
+        self.max_iters = max_iters
 
     def to_json(self):
         return dict(FIXED_TOLERANCES, eps_P=self.eps_P,

@@ -353,12 +353,11 @@ def test_check_judges_with_the_runs_tolerances(tmp_path):
                  "--cert", base + ".certificate.json",
                  "--report", base + ".report.json"]) == 0
     # a stored fixed tolerance other than the engine's does not rebuild
-    for kind in ("certificate", "report"):
+    for kind, argv in (("certificate", ["check", "--cert"]),
+                       ("report", ["classify", "--report"])):
         payload = read_json("%s.%s.json" % (base, kind))
         payload["tolerances"]["eps_sep"] = 1e-3
         pathlib.Path(base + ".changed.json").write_text(json.dumps(payload))
-        argv = {"certificate": ["check", "--cert"],
-                "report": ["classify", "--report"]}[kind]
         assert main(argv + [base + ".changed.json",
                             "--trace", base + ".trace.jsonl"]) == 2
 

@@ -404,6 +404,8 @@ def test_tolerances_validation():
         Tolerances(nonsense=1.0)
     # an integral float is a step cap; an artifact writes it as an int
     assert type(Tolerances(max_iters=40.0).max_iters) is int
+    # an int beyond double range is a cap too, not an OverflowError
+    assert Tolerances(max_iters=10 ** 400).max_iters == 10 ** 400
     for name, value in (("eps_P", -1.0), ("eps_P", 0.0), ("eps_P", math.nan),
                         ("eps_P", math.inf), ("max_iters", 2.7),
                         ("max_iters", math.inf), ("max_iters", -1)):
