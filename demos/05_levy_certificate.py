@@ -33,7 +33,8 @@ print("   representative curves:", len(cert.representative_curves),
       "windings", cert.curve_windings)
 print("   enclosed labels:", cert.curve_enclosed_labels)
 
-print("\nindependent re-verification:", bool(verify_certificate(cert, run)))
+print("\nre-derived and compared field by field:",
+      bool(verify_certificate(cert, run)))
 tampered = copy.copy(cert)
 tampered.modulus = cert.modulus * 0.5
 result = verify_certificate(tampered, run)

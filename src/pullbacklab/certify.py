@@ -9,17 +9,23 @@ evidence for the k-fold forward advance of the annulus and the chain of
 degree-1 inverse lifts of its core curve. All checks are floating point:
 certificates are numerical evidence, with every tolerance embedded.
 
-Emission and ``verify_certificate`` share each decision: the step
-configuration (``PullbackRun.step_points``, clustered by
-``_log_euclid_dist``, charted by ``_step_chart_entries``), the product
-(k+4) pi e^{k d0} over ell* or over the modulus (``_threshold_product``),
-and the conditions (``_annulus_faults``, ``_curve_faults``), which return
-the messages ``check`` prints.
+Emission and ``verify_certificate`` derive a certificate the same way:
+``_derive_certificate`` computes every field from the run, the step and
+the annulus (the step configuration from ``PullbackRun.step_points``,
+charted by ``_step_chart_entries``; the product (k+4) pi e^{k d0} from
+``_threshold_product``) and returns the messages of the conditions that
+fail (``_annulus_faults``, ``_curve_faults``). Emission finds the
+annulus by clustering the step configuration (``_log_euclid_dist``);
+verification takes the stored one and compares each stored field with
+the derived one.
 """
 
 import math
+import operator
+import reprlib
 
-from .errors import InjectivityUndetermined, NoSeparatingAnnulus
+from .errors import (InjectivityUndetermined, NoSeparatingAnnulus,
+                     PullbackLabError)
 from .fiber import EPS_FIX, Tolerances, step_until
 from .hyperbolic import ELL_STAR, RoundAnnulus, annulus_modulus
 from .lifting import EPS_CV, Path, lift_closed_curve, _newton_preimage
@@ -178,18 +184,20 @@ def find_separating_annulus(points, cluster_labels, obstacles=(),
 
 def _side_counts(entries, annulus):
     """(inner_A, inner_B, outer_A, outer_B) of step-chart entries against
-    the annulus (oo and ring points count as outer), and the labels of the
-    points that sit inside the ring itself."""
+    the annulus (oo and ring points count as outer), the labels of the
+    inner points, and those of the points inside the ring itself."""
     center, r_in, r_out = annulus.center, annulus.r_in, annulus.r_out
     counts = [0, 0, 0, 0]
-    ring = []
+    inner, ring = [], []
     for lab, kind, z in entries:
         side = 0 if z is not None and abs(z - center) <= r_in else 2
-        if side and z is not None and abs(z - center) < r_out:
+        if not side:
+            inner.append(lab)
+        elif z is not None and abs(z - center) < r_out:
             ring.append(lab)
         counts[side] += 1
         counts[side + 1] += kind == "P"
-    return tuple(counts), ring
+    return tuple(counts), tuple(inner), ring
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +420,8 @@ def injectivity_test(g, annulus, k):
 
 class LevyCertificate:
     """Quantitative witness of a degenerate Levy multicurve, built from one
-    separating annulus at one recorded step of an obstructed run."""
+    separating annulus at one recorded step of an obstructed run; every
+    other field is one ``_derive_certificate`` derives from those two."""
 
     FIELDS = {"step": int, "k": int, "d0_bound": float, "modulus": float,
               "threshold": float, "length_bound": float,
@@ -420,30 +429,11 @@ class LevyCertificate:
               "outer_count_A": int, "outer_count_B": int,
               "promotion_flag": bool}
 
-    def __init__(self, step, annulus, k, d0_bound, modulus, threshold,
-                 injectivity_evidence, length_bound, inner_count_A,
-                 inner_count_B, outer_count_A, outer_count_B,
-                 representative_curves, cluster_labels, curve_windings,
-                 curve_enclosed_labels, engine_version="", tolerances=None,
-                 trace_digest=None):
+    def __init__(self, step, annulus, fields, engine_version="",
+                 tolerances=None, trace_digest=None):
         self.step = step
         self.annulus = annulus
-        self.k = k
-        self.d0_bound = d0_bound
-        self.modulus = modulus
-        self.threshold = threshold
-        self.injectivity_evidence = injectivity_evidence
-        self.length_bound = length_bound
-        self.inner_count_A = inner_count_A
-        self.inner_count_B = inner_count_B
-        self.outer_count_A = outer_count_A
-        self.outer_count_B = outer_count_B
-        self.representative_curves = tuple(representative_curves)
-        self.cluster_labels = tuple(cluster_labels)
-        self.curve_windings = tuple(curve_windings)
-        self.curve_enclosed_labels = tuple(tuple(sorted(lbls))
-                                           for lbls in curve_enclosed_labels)
-        self.promotion_flag = _promotion_flag(length_bound, k, d0_bound)
+        self.__dict__.update(fields)
         self.engine_version = engine_version
         self.tolerances = tolerances or {}
         self.trace_digest = trace_digest
@@ -505,11 +495,6 @@ def _threshold_product(k, d):
     return (k + 4) * math.pi * math.exp(k * d)
 
 
-def _promotion_flag(length_bound, k, d):
-    """Whether the length bound stays below ell* e^{-k d}."""
-    return length_bound < ELL_STAR * math.exp(-k * d)
-
-
 def _annulus_faults(modulus, threshold, counts, ring):
     """Messages of the annulus conditions that fail: modulus above the
     threshold, no configuration point in the ring, at least two points of
@@ -525,11 +510,15 @@ def _annulus_faults(modulus, threshold, counts, ring):
     return faults
 
 
-def _curve_faults(length_bound, enclosed, k):
-    """Messages of the curve conditions that fail: length bound below
-    ell*, and at most k distinct enclosed-label sets (the short-curve
-    budget, see ``LevyCertificate.distinct_curve_classes``)."""
-    faults = [] if length_bound < ELL_STAR else ["length bound not below ell*"]
+def _curve_faults(windings, length_bound, enclosed, k):
+    """Messages of the curve conditions that fail: each curve winds once
+    around the annulus core, length bound below ell*, and at most k
+    distinct enclosed-label sets (the short-curve budget, see
+    ``LevyCertificate.distinct_curve_classes``)."""
+    faults = ["curve %d does not wind once around the annulus core" % idx
+              for idx, w in enumerate(windings) if w is None or abs(w) != 1]
+    if not length_bound < ELL_STAR:
+        faults.append("length bound not below ell*")
     if len(set(enclosed)) > k:
         faults.append("short-curve budget exceeded")
     return faults
@@ -615,17 +604,15 @@ def emit_levy_certificate(run, engine_version=""):
     for cluster in clusters.values():
         if len(cluster) < 2:
             continue
-        cert = _try_cluster(run, n, points, cluster, d0, product,
-                            engine_version)
+        cert = _try_cluster(run, n, points, cluster, engine_version)
         if cert is not None:
             return cert
     return None
 
 
-def _try_cluster(run, n, points, cluster, d0, product, engine_version):
-    k = run.k
-    threshold = product / ELL_STAR
-    cluster_labels = [lab for lab, _, _, _ in cluster]
+def _try_cluster(run, n, points, cluster, engine_version):
+    """The certificate for the annulus separating the cluster, or None when
+    there is no such annulus or its derived certificate has faults."""
     # translate to the chart of the cluster's puncture (or first member)
     shift = next((z for _, kind, z, _ in cluster
                   if kind == "P" and not is_inf(z)), None)
@@ -635,37 +622,56 @@ def _try_cluster(run, n, points, cluster, d0, product, engine_version):
         # keep the forward advance critical-point free: cap by the critical set
         crit = [c - origin for c, _ in critical_points(run.g) if not is_inf(c)]
         annulus = find_separating_annulus(
-            [(lab, z) for lab, _, z in entries], cluster_labels,
-            obstacles=crit, anchor=shift)
+            [(lab, z) for lab, _, z in entries],
+            [lab for lab, _, _, _ in cluster], obstacles=crit, anchor=shift)
     except NoSeparatingAnnulus:
         return None
+    fields, faults = _derive_certificate(run, n, annulus)
+    if faults:
+        return None
+    return LevyCertificate(n, annulus, fields, engine_version=engine_version,
+                           tolerances=run.tol.to_json())
+
+
+def _derive_certificate(run, n, annulus):
+    """Every certificate field for the annulus at step n of the run, as a
+    dict, and the messages of the conditions they fail (``_annulus_faults``,
+    ``_curve_faults``). Emission and ``verify_certificate`` both derive a
+    certificate here, from the run, the step and the annulus alone. When
+    the annulus conditions fail, the fields stop short of the injectivity
+    evidence, so a failed emission attempt costs no forward advance."""
+    k = run.k
+    d0 = run.d0_bound()
+    product = _threshold_product(k, d0)
+    shift = annulus.anchor if annulus.anchor is not None else 0j
+    entries = _step_chart_entries(run.step_points(n), shift, n)
+    counts, inner, ring = _side_counts(entries, annulus)
     modulus = annulus_modulus(annulus)
-    counts, ring = _side_counts(entries, annulus)
-    if _annulus_faults(modulus, threshold, counts, ring):
-        return None
-
+    threshold = product / ELL_STAR
+    fields = dict(zip(_COUNT_FIELDS, counts), k=k, d0_bound=d0,
+                  threshold=threshold, modulus=modulus, cluster_labels=inner)
+    faults = _annulus_faults(modulus, threshold, counts, ring)
+    if faults:
+        return fields, faults
     try:
-        evidence = injectivity_test(run.g, annulus, k)
-    except InjectivityUndetermined:
-        return None
-
-    curves, windings = _representative_curves(run, annulus, k)
+        fields["injectivity_evidence"] = injectivity_test(run.g, annulus, k)
+    except InjectivityUndetermined as exc:
+        return fields, ["injectivity test failed: %s" % exc]
+    curves = _representative_curves(run, annulus, k)
     if curves is None:
-        return None
-    enclosed = [_enclosed_labels(curve, entries) for curve in curves]
+        return fields, ["core curve has no chain of %d closing degree-1 "
+                        "lifts" % k]
+    windings = tuple(_closed_winding(c, annulus.center) for c in curves)
+    enclosed = tuple(_enclosed_labels(c, entries) for c in curves)
     length_bound = product / modulus
-    if _curve_faults(length_bound, enclosed, k):
-        return None
+    fields.update(representative_curves=curves, curve_windings=windings,
+                  curve_enclosed_labels=enclosed, length_bound=length_bound,
+                  promotion_flag=length_bound < ELL_STAR * math.exp(-k * d0))
+    return fields, _curve_faults(windings, length_bound, enclosed, k)
 
-    inner_A, inner_B, outer_A, outer_B = counts
-    return LevyCertificate(
-        step=n, annulus=annulus, k=k, d0_bound=d0, modulus=modulus,
-        threshold=threshold, injectivity_evidence=evidence,
-        length_bound=length_bound, inner_count_A=inner_A,
-        inner_count_B=inner_B, outer_count_A=outer_A, outer_count_B=outer_B,
-        representative_curves=curves, cluster_labels=cluster_labels,
-        curve_windings=windings, curve_enclosed_labels=enclosed,
-        engine_version=engine_version, tolerances=run.tol.to_json())
+
+_COUNT_FIELDS = ("inner_count_A", "inner_count_B", "outer_count_A",
+                 "outer_count_B")
 
 
 def _enclosed_labels(curve, entries):
@@ -675,32 +681,27 @@ def _enclosed_labels(curve, entries):
                         _closed_winding(curve, z) not in (None, 0)))
 
 
-def _core_curve(annulus):
-    """The annulus core circle as the first representative curve."""
-    core = _circle(annulus.center, annulus.core_radius(), N_CURVE)
-    return Path(core.tolist(), anchor=annulus.anchor)
-
-
 def _representative_curves(run, annulus, k):
-    """Core circle plus k successive degree-1 inverse-branch lifts, and
-    their winding numbers around the annulus center."""
+    """The annulus core circle plus k successive closing degree-1
+    inverse-branch lifts, or None when a lift does not close."""
     anchor = annulus.anchor
     gm = run.g if anchor is None else run.g.shifted(anchor)
-    curves = [_core_curve(annulus)]
+    core = _circle(annulus.center, annulus.core_radius(), N_CURVE)
+    curves = [Path(core.tolist(), anchor=anchor)]
     for _ in range(k):
         start = complex(curves[-1].nodes[0])
         found = _newton_preimage(gm, start, start)
         if found is None:
-            return None, None
+            return None
         try:
             res, closes = lift_closed_curve(run.g, curves[-1], found[0],
                                             check_clearance=False)
-        except Exception:
-            return None, None
+        except PullbackLabError:
+            return None
         if not closes:
-            return None, None
+            return None
         curves.append(res.lifted)
-    return curves, [_closed_winding(c, annulus.center) for c in curves]
+    return tuple(curves)
 
 
 # certificate clusters and curves live in a translated double chart; below
@@ -725,7 +726,7 @@ def certify_obstructed(run, engine_version="", max_steps=None,
             return None
         try:
             d0 = run.d0_bound()
-        except Exception as exc:
+        except PullbackLabError as exc:
             return None, "no certified first-step bound: %s" % exc
         threshold = _threshold_product(run.k, d0) / ELL_STAR
         if -TWO_PI * threshold < _EMISSION_FLOOR_LOG:
@@ -780,103 +781,66 @@ def _same_nodes(got, want):
         np.abs(np.subtract(got.nodes, want.nodes)) <= 1e-6 * scale))
 
 
+def _close(rel, floor):
+    """Whether a stored float is within rel * max(floor, |derived|) of the
+    derived one."""
+    return lambda stored, derived: \
+        abs(stored - derived) <= rel * max(floor, abs(derived))
+
+
+# each field verify_certificate compares as a whole: the name its message
+# gives the field, and whether the stored value matches the derived one
+_FIELD_TESTS = (
+    ("k", "k", operator.eq),
+    ("d0_bound", "d0 bound", lambda stored, derived:
+     abs(stored - derived) <= 1e-9 * (1.0 + abs(derived))),
+    ("threshold", "threshold formula", _close(1e-12, 0.0)),
+    ("modulus", "modulus", _close(1e-12, 1.0)),
+    *[(name, "side counts", operator.eq) for name in _COUNT_FIELDS],
+    ("cluster_labels", "cluster labels", operator.eq),
+    ("injectivity_evidence", "injectivity evidence", lambda stored, derived:
+     same_within(derived, stored, 1e-6, 0.0)),
+    ("length_bound", "length bound formula", _close(1e-9, 1.0)),
+    ("promotion_flag", "promotion flag", operator.eq),
+    ("curve_windings", "curve windings", operator.eq),
+)
+
+
 def verify_certificate(cert, run):
-    """Independently recompute every certificate ingredient against the run;
-    False (with a mismatch report) on any deviation."""
-    bad = []
-
-    def check(cond, msg):
-        if not cond:
-            bad.append(msg)
-
-    check(cert.k == run.k, "k mismatch: %r vs run %r" % (cert.k, run.k))
+    """Derive the certificate again from its stored annulus at its stored
+    step, through emission's own derivation (``_derive_certificate``), and
+    compare: False, with a report, when the derived certificate fails a
+    condition or a stored field differs from the derived one. No other
+    stored number enters the derivation."""
     try:
-        d0 = run.d0_bound()
-        check(abs(d0 - cert.d0_bound) <= 1e-9 * (1.0 + abs(d0)),
-              "d0 bound mismatch: %r vs %r" % (cert.d0_bound, d0))
-    except Exception as exc:
-        bad.append("d0 recomputation failed: %s" % exc)
-    product = _threshold_product(cert.k, cert.d0_bound)
-    thr = product / ELL_STAR
-    check(abs(thr - cert.threshold) <= 1e-12 * thr, "threshold formula")
-    mod = annulus_modulus(cert.annulus)
-    check(abs(mod - cert.modulus) <= 1e-12 * max(1.0, abs(mod)),
-          "modulus mismatch: stored %r, annulus gives %r" % (cert.modulus, mod))
-    lb = product / mod
-    check(abs(lb - cert.length_bound) <= 1e-9 * max(1.0, lb),
-          "length bound formula")
-    check(cert.promotion_flag ==
-          _promotion_flag(cert.length_bound, cert.k, cert.d0_bound),
-          "promotion flag mismatch: stored %r" % (cert.promotion_flag,))
-
-    # side counts against the recorded step configuration; when they cannot
-    # be recomputed, the annulus conditions judge the stored ones
-    stored = (cert.inner_count_A, cert.inner_count_B,
-              cert.outer_count_A, cert.outer_count_B)
-    entries, counts, ring = None, stored, ()
-    try:
-        shift = cert.annulus.anchor if cert.annulus.anchor is not None else 0j
-        entries = _step_chart_entries(run.step_points(cert.step), shift,
-                                      cert.step)
-        counts, ring = _side_counts(entries, cert.annulus)
-    except Exception as exc:
-        bad.append("count recomputation failed: %s" % exc)
-    check(counts == stored, "side counts mismatch: stored %r, "
-          "recomputed %r" % (stored, counts))
-    bad.extend(_annulus_faults(mod, cert.threshold, counts, ring))
-    if entries is not None:
-        r_in = cert.annulus.r_in
-        inner = {lab for lab, _, z in entries
-                 if z is not None and abs(z - cert.annulus.center) <= r_in}
-        check(set(cert.cluster_labels) == inner,
-              "cluster labels mismatch: stored %r, inner side %r"
-              % (cert.cluster_labels, sorted(inner)))
-
-    try:
-        evidence = injectivity_test(run.g, cert.annulus, cert.k)
-        check(same_within(evidence, cert.injectivity_evidence, 1e-6, 0.0),
-              "injectivity evidence mismatch")
-    except InjectivityUndetermined as exc:
-        bad.append("injectivity evidence did not reproduce: %s" % exc)
-
-    # representative curves: the core circle, closure, degree 1, and the
-    # lift chain, node for node
-    curves = cert.representative_curves
-    check(len(curves) == cert.k + 1, "curve count %d != k+1" % len(curves))
-    check(curves and _same_nodes(_core_curve(cert.annulus), curves[0]),
-          "curve 0 is not the annulus core circle")
-    windings = []
-    for idx, curve in enumerate(curves):
-        check(curve.is_closed(1e-6 * max(abs(z) for z in curve.nodes)),
-              "curve %d is not closed" % idx)
-        w = _closed_winding(curve, cert.annulus.center)
-        check(w is not None and abs(w) == 1,
-              "curve %d does not wind once around the annulus core" % idx)
-        windings.append(w)
-    check(tuple(cert.curve_windings) == tuple(windings),
-          "curve windings mismatch: stored %r, recomputed %r"
-          % (tuple(cert.curve_windings), tuple(windings)))
-    for idx in range(len(curves) - 1):
-        nxt = curves[idx + 1]
-        try:
-            res, closes = lift_closed_curve(run.g, curves[idx], nxt.start,
-                                            check_clearance=False)
-            check(closes, "re-lift of curve %d has monodromy" % idx)
-            check(_same_nodes(res.lifted, nxt),
-                  "re-lift of curve %d does not match curve %d"
-                  % (idx, idx + 1))
-        except Exception as exc:
-            bad.append("curve %d re-lift failed: %s" % (idx, exc))
-
-    # enclosed labels reproduce, and the curve conditions hold
-    enclosed = cert.curve_enclosed_labels
-    check(len(enclosed) == len(curves),
-          "enclosed-label count %d != curve count %d"
-          % (len(enclosed), len(curves)))
-    if entries is not None:
-        for idx, (curve, want) in enumerate(zip(curves, enclosed)):
-            got = _enclosed_labels(curve, entries)
-            check(got == want, "curve %d enclosed labels mismatch: %r vs %r"
-                  % (idx, got, want))
-    bad.extend(_curve_faults(cert.length_bound, enclosed, cert.k))
+        derived, bad = _derive_certificate(run, cert.step, cert.annulus)
+    except (PullbackLabError, ValueError) as exc:
+        return VerifyResult(False, ["certificate does not derive: %s" % exc])
+    for name, what, same in _FIELD_TESTS:
+        if name in derived and not same(getattr(cert, name), derived[name]):
+            bad.append("%s mismatch: stored %s %s, derived %s"
+                       % (what, name, reprlib.repr(getattr(cert, name)),
+                          reprlib.repr(derived[name])))
+    if "representative_curves" in derived:
+        bad += _per_curve_mismatches(cert, derived)
     return VerifyResult(not bad, bad)
+
+
+def _per_curve_mismatches(cert, derived):
+    """A count mismatch, or each stored curve (node for node,
+    ``_same_nodes``) and enclosed-label set that differs from the derived
+    one."""
+    curves, enclosed = cert.representative_curves, cert.curve_enclosed_labels
+    want_curves = derived["representative_curves"]
+    want_enclosed = derived["curve_enclosed_labels"]
+    if len(curves) != len(want_curves) or len(enclosed) != len(want_curves):
+        return ["curve count mismatch: stored %d curves and %d enclosed-label "
+                "sets, derived %d" % (len(curves), len(enclosed),
+                                      len(want_curves))]
+    bad = ["re-lift of curve %d does not match curve %d" % (idx - 1, idx)
+           if idx else "curve 0 is not the annulus core circle"
+           for idx, (got, ref) in enumerate(zip(curves, want_curves))
+           if not _same_nodes(ref, got)]
+    return bad + ["curve %d enclosed labels mismatch: stored %r, derived %r"
+                  % (idx, got, ref) for idx, (got, ref)
+                  in enumerate(zip(enclosed, want_enclosed)) if got != ref]

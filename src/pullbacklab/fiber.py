@@ -41,7 +41,7 @@ import json
 import math
 
 from .errors import (CollisionDetected, InvalidBranchDatum,
-                     NoApplicableComparison, NotPostsingularlyFinite)
+                     NoApplicableComparison)
 from .hyperbolic import teich_step_bound
 from .lifting import (EPS_CLEAR, EPS_CV, EPS_LIFT, ETA_SAFE, MAX_DEPTH, Path,
                       lift_path, path_clearance, simplify_path)
@@ -51,8 +51,8 @@ from .ratmap import (EPS_CYCLE, MAX_ORBIT, REPELLING_MARGIN, critical_points,
                      preimages)
 from .sphere import EPS_SEP, Configuration, chordal, encode_point, is_inf
 
-# one compact sorted encoder for every trace line and every file the CLI
-# writes (json.dumps would build one per record)
+# one compact sorted format for every trace line and every file the CLI
+# writes (encode() still builds its C encoder on every call)
 JSON_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 K = 5             # steps in the interior-convergence window
@@ -79,9 +79,13 @@ class Tolerances:
             if value != FIXED_TOLERANCES.get(name, math.nan):
                 raise ValueError("tolerance %s=%r: a run sets only eps_P and "
                                  "max_iters" % (name, value))
-        self.eps_P = float(eps_P)
+        try:
+            self.eps_P = float(eps_P)
+        except OverflowError:  # an integer past double range
+            self.eps_P = math.inf
         if not 0.0 < self.eps_P < math.inf:
-            raise ValueError("tolerance eps_P=%r is not in (0, inf)" % eps_P)
+            raise ValueError("tolerance eps_P=%r is not in (0, inf)"
+                             % self.eps_P)
         if isinstance(max_iters, float) and max_iters.is_integer():
             max_iters = int(max_iters)
         if not isinstance(max_iters, int) or max_iters < 0:
@@ -568,10 +572,7 @@ def init_run(g, marked, trivial=(), extra_punctures=(), tol=None):
     e.g. z -> z^2 needs a third puncture). Invariance is checked for the
     whole set: an extra may map onto another extra, as in a cycle."""
     tol = tol or Tolerances()
-    analysis = postsingular_analysis(g)
-    if not analysis.is_psf:
-        raise NotPostsingularlyFinite("base map is not psf")
-    pts = list(analysis.postsingular.points)
+    pts = list(postsingular_analysis(g).postsingular.points)
     extras = [q if is_inf(q) else complex(q) for q in extra_punctures]
     for q in extras:
         if min(chordal(q, p) for p in pts) <= 1e-9:

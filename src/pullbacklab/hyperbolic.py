@@ -69,14 +69,14 @@ class RoundAnnulus:
 
     @property
     def r_in(self):
-        return math.exp(self.log_rin)
+        return _radius(self.log_rin)
 
     @property
     def r_out(self):
-        return math.exp(self.log_rout)
+        return _radius(self.log_rout)
 
     def core_radius(self):
-        return math.exp(0.5 * (self.log_rin + self.log_rout))
+        return _radius(0.5 * (self.log_rin + self.log_rout))
 
     def to_json(self):
         obj = {"center": [self.center.real, self.center.imag],
@@ -100,6 +100,15 @@ class RoundAnnulus:
         return "RoundAnnulus(center=%r, log radii %.4g..%.4g%s)" % (
             self.center, self.log_rin, self.log_rout,
             "" if self.anchor is None else ", anchored at %r" % self.anchor)
+
+
+def _radius(log_r):
+    """e^log_r, or inf past double range: a stored annulus may carry any
+    finite log radius."""
+    try:
+        return math.exp(log_r)
+    except OverflowError:
+        return math.inf
 
 
 def annulus_modulus(annulus):

@@ -102,6 +102,8 @@ MALFORMED_RUNS = [
     ("tol_eps_P_nan", {}, ["--tol", "eps_P=nan"], "tolerance eps_P=nan is not"),
     ("max_iters_negative", {}, ["--max-iters", "-1"],
      "tolerance max_iters=-1 is not"),
+    ("eps_P_huge_int", {"tolerances": {"eps_P": 10 ** 400}}, [],
+     "tolerance eps_P=inf is not"),
 ]
 
 
@@ -154,8 +156,8 @@ def test_check_reports_missing_enclosed_labels(tmp_path, capsys):
     pathlib.Path(cert).write_text(json.dumps(payload))
     capsys.readouterr()
     assert main(["check", "--trace", trace, "--cert", cert]) == 1
-    assert "CHECK FAIL: enclosed-label count 0 != curve count 2" in \
-        capsys.readouterr().out
+    assert "CHECK FAIL: curve count mismatch: stored 2 curves and 0 " \
+        "enclosed-label sets, derived 2" in capsys.readouterr().out
 
 
 def test_tolerance_sources_override_in_order(tmp_path):
@@ -539,6 +541,31 @@ def test_check_rejects_mistyped_certificate_fields(corpus_out, tmp_path,
     assert main(["check", "--trace", trace, "--cert", cert]) == 2
     err = capsys.readouterr().err
     assert err.startswith("invalid config/input: %s must be " % field), err
+
+
+# (case, an edit of the chebyshev certificate, how the report line starts):
+# each stored number overflows double range if check feeds it to a formula
+OVERFLOWING_FIELDS = [
+    ("k_2000", _set(("k",), 2000), "k mismatch"),
+    ("d0_bound_1e6", _set(("d0_bound",), 1e6), "d0 bound mismatch"),
+    ("log_rout_1000", _set(("annulus", "log_rout"), 1000.0),
+     "modulus mismatch"),
+]
+
+
+@pytest.mark.parametrize("row", OVERFLOWING_FIELDS, ids=lambda r: r[0])
+def test_check_fails_overflowing_certificate_fields(corpus_out, tmp_path,
+                                                    row, capsys):
+    _, edit, message = row
+    payload = edit(read_json(os.path.join(corpus_out,
+                                          "chebyshev.certificate.json")))
+    cert = str(tmp_path / "overflowing.certificate.json")
+    pathlib.Path(cert).write_text(json.dumps(payload))
+    trace = os.path.join(corpus_out, "chebyshev.trace.jsonl")
+    capsys.readouterr()
+    assert main(["check", "--trace", trace, "--cert", cert]) == 1
+    out, err = capsys.readouterr()
+    assert "\nCHECK FAIL: " + message in "\n" + out and err == "", (out, err)
 
 
 SRC_DIR = os.path.dirname(os.path.dirname(
