@@ -15,10 +15,9 @@ from .errors import (AmbiguousCycle, BranchJumpSuspected, ChartOverflow,
                      PullbackLabError, RootFindingFailure)
 from .fiber import (BranchDatum, PullbackRun, RunStatus, Tolerances, Trace,
                     TrivialMarkedSpec, compose_iterate_run, init_run,
-                    run_until, step_until, stopping_status)
-from .hyperbolic import (ELL_STAR, LengthBound, RoundAnnulus, annulus_modulus,
-                         geodesic_length_bound, path_length_upper_bound,
-                         teich_step_bound)
+                    run_until, step_until, stopping_status, teich_step_bound)
+from .hyperbolic import (ELL_STAR, RoundAnnulus, annulus_modulus,
+                         geodesic_length_bound, path_length_upper_bound)
 from .lifting import (LiftResult, Path, cancel_retraces, concatenate,
                       lift_closed_curve, lift_path, path_clearance,
                       simplify_path)

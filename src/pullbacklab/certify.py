@@ -13,8 +13,9 @@ Emission and ``verify_certificate`` derive a certificate the same way:
 ``_derive_certificate`` computes every field from the run, the step and
 the annulus (the step configuration from ``PullbackRun.step_points``,
 charted by ``_step_chart_entries``; the product (k+4) pi e^{k d0} from
-``_threshold_product``) and returns the messages of the conditions that
-fail (``_annulus_faults``, ``_curve_faults``). Emission finds the
+``_threshold_product(run)``, its one definition, which the emission
+floor and clustering scale read too) and returns the messages of the
+conditions that fail (``_annulus_faults``, ``_curve_faults``). Emission finds the
 annulus by clustering the step configuration (``_log_euclid_dist``);
 verification takes the stored one and compares each stored field with
 the derived one.
@@ -29,8 +30,8 @@ from .errors import (InjectivityUndetermined, NoSeparatingAnnulus,
 from .fiber import EPS_FIX, Tolerances, step_until
 from .hyperbolic import ELL_STAR, RoundAnnulus, annulus_modulus
 from .lifting import EPS_CV, Path, lift_closed_curve, _newton_preimage
-from .ratmap import REPELLING_MARGIN, critical_points
-from .sphere import chordal, encode_point, is_inf, json_typed
+from .ratmap import REPELLING_MARGIN
+from .sphere import chordal, encode_point, is_inf, json_float, json_typed
 
 TWO_PI = 2.0 * math.pi
 _LN2 = math.log(2.0)
@@ -363,9 +364,7 @@ def injectivity_test(g, annulus, k):
     Raises InjectivityUndetermined on any failed check (which is not a
     proof of non-injectivity)."""
     anchor = annulus.anchor
-    gm = g if anchor is None else g.shifted(anchor)
-    crit = [c if anchor is None else c - anchor
-            for c, _ in critical_points(g) if not is_inf(c)]
+    gm, crit = g.chart(anchor)
     inner = _circle(annulus.center, annulus.r_in, N_SAMP)
     outer = _circle(annulus.center, annulus.r_out, N_SAMP)
     core = _circle(annulus.center, annulus.core_radius(), N_SAMP)
@@ -465,7 +464,8 @@ class LevyCertificate:
         cert = cls.__new__(cls)
         json_typed(obj, dict, "certificate")
         for name, kind in cls.FIELDS.items():
-            setattr(cert, name, json_typed(obj[name], kind, name))
+            setattr(cert, name, json_float(obj[name], name) if kind is float
+                    else json_typed(obj[name], kind, name))
         cert.annulus = RoundAnnulus.from_json(obj["annulus"])
         cert.injectivity_evidence = obj["injectivity_evidence"]
         curves = json_typed(obj["representative_curves"], list,
@@ -488,11 +488,13 @@ class LevyCertificate:
         return cert
 
 
-def _threshold_product(k, d):
-    """(k + 4) pi e^{k d}: divided by ell* it is the modulus threshold for
-    a first-step bound d, divided by an annulus modulus the length bound of
-    the core geodesic."""
-    return (k + 4) * math.pi * math.exp(k * d)
+def _threshold_product(run):
+    """(k + 4) pi e^{k d0} for the run's k and first-step bound d0
+    (``PullbackRun.d0_bound``): divided by ell* it is the modulus
+    threshold, divided by an annulus modulus the length bound of the core
+    geodesic."""
+    k = run.k
+    return (k + 4) * math.pi * math.exp(k * run.d0_bound())
 
 
 def _annulus_faults(modulus, threshold, counts, ring):
@@ -578,9 +580,7 @@ def emit_levy_certificate(run, engine_version=""):
         raise ValueError("run has no step %d" % n)
     if run.k < 1:
         return None
-    d0 = run.d0_bound()
-    product = _threshold_product(run.k, d0)
-    log_r_cluster = -TWO_PI * (product / ELL_STAR)
+    log_r_cluster = -TWO_PI * (_threshold_product(run) / ELL_STAR)
     points = run.step_points(n)
 
     # single-linkage clustering at the threshold scale
@@ -620,10 +620,10 @@ def _try_cluster(run, n, points, cluster, engine_version):
     try:
         entries = _step_chart_entries(points, origin, n)
         # keep the forward advance critical-point free: cap by the critical set
-        crit = [c - origin for c, _ in critical_points(run.g) if not is_inf(c)]
         annulus = find_separating_annulus(
             [(lab, z) for lab, _, z in entries],
-            [lab for lab, _, _, _ in cluster], obstacles=crit, anchor=shift)
+            [lab for lab, _, _, _ in cluster],
+            obstacles=run.g.chart(shift)[1], anchor=shift)
     except NoSeparatingAnnulus:
         return None
     fields, faults = _derive_certificate(run, n, annulus)
@@ -642,7 +642,7 @@ def _derive_certificate(run, n, annulus):
     evidence, so a failed emission attempt costs no forward advance."""
     k = run.k
     d0 = run.d0_bound()
-    product = _threshold_product(k, d0)
+    product = _threshold_product(run)
     shift = annulus.anchor if annulus.anchor is not None else 0j
     entries = _step_chart_entries(run.step_points(n), shift, n)
     counts, inner, ring = _side_counts(entries, annulus)
@@ -685,7 +685,7 @@ def _representative_curves(run, annulus, k):
     """The annulus core circle plus k successive closing degree-1
     inverse-branch lifts, or None when a lift does not close."""
     anchor = annulus.anchor
-    gm = run.g if anchor is None else run.g.shifted(anchor)
+    gm, _ = run.g.chart(anchor)
     core = _circle(annulus.center, annulus.core_radius(), N_CURVE)
     curves = [Path(core.tolist(), anchor=anchor)]
     for _ in range(k):
@@ -725,10 +725,9 @@ def certify_obstructed(run, engine_version="", max_steps=None,
         if run.n < 1:
             return None
         try:
-            d0 = run.d0_bound()
+            threshold = _threshold_product(run) / ELL_STAR
         except PullbackLabError as exc:
             return None, "no certified first-step bound: %s" % exc
-        threshold = _threshold_product(run.k, d0) / ELL_STAR
         if -TWO_PI * threshold < _EMISSION_FLOOR_LOG:
             return None, ("cluster scale exp(-2 pi * %.4g) is below the "
                           "double-range certificate chart" % threshold)

@@ -45,7 +45,7 @@ from .fiber import (JSON_ENCODER, BranchDatum, RunStatus, Tolerances, Trace,
                     min_dist_log10, run_until, stopping_status)
 from .lifting import Path
 from .ratmap import RationalMap, postsingular_analysis
-from .sphere import decode_point, json_complex, json_typed
+from .sphere import decode_point, json_complex, json_float, json_typed
 
 
 def load_config(path, tol_overrides=(), max_iters=None):
@@ -250,15 +250,40 @@ def _stored_status(records, run):
     The stopping rule is applied to growing prefixes as ``run_until``
     applied it, and the first prefix where it fires ends the trace
     (undecided when none does). Records past the stopping step are the
-    certification tail."""
+    certification tail. Each record is typed (``_typed_record``) before
+    the rule reads it."""
     prefix = []
     for rec in records:
-        prefix.append(rec)
+        prefix.append(_typed_record(rec))
         status = stopping_status(prefix, run.punctures, run.tol)
         if status is not None:
             return prefix, status
     return prefix, RunStatus("undecided", reason="max_iters",
                              steps=prefix[-1]["n"] if prefix else 0)
+
+
+def _typed_record(rec):
+    """A stored trace record, once the fields that ``stopping_status`` and
+    ``classify_run`` read have their types: ``n``, ``points`` with each
+    point's ``mode``, ``type``, ``value`` (of a free point) and
+    ``dist_log10``, and ``min_dist_log10``. Raises ValueError naming the
+    first field that has not."""
+    what = "trace record n=%d" % json_typed(rec["n"], int, "trace record n")
+    for lab, entry in json_typed(rec["points"], dict, what + " points",
+                                 dict).items():
+        at = "%s point %s" % (what, lab)
+        if json_typed(entry["mode"], str, at + " mode") == "free":
+            json_complex(entry["value"], at + " value")
+        json_typed(entry["type"], str, at + " type")
+        _typed_log10s(entry["dist_log10"], at + " dist_log10")
+    _typed_log10s(rec["min_dist_log10"], what + " min_dist_log10")
+    return rec
+
+
+def _typed_log10s(row, what):
+    """A record's log10 distances by puncture label: floats in range."""
+    for value in json_typed(row, dict, what).values():
+        json_float(value, what + " item")
 
 
 def _read_trace(path):

@@ -33,8 +33,8 @@ path-node count is updated when a block is appended, so an anchored step
 leaves it as it is.
 
 A step only moves points: each track keeps its ``history`` of positions
-(and a marked track its ``blocks``), and ``step_connectors`` derives a
-step's moves from them when its bound is asked for.
+(and a marked track its ``blocks``), and ``teich_step_bound`` reads a
+step's moves from them and sums their ``hyperbolic`` bounds.
 """
 
 import json
@@ -42,13 +42,12 @@ import math
 
 from .errors import (CollisionDetected, InvalidBranchDatum,
                      NoApplicableComparison)
-from .hyperbolic import teich_step_bound
+from . import hyperbolic
 from .lifting import (EPS_CLEAR, EPS_CV, EPS_LIFT, ETA_SAFE, MAX_DEPTH, Path,
                       lift_path, path_clearance, simplify_path)
 from .local import LocalFixedChart
-from .ratmap import (EPS_CYCLE, MAX_ORBIT, REPELLING_MARGIN, critical_points,
-                     critical_values, iterate, postsingular_analysis,
-                     preimages)
+from .ratmap import (EPS_CYCLE, MAX_ORBIT, REPELLING_MARGIN, critical_values,
+                     iterate, postsingular_analysis, preimages)
 from .sphere import EPS_SEP, Configuration, chordal, encode_point, is_inf
 
 # one compact sorted format for every trace line and every file the CLI
@@ -310,7 +309,7 @@ class PullbackRun:
     def _prepare_anchor_charts(self):
         anchors = {}
         pts = self.punctures.points
-        crit_finite = [c for c, _ in critical_points(self.g) if not is_inf(c)]
+        _, crit_finite = self.g.chart()
         for idx, p in enumerate(pts):
             if chordal(self.g(p), p) > EPS_FIX:
                 continue
@@ -318,8 +317,8 @@ class PullbackRun:
             if not abs(mult) > 1.0 + REPELLING_MARGIN:
                 continue
             chart = LocalFixedChart(self.g, p)
-            near = crit_finite + [b for b, _ in preimages(self.g, p)
-                                  if chordal(b, p) > 1e-9]
+            near = list(crit_finite) + [b for b, _ in preimages(self.g, p)
+                                        if chordal(b, p) > 1e-9]
             anchors[idx] = _AnchorChart(idx, p, chart, pts, near)
         return anchors
 
@@ -407,49 +406,6 @@ class PullbackRun:
                         pair=(li, lj))
 
     # -- bounds / reporting ------------------------------------------------------
-
-    def step_connectors(self, n):
-        """Connector descriptors for the move tau_{n-1} -> tau_n, read from
-        ``history`` and ``blocks``.
-
-        The coordinates move one at a time in processing order
-        (``_tracks``): while track i moves, a track before it stands at its
-        step-n position and a track after it at its step-(n-1) position;
-        those positions join the punctures. An anchored track moves within
-        its chart, ("anchored", (R, eta_{n-1}, eta_n)), on a comparison disk
-        of radius R that clears the other punctures and positions. A free
-        track moves along its step-n block, ("path", (block, punctures));
-        the decomposition is only a valid fiber path when the block avoids
-        the other positions, so a crossing raises NoApplicableComparison
-        rather than fabricating a bound."""
-        if not 1 <= n <= self.n:
-            raise ValueError("run has no step %d" % n)
-        out = []
-        for i, track in enumerate(self._tracks):
-            others = [other.position(n if j < i else n - 1)
-                      for j, other in enumerate(self._tracks) if j != i]
-            mode, prev = track.history[n - 1]
-            if mode == "anchored":
-                anchor = track.anchor
-                R = anchor.disk_R
-                for x in others:
-                    R = min(R, anchor.chart_distance(x))
-                out.append(("anchored", (R, prev, track.history[n][1])))
-                continue
-            block = track.block(n)
-            if block is None:
-                continue
-            if len(block) > 1 and others and \
-                    path_clearance(block, others) <= 2 * EPS_CLEAR:
-                raise NoApplicableComparison(
-                    "step %d bound not certified: connector of %s crosses "
-                    "another marked coordinate" % (n, track.label))
-            pts = list(self.punctures.points)
-            for x in others:
-                if min(chordal(x, p) for p in pts) > 1e-9:
-                    pts.append(x)
-            out.append(("path", (block, pts)))
-        return out
 
     def d0_bound(self):
         """Upper bound for the first step distance, reused for all later
@@ -557,6 +513,48 @@ class PullbackRun:
 
 
 # ---------------------------------------------------------------------------
+
+def teich_step_bound(run, n):
+    """Upper bound for the Teichmueller distance between fiber points n-1
+    and n: the sum of the bounds of the step's moves, read from each
+    track's ``history`` and ``blocks`` (the fiber hyperbolic metric
+    dominates the Teichmueller metric). The tracks move one at a time in
+    processing order, the others standing at their step-n (earlier) or
+    step-(n-1) (later) positions, which join the punctures. An anchored
+    move is bounded in its chart on a comparison disk clear of those
+    positions, a free move along its block, which must avoid them: a
+    crossing raises NoApplicableComparison rather than fabricating a bound."""
+    if not 1 <= n <= run.n:
+        raise ValueError("run has no step %d" % n)
+    tracks = run._tracks
+    total = 0.0
+    for i, track in enumerate(tracks):
+        others = [other.position(n if j < i else n - 1)
+                  for j, other in enumerate(tracks) if j != i]
+        mode, prev = track.history[n - 1]
+        if mode == "anchored":
+            anchor = track.anchor
+            R = anchor.disk_R
+            for x in others:
+                R = min(R, anchor.chart_distance(x))
+            total += hyperbolic.anchored_step_bound(R, prev,
+                                                    track.history[n][1])
+            continue
+        block = track.block(n)
+        if block is None:
+            continue
+        if len(block) > 1 and others and \
+                path_clearance(block, others) <= 2 * EPS_CLEAR:
+            raise NoApplicableComparison(
+                "step %d bound not certified: connector of %s crosses "
+                "another marked coordinate" % (n, track.label))
+        pts = list(run.punctures.points)
+        for x in others:
+            if min(chordal(x, p) for p in pts) > 1e-9:
+                pts.append(x)
+        total += hyperbolic.path_length_upper_bound(pts, block)
+    return total
+
 
 def min_dist_log10(points, labels):
     """Per-puncture minimum of the points' log10 distances, by label."""

@@ -4,14 +4,16 @@ quantities on punctured spheres.
 Everything here is one-sided on purpose: only *upper* bounds on lengths and
 distances are produced (via punctured-disk comparison densities and upper
 Riemann sums), which is exactly what the certificate threshold needs. No
-lower-bound machinery exists, so certificates stay sound.
+lower-bound machinery exists, so certificates stay sound. Bounds are
+plain floats. No function here takes a run: ``fiber.teich_step_bound``
+sums the bounds of a step's moves.
 """
 
 import math
 from cmath import phase as cmath_phase
 
 from .errors import NoApplicableComparison
-from .sphere import Configuration, is_inf, json_complex, json_typed
+from .sphere import Configuration, is_inf, json_complex, json_float, json_typed
 
 ELL_STAR = math.log(3.0 + 2.0 * math.sqrt(2.0))  # short-geodesic threshold
 
@@ -19,29 +21,6 @@ TWO_PI = 2.0 * math.pi
 
 _REFINE_TOL = 0.01   # stop refining when successive estimates agree to 1%
 _ROUND_UP = 1.01     # reported bounds carry this upward pad
-
-
-class LengthBound:
-    """An upper bound for a hyperbolic length, tagged with its subject."""
-
-    __slots__ = ("value", "kind", "subject")
-
-    def __init__(self, value, subject=""):
-        value = float(value)
-        if not (value >= 0.0 and math.isfinite(value)):
-            raise ValueError("length bound must be finite and >= 0")
-        self.value = value
-        self.kind = "upper"
-        self.subject = subject
-
-    def __float__(self):
-        return self.value
-
-    def to_json(self):
-        return {"value": self.value, "kind": self.kind, "subject": self.subject}
-
-    def __repr__(self):
-        return "LengthBound(%.6g, %s)" % (self.value, self.subject or "-")
 
 
 class RoundAnnulus:
@@ -92,8 +71,8 @@ class RoundAnnulus:
         if anchor is not None:
             anchor = json_complex(anchor, "annulus anchor")
         return cls(json_complex(obj["center"], "annulus center"),
-                   json_typed(obj["log_rin"], float, "annulus log_rin"),
-                   json_typed(obj["log_rout"], float, "annulus log_rout"),
+                   json_float(obj["log_rin"], "annulus log_rin"),
+                   json_float(obj["log_rout"], "annulus log_rout"),
                    anchor=anchor)
 
     def __repr__(self):
@@ -116,12 +95,19 @@ def annulus_modulus(annulus):
     return (annulus.log_rout - annulus.log_rin) / TWO_PI
 
 
-def geodesic_length_bound(mod, subject="core"):
+def geodesic_length_bound(mod):
     """pi / mod bounds the core-geodesic length in any hyperbolic surface
     containing the annulus essentially."""
     if not mod > 0:
         raise ValueError("modulus must be positive")
-    return LengthBound(math.pi / mod, subject=subject)
+    return _length_bound(math.pi / mod)
+
+
+def _length_bound(value):
+    """``value`` as a length bound: a float, finite and >= 0."""
+    if not (value >= 0.0 and math.isfinite(value)):
+        raise ValueError("length bound must be finite and >= 0")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +169,7 @@ def _segment_upper_sum(density, a, b):
             return prev * _ROUND_UP
 
 
-def path_length_upper_bound(P, path, subject="path"):
+def path_length_upper_bound(P, path):
     """Upper Riemann sum of the comparison density along the polyline."""
     comp = DiskComparisons(P)
     nodes = path.absolute_nodes() if hasattr(path, "absolute_nodes") else \
@@ -191,7 +177,7 @@ def path_length_upper_bound(P, path, subject="path"):
     total = 0.0
     for a, b in zip(nodes, nodes[1:]):
         total += _segment_upper_sum(comp.density, a, b)
-    return LengthBound(total, subject=subject)
+    return _length_bound(total)
 
 
 # ---------------------------------------------------------------------------
@@ -229,23 +215,3 @@ def anchored_step_bound(R, eta_a, eta_b):
     # turn at whichever radius makes the arc cheaper; both orders are paths
     arc = dtheta / max(lR - la, lR - lb)
     return (arc + punctured_disk_radial_bound(R, la, lb)) * _ROUND_UP
-
-
-def teich_step_bound(run, n):
-    """Upper bound for the Teichmueller distance between fiber points n-1
-    and n of a pullback run.
-
-    The fiber inclusion is holomorphic, so the fiber hyperbolic metric
-    dominates the Teichmueller metric; the bound integrates the comparison
-    density along each marked coordinate's connecting path (coordinates are
-    moved one at a time, other marked positions joining the punctures).
-    """
-    total = 0.0
-    for kind, payload in run.step_connectors(n):
-        if kind == "path":
-            path, punctures = payload
-            total += float(path_length_upper_bound(punctures, path))
-        else:
-            R, eta_a, eta_b = payload
-            total += anchored_step_bound(R, eta_a, eta_b)
-    return total

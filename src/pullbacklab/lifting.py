@@ -22,7 +22,7 @@ import math
 
 from .errors import (BranchJumpSuspected, ChartOverflow, EndpointMismatch,
                      NearCriticalValue)
-from .ratmap import critical_points, critical_values
+from .ratmap import critical_values
 from .sphere import CHART_LIMIT, chordal, is_inf, json_complex, json_typed
 
 EPS_LIFT = 1e-9    # chordal residual allowed for accepted lift nodes
@@ -163,21 +163,6 @@ def path_clearance(path, points):
 # ---------------------------------------------------------------------------
 # continuation
 
-def _chart_map(g, anchor):
-    if anchor is None:
-        return g, None
-    return g.shifted(anchor), anchor
-
-
-def _finite_critical_points(g, anchor=None):
-    pts = []
-    for c, _ in critical_points(g):
-        if is_inf(c):
-            continue
-        pts.append(c if anchor is None else c - anchor)
-    return pts
-
-
 def _newton_preimage(gm, target, seed, seed_eval=None):
     """Newton solve of gm(w) = target from ``seed``.
 
@@ -221,8 +206,8 @@ def lift_path(g, path, start_lift, check_clearance=True):
     For an anchored path, ``start_lift`` is an offset in the same chart and
     the result keeps the anchor.
     """
-    gm, anchor = _chart_map(g, path.anchor)
-    crit = _finite_critical_points(g, anchor)
+    anchor = path.anchor
+    gm, crit = g.chart(anchor)
     if anchor is None:
         residual = chordal
     else:

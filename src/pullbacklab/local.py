@@ -89,12 +89,8 @@ class LocalFixedChart:
 
     def __init__(self, g, p):
         self.puncture = p
-        if is_inf(p):
-            self.T = g.reciprocal_conjugate().shifted(0.0)
-            self.chordal_factor = 2.0
-        else:
-            self.T = g.shifted(p)
-            self.chordal_factor = 2.0 / (1.0 + abs(p) ** 2)
+        self.T, _ = g.chart(p)
+        self.chordal_factor = 2.0 if is_inf(p) else 2.0 / (1.0 + abs(p) ** 2)
         self.eps_star = self._solve_offset()
         _, lam = self.T.evaluate_with_derivative(self.eps_star)
         if not abs(lam) > 1.0 + REPELLING_MARGIN:

@@ -300,6 +300,24 @@ class RationalMap:
         A = _padd(Nsh, tuple(p * c for c in Dsh), sign=-1)
         return RationalMap(A, Dsh, check=False)
 
+    def chart(self, q=None):
+        """(map, finite critical points) in the working chart at q, cached
+        per q: g for q None, g(q + w) - q for a finite q, 1/g(1/w) for oo."""
+        key = ("chart", q)
+        if key not in self._cache:
+            crit = [c for c, _ in critical_points(self)]
+            if q is None:
+                out = self, tuple(c for c in crit if not is_inf(c))
+            elif is_inf(q):
+                out = (self.reciprocal_conjugate().shifted(0.0),
+                       tuple(0j if is_inf(c) else 1.0 / c
+                             for c in crit if c != 0))
+            else:
+                out = self.shifted(q), tuple(c - q for c in crit
+                                             if not is_inf(c))
+            self._cache[key] = out
+        return self._cache[key]
+
     def reciprocal_conjugate(self):
         """h with h(w) = 1/g(1/w) (anchor oo becomes anchor 0)."""
         N, D = self.numerator, self.denominator

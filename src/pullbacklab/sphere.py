@@ -90,12 +90,29 @@ def json_typed(value, kind, what, item=None):
     return value
 
 
+def json_float(value, what):
+    """A float read from JSON: an int or float (not a bool) within double
+    range. Raises ValueError naming ``what`` otherwise, where a JSON integer
+    past double range would raise OverflowError wherever it is used."""
+    json_typed(value, float, what)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError("%s must be float within double range, not %s"
+                         % (what, reprlib.repr(value))) from None
+
+
 def json_complex(value, what):
-    """A complex number read from its JSON form [re, im]."""
+    """A complex number read from its JSON form [re, im], each part as
+    ``json_float`` reads it."""
     if len(json_typed(value, list, what, float)) != 2:
         raise ValueError("%s must be [re, im], not %s"
                          % (what, reprlib.repr(value)))
-    return complex(*value)
+    try:
+        return complex(*value)
+    except OverflowError:
+        raise ValueError("%s must be [re, im] within double range, not %s"
+                         % (what, reprlib.repr(value))) from None
 
 
 class MobiusTransform:

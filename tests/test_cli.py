@@ -104,6 +104,10 @@ MALFORMED_RUNS = [
      "tolerance max_iters=-1 is not"),
     ("eps_P_huge_int", {"tolerances": {"eps_P": 10 ** 400}}, [],
      "tolerance eps_P=inf is not"),
+    ("basepoint_huge_int",
+     {"marked": [{"type": "fixed", "basepoint": [10 ** 400, 0],
+                  "branch_point": [math.sqrt(2), 0.0]}]}, [],
+     "basepoint must be [re, im] within double range"),
 ]
 
 
@@ -525,6 +529,10 @@ MISTYPED_FIELDS = [
     ("tolerance_list", _set(("tolerances", "K"), [1]), "tolerances item"),
     ("top_level_list", lambda payload: [payload],
      "mistyped.certificate.json"),
+    # a JSON integer past double range is refused where it is read
+    ("d0_bound_huge_int", _set(("d0_bound",), 10 ** 400), "d0_bound"),
+    ("log_rin_huge_int", _set(("annulus", "log_rin"), 10 ** 400),
+     "annulus log_rin"),
 ]
 
 
@@ -566,6 +574,34 @@ def test_check_fails_overflowing_certificate_fields(corpus_out, tmp_path,
     assert main(["check", "--trace", trace, "--cert", cert]) == 1
     out, err = capsys.readouterr()
     assert "\nCHECK FAIL: " + message in "\n" + out and err == "", (out, err)
+
+
+# (case, an edit of record 3 of the chebyshev trace, how the message starts)
+MISTYPED_RECORDS = [
+    ("points_list", _set(("points",), [1]),
+     "trace record n=3 points must be dict"),
+    ("dist_log10_string", _set(("points", "m0", "dist_log10", "p0"), "x"),
+     "trace record n=3 point m0 dist_log10 item must be float"),
+]
+
+
+@pytest.mark.parametrize("command", ["classify", "check"])
+@pytest.mark.parametrize("row", MISTYPED_RECORDS, ids=lambda r: r[0])
+def test_stored_verdict_rejects_mistyped_trace_records(corpus_out, tmp_path,
+                                                        row, command, capsys):
+    _, edit, message = row
+    base = os.path.join(corpus_out, "chebyshev")
+    lines = pathlib.Path(base + ".trace.jsonl").read_text().splitlines()
+    lines[3] = json.dumps(edit(json.loads(lines[3])))
+    trace = str(tmp_path / "mistyped.trace.jsonl")
+    pathlib.Path(trace).write_text("\n".join(lines) + "\n")
+    argv = {"classify": ["classify"],
+            "check": ["check", "--cert", base + ".certificate.json"]}[command]
+    capsys.readouterr()
+    assert main(argv + ["--trace", trace,
+                        "--report", base + ".report.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config/input: " + message), err
 
 
 SRC_DIR = os.path.dirname(os.path.dirname(

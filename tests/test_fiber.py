@@ -14,8 +14,7 @@ from pullbacklab.errors import (CollisionDetected, InvalidBranchDatum,
                                 NoApplicableComparison)
 from pullbacklab.fiber import (BranchDatum, Tolerances, TrivialMarkedSpec,
                                compose_iterate_run, init_run, run_until,
-                               stopping_status)
-from pullbacklab.hyperbolic import teich_step_bound
+                               stopping_status, teich_step_bound)
 from pullbacklab.lifting import concatenate, lift_path
 from pullbacklab.local import ScaledComplex
 from pullbacklab.ratmap import RationalMap

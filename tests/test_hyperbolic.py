@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from pullbacklab.errors import NoApplicableComparison
-from pullbacklab.hyperbolic import (ELL_STAR, DiskComparisons, LengthBound,
-                                    RoundAnnulus, annulus_modulus,
-                                    anchored_step_bound,
+from pullbacklab.hyperbolic import (ELL_STAR, DiskComparisons, RoundAnnulus,
+                                    annulus_modulus, anchored_step_bound,
                                     geodesic_length_bound,
                                     path_length_upper_bound,
                                     punctured_disk_radial_bound)
@@ -145,11 +144,10 @@ def test_anchored_step_bound_matches_radial():
     assert twisted >= 0.95 * oracle
 
 
-def test_length_bound_type():
-    lb = LengthBound(0.5, subject="step-3")
-    assert lb.kind == "upper" and float(lb) == 0.5
-    assert lb.to_json()["subject"] == "step-3"
-    with pytest.raises(ValueError):
-        LengthBound(-1.0)
-    with pytest.raises(ValueError):
-        LengthBound(math.inf)
+def test_length_bounds_are_floats_that_refuse_non_finite_values():
+    assert type(geodesic_length_bound(1.0)) is float
+    assert type(path_length_upper_bound([-2 + 0j, 2 + 0j, INF],
+                                        Path([0j, 0.5 + 0j]))) is float
+    # pi / 5e-324 overflows to inf: refused, not returned
+    with pytest.raises(ValueError, match="length bound must be finite"):
+        geodesic_length_bound(5e-324)

@@ -244,8 +244,8 @@ def _reference_lift(g, path, start_lift, eps_lift=lifting.EPS_LIFT,
                     max_depth=lifting.MAX_DEPTH, check_clearance=True):
     """lift_path with a fresh Newton solve from the previous node and a
     separate g(w) for each residual."""
-    gm, anchor = lifting._chart_map(g, path.anchor)
-    crit = lifting._finite_critical_points(g, anchor)
+    anchor = path.anchor
+    gm, crit = g.chart(anchor)
     start_res = _reference_chordal(anchor, gm(complex(start_lift)),
                                    path.start)
     if start_res > eps_lift:
