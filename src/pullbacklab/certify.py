@@ -345,10 +345,6 @@ def _segments_intersect_any(z1, z2, skip_adjacent):
     return bool(np.any(proper | collinear))
 
 
-def _is_simple(zs):
-    return not _segments_intersect_any(zs, zs, skip_adjacent=True)
-
-
 def injectivity_test(g, annulus, k):
     """Conservative sufficient evidence that g^{ok} is injective on the
     annulus: for each forward stage, no critical point inside the tracked
@@ -388,12 +384,10 @@ def injectivity_test(g, annulus, k):
         img_inner = _apply_map(gm, inner)
         img_outer = _apply_map(gm, outer)
         img_core = _apply_map(gm, core)
-        if not _is_simple(img_inner):
-            raise InjectivityUndetermined(
-                "inner boundary image not simple at stage %d" % j)
-        if not _is_simple(img_outer):
-            raise InjectivityUndetermined(
-                "outer boundary image not simple at stage %d" % j)
+        for side, img in (("inner", img_inner), ("outer", img_outer)):
+            if _segments_intersect_any(img, img, skip_adjacent=True):
+                raise InjectivityUndetermined(
+                    "%s boundary image not simple at stage %d" % (side, j))
         if _segments_intersect_any(img_inner, img_outer, skip_adjacent=False):
             raise InjectivityUndetermined(
                 "boundary images intersect at stage %d" % j)
@@ -780,26 +774,22 @@ def _same_nodes(got, want):
         np.abs(np.subtract(got.nodes, want.nodes)) <= 1e-6 * scale))
 
 
-def _close(rel, floor):
-    """Whether a stored float is within rel * max(floor, |derived|) of the
-    derived one."""
-    return lambda stored, derived: \
-        abs(stored - derived) <= rel * max(floor, abs(derived))
-
-
 # each field verify_certificate compares as a whole: the name its message
 # gives the field, and whether the stored value matches the derived one
 _FIELD_TESTS = (
     ("k", "k", operator.eq),
     ("d0_bound", "d0 bound", lambda stored, derived:
      abs(stored - derived) <= 1e-9 * (1.0 + abs(derived))),
-    ("threshold", "threshold formula", _close(1e-12, 0.0)),
-    ("modulus", "modulus", _close(1e-12, 1.0)),
+    ("threshold", "threshold formula", lambda stored, derived:
+     same_within(stored, derived, 1e-12, 0.0)),
+    ("modulus", "modulus", lambda stored, derived:
+     same_within(stored, derived, 1e-12, 1.0)),
     *[(name, "side counts", operator.eq) for name in _COUNT_FIELDS],
     ("cluster_labels", "cluster labels", operator.eq),
     ("injectivity_evidence", "injectivity evidence", lambda stored, derived:
      same_within(derived, stored, 1e-6, 0.0)),
-    ("length_bound", "length bound formula", _close(1e-9, 1.0)),
+    ("length_bound", "length bound formula", lambda stored, derived:
+     same_within(stored, derived, 1e-9, 1.0)),
     ("promotion_flag", "promotion flag", operator.eq),
     ("curve_windings", "curve windings", operator.eq),
 )

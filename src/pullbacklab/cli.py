@@ -3,8 +3,9 @@ certificate persistence, corpus demos.
 
 Subcommands and the flags each reads:
 
-- ``analyze | run | certify``: one of ``--config FILE`` / ``--batch GLOB``,
-  with ``--out``, ``--tol eps_P=VALUE|max_iters=N`` and ``--max-iters``;
+- ``analyze``: one of ``--config FILE`` / ``--batch GLOB``, with ``--out``;
+- ``run | certify``: one of ``--config FILE`` / ``--batch GLOB``, with
+  ``--out``, ``--tol eps_P=VALUE|max_iters=N`` and ``--max-iters``;
 - ``classify``: ``--trace`` and one of ``--config`` / ``--report``, with
   ``--tol`` and ``--max-iters``;
 - ``check``: ``--trace``, ``--cert``, ``--base-trace``, ``--report``;
@@ -22,17 +23,24 @@ the same trace. Reports and certificates store the run's config and all
 ``fiber.FIXED_TOLERANCES`` must be the engine's. ``artifact_config``
 rebuilds the run from either artifact. A stored trace is judged by the
 same stopping rule, ``fiber.stopping_status``, at the first record where
-it fires. ``check`` rebuilds the run from its certificate, steps it
-through the stored records 0..step, each of which must be the run's at
-that step, and verifies the certificate against it.
+it fires. ``check`` reads the trace file once, for its SHA-256 and its
+records, rebuilds the run from its certificate, steps it through the
+stored records 0..step, each of which must be the run's at that step, and
+verifies the certificate against it; with ``--report`` the report must
+carry the trace's digest, the certificate's config and tolerances, and the
+classification, status and steps the stored trace gives. ``run`` hashes
+the trace bytes as it writes them.
 """
 
 import argparse
 import functools
 import glob as globmod
 import hashlib
+import io
 import json
+import math
 import os
+import reprlib
 import sys
 import time
 
@@ -150,25 +158,18 @@ def _write_json(path, obj):
 
 
 def _write_trace(path, trace):
-    with open(path, "w") as fh:
-        for line in trace.jsonl_lines():
-            fh.write(line)
-            fh.write("\n")
-
-
-def _sha256(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+    """Write the trace's JSONL lines; returns the sha256 of those bytes."""
+    data = "".join(line + "\n" for line in trace.jsonl_lines()).encode()
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_analyze(args):
-    cfg = load_config(args.config, args.tol, args.max_iters)
+    cfg = load_config(args.config)
     an = postsingular_analysis(cfg["g"])
     out = os.path.join(_out_dir(args), cfg["name"] + ".analysis.json")
     _write_json(out, an.to_json())
@@ -198,8 +199,7 @@ def cmd_run(args, force_certificate=False):
         raise PullbackLabError("run is not obstructed; nothing to certify")
 
     trace_path = os.path.join(out, name + ".trace.jsonl")
-    _write_trace(trace_path, trace)
-    digest = _sha256(trace_path)
+    digest = _write_trace(trace_path, trace)
 
     cert_path = None
     if cert is not None:
@@ -280,17 +280,30 @@ def _typed_record(rec):
     return rec
 
 
+_LOG10_MAX_DIST = math.log10(2.0) + 1e-9  # a chordal distance is at most 2
+
+
 def _typed_log10s(row, what):
-    """A record's log10 distances by puncture label: floats in range."""
+    """A record's log10 distances by puncture label: floats in range and
+    at most log10 2."""
     for value in json_typed(row, dict, what).values():
-        json_float(value, what + " item")
+        if json_float(value, what + " item") > _LOG10_MAX_DIST:
+            raise ValueError("%s item must be at most log10(2), not %s"
+                             % (what, reprlib.repr(value)))
 
 
 def _read_trace(path):
-    """A stored trace: one JSON object per non-blank line."""
-    with open(path) as fh:
-        return [json_typed(json.loads(line), dict, "trace line")
-                for line in fh if line.strip()]
+    """A stored trace's records (see ``_trace_records``)."""
+    with open(path, "rb") as fh:
+        return _trace_records(fh.read())
+
+
+def _trace_records(data):
+    """The records of a stored trace's bytes: one JSON object per non-blank
+    line, lines split as a text-mode file splits them."""
+    return [json_typed(json.loads(line), dict, "trace line")
+            for line in io.StringIO(data.decode(), newline=None)
+            if line.strip()]
 
 
 def cmd_certify(args):
@@ -301,7 +314,9 @@ def cmd_check(args):
     failures = []
     payload = _read_artifact(args.cert)
     cert = LevyCertificate.from_json(payload)
-    digest = _sha256(args.trace)
+    with open(args.trace, "rb") as fh:
+        data = fh.read()
+    digest = hashlib.sha256(data).hexdigest()
     if cert.trace_digest != digest:
         failures.append("trace digest mismatch: certificate says %s, file is %s"
                         % (cert.trace_digest, digest))
@@ -310,7 +325,7 @@ def cmd_check(args):
         failures.append("certificate does not embed its run config")
     else:
         cfg = artifact_config(payload)
-        records = _read_trace(args.trace)
+        records = _trace_records(data)
         run = _build_run(cfg)
         # the steps come first: a forged cert.step must not drive stepping
         if [rec.get("n") for rec in records] != list(range(len(records))) \
@@ -326,7 +341,8 @@ def cmd_check(args):
             failures.extend(_functoriality_suite(records, args.base_trace,
                                                  cfg["compose_iterate"]))
         if args.report:
-            failures.extend(_report_reproducible(records, run, args.report))
+            failures.extend(_report_mismatches(records, run, payload, digest,
+                                               args.report))
     if failures:
         for f in failures:
             print("CHECK FAIL:", f)
@@ -335,18 +351,43 @@ def cmd_check(args):
     return 0
 
 
-def _report_reproducible(records, run, report_path):
-    """A report's verdict must be reproducible from its stored trace."""
+def _report_mismatches(records, run, payload, digest, report_path):
+    """A report belongs to the trace and certificate it is checked with:
+    its ``trace_digest`` is the trace file's, its ``run_config`` and
+    ``tolerances`` are the certificate's, and its ``classification``,
+    ``status`` and ``steps`` are the ones the stored trace gives, each
+    compared as JSON. One message per field that differs, or per key that
+    differs when both sides are objects."""
     rep = _read_artifact(report_path)
+    steps = records[-1]["n"] if records else 0
     records, status = _stored_status(records, run)
     cls = classify_run(Trace(records, status), run.g, run.punctures,
                        tol=run.tol)
-    want = json_typed(rep["classification"], dict,
-                      "classification")["verdict"]
-    if cls.verdict != want:
-        return ["report verdict %r not reproduced from the trace (got %r)"
-                % (want, cls.verdict)]
-    return []
+    expected = (("trace_digest", "trace file", digest),
+                ("run_config", "certificate", payload.get("run_config")),
+                ("tolerances", "certificate", payload.get("tolerances")),
+                ("classification", "derived", cls.to_json()),
+                ("status", "derived", status.to_json()),
+                ("steps", "derived", steps))
+    bad = []
+    for name, source, value in expected:
+        stored = rep.get(name)
+        if _same_json(stored, value):
+            continue
+        fields = [(name, stored, value)]
+        if isinstance(stored, dict) and isinstance(value, dict):
+            fields = [("%s %s" % (name, key), stored.get(key), value.get(key))
+                      for key in sorted(stored.keys() | value.keys())
+                      if key not in stored or key not in value
+                      or not _same_json(stored[key], value[key])]
+        bad += ["report %s mismatch: stored %s, %s %s"
+                % (field, reprlib.repr(got), source, reprlib.repr(other))
+                for field, got, other in fields]
+    return bad
+
+
+def _same_json(a, b):
+    return JSON_ENCODER.encode(a) == JSON_ENCODER.encode(b)
 
 
 def _replay_mismatches(records, run):
@@ -453,10 +494,10 @@ def build_parser():
         source.add_argument("--batch",
                             help="glob of config files to run in sequence")
         p.add_argument("--out", default=None)
-        tolerances(p)
+        return p
 
     runs("analyze", "postsingular analysis of the map")
-    runs("run", "execute a pullback run end to end")
+    tolerances(runs("run", "execute a pullback run end to end"))
     p = sub.add_parser("classify", help="re-classify a stored trace")
     p.add_argument("--trace", required=True)
     source = p.add_mutually_exclusive_group(required=True)
@@ -465,13 +506,14 @@ def build_parser():
                         help="rebuild the run from this report's config and "
                              "tolerances")
     tolerances(p)
-    runs("certify", "run and require a Levy certificate")
+    tolerances(runs("certify", "run and require a Levy certificate"))
     p = sub.add_parser("check", help="verify a stored trace + certificate")
     p.add_argument("--trace", required=True)
     p.add_argument("--cert", required=True)
     p.add_argument("--base-trace", dest="base_trace", default=None)
     p.add_argument("--report", default=None,
-                   help="also re-derive this report's verdict from the trace")
+                   help="also require this report to belong to the trace and "
+                        "certificate")
     p = sub.add_parser("demo", help="run the shipped demo corpus")
     p.add_argument("--out", default=None)
     tolerances(p)

@@ -35,8 +35,17 @@ leaves it as it is.
 A step only moves points: each track keeps its ``history`` of positions
 (and a marked track its ``blocks``), and ``teich_step_bound`` reads a
 step's moves from them and sums their ``hyperbolic`` bounds.
+
+The punctures are P plus the extra punctures, ordered and labelled by
+``ratmap.puncture_configuration``; a point within ``sphere.EPS_SEP`` of
+one of them counts as that puncture. An iterate run
+(``compose_iterate_run``) takes its punctures from the analysis of g^m
+alone, since P(g^m) = P(g): the critical values of g^m are the g^j(v) for
+the critical values v of g and 0 <= j < m. Blocks of a path are joined by
+``lifting.concatenate``.
 """
 
+import functools
 import json
 import math
 
@@ -44,11 +53,12 @@ from .errors import (CollisionDetected, InvalidBranchDatum,
                      NoApplicableComparison)
 from . import hyperbolic
 from .lifting import (EPS_CLEAR, EPS_CV, EPS_LIFT, ETA_SAFE, MAX_DEPTH, Path,
-                      lift_path, path_clearance, simplify_path)
+                      concatenate, lift_path, path_clearance, simplify_path)
 from .local import LocalFixedChart
 from .ratmap import (EPS_CYCLE, MAX_ORBIT, REPELLING_MARGIN, critical_values,
-                     iterate, postsingular_analysis, preimages)
-from .sphere import EPS_SEP, Configuration, chordal, encode_point, is_inf
+                     iterate, postsingular_analysis, preimages,
+                     puncture_configuration)
+from .sphere import EPS_SEP, chordal, encode_point, is_inf
 
 # one compact sorted format for every trace line and every file the CLI
 # writes (encode() still builds its C encoder on every call)
@@ -139,7 +149,8 @@ class TrivialMarkedSpec:
     def validate(self, g, punctures):
         if chordal(g(self.preimage), self.image) > EPS_LIFT:
             raise InvalidBranchDatum("g(q') misses the trivial image q")
-        if not any(chordal(self.image, p) <= 1e-9 for p in punctures.points):
+        if not any(chordal(self.image, p) <= EPS_SEP
+                   for p in punctures.points):
             raise InvalidBranchDatum("trivial image q must lie in P")
         for z, name in ((self.preimage, "q'"), (self.start, "start")):
             if min(chordal(z, p) for p in punctures.points) <= EPS_SEP:
@@ -191,6 +202,7 @@ class _MarkedTrack:
 
     __slots__ = ("label", "datum", "blocks", "nodes", "history", "anchor",
                  "last_residual")
+    kind = "fixed"
 
     def __init__(self, label, datum):
         self.label = label
@@ -219,10 +231,8 @@ class _MarkedTrack:
         return self.history[-1][1] if self.mode == "anchored" else None
 
     def full_path(self):
-        nodes = [self.datum.basepoint]
-        for block in self.blocks:
-            nodes.extend(block.nodes[1:])
-        return Path(nodes)
+        return functools.reduce(concatenate, self.blocks,
+                                Path([self.datum.basepoint]))
 
     def append_block(self, block):
         self.blocks.append(block)
@@ -234,6 +244,7 @@ class _TrivialTrack:
 
     __slots__ = ("label", "spec", "history")
     anchor = None
+    kind = "trivial"
 
     def __init__(self, label, spec):
         self.label = label
@@ -301,7 +312,7 @@ class PullbackRun:
         self._crit_values = critical_values(g)
         self._obstacles = list(punctures.points) + [
             v for v in self._crit_values
-            if min(chordal(v, p) for p in punctures.points) > 1e-9]
+            if min(chordal(v, p) for p in punctures.points) > EPS_SEP]
         self._check_distinct()
 
     # -- setup ---------------------------------------------------------------
@@ -318,7 +329,7 @@ class PullbackRun:
                 continue
             chart = LocalFixedChart(self.g, p)
             near = list(crit_finite) + [b for b, _ in preimages(self.g, p)
-                                        if chordal(b, p) > 1e-9]
+                                        if chordal(b, p) > EPS_SEP]
             anchors[idx] = _AnchorChart(idx, p, chart, pts, near)
         return anchors
 
@@ -454,23 +465,18 @@ class PullbackRun:
         """The ``points`` of the current step's trace record: each track's
         position or anchored deviation, and its log10 distances."""
         points = {}
-        for track in self.marked:
+        for track in self._tracks:
             if track.anchor is not None:
                 eta = track.eta()
-                entry = {"mode": "anchored", "type": "fixed",
+                entry = {"mode": "anchored", "type": track.kind,
                          "anchor": self.punctures.labels[track.anchor.index],
                          "eta": [eta.m.real, eta.m.imag], "exp2": eta.e}
             else:
                 x = track.position()
-                entry = {"mode": "free", "type": "fixed",
+                entry = {"mode": "free", "type": track.kind,
                          "value": [x.real, x.imag]}
             entry["dist_log10"] = self.log10_distances(track)
             points[track.label] = entry
-        for triv in self.trivial:
-            x = triv.position()
-            points[triv.label] = {
-                "mode": "free", "type": "trivial", "value": [x.real, x.imag],
-                "dist_log10": self.log10_distances(triv)}
         return points
 
     def trace_record(self):
@@ -550,7 +556,7 @@ def teich_step_bound(run, n):
                 "another marked coordinate" % (n, track.label))
         pts = list(run.punctures.points)
         for x in others:
-            if min(chordal(x, p) for p in pts) > 1e-9:
+            if min(chordal(x, p) for p in pts) > EPS_SEP:
                 pts.append(x)
         total += hyperbolic.path_length_upper_bound(pts, block)
     return total
@@ -573,21 +579,17 @@ def init_run(g, marked, trivial=(), extra_punctures=(), tol=None):
     pts = list(postsingular_analysis(g).postsingular.points)
     extras = [q if is_inf(q) else complex(q) for q in extra_punctures]
     for q in extras:
-        if min(chordal(q, p) for p in pts) <= 1e-9:
+        if min(chordal(q, p) for p in pts) <= EPS_SEP:
             continue
         w = g(q)
-        if min(chordal(w, p) for p in pts + extras) > 1e-9:
+        if min(chordal(w, p) for p in pts + extras) > EPS_SEP:
             raise InvalidBranchDatum(
                 "extra puncture %r is not forward invariant" % (q,))
         pts.append(q)
-    order = sorted(range(len(pts)),
-                   key=lambda i: (1, 0.0, 0.0) if is_inf(pts[i])
-                   else (0, pts[i].real, pts[i].imag))
-    pts = [pts[i] for i in order]
     if len(pts) < 3:
         raise InvalidBranchDatum(
             "need |P| >= 3 punctures (got %d); add extra_punctures" % len(pts))
-    punctures = Configuration(["p%d" % i for i in range(len(pts))], pts)
+    punctures = puncture_configuration(pts)
 
     marked = list(marked)
     trivial = list(trivial)
@@ -687,15 +689,10 @@ def compose_iterate_run(g, m, datum, extra_punctures=(), tol=None):
         raise ValueError("m must be >= 1")
     if m == 1:
         return init_run(g, [datum], extra_punctures=extra_punctures, tol=tol)
-    base_analysis = postsingular_analysis(g)
     blocks = [datum.delta]
     for _ in range(m - 1):
         blocks.append(lift_path(g, blocks[-1], blocks[-1].end).lifted)
-    nodes = list(blocks[0].nodes)
-    for block in blocks[1:]:
-        nodes.extend(block.nodes[1:])
-    delta_m = Path(nodes)
-    G = iterate(g, m)
+    delta_m = functools.reduce(concatenate, blocks)
     datum_m = BranchDatum(datum.basepoint, delta_m.end, delta_m)
-    extra = list(extra_punctures) + list(base_analysis.postsingular.points)
-    return init_run(G, [datum_m], extra_punctures=extra, tol=tol)
+    return init_run(iterate(g, m), [datum_m],
+                    extra_punctures=extra_punctures, tol=tol)

@@ -9,6 +9,10 @@ coefficient-bound radius, and each stops once its residual is at the
 rounding level of its Horner evaluation. Every root is then polished by
 Newton, and multiple roots are recovered by clustering, which is robust at
 the low degrees (<= 8) this engine targets.
+
+P is ordered and labelled in one place, ``puncture_configuration``: finite
+points lexicographically, oo last, as p0, p1, ...; two points within
+``sphere.EPS_SEP`` count as one point of P.
 """
 
 import cmath
@@ -17,8 +21,8 @@ import sys
 
 from .errors import (AmbiguousCycle, NotPostsingularlyFinite,
                      RootFindingFailure)
-from .sphere import (INF, Configuration, chordal, encode_point, is_inf,
-                     json_complex, json_typed)
+from .sphere import (EPS_SEP, INF, Configuration, chordal, encode_point,
+                     is_inf, json_complex, json_typed)
 
 REPELLING_MARGIN = 1e-9  # repelling means |multiplier| > 1 + this
 _CLUSTER_TOL = 1e-6     # root clustering scale for multiplicity detection
@@ -403,7 +407,7 @@ def critical_values(g):
     vals = []
     for c, _ in critical_points(g):
         v = g(c)
-        if not any(chordal(v, w) <= 1e-9 for w in vals):
+        if not any(chordal(v, w) <= EPS_SEP for w in vals):
             vals.append(v)
     g._cache["cv"] = vals
     return vals
@@ -571,6 +575,15 @@ def _cycle_multiplier(g, cycle):
     return mult
 
 
+def puncture_configuration(points):
+    """The punctures in their one order and with their labels: finite
+    points lexicographically, oo last, labelled p0, p1, ... in that order."""
+    pts = sorted(points, key=lambda p: (1, 0.0, 0.0) if is_inf(p)
+                 else (0, p.real, p.imag))
+    return Configuration(["p%d" % i for i in range(len(pts))], pts,
+                         min_size=1)
+
+
 def postsingular_analysis(g):
     """Iterate the critical values until every orbit lands on a repelling or
     superattracting cycle; snap cycles by Newton and assemble P.
@@ -588,7 +601,7 @@ def postsingular_analysis(g):
 
     def register(p):
         for q in points:
-            if chordal(p, q) <= 1e-9:
+            if chordal(p, q) <= EPS_SEP:
                 return points.index(q)
         points.append(p)
         return len(points) - 1
@@ -632,14 +645,8 @@ def postsingular_analysis(g):
             raise NotPostsingularlyFinite(
                 "orbit of %r did not close within %d steps" % (v, MAX_ORBIT))
 
-    # deterministic labels: finite points lexicographically, oo last
-    order = sorted(range(len(points)),
-                   key=lambda i: (1, 0.0, 0.0) if is_inf(points[i])
-                   else (0, points[i].real, points[i].imag))
-    pts = [points[i] for i in order]
-    labels = ["p%d" % i for i in range(len(pts))]
-    config = Configuration(labels, pts, min_size=1)
-
+    config = puncture_configuration(points)
+    pts = config.points
     transitions = {}
     for i, p in enumerate(pts):
         w = g(p)

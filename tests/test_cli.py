@@ -376,10 +376,10 @@ def test_parser_is_built_once_and_keeps_no_options(tmp_path, monkeypatch):
     def record(args):
         seen.append(args)
         return 0
-    monkeypatch.setattr(cli, "cmd_analyze", record)
+    monkeypatch.setattr(cli, "cmd_run", record)
     cfgp = write_config(tmp_path)
-    assert main(["analyze", "--config", cfgp, "--tol", "eps_P=1e-3"]) == 0
-    assert main(["analyze", "--config", cfgp]) == 0
+    assert main(["run", "--config", cfgp, "--tol", "eps_P=1e-3"]) == 0
+    assert main(["run", "--config", cfgp]) == 0
     assert seen[0].tol == [("eps_P", "1e-3")]
     assert seen[1].tol == []
 
@@ -582,6 +582,11 @@ MISTYPED_RECORDS = [
      "trace record n=3 points must be dict"),
     ("dist_log10_string", _set(("points", "m0", "dist_log10", "p0"), "x"),
      "trace record n=3 point m0 dist_log10 item must be float"),
+    # a chordal distance is at most 2, so no stored log10 may exceed log10 2
+    ("dist_log10", _set(("points", "m0", "dist_log10", "p0"), 1e300),
+     "trace record n=3 point m0 dist_log10 item must be at most log10(2)"),
+    ("min_dist_log10", _set(("min_dist_log10", "p0"), 1e300),
+     "trace record n=3 min_dist_log10 item must be at most log10(2)"),
 ]
 
 
@@ -602,6 +607,40 @@ def test_stored_verdict_rejects_mistyped_trace_records(corpus_out, tmp_path,
                         "--report", base + ".report.json"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("invalid config/input: " + message), err
+
+
+# (case, an edit of the chebyshev report, the field the message names)
+REPORT_EDITS = [
+    ("trace_digest", _set(("trace_digest",), "0" * 64), "trace_digest"),
+    ("run_config", _set(("run_config", "max_iters"), 1999),
+     "run_config max_iters"),
+    ("tolerances", _set(("tolerances", "eps_P"), 1e-3), "tolerances eps_P"),
+    ("puncture", _set(("classification", "puncture"), [123, 0]),
+     "classification puncture"),
+    ("rate_estimate", _set(("classification", "rate_estimate"), 0.9),
+     "classification rate_estimate"),
+    ("steps", _set(("steps",), 7), "steps"),
+    ("status_steps", _set(("status", "steps"), 3), "status steps"),
+    ("another_configs_report", None, "trace_digest"),
+]
+
+
+@pytest.mark.parametrize("row", REPORT_EDITS, ids=lambda r: r[0])
+def test_check_report_must_belong_to_the_trace(corpus_out, tmp_path, row,
+                                               capsys):
+    _, edit, field = row
+    base = os.path.join(corpus_out, "chebyshev")
+    if edit is None:
+        report = read_json(os.path.join(corpus_out, "squaring_a.report.json"))
+    else:
+        report = edit(read_json(base + ".report.json"))
+    path = str(tmp_path / "edited.report.json")
+    pathlib.Path(path).write_text(json.dumps(report))
+    capsys.readouterr()
+    assert main(["check", "--trace", base + ".trace.jsonl",
+                 "--cert", base + ".certificate.json", "--report", path]) == 1
+    out = capsys.readouterr().out
+    assert "\nCHECK FAIL: report %s mismatch: " % field in "\n" + out, out
 
 
 SRC_DIR = os.path.dirname(os.path.dirname(
@@ -715,6 +754,8 @@ UNREAD_FLAGS = [
     ("demo_batch", ["demo", "--batch", "*.json"]),
     ("run_without_config", ["run", "--out", "o"]),
     ("run_config_and_batch", ["run", "--config", "c", "--batch", "*.json"]),
+    ("analyze_tol", ["analyze", "--config", "c", "--tol", "eps_P=1e-3"]),
+    ("analyze_max_iters", ["analyze", "--config", "c", "--max-iters", "5"]),
 ]
 
 

@@ -172,6 +172,20 @@ def test_functoriality_subsampling():
                 assert abs(xb - xc) < 1e-8
 
 
+@pytest.mark.parametrize("g, datum, extra, m", [
+    *[(CHEB, BranchDatum(0.0, math.sqrt(2)), (), m) for m in (2, 3, 4)],
+    *[(SQUARE, BranchDatum(0.5, math.sqrt(0.5)), (1.0,), m) for m in (2, 3)]],
+    ids=["cheb-2", "cheb-3", "cheb-4", "square-2", "square-3"])
+def test_composed_run_has_the_base_punctures(g, datum, extra, m):
+    # P(g^m) = P(g): the iterate's own analysis gives the base run's labels,
+    # and its points within rounding
+    base = init_run(g, [datum], extra_punctures=extra).punctures
+    comp = compose_iterate_run(g, m, datum, extra_punctures=extra).punctures
+    assert comp.labels == base.labels
+    assert all(chordal(p, q) <= 1e-12
+               for p, q in zip(comp.points, base.points))
+
+
 def test_compose_m1_is_plain_run():
     run = compose_iterate_run(CHEB, 1, BranchDatum(0.0, math.sqrt(2)))
     other = cheb_run()
