@@ -47,7 +47,7 @@ import time
 from . import __version__
 from .certify import (LevyCertificate, certify_obstructed, classify_run,
                       same_within, verify_certificate)
-from .errors import PullbackLabError
+from .errors import InvalidBranchDatum, PullbackLabError
 from .fiber import (JSON_ENCODER, BranchDatum, RunStatus, Tolerances, Trace,
                     TrivialMarkedSpec, compose_iterate_run, init_run,
                     min_dist_log10, run_until, stopping_status)
@@ -399,8 +399,7 @@ def _replay_mismatches(records, run):
         if rec["n"] > run.n:
             run.pullback_step()
         points = run.point_entries()
-        want = {"points": points, "min_dist_log10": min_dist_log10(
-            points, run.punctures.labels)}
+        want = {"points": points, "min_dist_log10": min_dist_log10(points)}
         got = {key: rec.get(key) for key in want}
         if got != want and not same_within(got, want, 1e-12, 1.0):
             differ.append(rec["n"])
@@ -456,6 +455,8 @@ def _each_config(handler, args, paths):
         args.config = path
         try:
             status = max(status, handler(args))
+        except InvalidBranchDatum:
+            raise
         except PullbackLabError as exc:
             print("numerical failure: %s: %s" % (path, exc), file=sys.stderr)
             status = 3
@@ -531,7 +532,8 @@ def main(argv=None):
             return _each_config(handler, args,
                                 sorted(globmod.glob(args.batch)))
         return handler(args)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, json.JSONDecodeError,
+            InvalidBranchDatum) as exc:
         print("invalid config/input: %s" % exc, file=sys.stderr)
         return 2
     except PullbackLabError as exc:

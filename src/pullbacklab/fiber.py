@@ -23,14 +23,15 @@ stored trace is judged exactly as the live run was), and
 ``certify.certify_obstructed`` continues it, recording the same way.
 
 An anchored step computes each value once. Fixed when the run is built:
-the anchor's chart and its logs of the chordal factor and of the quadratic
-coefficient (``LocalFixedChart``), the log10 distances from the anchor to
-every other puncture (``_AnchorChart.log10_to``), and the processing order
-of the tracks. Computed per step: the inverse step eta -> eta', its
-residual (``step_residual``, which the record's diagram residual reuses),
-the log10 distance to the own anchor, and the distinctness check; the
-path-node count is updated when a block is appended, so an anchored step
-leaves it as it is.
+the anchor's chart with its logs of the chordal factor and the quadratic
+coefficient (``LocalFixedChart``), a row of log10 distances from the
+anchor to the other punctures that each anchored record copies
+(``_AnchorChart.log10_row``), and the processing order of the tracks.
+Computed per step: the inverse step eta -> eta' with its logs, which the
+cutoff test, the residual (``step_residual``, reused as the record's
+diagram residual), the own log10 distance and the step bound share, and
+the distinctness check; the path-node count is updated when a block is
+appended, so an anchored step leaves it as it is.
 
 A step only moves points: each track keeps its ``history`` of positions
 (and a marked track its ``blocks``), and ``teich_step_bound`` reads a
@@ -61,7 +62,9 @@ from .ratmap import (EPS_CYCLE, MAX_ORBIT, REPELLING_MARGIN, critical_values,
 from .sphere import EPS_SEP, chordal, encode_point, is_inf
 
 # one compact sorted format for every trace line and every file the CLI
-# writes (encode() still builds its C encoder on every call)
+# writes. encode() builds its C encoder per call: ~0.35 us of the 11-16 us
+# a deep anchored record takes on CPython 3.11 / x86-64, where the reprs of
+# its 11 floats (~0.7 us each) are the floor of this format
 JSON_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 K = 5             # steps in the interior-convergence window
@@ -125,14 +128,18 @@ class BranchDatum:
                         (self.branch_point, "branch point")):
             if min(chordal(z, p) for p in punctures.points) <= EPS_SEP:
                 raise CollisionDetected("%s lies on a puncture" % what)
-        if chordal(g(self.branch_point), self.basepoint) > EPS_LIFT:
-            raise InvalidBranchDatum("g(branch_point) misses the basepoint")
-        if self.delta.start != self.basepoint or self.delta.end != self.branch_point:
-            raise InvalidBranchDatum("delta must run from b to b'")
+        self.check_ends(g)
         clr = path_clearance(self.delta, punctures.points)
         if clr <= EPS_CLEAR:
             raise InvalidBranchDatum(
                 "delta clearance %.3g to the punctures" % clr)
+
+    def check_ends(self, g):
+        """g(b') = b and delta runs from b to b', as lifting delta needs."""
+        if chordal(g(self.branch_point), self.basepoint) > EPS_LIFT:
+            raise InvalidBranchDatum("g(branch_point) misses the basepoint")
+        if self.delta.start != self.basepoint or self.delta.end != self.branch_point:
+            raise InvalidBranchDatum("delta must run from b to b'")
 
 
 class TrivialMarkedSpec:
@@ -163,28 +170,30 @@ class TrivialMarkedSpec:
 
 
 class _AnchorChart:
-    """Precomputed anchoring data for one repelling fixed puncture: ``rho``
-    is the chart distance to the nearest other puncture or obstacle,
-    ``disk_R`` the comparison-disk radius, and ``log10_to[j]`` the log10
-    chordal distance to puncture j (None at the own index, where the
-    distance is measured in the chart)."""
+    """Precomputed anchoring data for the repelling fixed puncture ``label``
+    (at ``index``): ``rho`` is the chart distance to the nearest other
+    puncture or obstacle, ``disk_R`` the comparison-disk radius, and
+    ``log10_row`` the log10 chordal distances to the punctures by label
+    (None at the own label, where the distance is measured in the chart)."""
 
-    __slots__ = ("index", "puncture", "chart", "rho", "r_anchor", "disk_R",
-                 "log10_to")
+    __slots__ = ("index", "label", "puncture", "chart", "rho", "r_anchor",
+                 "disk_R", "log10_row")
 
-    def __init__(self, index, puncture, chart, points, obstacles):
+    def __init__(self, index, punctures, chart, obstacles):
         self.index = index
-        self.puncture = puncture
+        self.label = punctures.labels[index]
+        self.puncture = puncture = punctures.points[index]
         self.chart = chart
-        others = [q for j, q in enumerate(points) if j != index]
+        others = [q for j, q in enumerate(punctures.points) if j != index]
         self.rho = min(d for d in map(self.chart_distance,
                                       others + list(obstacles)) if d > 0)
         self.r_anchor = self.rho / 8.0
         self.disk_R = self.rho if is_inf(puncture) else min(
             self.chart_distance(q) for q in others if not is_inf(q))
-        self.log10_to = tuple(
-            None if j == index else math.log10(max(chordal(puncture, p), 1e-300))
-            for j, p in enumerate(points))
+        self.log10_row = {
+            lab: None if j == index else
+            math.log10(max(chordal(puncture, p), 1e-300))
+            for j, (lab, p) in enumerate(punctures)}
 
     def chart_distance(self, x):
         """Distance to the anchor in its working chart."""
@@ -330,7 +339,7 @@ class PullbackRun:
             chart = LocalFixedChart(self.g, p)
             near = list(crit_finite) + [b for b, _ in preimages(self.g, p)
                                         if chordal(b, p) > EPS_SEP]
-            anchors[idx] = _AnchorChart(idx, p, chart, pts, near)
+            anchors[idx] = _AnchorChart(idx, self.punctures, chart, near)
         return anchors
 
     @property
@@ -457,9 +466,9 @@ class PullbackRun:
             x = track.position()
             return {lab: math.log10(max(chordal(x, p), 1e-300))
                     for lab, p in self.punctures}
-        own = anchor.chart.log10_dist_to_anchor(track.eta())
-        return {lab: own if j == anchor.index else anchor.log10_to[j]
-                for j, lab in enumerate(self.punctures.labels)}
+        row = dict(anchor.log10_row)
+        row[anchor.label] = anchor.chart.log10_dist_to_anchor(track.eta())
+        return row
 
     def point_entries(self):
         """The ``points`` of the current step's trace record: each track's
@@ -469,7 +478,7 @@ class PullbackRun:
             if track.anchor is not None:
                 eta = track.eta()
                 entry = {"mode": "anchored", "type": track.kind,
-                         "anchor": self.punctures.labels[track.anchor.index],
+                         "anchor": track.anchor.label,
                          "eta": [eta.m.real, eta.m.imag], "exp2": eta.e}
             else:
                 x = track.position()
@@ -498,8 +507,7 @@ class PullbackRun:
         return {"n": self.n, "points": points, "lift_residual": residual,
                 "path_nodes": nodes, "step_bound": step_bound,
                 "diagram_residual": diag,
-                "min_dist_log10": min_dist_log10(points,
-                                                 self.punctures.labels)}
+                "min_dist_log10": min_dist_log10(points)}
 
     def _diagram_residual(self, track):
         """Chordal |g(x_n) - x_{n-1}| for the most recent step."""
@@ -562,10 +570,16 @@ def teich_step_bound(run, n):
     return total
 
 
-def min_dist_log10(points, labels):
-    """Per-puncture minimum of the points' log10 distances, by label."""
-    rows = [entry["dist_log10"] for entry in points.values()]
-    return {lab: min([row[lab] for row in rows]) for lab in labels}
+def min_dist_log10(points):
+    """Per-puncture minimum of the points' log10 distances, keyed like their
+    rows: the first row, lowered where a later one is smaller, as ``min``."""
+    first, *rest = [entry["dist_log10"] for entry in points.values()]
+    best = dict(first)
+    for row in rest:
+        for lab, d in row.items():
+            if d < best[lab]:
+                best[lab] = d
+    return best
 
 
 def init_run(g, marked, trivial=(), extra_punctures=(), tol=None):
@@ -689,6 +703,7 @@ def compose_iterate_run(g, m, datum, extra_punctures=(), tol=None):
         raise ValueError("m must be >= 1")
     if m == 1:
         return init_run(g, [datum], extra_punctures=extra_punctures, tol=tol)
+    datum.check_ends(g)  # before lifting delta, which needs them
     blocks = [datum.delta]
     for _ in range(m - 1):
         blocks.append(lift_path(g, blocks[-1], blocks[-1].end).lifted)

@@ -149,15 +149,17 @@ class DiskComparisons:
 def _segment_upper_sum(density, a, b):
     """Adaptive upper Riemann sum of ``density`` along the segment [a, b]:
     per-subinterval max of sampled densities, refined until successive
-    estimates agree to 1%, then rounded up by the same margin."""
+    estimates agree to 1%, then rounded up by the same margin. Level 2n
+    keeps level n's samples at i / (2n) == 2i / (4n) (exactly) as its even
+    ones and evaluates ``density`` only at its n new odd points."""
     L = abs(b - a)
     if L == 0.0:
         return 0.0
     prev = None
     n = 4
+    samples = [density(a + (b - a) * (i / (2 * n))) for i in range(2 * n + 1)]
     while True:
         total = 0.0
-        samples = [density(a + (b - a) * (i / (2 * n))) for i in range(2 * n + 1)]
         for i in range(n):
             rho = max(samples[2 * i], samples[2 * i + 1], samples[2 * i + 2])
             total += rho * (L / n)
@@ -167,6 +169,9 @@ def _segment_upper_sum(density, a, b):
         n *= 2
         if n > 4096:
             return prev * _ROUND_UP
+        odd = [density(a + (b - a) * (i / (2 * n)))
+               for i in range(1, 2 * n, 2)]
+        samples = [s for two in zip(samples, odd) for s in two] + samples[-1:]
 
 
 def path_length_upper_bound(P, path):
@@ -205,13 +210,12 @@ def anchored_step_bound(R, eta_a, eta_b):
     between nearly opposite rays."""
     if not R > 0:
         raise NoApplicableComparison("empty comparison disk")
-    ln2 = math.log(2.0)
-    la = math.log(abs(eta_a.m)) + eta_a.e * ln2
-    lb = math.log(abs(eta_b.m)) + eta_b.e * ln2
     lR = math.log(R)
-    if la >= lR or lb >= lR:
+    u = lR - eta_a.ln_abs()
+    v = lR - eta_b.ln_abs()
+    if u <= 0 or v <= 0:
         raise NoApplicableComparison("deviation outside the comparison disk")
     dtheta = abs(cmath_phase(eta_b.m / eta_a.m))
-    # turn at whichever radius makes the arc cheaper; both orders are paths
-    arc = dtheta / max(lR - la, lR - lb)
-    return (arc + punctured_disk_radial_bound(R, la, lb)) * _ROUND_UP
+    # turn at whichever radius makes the arc cheaper; both orders are paths;
+    # the radial leg is punctured_disk_radial_bound with log R taken once
+    return (dtheta / max(u, v) + abs(math.log(v / u))) * _ROUND_UP

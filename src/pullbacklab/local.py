@@ -26,15 +26,17 @@ from .sphere import INF, is_inf
 # to < 1e-11 over any run
 _DEEP_CUTOFF_LOG2 = math.log(1e-12, 2)
 _LOG2_10 = math.log2(10.0)
+_LN2 = math.log(2.0)
 # residual |T(w) - target| / |target| of a Newton iterate at rounding level:
 # about 4.5 units in the last place
 _NEWTON_RES_ROUNDING = 1e-15
 
 
 class ScaledComplex:
-    """value = m * 2**e with 0.5 <= |m| < 1 after normalization."""
+    """value = m * 2**e with 0.5 <= |m| < 1 after normalization; never
+    changed, so its logs are taken once, when it is made."""
 
-    __slots__ = ("m", "e")
+    __slots__ = ("m", "e", "_log2", "_ln")
 
     def __init__(self, m, e=0):
         m = complex(m)
@@ -44,6 +46,8 @@ class ScaledComplex:
         _, k = math.frexp(a)  # a = f * 2**k, f in [0.5, 1)
         self.m = complex(math.ldexp(m.real, -k), math.ldexp(m.imag, -k))
         self.e = e + k
+        self._log2 = math.log2(abs(self.m)) + self.e
+        self._ln = math.log(abs(self.m)) + self.e * _LN2
 
     def to_complex(self):
         """Plain complex value; None when outside double range."""
@@ -69,7 +73,10 @@ class ScaledComplex:
         return ScaledComplex(diff, self.e)
 
     def log2_abs(self):
-        return math.log2(abs(self.m)) + self.e
+        return self._log2
+
+    def ln_abs(self):
+        return self._ln
 
     def log10_abs(self):
         return self.log2_abs() / _LOG2_10

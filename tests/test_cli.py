@@ -783,3 +783,30 @@ def test_batch_goes_on_after_a_numerical_failure(tmp_path, capsys):
                                        "b.trace.jsonl"]
     assert "numerical failure: %s: orbit points" % failing in \
         capsys.readouterr().err
+
+
+BAD_DELTA = [{"type": "fixed", "basepoint": [0.0, 0.0],
+              "branch_point": [math.sqrt(2), 0.0],
+              "delta": [[0.0, 0.0], [1.0, 0.0]]}]
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_delta_off_its_branch_point_is_invalid_input(tmp_path, capsys, m):
+    # delta ends at 1, not at b' = sqrt(2): invalid input whether or not
+    # the run composes iterates, which would lift delta first
+    cfgp = write_config(tmp_path, marked=BAD_DELTA, compose_iterate=m)
+    assert main(["run", "--config", cfgp,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == \
+        "invalid config/input: delta must run from b to b'\n"
+
+
+def test_batch_ends_at_an_invalid_branch_datum(tmp_path, capsys):
+    write_config(tmp_path, cfgname="a", marked=BAD_DELTA)
+    write_config(tmp_path, cfgname="b")
+    out = tmp_path / "out"
+    assert main(["run", "--batch", str(tmp_path / "*.json"),
+                 "--out", str(out)]) == 2
+    assert not out.exists() or os.listdir(out) == []
+    assert capsys.readouterr().err == \
+        "invalid config/input: delta must run from b to b'\n"

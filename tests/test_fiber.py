@@ -10,12 +10,14 @@ import pullbacklab
 from pullbacklab.certify import certify_obstructed, classify_run
 from pullbacklab.cli import _build_run, load_config
 
+from pullbacklab import hyperbolic
 from pullbacklab.errors import (CollisionDetected, InvalidBranchDatum,
                                 NoApplicableComparison)
 from pullbacklab.fiber import (BranchDatum, Tolerances, TrivialMarkedSpec,
                                compose_iterate_run, init_run, run_until,
                                stopping_status, teich_step_bound)
-from pullbacklab.lifting import concatenate, lift_path
+from pullbacklab.hyperbolic import punctured_disk_radial_bound
+from pullbacklab.lifting import Path, concatenate, lift_path
 from pullbacklab.local import ScaledComplex
 from pullbacklab.ratmap import RationalMap
 from pullbacklab.sphere import chordal
@@ -514,3 +516,111 @@ def test_two_points_anchored_at_one_puncture_step_without_error():
     assert [t.mode for t in run.marked] == ["anchored", "anchored"]
     assert all(b is not None for b in bounds[:3])
     assert all(b is None for b in bounds[3:])
+
+
+def test_compose_iterate_checks_delta_before_lifting():
+    # delta ends at 1, not at b' = sqrt(2): the iterate run rejects the
+    # datum as the plain run does, before lifting delta through g
+    datum = BranchDatum(0.0, math.sqrt(2), Path([0.0, 1.0]))
+    for m in (1, 2):
+        with pytest.raises(InvalidBranchDatum,
+                           match="delta must run from b to b'"):
+            compose_iterate_run(CHEB, m, datum)
+
+
+def _reference_anchored_step_bound(R, eta_a, eta_b):
+    # the bound as first written: both logs and log R taken on every call
+    if not R > 0:
+        raise NoApplicableComparison("empty comparison disk")
+    ln2 = math.log(2.0)
+    la = math.log(abs(eta_a.m)) + eta_a.e * ln2
+    lb = math.log(abs(eta_b.m)) + eta_b.e * ln2
+    lR = math.log(R)
+    if la >= lR or lb >= lR:
+        raise NoApplicableComparison("deviation outside the comparison disk")
+    dtheta = abs(cmath.phase(eta_b.m / eta_a.m))
+    arc = dtheta / max(lR - la, lR - lb)
+    return (arc + punctured_disk_radial_bound(R, la, lb)) * 1.01
+
+
+def _reference_log10_row(run, track):
+    # the row as first written: one dict built per point and step
+    anchor = track.anchor
+    if anchor is None:
+        x = track.position()
+        return {lab: math.log10(max(chordal(x, p), 1e-300))
+                for lab, p in run.punctures}
+    eta = track.eta()
+    own = math.log10(anchor.chart.chordal_factor) + \
+        (math.log2(abs(eta.m)) + eta.e) / math.log2(10.0)
+    return {lab: own if j == anchor.index else
+            math.log10(max(chordal(anchor.puncture, p), 1e-300))
+            for j, (lab, p) in enumerate(run.punctures)}
+
+
+def _reference_min_dist_log10(points, labels):
+    rows = [entry["dist_log10"] for entry in points.values()]
+    return {lab: min([row[lab] for row in rows]) for lab in labels}
+
+
+def _hex_items(row):
+    return [(lab, d.hex()) for lab, d in row.items()]
+
+
+def _outcome(bound, *args):
+    try:
+        return bound(*args).hex()
+    except NoApplicableComparison as exc:
+        return "raised: %s" % exc
+
+
+def _reference_runs():
+    """(name, run, steps): the demo configs, the alpha-map run, two points
+    anchored at one puncture, and a trivial point beside an anchored one."""
+    configs = os.path.join(os.path.dirname(pullbacklab.__file__),
+                           "demo_configs", "*.json")
+    for path in sorted(glob.glob(configs)):
+        yield os.path.basename(path), _build_run(load_config(path)), 120
+    c, b = -1.5436890126920764, 0.3 + 0.2j
+    yield "alpha", init_run(RationalMap([c, 0, 1]),
+                            [BranchDatum(b, -cmath.sqrt(b - c))]), 1500
+    yield "two anchored", init_run(
+        CHEB, [BranchDatum(0, math.sqrt(2)),
+               BranchDatum(0.5 + 0.3j, cmath.sqrt(2.5 + 0.3j))]), 600
+    yield "trivial", init_run(
+        CHEB, [BranchDatum(0.0, math.sqrt(2))],
+        trivial=[TrivialMarkedSpec(-2.0, 0.0, start=0.5)]), 600
+
+
+def test_step_record_numbers_match_their_reference_formulas(monkeypatch):
+    # each deviation keeps its logs and each anchored row starts from its
+    # anchor's template: the step bounds, log10 rows and minima equal the
+    # formulas evaluated afresh, bit for bit and in the same key order
+    bound = hyperbolic.anchored_step_bound
+    outcomes = []
+
+    def spy(R, eta_a, eta_b):
+        outcomes.append((_outcome(bound, R, eta_a, eta_b),
+                         _outcome(_reference_anchored_step_bound,
+                                  R, eta_a, eta_b)))
+        return bound(R, eta_a, eta_b)
+    monkeypatch.setattr(hyperbolic, "anchored_step_bound", spy)
+    deep = set()
+    for name, run, steps in _reference_runs():
+        for _ in range(steps):
+            run.pullback_step()
+            rec = run.trace_record()
+            for track in run._tracks:
+                want = _hex_items(_reference_log10_row(run, track))
+                assert _hex_items(run.log10_distances(track)) == want, name
+                assert _hex_items(rec["points"][track.label]["dist_log10"]) \
+                    == want, name
+            assert _hex_items(rec["min_dist_log10"]) == _hex_items(
+                _reference_min_dist_log10(rec["points"],
+                                          run.punctures.labels)), name
+        if run.marked[0].anchor is not None and \
+                run.marked[0].eta().log2_abs() < -1074:
+            deep.add(name)
+    assert all(got == want for got, want in outcomes)
+    assert any(got.startswith("raised") for got, _ in outcomes)
+    assert {"alpha", "two anchored", "trivial"} <= deep

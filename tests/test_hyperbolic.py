@@ -1,10 +1,12 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
 from pullbacklab.errors import NoApplicableComparison
 from pullbacklab.hyperbolic import (ELL_STAR, DiskComparisons, RoundAnnulus,
+                                    _segment_upper_sum,
                                     annulus_modulus, anchored_step_bound,
                                     geodesic_length_bound,
                                     path_length_upper_bound,
@@ -151,3 +153,80 @@ def test_length_bounds_are_floats_that_refuse_non_finite_values():
     # pi / 5e-324 overflows to inf: refused, not returned
     with pytest.raises(ValueError, match="length bound must be finite"):
         geodesic_length_bound(5e-324)
+
+
+def _reference_segment_upper_sum(density, a, b):
+    # the sum as first written: every sample evaluated again at each level
+    L = abs(b - a)
+    if L == 0.0:
+        return 0.0
+    prev = None
+    n = 4
+    while True:
+        total = 0.0
+        samples = [density(a + (b - a) * (i / (2 * n))) for i in range(2 * n + 1)]
+        for i in range(n):
+            rho = max(samples[2 * i], samples[2 * i + 1], samples[2 * i + 2])
+            total += rho * (L / n)
+        if prev is not None and abs(total - prev) <= 0.01 * total:
+            return max(total, prev) * 1.01
+        prev = total
+        n *= 2
+        if n > 4096:
+            return prev * 1.01
+
+
+def _sum_with_calls(upper_sum, density, a, b):
+    """(result or raised message, density calls made)."""
+    calls = []
+
+    def counted(z):
+        calls.append(z)
+        return density(z)
+    try:
+        return upper_sum(counted, a, b).hex(), len(calls)
+    except NoApplicableComparison as exc:
+        return "raised: %s" % exc, len(calls)
+
+
+def test_segment_upper_sum_reuses_samples_bit_for_bit():
+    # refinement keeps each level's samples as the next level's even ones
+    # and evaluates only the new odd points: the same sums, bit for bit,
+    # and the same message when a sample lies in no comparison disk
+    comp = DiskComparisons([0j, 1 + 0j, -1 + 0j, 2j, 3 - 1j])
+    rng = random.Random(5)
+    stops = set()
+    for _ in range(60):
+        c, R = rng.choice(comp.pairs)
+        scale = 10 ** rng.uniform(-8, 0)
+        a = c + 0.9 * R * complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * \
+            (scale if rng.random() < 0.5 else 1.0)
+        b = c + 0.9 * R * complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * scale
+        want, ref_calls = _sum_with_calls(_reference_segment_upper_sum,
+                                          comp.density, a, b)
+        got, calls = _sum_with_calls(_segment_upper_sum, comp.density, a, b)
+        assert got == want, (a, b)
+        if want.startswith("raised"):
+            stops.add("raised")
+            continue
+        # the reference sampled 2n + 1 points at n = 4, 8, ..., n_stop
+        n, evaluated = 4, 9
+        while evaluated < ref_calls:
+            n *= 2
+            evaluated += 2 * n + 1
+        assert evaluated == ref_calls
+        assert calls == 2 * n + 1
+        stops.add(n)
+    assert {8, 16, 32, 64, 4096, "raised"} <= stops
+    # a segment that stops at n = 8 takes 9 + 8 samples, not 9 + 17
+    got, calls = _sum_with_calls(_segment_upper_sum, comp.density,
+                                 0.3 + 0j, 0.4 + 0j)
+    want, ref_calls = _sum_with_calls(_reference_segment_upper_sum,
+                                      comp.density, 0.3 + 0j, 0.4 + 0j)
+    assert (got, calls, ref_calls) == (want, 17, 26)
+    # a segment 1e-12 from a puncture refines to the cap without agreeing
+    comp = DiskComparisons([0j, 3 + 0j, -3 + 0j, 1.5j])
+    a, b = -1e-3 + 1e-12j, 2.3e-3 + 1e-12j
+    got, calls = _sum_with_calls(_segment_upper_sum, comp.density, a, b)
+    want, _ = _sum_with_calls(_reference_segment_upper_sum, comp.density, a, b)
+    assert (got, calls) == (want, 2 * 4096 + 1)
