@@ -29,9 +29,3 @@ code = main(["check",
              "--trace", str(out / "chebyshev.trace.jsonl"),
              "--cert", str(out / "chebyshev.certificate.json")])
 print("stored-artifact check exit status:", code)
-
-code = main(["check",
-             "--trace", str(out / "iterate_composition.trace.jsonl"),
-             "--cert", str(out / "iterate_composition.certificate.json"),
-             "--base-trace", str(out / "chebyshev.trace.jsonl")])
-print("functoriality cross-check exit status:", code)

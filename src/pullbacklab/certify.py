@@ -30,7 +30,7 @@ from .errors import (InjectivityUndetermined, NoSeparatingAnnulus,
 from .fiber import EPS_FIX, Tolerances, step_until
 from .hyperbolic import ELL_STAR, RoundAnnulus, annulus_modulus
 from .lifting import EPS_CV, Path, lift_closed_curve, _newton_preimage
-from .ratmap import REPELLING_MARGIN
+from .ratmap import is_repelling
 from .sphere import chordal, encode_point, is_inf, json_float, json_typed
 
 TWO_PI = 2.0 * math.pi
@@ -120,7 +120,7 @@ def classify_run(trace, g, punctures, tol=None):
             return Classification(
                 "undecided",
                 reason="limit puncture is not fixed -- likely lifting fault")
-        if not abs(mult) > 1.0 + REPELLING_MARGIN:
+        if not is_repelling(mult):
             return Classification(
                 "undecided",
                 reason="limit at a non-repelling puncture -- likely lifting fault")
@@ -431,12 +431,6 @@ class LevyCertificate:
         self.tolerances = tolerances or {}
         self.trace_digest = trace_digest
 
-    def distinct_curve_classes(self):
-        """Simple closed curves on a finitely punctured sphere are homotopic
-        rel the marked set iff they separate the labels the same way, so the
-        budget counts distinct enclosed-label sets."""
-        return len(set(self.curve_enclosed_labels))
-
     def to_json(self):
         obj = {name: getattr(self, name) for name in self.FIELDS}
         obj["annulus"] = self.annulus.to_json()
@@ -509,8 +503,9 @@ def _annulus_faults(modulus, threshold, counts, ring):
 def _curve_faults(windings, length_bound, enclosed, k):
     """Messages of the curve conditions that fail: each curve winds once
     around the annulus core, length bound below ell*, and at most k
-    distinct enclosed-label sets (the short-curve budget, see
-    ``LevyCertificate.distinct_curve_classes``)."""
+    distinct enclosed-label sets (the short-curve budget: simple closed
+    curves on a finitely punctured sphere are homotopic rel the marked set
+    iff they separate the labels the same way)."""
     faults = ["curve %d does not wind once around the annulus core" % idx
               for idx, w in enumerate(windings) if w is None or abs(w) != 1]
     if not length_bound < ELL_STAR:
@@ -546,20 +541,18 @@ def _log_euclid_dist(a, b):
     """Natural-log plane distance between two ``step_points`` entries; +inf
     for pairs involving oo (a cluster at oo needs a re-chart). Two points
     anchored in one chart are compared by their deviations (-inf when they
-    cancel exactly), an anchored point and its own puncture by |eta|."""
+    cancel exactly), an anchored point and its own puncture, the very z
+    ``step_points`` gives it, by |eta|."""
     _, _, z1, dev1 = a
     _, _, z2, dev2 = b
     if dev1 is not None and dev2 is not None and dev1[0] is dev2[0]:
-        try:
-            return dev1[1].sub(dev2[1]).log2_abs() * _LN2
-        except ValueError:
-            return -math.inf
+        return dev1[1].log2_dist(dev2[1]) * _LN2
     if is_inf(z1) or is_inf(z2):
         return math.inf
     if dev1 is None and dev2 is None:
         d = abs(z1 - z2)
         return math.log(d) if d > 0 else -math.inf
-    if (dev1 is None or dev2 is None) and chordal(z1, z2) <= 1e-12:
+    if (dev1 is None or dev2 is None) and z1 == z2:
         return (dev1 or dev2)[1].log2_abs() * _LN2
     return math.log(max(abs(z1 - z2), 1e-300))
 

@@ -8,7 +8,7 @@ Subcommands and the flags each reads:
   ``--out``, ``--tol eps_P=VALUE|max_iters=N`` and ``--max-iters``;
 - ``classify``: ``--trace`` and one of ``--config`` / ``--report``, with
   ``--tol`` and ``--max-iters``;
-- ``check``: ``--trace``, ``--cert``, ``--base-trace``, ``--report``;
+- ``check``: ``--trace`` and ``--cert``, with ``--report``;
 - ``demo``: ``--out``, ``--tol`` and ``--max-iters``.
 
 Exit codes: 0 done, 2 invalid config/usage, 3 numerical failure;
@@ -50,7 +50,7 @@ from .certify import (LevyCertificate, certify_obstructed, classify_run,
 from .errors import InvalidBranchDatum, PullbackLabError
 from .fiber import (JSON_ENCODER, BranchDatum, RunStatus, Tolerances, Trace,
                     TrivialMarkedSpec, compose_iterate_run, init_run,
-                    min_dist_log10, run_until, stopping_status)
+                    min_dist_log10, run_until, step_until, stopping_status)
 from .lifting import Path
 from .ratmap import RationalMap, postsingular_analysis
 from .sphere import decode_point, json_complex, json_float, json_typed
@@ -324,9 +324,8 @@ def cmd_check(args):
     if payload.get("run_config") is None:
         failures.append("certificate does not embed its run config")
     else:
-        cfg = artifact_config(payload)
         records = _trace_records(data)
-        run = _build_run(cfg)
+        run = _build_run(artifact_config(payload))
         # the steps come first: a forged cert.step must not drive stepping
         if [rec.get("n") for rec in records] != list(range(len(records))) \
                 or len(records) != cert.step + 1:
@@ -337,9 +336,6 @@ def cmd_check(args):
             result = verify_certificate(cert, run)
             if not result:
                 failures.extend(result.mismatches)
-        if args.base_trace:
-            failures.extend(_functoriality_suite(records, args.base_trace,
-                                                 cfg["compose_iterate"]))
         if args.report:
             failures.extend(_report_mismatches(records, run, payload, digest,
                                                args.report))
@@ -391,13 +387,13 @@ def _same_json(a, b):
 
 
 def _replay_mismatches(records, run):
-    """Step ``run`` through consecutive records from ``run.n`` on; each
-    record's points and minima must be the run's, floats within 1e-12
-    max(1, |x|) (another machine's libm may round the last bit apart)."""
+    """Step ``run`` through consecutive records from ``run.n`` on, with
+    the engine's one step loop (``fiber.step_until``); each record's points
+    and minima must be the run's, floats within 1e-12 max(1, |x|) (another
+    machine's libm may round the last bit apart)."""
     differ = []
     for rec in records:
-        if rec["n"] > run.n:
-            run.pullback_step()
+        step_until(run, lambda: None, rec["n"])
         points = run.point_entries()
         want = {"points": points, "min_dist_log10": min_dist_log10(points)}
         got = {key: rec.get(key) for key in want}
@@ -407,28 +403,6 @@ def _replay_mismatches(records, run):
         return ["trace differs from the re-stepped run at %d of %d records, "
                 "first at n=%d" % (len(differ), len(records), differ[0])]
     return []
-
-
-def _functoriality_suite(records, base_trace_path, m):
-    """Composed-run positions must subsample the base run's."""
-    failures = []
-    if m < 2:
-        return ["functoriality check needs a compose_iterate config"]
-    base = _read_trace(base_trace_path)
-    for j, rec in enumerate(records):
-        if m * j >= len(base):
-            break
-        for lab, entry in rec["points"].items():
-            b_entry = base[m * j]["points"].get(lab)
-            if b_entry is None:
-                continue
-            if entry["mode"] == "free" and b_entry["mode"] == "free":
-                d = abs(complex(*entry["value"]) - complex(*b_entry["value"]))
-                if d >= 1e-8:
-                    failures.append(
-                        "functoriality: step %d differs from base step %d "
-                        "by %.3g" % (j, m * j, d))
-    return failures
 
 
 def cmd_demo(args):
@@ -511,7 +485,6 @@ def build_parser():
     p = sub.add_parser("check", help="verify a stored trace + certificate")
     p.add_argument("--trace", required=True)
     p.add_argument("--cert", required=True)
-    p.add_argument("--base-trace", dest="base_trace", default=None)
     p.add_argument("--report", default=None,
                    help="also require this report to belong to the trace and "
                         "certificate")

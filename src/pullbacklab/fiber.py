@@ -38,8 +38,9 @@ A step only moves points: each track keeps its ``history`` of positions
 step's moves from them and sums their ``hyperbolic`` bounds.
 
 The punctures are P plus the extra punctures, ordered and labelled by
-``ratmap.puncture_configuration``; a point within ``sphere.EPS_SEP`` of
-one of them counts as that puncture. An iterate run
+``ratmap.puncture_configuration``; a point counts as one of them by
+``sphere.index_near`` (within ``sphere.EPS_SEP``), and a marked datum on
+one is invalid input. An iterate run
 (``compose_iterate_run``) takes its punctures from the analysis of g^m
 alone, since P(g^m) = P(g): the critical values of g^m are the g^j(v) for
 the critical values v of g and 0 <= j < m. Blocks of a path are joined by
@@ -56,10 +57,11 @@ from . import hyperbolic
 from .lifting import (EPS_CLEAR, EPS_CV, EPS_LIFT, ETA_SAFE, MAX_DEPTH, Path,
                       concatenate, lift_path, path_clearance, simplify_path)
 from .local import LocalFixedChart
-from .ratmap import (EPS_CYCLE, MAX_ORBIT, REPELLING_MARGIN, critical_values,
+from .ratmap import (EPS_CYCLE, MAX_ORBIT, critical_values, is_repelling,
                      iterate, postsingular_analysis, preimages,
                      puncture_configuration)
-from .sphere import EPS_SEP, chordal, encode_point, is_inf
+from .sphere import (EPS_SEP, chart_coordinate, chordal, encode_point,
+                     index_near, is_inf)
 
 # one compact sorted format for every trace line and every file the CLI
 # writes. encode() builds its C encoder per call: ~0.35 us of the 11-16 us
@@ -126,8 +128,8 @@ class BranchDatum:
     def validate(self, g, punctures):
         for z, what in ((self.basepoint, "basepoint"),
                         (self.branch_point, "branch point")):
-            if min(chordal(z, p) for p in punctures.points) <= EPS_SEP:
-                raise CollisionDetected("%s lies on a puncture" % what)
+            if index_near(punctures.points, z) is not None:
+                raise InvalidBranchDatum("%s lies on a puncture" % what)
         self.check_ends(g)
         clr = path_clearance(self.delta, punctures.points)
         if clr <= EPS_CLEAR:
@@ -156,12 +158,11 @@ class TrivialMarkedSpec:
     def validate(self, g, punctures):
         if chordal(g(self.preimage), self.image) > EPS_LIFT:
             raise InvalidBranchDatum("g(q') misses the trivial image q")
-        if not any(chordal(self.image, p) <= EPS_SEP
-                   for p in punctures.points):
+        if index_near(punctures.points, self.image) is None:
             raise InvalidBranchDatum("trivial image q must lie in P")
         for z, name in ((self.preimage, "q'"), (self.start, "start")):
-            if min(chordal(z, p) for p in punctures.points) <= EPS_SEP:
-                raise CollisionDetected(
+            if index_near(punctures.points, z) is not None:
+                raise InvalidBranchDatum(
                     "trivial %s collides with a puncture" % name)
         if self.start != self.preimage and path_clearance(
                 Path([self.start, self.preimage]),
@@ -197,13 +198,8 @@ class _AnchorChart:
 
     def chart_distance(self, x):
         """Distance to the anchor in its working chart."""
-        if is_inf(self.puncture):
-            if is_inf(x):
-                return 0.0
-            return math.inf if x == 0 else abs(1.0 / x)
-        if is_inf(x):
-            return math.inf
-        return abs(x - self.puncture)
+        w = chart_coordinate(self.puncture, x)
+        return math.inf if is_inf(w) else abs(w)
 
 
 class _MarkedTrack:
@@ -321,7 +317,7 @@ class PullbackRun:
         self._crit_values = critical_values(g)
         self._obstacles = list(punctures.points) + [
             v for v in self._crit_values
-            if min(chordal(v, p) for p in punctures.points) > EPS_SEP]
+            if index_near(punctures.points, v) is None]
         self._check_distinct()
 
     # -- setup ---------------------------------------------------------------
@@ -331,10 +327,8 @@ class PullbackRun:
         pts = self.punctures.points
         _, crit_finite = self.g.chart()
         for idx, p in enumerate(pts):
-            if chordal(self.g(p), p) > EPS_FIX:
-                continue
-            _, mult = self.g.evaluate_with_derivative(p)
-            if not abs(mult) > 1.0 + REPELLING_MARGIN:
+            gp, mult = self.g.evaluate_with_derivative(p)
+            if chordal(gp, p) > EPS_FIX or not is_repelling(mult):
                 continue
             chart = LocalFixedChart(self.g, p)
             near = list(crit_finite) + [b for b, _ in preimages(self.g, p)
@@ -409,13 +403,12 @@ class PullbackRun:
         for i, (li, xi, ai, ei) in enumerate(moving):
             for lj, xj, aj, ej in moving[i + 1:]:
                 if ai is not None and aj is not None and ai.index == aj.index:
-                    try:
-                        gap = ei.sub(ej)
-                    except ValueError:
+                    gap = ei.log2_dist(ej)
+                    if gap == -math.inf:
                         raise CollisionDetected(
                             "marked points %s, %s merged" % (li, lj),
                             pair=(li, lj))
-                    rel = gap.log2_abs() - max(ei.log2_abs(), ej.log2_abs())
+                    rel = gap - max(ei.log2_abs(), ej.log2_abs())
                     if rel <= math.log2(EPS_SEP):
                         raise CollisionDetected(
                             "marked points %s, %s closer than eps_sep "
@@ -564,7 +557,7 @@ def teich_step_bound(run, n):
                 "another marked coordinate" % (n, track.label))
         pts = list(run.punctures.points)
         for x in others:
-            if min(chordal(x, p) for p in pts) > EPS_SEP:
+            if index_near(pts, x) is None:
                 pts.append(x)
         total += hyperbolic.path_length_upper_bound(pts, block)
     return total
@@ -593,10 +586,9 @@ def init_run(g, marked, trivial=(), extra_punctures=(), tol=None):
     pts = list(postsingular_analysis(g).postsingular.points)
     extras = [q if is_inf(q) else complex(q) for q in extra_punctures]
     for q in extras:
-        if min(chordal(q, p) for p in pts) <= EPS_SEP:
+        if index_near(pts, q) is not None:
             continue
-        w = g(q)
-        if min(chordal(w, p) for p in pts + extras) > EPS_SEP:
+        if index_near(pts + extras, g(q)) is None:
             raise InvalidBranchDatum(
                 "extra puncture %r is not forward invariant" % (q,))
         pts.append(q)

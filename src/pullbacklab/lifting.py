@@ -23,7 +23,8 @@ import math
 from .errors import (BranchJumpSuspected, ChartOverflow, EndpointMismatch,
                      NearCriticalValue)
 from .ratmap import critical_values
-from .sphere import CHART_LIMIT, chordal, is_inf, json_complex, json_typed
+from .sphere import (CHART_LIMIT, chart_coordinate, chordal, is_inf,
+                     json_complex, json_typed)
 
 EPS_LIFT = 1e-9    # chordal residual allowed for accepted lift nodes
 EPS_CV = 1e-6      # required path clearance to critical values
@@ -356,8 +357,7 @@ def simplify_path(path, obstacles):
     of the obstacle points by 2 EPS_CLEAR; endpoints and homotopy class are
     preserved by the corridor check."""
     path = cancel_retraces(path)
-    if path.anchor is not None:
-        obstacles = [q if is_inf(q) else q - path.anchor for q in obstacles]
+    obstacles = [chart_coordinate(path.anchor, q) for q in obstacles]
     nodes = list(path.nodes)
     changed = True
     passes = 0

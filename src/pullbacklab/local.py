@@ -18,8 +18,8 @@ deviations are measured from the true fixed point and decay cleanly.
 import math
 
 from .errors import BranchJumpSuspected
-from .ratmap import REPELLING_MARGIN
-from .sphere import INF, is_inf
+from .ratmap import is_repelling
+from .sphere import INF, chart_coordinate, is_inf
 
 # |eta| above which the inverse step re-solves the translated map; below it
 # the linearized step carries relative error O(|eta|) per step, which sums
@@ -72,6 +72,13 @@ class ScaledComplex:
             raise ValueError("exact cancellation in ScaledComplex.sub")
         return ScaledComplex(diff, self.e)
 
+    def log2_dist(self, other):
+        """log2 |self - other|; -inf when they cancel exactly."""
+        try:
+            return self.sub(other).log2_abs()
+        except ValueError:
+            return -math.inf
+
     def log2_abs(self):
         return self._log2
 
@@ -100,7 +107,7 @@ class LocalFixedChart:
         self.chordal_factor = 2.0 if is_inf(p) else 2.0 / (1.0 + abs(p) ** 2)
         self.eps_star = self._solve_offset()
         _, lam = self.T.evaluate_with_derivative(self.eps_star)
-        if not abs(lam) > 1.0 + REPELLING_MARGIN:
+        if not is_repelling(lam):
             raise ValueError(
                 "anchor %r is not a repelling fixed point (|mult| = %.6g)"
                 % (p, abs(lam)))
@@ -159,19 +166,16 @@ class LocalFixedChart:
 
     def deviation_of(self, x):
         """Deviation of an absolute position from the true fixed point."""
-        if is_inf(self.puncture):
-            w = 0j if is_inf(x) else 1.0 / x
-            return ScaledComplex(w - self.eps_star)
-        return ScaledComplex((x - self.puncture) - self.eps_star)
+        return ScaledComplex(chart_coordinate(self.puncture, x)
+                             - self.eps_star)
 
     def materialize(self, eta):
         """Best double representation of the tracked position."""
         z = eta.to_complex()
         if is_inf(self.puncture):
-            if z is None or z == -self.eps_star:
-                return INF
-            w = self.eps_star + z
-            return INF if w == 0 else 1.0 / w
+            # the chart at oo is its own inverse
+            return INF if z is None else chart_coordinate(
+                INF, self.eps_star + z)
         if z is None:
             return self.puncture
         return self.puncture + (self.eps_star + z)

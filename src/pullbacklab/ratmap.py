@@ -11,8 +11,9 @@ Newton, and multiple roots are recovered by clustering, which is robust at
 the low degrees (<= 8) this engine targets.
 
 P is ordered and labelled in one place, ``puncture_configuration``: finite
-points lexicographically, oo last, as p0, p1, ...; two points within
-``sphere.EPS_SEP`` count as one point of P.
+points lexicographically, oo last, as p0, p1, ...; a point counts as a point
+of P, or of any list of points, by ``sphere.index_near``. A multiplier is
+repelling by ``is_repelling``, the only reader of ``REPELLING_MARGIN``.
 """
 
 import cmath
@@ -21,14 +22,20 @@ import sys
 
 from .errors import (AmbiguousCycle, NotPostsingularlyFinite,
                      RootFindingFailure)
-from .sphere import (EPS_SEP, INF, Configuration, chordal, encode_point,
-                     is_inf, json_complex, json_typed)
+from .sphere import (INF, Configuration, chart_coordinate, chordal,
+                     encode_point, index_near, is_inf, json_complex,
+                     json_typed)
 
 REPELLING_MARGIN = 1e-9  # repelling means |multiplier| > 1 + this
 _CLUSTER_TOL = 1e-6     # root clustering scale for multiplicity detection
 _ABERTH_SWEEPS = 100    # a root not at rounding level by then raises
 MAX_ORBIT = 200         # critical-value orbit steps before "not psf"
 EPS_CYCLE = 1e-6        # chordal gap at which an orbit counts as closed
+
+
+def is_repelling(multiplier):
+    """Whether a fixed point or cycle with this multiplier is repelling."""
+    return abs(multiplier) > 1.0 + REPELLING_MARGIN
 
 
 # ---------------------------------------------------------------------------
@@ -305,21 +312,19 @@ class RationalMap:
         return RationalMap(A, Dsh, check=False)
 
     def chart(self, q=None):
-        """(map, finite critical points) in the working chart at q, cached
-        per q: g for q None, g(q + w) - q for a finite q, 1/g(1/w) for oo."""
+        """(map, finite critical points) in the working chart at q
+        (``sphere.chart_coordinate``), cached per q: g for q None,
+        g(q + w) - q for a finite q, 1/g(1/w) for oo."""
         key = ("chart", q)
         if key not in self._cache:
-            crit = [c for c, _ in critical_points(self)]
             if q is None:
-                out = self, tuple(c for c in crit if not is_inf(c))
+                gm = self
             elif is_inf(q):
-                out = (self.reciprocal_conjugate().shifted(0.0),
-                       tuple(0j if is_inf(c) else 1.0 / c
-                             for c in crit if c != 0))
+                gm = self.reciprocal_conjugate().shifted(0.0)
             else:
-                out = self.shifted(q), tuple(c - q for c in crit
-                                             if not is_inf(c))
-            self._cache[key] = out
+                gm = self.shifted(q)
+            crit = (chart_coordinate(q, c) for c, _ in critical_points(self))
+            self._cache[key] = gm, tuple(w for w in crit if not is_inf(w))
         return self._cache[key]
 
     def reciprocal_conjugate(self):
@@ -407,7 +412,7 @@ def critical_values(g):
     vals = []
     for c, _ in critical_points(g):
         v = g(c)
-        if not any(chordal(v, w) <= EPS_SEP for w in vals):
+        if index_near(vals, v) is None:
             vals.append(v)
     g._cache["cv"] = vals
     return vals
@@ -464,7 +469,7 @@ class FixedPointData:
             self.type = "superattracting"
         elif m < 1.0 - 1e-9:
             self.type = "attracting"
-        elif m <= 1.0 + REPELLING_MARGIN:
+        elif not is_repelling(multiplier):
             self.type = "indifferent"
         else:
             self.type = "repelling"
@@ -506,7 +511,7 @@ def _in_config(z, P):
     if P is None:
         return False
     pts = P.points if isinstance(P, Configuration) else P
-    return any(chordal(z, p) <= 1e-6 for p in pts)
+    return index_near(pts, z) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -600,11 +605,8 @@ def postsingular_analysis(g):
     portrait = []
 
     def register(p):
-        for q in points:
-            if chordal(p, q) <= EPS_SEP:
-                return points.index(q)
-        points.append(p)
-        return len(points) - 1
+        if index_near(points, p) is None:
+            points.append(p)
 
     for v in cvals:
         orbit = [v]
@@ -629,7 +631,7 @@ def postsingular_analysis(g):
             mult = _cycle_multiplier(g, cycle)
             super_ = any(chordal(z0, c) <= 1e-6
                          for z0 in cycle for c in crit_pts)
-            if not super_ and abs(mult) <= 1.0 + REPELLING_MARGIN:
+            if not super_ and not is_repelling(mult):
                 raise NotPostsingularlyFinite(
                     "orbit of %r approaches a non-repelling, non-super cycle "
                     "(|mult| = %.6g); map is not postsingularly finite"

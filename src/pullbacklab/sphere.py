@@ -58,6 +58,28 @@ def chordal(p, q):
     return 2.0 * abs(p - q) / (math.hypot(1.0, abs(p)) * math.hypot(1.0, abs(q)))
 
 
+def index_near(points, z):
+    """Index of the first of ``points`` within EPS_SEP (chordal) of z, or
+    None: the one rule for "z counts as that point", puncture membership
+    included."""
+    for i, p in enumerate(points):
+        if chordal(z, p) <= EPS_SEP:
+            return i
+    return None
+
+
+def chart_coordinate(q, x):
+    """x in the working chart at q: x itself for q None, x - q for a finite
+    q, w = 1/x for q = oo (0 at x = oo); INF where the chart sends x to oo."""
+    if q is None:
+        return x
+    if is_inf(q):
+        if is_inf(x):
+            return 0j
+        return INF if x == 0 else 1.0 / x
+    return INF if is_inf(x) else x - q
+
+
 def encode_point(p):
     """JSON form: [re, im] for finite points, the string "inf" otherwise."""
     if is_inf(p):

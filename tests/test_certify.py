@@ -291,7 +291,7 @@ def test_emit_and_verify_certificate():
     assert cert.inner_count_A >= 2 and cert.outer_count_A >= 2
     assert cert.inner_count_B <= 1 and cert.outer_count_B >= 2
     assert len(cert.representative_curves) == cert.k + 1
-    assert cert.distinct_curve_classes() <= cert.k
+    assert len(set(cert.curve_enclosed_labels)) <= cert.k
     assert verify_certificate(cert, run).ok
 
 

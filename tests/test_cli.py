@@ -108,6 +108,23 @@ MALFORMED_RUNS = [
      {"marked": [{"type": "fixed", "basepoint": [10 ** 400, 0],
                   "branch_point": [math.sqrt(2), 0.0]}]}, [],
      "basepoint must be [re, im] within double range"),
+    # a marked datum on a puncture of z^2 - 2 (P = {-2, 2, oo})
+    ("basepoint_on_puncture",
+     {"marked": [{"type": "fixed", "basepoint": [2.0, 0.0],
+                  "branch_point": [2.0, 0.0]}]}, [],
+     "basepoint lies on a puncture"),
+    ("branch_point_on_puncture",
+     {"marked": [{"type": "fixed", "basepoint": [0.0, 0.0],
+                  "branch_point": [2.0, 0.0]}]}, [],
+     "branch point lies on a puncture"),
+    ("trivial_preimage_on_puncture",
+     {"marked": [{"type": "trivial", "image": [2.0, 0.0],
+                  "preimage": [2.0, 0.0]}]}, [],
+     "trivial q' collides with a puncture"),
+    ("trivial_start_on_puncture",
+     {"marked": [{"type": "trivial", "image": [-2.0, 0.0],
+                  "preimage": [0.0, 0.0], "start": [2.0, 0.0]}]}, [],
+     "trivial start collides with a puncture"),
 ]
 
 
@@ -277,12 +294,11 @@ def test_check_composed_run_and_functoriality(tmp_path):
     out = str(tmp_path / "out")
     assert main(["run", "--config", base_cfg, "--out", out]) == 0
     assert main(["run", "--config", comp_cfg, "--out", out]) == 0
-    # the composed trace verifies against the iterated map, and its
-    # positions subsample the base trace
+    # the composed trace verifies against the iterated map (that its
+    # positions subsample the base run's is test_functoriality_subsampling)
     assert main(["check",
                  "--trace", os.path.join(out, "comp.trace.jsonl"),
-                 "--cert", os.path.join(out, "comp.certificate.json"),
-                 "--base-trace", os.path.join(out, "base.trace.jsonl")]) == 0
+                 "--cert", os.path.join(out, "comp.certificate.json")]) == 0
 
 
 def test_console_script_version():
@@ -756,6 +772,8 @@ UNREAD_FLAGS = [
     ("run_config_and_batch", ["run", "--config", "c", "--batch", "*.json"]),
     ("analyze_tol", ["analyze", "--config", "c", "--tol", "eps_P=1e-3"]),
     ("analyze_max_iters", ["analyze", "--config", "c", "--max-iters", "5"]),
+    ("check_base_trace", ["check", "--trace", "t", "--cert", "c",
+                          "--base-trace", "b"]),
 ]
 
 
@@ -810,3 +828,16 @@ def test_batch_ends_at_an_invalid_branch_datum(tmp_path, capsys):
     assert not out.exists() or os.listdir(out) == []
     assert capsys.readouterr().err == \
         "invalid config/input: delta must run from b to b'\n"
+
+
+def test_batch_ends_at_a_basepoint_on_a_puncture(tmp_path, capsys):
+    write_config(tmp_path, cfgname="a",
+                 marked=[{"type": "fixed", "basepoint": [2.0, 0.0],
+                          "branch_point": [2.0, 0.0]}])
+    write_config(tmp_path, cfgname="b")
+    out = tmp_path / "out"
+    assert main(["run", "--batch", str(tmp_path / "*.json"),
+                 "--out", str(out)]) == 2
+    assert not out.exists() or os.listdir(out) == []
+    assert capsys.readouterr().err == \
+        "invalid config/input: basepoint lies on a puncture\n"

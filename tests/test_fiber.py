@@ -50,7 +50,7 @@ def test_init_validation():
     run = cheb_run()
     assert run.punctures.labels == ("p0", "p1", "p2")
     assert run.k == 1
-    with pytest.raises(CollisionDetected):
+    with pytest.raises(InvalidBranchDatum):
         init_run(CHEB, [BranchDatum(2.0, 2.0)])  # basepoint in P
     with pytest.raises(InvalidBranchDatum):
         init_run(CHEB, [BranchDatum(0.0, 1.0)])  # g(b') != b

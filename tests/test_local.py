@@ -45,6 +45,17 @@ def test_scaled_complex_sub_and_ratio():
         a.sub(ScaledComplex(1.0 + 0j))  # exact cancellation
 
 
+def test_scaled_complex_log2_dist():
+    a = ScaledComplex(3 + 4j)
+    assert a.log2_dist(ScaledComplex(3 + 4j)) == -math.inf  # exact cancellation
+    assert a.log2_dist(ScaledComplex(1 + 4j)) == 1.0
+    # more than 120 binades apart the smaller value is below the larger's
+    # rounding, in either order
+    tiny = ScaledComplex(1 + 0j, -200)
+    assert a.log2_dist(tiny) == a.log2_abs()
+    assert tiny.log2_dist(a) == a.log2_abs()
+
+
 def test_chart_rejects_non_repelling():
     with pytest.raises(ValueError):
         LocalFixedChart(CHEB, -1e9 + 0j)  # not a fixed point at all

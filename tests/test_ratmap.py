@@ -382,6 +382,14 @@ def test_psf_fixed_points_never_strictly_attracting():
             assert f.type in ("superattracting", "repelling")
 
 
+def test_is_repelling():
+    assert not ratmap.is_repelling(1 + 1e-9)  # the margin itself
+    assert ratmap.is_repelling(math.nextafter(1 + 1e-9, 2.0))
+    assert ratmap.is_repelling(-4 + 0j) and ratmap.is_repelling(2j)
+    assert not ratmap.is_repelling(1j)
+    assert not ratmap.is_repelling(complex(math.nan, 0.0))
+
+
 def test_postsingular_chebyshev():
     an = postsingular_analysis(CHEB)
     pts = sorted(("inf" if is_inf(p) else round(p.real, 9)

@@ -1,11 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
 from pullbacklab.errors import CollisionDetected, DegenerateTriple
-from pullbacklab.sphere import (INF, Configuration, MobiusTransform, chordal,
-                                decode_point, encode_point,
-                                forget_coordinates, is_inf, mobius_apply,
-                                mobius_from_triples, normalize_configuration)
+from pullbacklab.sphere import (EPS_SEP, INF, Configuration, MobiusTransform,
+                                chart_coordinate, chordal, decode_point,
+                                encode_point, forget_coordinates, index_near,
+                                is_inf, mobius_apply, mobius_from_triples,
+                                normalize_configuration)
 
 
 def test_chordal_basics():
@@ -18,6 +21,31 @@ def test_chordal_basics():
         a, b = (complex(*rng.normal(size=2)) for _ in range(2))
         assert abs(chordal(a, b) - chordal(b, a)) < 1e-15
         assert chordal(a, b) <= 2.0 + 1e-15
+
+
+def test_index_near():
+    pts = (1 + 0j, 2 + 0j, 2 + 1e-12j, INF)
+    assert index_near(pts, 2 + 1e-13j) == 1  # the first of two matches
+    assert index_near(pts, 3 + 0j) is None
+    assert index_near(pts, INF) == 3
+    assert index_near([INF], INF) == 0
+    assert index_near([], 0j) is None
+    # a point at exactly EPS_SEP counts: chordal(0, x) = 2x for x this small
+    edge = EPS_SEP / 2
+    assert chordal(0j, complex(edge)) == EPS_SEP
+    assert index_near([0j], complex(edge)) == 0
+    assert index_near([0j], complex(math.nextafter(edge, 1.0))) is None
+
+
+def test_chart_coordinate():
+    assert chart_coordinate(None, 2 + 1j) == 2 + 1j
+    assert chart_coordinate(None, INF) is INF
+    assert chart_coordinate(1 + 0j, 3 + 2j) == 2 + 2j
+    assert chart_coordinate(1 + 0j, INF) is INF
+    # w = 1/z at oo
+    assert chart_coordinate(INF, 2j) == -0.5j
+    assert chart_coordinate(INF, INF) == 0j
+    assert chart_coordinate(INF, 0j) is INF
 
 
 def test_mobius_identity_triple():
