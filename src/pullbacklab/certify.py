@@ -27,7 +27,7 @@ import reprlib
 
 from .errors import (InjectivityUndetermined, NoSeparatingAnnulus,
                      PullbackLabError)
-from .fiber import EPS_FIX, Tolerances, step_until
+from .fiber import EPS_FIX, step_until
 from .hyperbolic import ELL_STAR, RoundAnnulus, annulus_modulus
 from .lifting import EPS_CV, Path, lift_closed_curve, _newton_preimage
 from .ratmap import is_repelling
@@ -81,32 +81,30 @@ class Classification:
 
 
 def classify_run(trace, g, punctures, tol=None):
-    """Finalize the dichotomy verdict for a finished run trace."""
-    tol = tol or Tolerances()
+    """Finalize the dichotomy verdict for a finished run trace.
+
+    The trace's status is the one ``fiber.stopping_status`` gives on its
+    records with these ``punctures`` and ``tol``. For a realized candidate,
+    that rule has already required every fixed marked point of the final
+    record to be free and more than 10 eps_P from every puncture: the
+    stopping rule applies eps_P, and neither argument is read here."""
     status = trace.status
     records = trace.records
     if status is None or not records:
         return Classification("undecided", reason="empty trace")
 
     if status.kind == "candidate_realized":
-        final = records[-1]
         worst_res, x_star, mult = 0.0, None, None
-        for label, entry in final["points"].items():
-            if entry.get("type", "fixed") == "trivial":
-                continue  # stabilized preimages are not fixed points of g
-            if entry["mode"] != "free":
-                return Classification("undecided",
-                                      reason="anchored point in realized candidate")
+        # the points stopping rule (a) checked; stabilized preimages are
+        # not fixed points of g
+        for entry in records[-1]["points"].values():
+            if entry["type"] != "fixed":
+                continue
             x = complex(*entry["value"])
             gx, gdx = g.evaluate_with_derivative(x)
-            res = chordal(gx, x)
-            worst_res = max(worst_res, res)
+            worst_res = max(worst_res, chordal(gx, x))
             if x_star is None:
                 x_star, mult = x, gdx
-            dmin = min(chordal(x, p) for p in punctures.points)
-            if dmin <= 10 * tol.eps_P:
-                return Classification("undecided",
-                                      reason="limit too close to a puncture")
         if worst_res >= EPS_FIX:
             return Classification(
                 "undecided", reason="fixed-point residual %.3g" % worst_res)

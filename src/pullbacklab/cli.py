@@ -5,11 +5,11 @@ Subcommands and the flags each reads:
 
 - ``analyze``: one of ``--config FILE`` / ``--batch GLOB``, with ``--out``;
 - ``run | certify``: one of ``--config FILE`` / ``--batch GLOB``, with
-  ``--out``, ``--tol eps_P=VALUE|max_iters=N`` and ``--max-iters``;
+  ``--out`` and ``--tol eps_P=VALUE|max_iters=N``;
 - ``classify``: ``--trace`` and one of ``--config`` / ``--report``, with
-  ``--tol`` and ``--max-iters``;
+  ``--tol``;
 - ``check``: ``--trace`` and ``--cert``, with ``--report``;
-- ``demo``: ``--out``, ``--tol`` and ``--max-iters``.
+- ``demo``: ``--out`` and ``--tol``.
 
 Exit codes: 0 done, 2 invalid config/usage, 3 numerical failure;
 ``check`` exits 1 when a stored artifact fails verification. A batch
@@ -56,15 +56,15 @@ from .ratmap import RationalMap, postsingular_analysis
 from .sphere import decode_point, json_complex, json_float, json_typed
 
 
-def load_config(path, tol_overrides=(), max_iters=None):
+def load_config(path, tol_overrides=()):
     """Read a run config file and parse it (see ``parse_config``)."""
     with open(path) as fh:
         raw = json.load(fh)
-    return parse_config(raw, tol_overrides, max_iters,
+    return parse_config(raw, tol_overrides,
                         name=os.path.splitext(os.path.basename(path))[0])
 
 
-def parse_config(raw, tol_overrides=(), max_iters=None, name=""):
+def parse_config(raw, tol_overrides=(), name=""):
     """Parse and validate a run config dict; raises ValueError on schema
     issues, naming a mistyped field. ``name`` is used when the config does
     not name itself."""
@@ -72,15 +72,13 @@ def parse_config(raw, tol_overrides=(), max_iters=None, name=""):
         raise ValueError("config needs a 'map' record")
     g = RationalMap.from_json(raw["map"])
     # each source overrides the one before: config tolerances, config
-    # max_iters, --tol, --max-iters
+    # max_iters, --tol
     tols = dict(json_typed(raw.get("tolerances", {}), dict, "tolerances",
                            float))
     if "max_iters" in raw:
         tols["max_iters"] = json_typed(raw["max_iters"], float, "max_iters")
     for tol_name, value in tol_overrides:
         tols[tol_name] = float(value)
-    if max_iters is not None:
-        tols["max_iters"] = max_iters
     tol = Tolerances(**tols)
     marked, trivial = [], []
     for spec in json_typed(raw.get("marked", []), list, "marked", dict):
@@ -113,17 +111,16 @@ def parse_config(raw, tol_overrides=(), max_iters=None, name=""):
     }
 
 
-def artifact_config(payload, tol_overrides=(), max_iters=None):
+def artifact_config(payload, tol_overrides=()):
     """The run config a report or certificate embeds, with the tolerances
     its run used in place of the config's own when the artifact stores
-    them; ``--tol`` and ``--max-iters`` override these as they override a
-    config's."""
+    them; ``--tol`` overrides these as it overrides a config's."""
     raw = json_typed(payload["run_config"], dict, "run_config")
     stored = json_typed(payload.get("tolerances", {}), dict, "tolerances")
     if stored:
         raw = {key: value for key, value in raw.items() if key != "max_iters"}
         raw["tolerances"] = stored
-    return parse_config(raw, tol_overrides, max_iters)
+    return parse_config(raw, tol_overrides)
 
 
 def _read_artifact(path):
@@ -178,7 +175,7 @@ def cmd_analyze(args):
 
 
 def cmd_run(args, force_certificate=False):
-    cfg = load_config(args.config, args.tol, args.max_iters)
+    cfg = load_config(args.config, args.tol)
     t_start = time.perf_counter()
     run = _build_run(cfg)
     trace, status = run_until(run)
@@ -232,10 +229,9 @@ def cmd_run(args, force_certificate=False):
 
 def cmd_classify(args):
     if args.report:
-        cfg = artifact_config(_read_artifact(args.report), args.tol,
-                              args.max_iters)
+        cfg = artifact_config(_read_artifact(args.report), args.tol)
     else:
-        cfg = load_config(args.config, args.tol, args.max_iters)
+        cfg = load_config(args.config, args.tol)
     run = _build_run(cfg)  # punctures only; no stepping
     records, status = _stored_status(_read_trace(args.trace), run)
     cls = classify_run(Trace(records, status), run.g, run.punctures,
@@ -458,7 +454,6 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     def tolerances(p):
-        p.add_argument("--max-iters", dest="max_iters", type=int, default=None)
         p.add_argument("--tol", action="append", type=_tol_pair, default=[],
                        help="eps_P=VALUE or max_iters=N")
 

@@ -314,9 +314,8 @@ class PullbackRun:
         self._d0 = None
         self._tracks = list(marked) + list(trivial)  # processing order
         self._anchors = self._prepare_anchor_charts()
-        self._crit_values = critical_values(g)
         self._obstacles = list(punctures.points) + [
-            v for v in self._crit_values
+            v for v in critical_values(g)
             if index_near(punctures.points, v) is None]
         self._check_distinct()
 

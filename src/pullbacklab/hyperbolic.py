@@ -13,7 +13,7 @@ import math
 from cmath import phase as cmath_phase
 
 from .errors import NoApplicableComparison
-from .sphere import Configuration, is_inf, json_complex, json_float, json_typed
+from .sphere import is_inf, json_complex, json_float, json_typed
 
 ELL_STAR = math.log(3.0 + 2.0 * math.sqrt(2.0))  # short-geodesic threshold
 
@@ -122,8 +122,6 @@ class DiskComparisons:
     __slots__ = ("pairs",)
 
     def __init__(self, points):
-        if isinstance(points, Configuration):
-            points = points.points
         finite = [complex(p) for p in points if not is_inf(p)]
         pairs = []
         for i, p in enumerate(finite):
@@ -175,10 +173,10 @@ def _segment_upper_sum(density, a, b):
 
 
 def path_length_upper_bound(P, path):
-    """Upper Riemann sum of the comparison density along the polyline."""
+    """Upper Riemann sum of the comparison density of the points P along
+    the polyline of a ``lifting.Path``."""
     comp = DiskComparisons(P)
-    nodes = path.absolute_nodes() if hasattr(path, "absolute_nodes") else \
-        [complex(z) for z in path]
+    nodes = path.absolute_nodes()
     total = 0.0
     for a, b in zip(nodes, nodes[1:]):
         total += _segment_upper_sum(comp.density, a, b)

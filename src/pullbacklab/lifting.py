@@ -65,11 +65,11 @@ class Path:
     def end(self):
         return self.nodes[-1]
 
-    def is_closed(self, tol=EPS_LIFT):
+    def is_closed(self):
         if len(self.nodes) == 1:
             return True
         scale = max(abs(z) for z in self.nodes)
-        return abs(self.start - self.end) <= max(tol, 1e-12 * scale)
+        return abs(self.start - self.end) <= max(EPS_LIFT, 1e-12 * scale)
 
     def refine(self, k):
         """Insert k-1 evenly spaced nodes on every segment."""

@@ -6,9 +6,10 @@ the Aberth-Ehrlich simultaneous iteration (Bini, Numer. Algorithms 13,
 1996) in pure Python, so that importing the engine does not load numpy:
 exact zero roots are split off first, the rest start on a circle of
 coefficient-bound radius, and each stops once its residual is at the
-rounding level of its Horner evaluation. Every root is then polished by
-Newton, and multiple roots are recovered by clustering, which is robust at
-the low degrees (<= 8) this engine targets.
+rounding level of its Horner evaluation. Every root is then polished once
+by Newton, in ``_proots``, and callers (critical points, preimages, fixed
+points) take the roots as they are. Multiple roots are recovered by
+clustering, which is robust at the low degrees (<= 8) this engine targets.
 
 P is ordered and labelled in one place, ``puncture_configuration``: finite
 points lexicographically, oo last, as p0, p1, ...; a point counts as a point
@@ -234,12 +235,11 @@ class RationalMap:
         if check:
             if self.degree < 2:
                 raise ValueError("degree must be at least 2")
-            if len(N) > 1 and len(D) > 1:
-                for rn in _proots(N):
-                    for rd in _proots(D):
-                        if chordal(rn, rd) <= 1e-8:
-                            raise ValueError(
-                                "numerator and denominator share a root near %r" % rn)
+            droots = _proots(D)
+            for rn in _proots(N) if droots else ():
+                if any(chordal(rn, rd) <= 1e-8 for rd in droots):
+                    raise ValueError(
+                        "numerator and denominator share a root near %r" % rn)
 
     # -- basic evaluation ---------------------------------------------------
 
@@ -392,10 +392,9 @@ def critical_points(g):
     """All critical points with local degrees; total count 2d-2."""
     if "crit" in g._cache:
         return g._cache["crit"]
-    W = _trim(_padd(_pmul(g._dnum, g.denominator),
-                    _pmul(g.numerator, g._dden), sign=-1))
-    finite = _proots(W) if len(W) > 1 else []
-    out = [(c, n + 1) for c, n in _cluster(finite, _CLUSTER_TOL)]
+    W = _padd(_pmul(g._dnum, g.denominator), _pmul(g.numerator, g._dden),
+              sign=-1)
+    out = [(c, n + 1) for c, n in _cluster(_proots(W), _CLUSTER_TOL)]
     used = sum(n - 1 for _, n in out)
     at_inf = 2 * g.degree - 2 - used
     if at_inf < 0:
@@ -425,26 +424,9 @@ def preimages(g, w):
         poly = g.denominator
     else:
         poly = _padd(g.numerator, tuple(w * c for c in g.denominator), sign=-1)
+    # trimmed here too: the count of preimages at oo reads its length
     poly = _trim(poly)
-    roots = _proots(poly) if len(poly) > 1 else []
-    # polish against the map itself
-    polished = []
-    for r in roots:
-        for _ in range(3):
-            gv, gd = g.evaluate_with_derivative(r)
-            if is_inf(gv) or is_inf(w) or gd == 0:
-                break
-            step = (gv - w) / gd
-            if not cmath.isfinite(step):
-                break
-            r2 = r - step
-            gv2 = g(r2)
-            if not is_inf(gv2) and abs(gv2 - w) <= abs(gv - w):
-                r = r2
-            else:
-                break
-        polished.append(r)
-    out = list(_cluster(polished, _CLUSTER_TOL))
+    out = _cluster(_proots(poly), _CLUSTER_TOL)
     missing = d - len(poly) + 1
     if missing > 0:
         out.append((INF, missing))
@@ -483,22 +465,8 @@ class FixedPointData:
 def fixed_points(g, P=None):
     """Solutions of g(z) = z, including oo when fixed, with multipliers."""
     poly = _padd(g.numerator, (0j,) + g.denominator, sign=-1)
-    poly = _trim(poly)
-    roots = _proots(poly) if len(poly) > 1 else []
-    pts = [c for c, _ in _cluster(roots, _CLUSTER_TOL)]
     out = []
-    for z in pts:
-        # Newton polish on g(z) - z
-        for _ in range(4):
-            gv, gd = g.evaluate_with_derivative(z)
-            if is_inf(gv) or abs(gd - 1.0) < 1e-14:
-                break
-            z2 = z - (gv - z) / (gd - 1.0)
-            gv2 = g(z2)
-            if not is_inf(gv2) and abs(gv2 - z2) <= abs(gv - z):
-                z = z2
-            else:
-                break
+    for z, _ in _cluster(_proots(poly), _CLUSTER_TOL):
         _, mult = g.evaluate_with_derivative(z)
         out.append(FixedPointData(z, mult, _in_config(z, P)))
     if g.fixes_infinity():

@@ -82,6 +82,44 @@ def test_classify_anomaly_non_repelling_limit():
     assert "non-repelling" in cls.reason
 
 
+def test_classify_anomaly_residual_of_a_realized_limit():
+    # a realized candidate whose final position is no fixed point of g
+    from pullbacklab.fiber import Trace
+    run, trace, status = finished(BASILICA, BranchDatum(-0.6, -math.sqrt(0.4)))
+    assert status.kind == "candidate_realized"
+    final = dict(trace.records[-1])
+    final["points"] = {lab: dict(entry, value=[0.5, 0.0])
+                       for lab, entry in final["points"].items()}
+    cls = classify_run(Trace(trace.records[:-1] + [final], status), BASILICA,
+                       run.punctures)
+    assert cls.verdict == "undecided"
+    assert cls.reason == "fixed-point residual %.3g" % chordal(-0.75, 0.5)
+
+
+def test_classify_anomaly_limit_puncture_not_fixed():
+    # -2 is a puncture of z^2 - 2, mapped to 2, so it is no limit
+    from pullbacklab.fiber import RunStatus, Trace
+    run, trace, status = finished(CHEB, BranchDatum(0.0, math.sqrt(2)))
+    forged = Trace(trace.records,
+                   RunStatus("candidate_puncture", puncture_label="p0",
+                             puncture=-2 + 0j, steps=status.steps))
+    cls = classify_run(forged, CHEB, run.punctures)
+    assert cls.verdict == "undecided"
+    assert cls.reason == "limit puncture is not fixed -- likely lifting fault"
+
+
+def test_classify_anomaly_decay_rate_off_the_multiplier():
+    # distances to the limit 2 that stop falling: rate 1, against 1/4
+    from pullbacklab.fiber import Trace
+    run, trace, status = finished(CHEB, BranchDatum(0.0, math.sqrt(2)))
+    assert status.puncture_label == "p1"
+    records = [dict(rec, min_dist_log10=dict(rec["min_dist_log10"], p1=-3.0))
+               for rec in trace.records]
+    cls = classify_run(Trace(records, status), CHEB, run.punctures)
+    assert cls.verdict == "undecided"
+    assert cls.reason == "decay rate 1 far from 1/|g'(p)| = 0.25"
+
+
 def test_find_separating_annulus_derived():
     cfg = Configuration("abcd", [-2 + 0j, 2 + 0j, INF, 1.999 + 0j])
     ann = find_separating_annulus(cfg, ["b", "d"])

@@ -100,7 +100,7 @@ MALFORMED_RUNS = [
     ("tol_eps_P_negative", {}, ["--tol", "eps_P=-1"],
      "tolerance eps_P=-1.0 is not"),
     ("tol_eps_P_nan", {}, ["--tol", "eps_P=nan"], "tolerance eps_P=nan is not"),
-    ("max_iters_negative", {}, ["--max-iters", "-1"],
+    ("max_iters_negative", {}, ["--tol", "max_iters=-1"],
      "tolerance max_iters=-1 is not"),
     ("eps_P_huge_int", {"tolerances": {"eps_P": 10 ** 400}}, [],
      "tolerance eps_P=inf is not"),
@@ -182,13 +182,12 @@ def test_check_reports_missing_enclosed_labels(tmp_path, capsys):
 
 
 def test_tolerance_sources_override_in_order(tmp_path):
-    # config tolerances, config max_iters, --tol, --max-iters: each source
-    # overrides the one before
+    # config tolerances, config max_iters, --tol: each source overrides the
+    # one before
     cheb = [p for p in DEMO_CONFIGS if p.endswith("chebyshev.json")][0]
     assert load_config(cheb)["tol"].max_iters == 2000
     override = [("max_iters", "40")]
     assert load_config(cheb, override)["tol"].max_iters == 40
-    assert load_config(cheb, override, max_iters=50)["tol"].max_iters == 50
     cfgp = write_config(tmp_path, tolerances={"max_iters": 10, "eps_P": 1e-7})
     tol = load_config(cfgp)["tol"]
     assert tol.max_iters == 2000 and tol.eps_P == 1e-7
@@ -265,14 +264,14 @@ def test_tol_override_and_env(tmp_path, monkeypatch):
     cfgp = write_config(tmp_path)
     out = str(tmp_path / "envout")
     monkeypatch.setenv("PULLBACK_LAB_OUT", out)
-    assert main(["run", "--config", cfgp, "--max-iters", "40",
+    assert main(["run", "--config", cfgp, "--tol", "max_iters=40",
                  "--tol", "eps_P=1e-6"]) == 0
     report = read_json(os.path.join(out, "cheb.report.json"))
     assert report["steps"] <= 120  # certification tail included
     # --out wins over the environment variable
     os.remove(os.path.join(out, "cheb.report.json"))
     flag_out = str(tmp_path / "flagout")
-    assert main(["run", "--config", cfgp, "--max-iters", "40",
+    assert main(["run", "--config", cfgp, "--tol", "max_iters=40",
                  "--out", flag_out]) == 0
     assert os.path.exists(os.path.join(flag_out, "cheb.report.json"))
     assert not os.path.exists(os.path.join(out, "cheb.report.json"))
@@ -489,6 +488,34 @@ def test_check_report_accepts_every_corpus_certificate(corpus_out):
         base = cert[:-len(".certificate.json")]
         assert main(["check", "--trace", base + ".trace.jsonl", "--cert", cert,
                      "--report", base + ".report.json"]) == 0, base
+
+
+# (demo config, exit status, start of stderr) of ``certify``
+CERTIFY_OUTCOMES = [
+    ("chebyshev", 0, ""),
+    ("basilica", 3,
+     "numerical failure: run is not obstructed; nothing to certify\n"),
+    ("squaring_c", 3,
+     "numerical failure: no certificate emitted: cluster scale "),
+]
+
+
+@pytest.mark.parametrize("row", CERTIFY_OUTCOMES, ids=lambda r: r[0])
+def test_certify_requires_a_certificate(tmp_path, capsys, row):
+    name, status, err = row
+    out = str(tmp_path / "out")
+    assert main(["certify", "--config", os.path.join(
+        os.path.dirname(DEMO_CONFIGS[0]), name + ".json"),
+        "--out", out]) == status
+    stderr = capsys.readouterr().err
+    assert stderr.startswith(err) and (status or stderr == "")
+    if status:
+        assert os.listdir(out) == []
+        return
+    base = os.path.join(out, name)
+    assert main(["check", "--trace", base + ".trace.jsonl",
+                 "--cert", base + ".certificate.json",
+                 "--report", base + ".report.json"]) == 0
 
 
 @pytest.mark.parametrize("path", DEMO_CONFIGS, ids=os.path.basename)
@@ -772,6 +799,11 @@ UNREAD_FLAGS = [
     ("run_config_and_batch", ["run", "--config", "c", "--batch", "*.json"]),
     ("analyze_tol", ["analyze", "--config", "c", "--tol", "eps_P=1e-3"]),
     ("analyze_max_iters", ["analyze", "--config", "c", "--max-iters", "5"]),
+    ("run_max_iters", ["run", "--config", "c", "--max-iters", "5"]),
+    ("certify_max_iters", ["certify", "--config", "c", "--max-iters", "5"]),
+    ("classify_max_iters", ["classify", "--trace", "t", "--config", "c",
+                            "--max-iters", "5"]),
+    ("demo_max_iters", ["demo", "--max-iters", "5"]),
     ("check_base_trace", ["check", "--trace", "t", "--cert", "c",
                           "--base-trace", "b"]),
 ]

@@ -20,7 +20,7 @@ from pullbacklab.hyperbolic import punctured_disk_radial_bound
 from pullbacklab.lifting import Path, concatenate, lift_path
 from pullbacklab.local import ScaledComplex
 from pullbacklab.ratmap import RationalMap
-from pullbacklab.sphere import chordal
+from pullbacklab.sphere import chordal, is_inf
 
 CHEB = RationalMap([-2, 0, 1])
 BASILICA = RationalMap([-1, 0, 1])
@@ -274,6 +274,28 @@ def test_run_into_an_inexact_fixed_puncture():
     assert cls.verdict == "obstructed" and cls.puncture == alpha
     _, mult = g.evaluate_with_derivative(alpha)
     assert abs(cls.rate_estimate * abs(mult) - 1.0) < 1e-3
+
+
+def test_run_anchored_at_infinity():
+    # h(w) = w^2 / (4w + 1) is z^2 - 2 conjugated by w = 1/(z - 2), so its
+    # repelling fixed puncture sits at oo and the run anchors there; the
+    # positions are the chebyshev orbit from 0 in that chart
+    h = RationalMap([0, 0, 1], [1, 4])
+    run = init_run(h, [BranchDatum(-0.5, 1 / (math.sqrt(2) - 2))])
+    assert run.punctures.labels == ("p0", "p1", "p2")
+    assert run.punctures.points[:2] == (-0.25, 0)
+    assert is_inf(run.punctures.points[2])
+    trace, status = run_until(run)
+    assert (status.kind, status.puncture_label, status.steps) == \
+        ("candidate_puncture", "p2", 15)
+    track = run.marked[0]
+    assert track.mode == "anchored" and track.anchor.label == "p2"
+    xs = scalar_orbit(0.0, run.n)
+    for n in range(run.n + 1):
+        assert chordal(materialized(run, track, n), 1 / (xs[n] - 2)) < 1e-14
+    cls = classify_run(trace, h, run.punctures, tol=run.tol)
+    assert cls.verdict == "obstructed" and is_inf(cls.puncture)
+    assert abs(cls.rate_estimate - 0.25) < 1e-3
 
 
 def test_step_bound_monotone_with_slack():
