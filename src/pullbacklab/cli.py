@@ -490,6 +490,10 @@ def build_parser():
 
 
 def main(argv=None):
+    # certificate geometry imports numpy (after this point) but calls no
+    # BLAS, whose OpenBLAS would start a helper thread per core on import;
+    # a value the user sets wins
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     handlers = {"analyze": cmd_analyze, "run": cmd_run,
                 "classify": cmd_classify, "certify": cmd_certify,

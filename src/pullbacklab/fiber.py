@@ -39,6 +39,15 @@ its row of distances as the minimum, and its step bound looks for no
 other track. The path-node count is updated when a block is appended, so
 an anchored step leaves it as it is.
 
+A record writes its own JSON line (``TraceRecord.line``), byte for byte
+what ``JSON_ENCODER`` writes, from fragments fixed when the run is built:
+the labels in the encoder's key order, a row format, each anchor's row
+text with the distances to the other punctures written in and one slot
+for its own, and each track's entry format, fixed by its label, its type
+and, once anchored, its anchor. Per step only the numbers are written,
+each once by ``_json_number``: a lone track's row serves as the minimum
+too, and an anchored step's residual as its diagram residual.
+
 A step only moves points: each track keeps its ``history`` of positions
 (and a marked track its ``blocks``), and ``teich_step_bound`` reads a
 step's moves from them and sums their ``hyperbolic`` bounds.
@@ -70,9 +79,11 @@ from .sphere import (EPS_SEP, chart_coordinate, chordal, encode_point,
                      index_near, is_inf)
 
 # one compact sorted format for every trace line and every file the CLI
-# writes. encode() builds its C encoder per call: ~0.35 us of the 11-16 us
-# a deep anchored record takes on CPython 3.11 / x86-64, where the reprs of
-# its 11 floats (~0.7 us each) are the floor of this format
+# writes. The artifacts (report, certificate, analysis) and cli._same_json
+# go through it. A trace record writes its own line (TraceRecord), byte
+# for byte what it would write: encode() sorts every dict of a record again
+# on each call, ~7 of its ~13 us on a deep anchored record (CPython 3.11,
+# x86-64)
 JSON_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 K = 5             # steps in the interior-convergence window
@@ -85,6 +96,59 @@ FIXED_TOLERANCES = {
     "eps_clear": EPS_CLEAR, "eps_conv": EPS_CONV, "eps_fix": EPS_FIX,
     "K": K, "eta": ETA_SAFE, "max_depth": MAX_DEPTH, "max_orbit": MAX_ORBIT,
     "eps_cycle": EPS_CYCLE}
+
+
+def _json_number(x):
+    """A number as JSON_ENCODER writes it: a float by ``float.__repr__``,
+    or NaN, Infinity, -Infinity where it is not finite; an int by
+    ``int.__repr__``; None as null. Any other type, bool included, raises
+    TypeError rather than write a wrong token."""
+    kind = type(x)  # the exact types first, the common case
+    if kind is float or isinstance(x, float):
+        if x - x == 0.0:  # finite
+            return float.__repr__(x)
+        return "NaN" if x != x else "Infinity" if x > 0.0 else "-Infinity"
+    if kind is int or isinstance(x, int) and kind is not bool:
+        return int.__repr__(x)
+    if x is None:
+        return "null"
+    raise TypeError("not a JSON number: %r" % (x,))
+
+
+def _quoted(text):
+    """A key or string value as JSON_ENCODER writes it, with its "%"
+    escaped for use in a %-format."""
+    return JSON_ENCODER.encode(text).replace("%", "%%")
+
+
+def _object_format(fields):
+    """The %-format of a JSON object as JSON_ENCODER writes it: ``fields``
+    maps each key to the %-format of its value ("%s" for a slot), and the
+    keys go in sorted order, so the slots are filled in key order."""
+    return "{%s}" % ",".join(_quoted(key) + ":" + fmt
+                             for key, fmt in sorted(fields.items()))
+
+
+# a trace record: slots for diagram_residual, lift_residual,
+# min_dist_log10, n, path_nodes, points and step_bound, in that order
+_RECORD_FORMAT = _object_format(dict.fromkeys(
+    ("n", "points", "lift_residual", "path_nodes", "step_bound",
+     "diagram_residual", "min_dist_log10"), "%s"))
+
+
+def _entry_format(track):
+    """The %-format of a track's ``"label":{...}`` in a record's points,
+    fixed by its label, its type and its anchor once it has one: slots for
+    the text of its row of distances, then for the numbers of its position
+    or of its eta and exp2."""
+    fields = {"dist_log10": "%s", "type": _quoted(track.kind)}
+    if track.anchor is None:
+        fields.update(mode=_quoted("free"), value="[%s,%s]")
+    else:
+        fields.update(mode=_quoted("anchored"),
+                      anchor=_quoted(track.anchor.label), eta="[%s,%s]",
+                      exp2="%s")
+    return _quoted(track.label) + ":" + _object_format(fields)
 
 
 class Tolerances:
@@ -182,7 +246,8 @@ class _AnchorChart:
     puncture or obstacle, ``disk_R`` the comparison-disk radius,
     ``log10_row`` the log10 chordal distances to the punctures by label
     (None at the own label, where the distance is measured in the chart),
-    and ``log2_clear`` log2 of the clearance radius.
+    ``row_format`` the JSON text of that row with one slot for the own
+    distance, and ``log2_clear`` log2 of the clearance radius.
 
     The clearance radius r: a track anchored here with |eta| < r is more
     than EPS_SEP (chordal) from every other puncture q. Its position x has
@@ -198,7 +263,7 @@ class _AnchorChart:
     clear."""
 
     __slots__ = ("index", "label", "puncture", "chart", "rho", "r_anchor",
-                 "disk_R", "log10_row", "log2_clear")
+                 "disk_R", "log10_row", "row_format", "log2_clear")
 
     def __init__(self, index, punctures, chart, obstacles):
         self.index = index
@@ -215,6 +280,9 @@ class _AnchorChart:
             lab: None if j == index else
             math.log10(max(chordal(puncture, p), 1e-300))
             for j, (lab, p) in enumerate(punctures)}
+        self.row_format = _object_format({
+            lab: "%s" if d is None else _json_number(d)
+            for lab, d in self.log10_row.items()})
         clear = (min(chordal(puncture, q) for q in others) - EPS_SEP) / 4.0 \
             - abs(chart.eps_star)
         self.log2_clear = math.log2(clear) if clear > 0.0 else -math.inf
@@ -229,7 +297,7 @@ class _MarkedTrack:
     """Mutable per-marked-point state inside a run."""
 
     __slots__ = ("label", "datum", "blocks", "nodes", "history", "anchor",
-                 "last_residual")
+                 "last_residual", "entry_format")
     kind = "fixed"
 
     def __init__(self, label, datum):
@@ -263,7 +331,7 @@ class _MarkedTrack:
 class _TrivialTrack:
     """A trivial point: start at step 0, its preimage q' from step 1 on."""
 
-    __slots__ = ("label", "spec", "history")
+    __slots__ = ("label", "spec", "history", "entry_format")
     anchor = None
     kind = "trivial"
 
@@ -305,6 +373,15 @@ class RunStatus:
             self.kind, ", %s" % extra if extra else "", self.steps)
 
 
+class TraceRecord(dict):
+    """A step's trace record (``PullbackRun.trace_record``): its keys and
+    values, and ``line``, the text ``JSON_ENCODER.encode(dict(record))``
+    gives. Nothing changes a record once it is built, or its line would go
+    stale."""
+
+    __slots__ = ("line",)
+
+
 class Trace:
     """Per-step records plus the stopping status."""
 
@@ -314,7 +391,7 @@ class Trace:
 
     def jsonl_lines(self):
         for rec in self.records:
-            yield JSON_ENCODER.encode(rec)
+            yield rec.line
 
 
 class PullbackRun:
@@ -329,6 +406,15 @@ class PullbackRun:
         self.n = 0
         self._d0 = None
         self._tracks = list(marked) + list(trivial)  # processing order
+        # fragments of a record's line (trace_record): the labels in the
+        # encoder's key order, sorted as strings (p10 before p2), and a row
+        # of distances with a slot for each
+        self._row_labels = sorted(punctures.labels)
+        self._row_format = _object_format(dict.fromkeys(punctures.labels,
+                                                        "%s"))
+        self._text_order = sorted(self._tracks, key=lambda t: t.label)
+        for track in self._tracks:
+            track.entry_format = _entry_format(track)
         self._anchors = self._prepare_anchor_charts()
         self._obstacles = list(punctures.points) + [
             v for v in critical_values(g)
@@ -394,6 +480,7 @@ class PullbackRun:
                all(anchor.chart_distance(z) < 2 * anchor.r_anchor
                    for z in block.absolute_nodes()):
                 track.anchor = anchor
+                track.entry_format = _entry_format(track)
                 eta = anchor.chart.deviation_of(x_new)
                 track.history[-1] = ("anchored", eta)
                 return
@@ -526,10 +613,45 @@ class PullbackRun:
                 step_bound = None  # no certified bound for this step
         else:
             step_bound = 0.0
-        return {"n": self.n, "points": points, "lift_residual": residual,
-                "path_nodes": nodes, "step_bound": step_bound,
-                "diagram_residual": diag,
-                "min_dist_log10": min_dist_log10(points)}
+        min_row = min_dist_log10(points)
+        rec = TraceRecord(n=self.n, points=points, lift_residual=residual,
+                          path_nodes=nodes, step_bound=step_bound,
+                          diagram_residual=diag, min_dist_log10=min_row)
+        texts = [self._entry_text(track, points[track.label])
+                 for track in self._text_order]
+        # a lone track's row is the minimum itself (min_dist_log10)
+        min_text = texts[0][1] if len(texts) == 1 else self._row_text(min_row)
+        diag_text = _json_number(diag)
+        rec.line = _RECORD_FORMAT % (
+            diag_text,
+            # an anchored step's residual is its diagram residual
+            diag_text if residual is diag else _json_number(residual),
+            min_text,
+            _json_number(self.n), _json_number(nodes),
+            "{%s}" % ",".join([text for text, _ in texts]),
+            _json_number(step_bound))
+        return rec
+
+    def _row_text(self, row):
+        """JSON text of a row of distances keyed by the puncture labels."""
+        return self._row_format % tuple([_json_number(row[lab])
+                                         for lab in self._row_labels])
+
+    def _entry_text(self, track, entry):
+        """(JSON text of a track's point entry, text of its row), filled
+        into its ``entry_format``; an anchored row into its anchor's."""
+        anchor = track.anchor
+        row = entry["dist_log10"]
+        if anchor is None:
+            row_text = self._row_text(row)
+            x, y = entry["value"]
+            return track.entry_format % (row_text, _json_number(x),
+                                         _json_number(y)), row_text
+        row_text = anchor.row_format % _json_number(row[anchor.label])
+        x, y = entry["eta"]
+        return track.entry_format % (
+            row_text, _json_number(x), _json_number(y),
+            _json_number(entry["exp2"])), row_text
 
     def _diagram_residual(self, track):
         """Chordal |g(x_n) - x_{n-1}| for the most recent step."""

@@ -260,6 +260,20 @@ def test_analyze_subcommand(tmp_path):
     assert len(an["postsingular"]) == 3
 
 
+def test_main_starts_no_blas_helper_threads(tmp_path, monkeypatch):
+    # main sets OPENBLAS_NUM_THREADS=1 where it is unset, before numpy
+    # loads, and leaves a value the user set alone
+    cfgp = write_config(tmp_path)
+    out = str(tmp_path / "out")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "")  # restored afterwards
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    assert main(["analyze", "--config", cfgp, "--out", out]) == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    assert main(["analyze", "--config", cfgp, "--out", out]) == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+
+
 def test_tol_override_and_env(tmp_path, monkeypatch):
     cfgp = write_config(tmp_path)
     out = str(tmp_path / "envout")

@@ -1,5 +1,6 @@
 import cmath
 import glob
+import json
 import math
 import os
 import random
@@ -13,8 +14,9 @@ from pullbacklab.cli import _build_run, load_config
 from pullbacklab import fiber, hyperbolic
 from pullbacklab.errors import (CollisionDetected, InvalidBranchDatum,
                                 NoApplicableComparison)
-from pullbacklab.fiber import (BranchDatum, Tolerances, TrivialMarkedSpec,
-                               compose_iterate_run, init_run, run_until,
+from pullbacklab.fiber import (JSON_ENCODER, BranchDatum, Tolerances,
+                               TrivialMarkedSpec, compose_iterate_run,
+                               init_run, run_until, step_until,
                                stopping_status, teich_step_bound)
 from pullbacklab.hyperbolic import punctured_disk_radial_bound
 from pullbacklab.lifting import Path, concatenate, lift_path
@@ -529,6 +531,65 @@ def test_past_step_bounds_do_not_drift():
             assert stored is None or stored.hex() == again.hex(), \
                 (name, rec["n"])
     assert uncertified == {"crossing"}
+
+
+def _line_runs():
+    """(name, run, records) for the trace-line tests: the finished runs
+    above (the demo configs with their certification tails, a trivial
+    point, a step whose bound is null), the alpha-map (an inexact anchor),
+    the run anchored at oo and z^2 with the 15th roots of unity as extra
+    punctures (17 labels), each stepped deep past anchoring."""
+    yield from _finished_runs()
+    c, b = -1.5436890126920764, 0.3 + 0.2j
+    roots = [cmath.exp(2j * math.pi * j / 15) for j in range(15)]
+    for name, run, steps in (
+            ("alpha", init_run(RationalMap([c, 0, 1]),
+                               [BranchDatum(b, -cmath.sqrt(b - c))]), 1200),
+            ("infinity", init_run(RationalMap([0, 0, 1], [1, 4]),
+                                  [BranchDatum(-0.5, 1 / (math.sqrt(2) - 2))]),
+             600),
+            ("roots", init_run(SQUARE, [BranchDatum(0.5, math.sqrt(0.5))],
+                               extra_punctures=roots), 1200)):
+        records = [run.trace_record()]
+        step_until(run, lambda: None, steps, records)
+        yield name, run, records
+
+
+def test_trace_line_is_what_the_encoder_writes():
+    # each record's line is the encoder's text of its dict and reads back
+    # as that dict, through anchoring and past the end of double range
+    seen = set()
+    for name, run, records in _line_runs():
+        for rec in records:
+            assert rec.line == JSON_ENCODER.encode(dict(rec)), (name, rec["n"])
+            assert json.loads(rec.line) == rec, (name, rec["n"])
+        assert list(fiber.Trace(records).jsonl_lines()) == \
+            [rec.line for rec in records]
+        last = records[-1]
+        entries = last["points"].values()
+        if any(entry["mode"] == "anchored" for entry in entries):
+            seen.add("anchored")
+        if any(entry["type"] == "trivial" for entry in entries):
+            seen.add("trivial")
+        if any(rec["step_bound"] is None for rec in records):
+            seen.add("null step bound")
+        if len(run.punctures) >= 11:
+            seen.add("p10 before p2")
+            assert last.line.index('"p10":') < last.line.index('"p2":')
+    assert seen == {"anchored", "trivial", "null step bound", "p10 before p2"}
+
+
+def test_json_number_writes_what_json_writes():
+    class Odd(float):
+        def __repr__(self):
+            return "odd"
+
+    for x in (-0.0, 0.0, 5e-324, 1e16, 1e-7, 0.1, -2.5, 1.7976931348623157e308,
+              math.nan, math.inf, -math.inf, 0, -7, 10 ** 30, None, Odd(2.5)):
+        assert fiber._json_number(x) == json.dumps(x), x
+    for x in (True, False, "1", 1j, [1.0]):
+        with pytest.raises(TypeError):
+            fiber._json_number(x)
 
 
 def test_two_points_anchored_at_one_puncture_step_without_error():
