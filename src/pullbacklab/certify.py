@@ -12,7 +12,8 @@ certificates are numerical evidence, with every tolerance embedded.
 Emission and ``verify_certificate`` derive a certificate the same way:
 ``_derive_certificate`` computes every field from the run, the step and
 the annulus (the step configuration from ``PullbackRun.step_points``,
-charted by ``_step_chart_entries``; the product (k+4) pi e^{k d0} from
+charted by ``_step_chart_entries`` at the annulus's anchor, the cluster's
+puncture, oo included; the product (k+4) pi e^{k d0} from
 ``_threshold_product(run)``, its one definition, which the emission
 floor and clustering scale read too) and returns the messages of the
 conditions that fail (``_annulus_faults``, ``_curve_faults``). Emission finds the
@@ -27,11 +28,12 @@ import reprlib
 
 from .errors import (InjectivityUndetermined, NoSeparatingAnnulus,
                      PullbackLabError)
-from .fiber import EPS_FIX, step_until
+from .fiber import step_until
 from .hyperbolic import ELL_STAR, RoundAnnulus, annulus_modulus
 from .lifting import EPS_CV, Path, lift_closed_curve, _newton_preimage
-from .ratmap import is_repelling
-from .sphere import chordal, encode_point, is_inf, json_float, json_typed
+from .ratmap import EPS_FIX, fixed_multiplier, is_repelling
+from .sphere import (chart_coordinate, chordal, encode_point, is_inf,
+                     json_float, json_typed)
 
 TWO_PI = 2.0 * math.pi
 _LN2 = math.log(2.0)
@@ -113,8 +115,8 @@ def classify_run(trace, g, punctures, tol=None):
 
     if status.kind == "candidate_puncture":
         p = status.puncture
-        gp, mult = g.evaluate_with_derivative(p)
-        if chordal(gp, p) >= EPS_FIX:
+        mult = fixed_multiplier(g, p)
+        if mult is None:
             return Classification(
                 "undecided",
                 reason="limit puncture is not fixed -- likely lifting fault")
@@ -158,7 +160,7 @@ def find_separating_annulus(points, cluster_labels, obstacles=(),
     ``points`` are (label, z) pairs, z None or INF for oo (a Configuration
     iterates this way); oo always sits in the outer component. Obstacles
     (e.g. critical points) cap the outer radius but do not count as
-    complement points. ``anchor`` is the translated chart the points live
+    complement points. ``anchor`` names the working chart the points live
     in, kept on the annulus."""
     cluster_labels = list(cluster_labels)
     if len(cluster_labels) < 2:
@@ -513,45 +515,48 @@ def _curve_faults(windings, length_bound, enclosed, k):
     return faults
 
 
-def _step_chart_entries(points, shift, n):
+def _step_chart_entries(points, q, n):
     """(label, kind, chart position) of the step-n points (``step_points``)
-    translated by ``shift``; oo maps to None (always in the outer part). An
-    anchored point sits at (p - shift) + eps* + eta."""
+    in the working chart at q (``sphere.chart_coordinate``); the chart's oo
+    maps to None (always in the outer part). A point anchored at p sits at
+    chart_coordinate(q, p) + eps* + eta, or at its materialized position
+    when just one of p and q is oo."""
     entries = []
     for lab, kind, z, dev in points:
-        if is_inf(z):
-            z = None
-        elif dev is None:
-            z = z - shift
-        else:
+        if dev is not None:
             chart, eta = dev
-            eta = eta.to_complex()
-            if eta is None:
+            w = eta.to_complex()
+            if w is None:
                 raise NoSeparatingAnnulus(
                     "deviation below double range; certificate chart cannot "
                     "represent the cluster at step %d" % n)
-            z = (z - shift) + chart.eps_star + eta
-        entries.append((lab, kind, z))
+            if z != q and (is_inf(z) or is_inf(q)):
+                z = chart_coordinate(q, chart.materialize(eta))
+            else:  # chart_coordinate(q, q) is 0j, oo included
+                z = chart_coordinate(q, z) + chart.eps_star + w
+        else:
+            z = chart_coordinate(q, z)
+        entries.append((lab, kind, None if is_inf(z) else z))
     return entries
 
 
 def _log_euclid_dist(a, b):
-    """Natural-log plane distance between two ``step_points`` entries; +inf
-    for pairs involving oo (a cluster at oo needs a re-chart). Two points
-    anchored in one chart are compared by their deviations (-inf when they
-    cancel exactly), an anchored point and its own puncture, the very z
-    ``step_points`` gives it, by |eta|."""
+    """Natural-log plane distance between two ``step_points`` entries. Two
+    points anchored in one chart are compared by their deviations (-inf
+    when they cancel exactly), an anchored point and its own puncture, the
+    very z ``step_points`` gives it (oo included), by |eta|; any other pair
+    involving oo is +inf apart."""
     _, _, z1, dev1 = a
     _, _, z2, dev2 = b
     if dev1 is not None and dev2 is not None and dev1[0] is dev2[0]:
         return dev1[1].log2_dist(dev2[1]) * _LN2
+    if (dev1 is None) != (dev2 is None) and z1 == z2:
+        return (dev1 or dev2)[1].log2_abs() * _LN2
     if is_inf(z1) or is_inf(z2):
         return math.inf
     if dev1 is None and dev2 is None:
         d = abs(z1 - z2)
         return math.log(d) if d > 0 else -math.inf
-    if (dev1 is None or dev2 is None) and z1 == z2:
-        return (dev1 or dev2)[1].log2_abs() * _LN2
     return math.log(max(abs(z1 - z2), 1e-300))
 
 
@@ -598,17 +603,15 @@ def emit_levy_certificate(run, engine_version=""):
 def _try_cluster(run, n, points, cluster, engine_version):
     """The certificate for the annulus separating the cluster, or None when
     there is no such annulus or its derived certificate has faults."""
-    # translate to the chart of the cluster's puncture (or first member)
-    shift = next((z for _, kind, z, _ in cluster
-                  if kind == "P" and not is_inf(z)), None)
-    origin = shift if shift is not None else 0j
+    # the chart at the cluster's first puncture, oo included, if it has one
+    q = next((z for _, kind, z, _ in cluster if kind == "P"), None)
     try:
-        entries = _step_chart_entries(points, origin, n)
+        entries = _step_chart_entries(points, q, n)
         # keep the forward advance critical-point free: cap by the critical set
         annulus = find_separating_annulus(
             [(lab, z) for lab, _, z in entries],
             [lab for lab, _, _, _ in cluster],
-            obstacles=run.g.chart(shift)[1], anchor=shift)
+            obstacles=run.g.chart(q)[1], anchor=q)
     except NoSeparatingAnnulus:
         return None
     fields, faults = _derive_certificate(run, n, annulus)
@@ -628,8 +631,7 @@ def _derive_certificate(run, n, annulus):
     k = run.k
     d0 = run.d0_bound()
     product = _threshold_product(run)
-    shift = annulus.anchor if annulus.anchor is not None else 0j
-    entries = _step_chart_entries(run.step_points(n), shift, n)
+    entries = _step_chart_entries(run.step_points(n), annulus.anchor, n)
     counts, inner, ring = _side_counts(entries, annulus)
     modulus = annulus_modulus(annulus)
     threshold = product / ELL_STAR
@@ -689,7 +691,7 @@ def _representative_curves(run, annulus, k):
     return tuple(curves)
 
 
-# certificate clusters and curves live in a translated double chart; below
+# certificate clusters and curves live in a double chart; below
 # this scale the engine declines to emit rather than degrade silently
 _EMISSION_FLOOR_LOG = math.log(1e-290)
 

@@ -25,8 +25,9 @@ rebuilds the run from either artifact. A stored trace is judged by the
 same stopping rule, ``fiber.stopping_status``, at the first record where
 it fires. ``check`` reads the trace file once, for its SHA-256 and its
 records, rebuilds the run from its certificate, steps it through the
-stored records 0..step, each of which must be the run's at that step, and
-verifies the certificate against it; with ``--report`` the report must
+stored records 0..step, whose ``points`` and ``min_dist_log10`` must be
+the run's at each step (floats within 1e-12 max(1, |x|)), and verifies
+the certificate against it; with ``--report`` the report must
 carry the trace's digest, the certificate's config and tolerances, and the
 classification, status and steps the stored trace gives. ``run`` hashes
 the trace bytes as it writes them.

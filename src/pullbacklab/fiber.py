@@ -30,7 +30,7 @@ anchor to the other punctures that each anchored record copies
 deviation is provably more than eps_sep from every other puncture
 (``_AnchorChart.log2_clear``), and the processing order of the tracks.
 Computed per step: the inverse step eta -> eta' with its logs, which the
-cutoff test, the residual (``step_residual``, reused as the record's
+cutoff test, the residual (``step_residual``, both the lift and the
 diagram residual), the own log10 distance, the step bound and the
 distinctness check share. Inside its clearance radius an anchored track
 is never materialized: the distinctness check compares log2 |eta| with
@@ -40,17 +40,21 @@ other track. The path-node count is updated when a block is appended, so
 an anchored step leaves it as it is.
 
 A record writes its own JSON line (``TraceRecord.line``), byte for byte
-what ``JSON_ENCODER`` writes, from fragments fixed when the run is built:
-the labels in the encoder's key order, a row format, each anchor's row
-text with the distances to the other punctures written in and one slot
-for its own, and each track's entry format, fixed by its label, its type
-and, once anchored, its anchor. Per step only the numbers are written,
-each once by ``_json_number``: a lone track's row serves as the minimum
-too, and an anchored step's residual as its diagram residual.
+what ``JSON_ENCODER`` writes, in one walk over the tracks in label order:
+``_record_entry`` gives a track's entry with the texts of the entry and
+its row, each number written once by ``_json_number``. The texts fill
+formats fixed when the run is built: a row format with the labels in the
+encoder's key order, each anchor's row with the distances to the other
+punctures written in and one slot for its own, and each track's entry
+format, fixed by its label, its type and, once anchored, its anchor. A
+lone track's row text serves as the minimum's too, and an anchored step's
+residual text as its diagram residual's.
 
-A step only moves points: each track keeps its ``history`` of positions
-(and a marked track its ``blocks``), and ``teich_step_bound`` reads a
-step's moves from them and sums their ``hyperbolic`` bounds.
+A step moves points and stores the residuals it makes on the track
+(``lift_residual``, ``diagram_residual``), which the record reads: each
+track keeps its ``history`` of positions (and a marked track its
+``blocks``), and ``teich_step_bound`` reads a step's moves from them and
+sums their ``hyperbolic`` bounds.
 
 The punctures are P plus the extra punctures, ordered and labelled by
 ``ratmap.puncture_configuration``; a point counts as one of them by
@@ -72,9 +76,9 @@ from . import hyperbolic
 from .lifting import (EPS_CLEAR, EPS_CV, EPS_LIFT, ETA_SAFE, MAX_DEPTH, Path,
                       concatenate, lift_path, path_clearance, simplify_path)
 from .local import LocalFixedChart
-from .ratmap import (EPS_CYCLE, MAX_ORBIT, critical_values, is_repelling,
-                     iterate, postsingular_analysis, preimages,
-                     puncture_configuration)
+from .ratmap import (EPS_CYCLE, EPS_FIX, MAX_ORBIT, critical_values,
+                     fixed_multiplier, is_repelling, iterate,
+                     postsingular_analysis, preimages, puncture_configuration)
 from .sphere import (EPS_SEP, chart_coordinate, chordal, encode_point,
                      index_near, is_inf)
 
@@ -88,7 +92,6 @@ JSON_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 K = 5             # steps in the interior-convergence window
 EPS_CONV = 1e-10  # chordal move below which a free point has converged
-EPS_FIX = 1e-9    # chordal residual of g(p) = p for a fixed point
 
 # the tolerances no run sets, under the names artifacts record them by
 FIXED_TOLERANCES = {
@@ -297,7 +300,7 @@ class _MarkedTrack:
     """Mutable per-marked-point state inside a run."""
 
     __slots__ = ("label", "datum", "blocks", "nodes", "history", "anchor",
-                 "last_residual", "entry_format")
+                 "lift_residual", "diagram_residual", "entry_format")
     kind = "fixed"
 
     def __init__(self, label, datum):
@@ -307,7 +310,8 @@ class _MarkedTrack:
         self.nodes = 1  # nodes of full_path(), kept by append_block
         self.history = [("free", datum.basepoint)]
         self.anchor = None
-        self.last_residual = 0.0
+        # chordal residuals of the latest step, set by the step itself
+        self.lift_residual = self.diagram_residual = 0.0
 
     def position(self, n=-1):
         mode, value = self.history[n]
@@ -408,11 +412,12 @@ class PullbackRun:
         self._tracks = list(marked) + list(trivial)  # processing order
         # fragments of a record's line (trace_record): the labels in the
         # encoder's key order, sorted as strings (p10 before p2), and a row
-        # of distances with a slot for each
+        # of distances with a slot for each. A record's points go in that
+        # order too, the order a stored trace loads in
         self._row_labels = sorted(punctures.labels)
         self._row_format = _object_format(dict.fromkeys(punctures.labels,
                                                         "%s"))
-        self._text_order = sorted(self._tracks, key=lambda t: t.label)
+        self._record_order = sorted(self._tracks, key=lambda t: t.label)
         for track in self._tracks:
             track.entry_format = _entry_format(track)
         self._anchors = self._prepare_anchor_charts()
@@ -428,8 +433,8 @@ class PullbackRun:
         pts = self.punctures.points
         _, crit_finite = self.g.chart()
         for idx, p in enumerate(pts):
-            gp, mult = self.g.evaluate_with_derivative(p)
-            if chordal(gp, p) > EPS_FIX or not is_repelling(mult):
+            mult = fixed_multiplier(self.g, p)
+            if mult is None or not is_repelling(mult):
                 continue
             chart = LocalFixedChart(self.g, p)
             near = list(crit_finite) + [b for b, _ in preimages(self.g, p)
@@ -446,44 +451,52 @@ class PullbackRun:
     def pullback_step(self):
         self.n += 1
         for track in self.marked:
+            x_prev = track.history[-1][1]  # the deviation where anchored
             if track.anchor is not None:
-                eta_prev = track.history[-1][1]
-                eta_next = track.anchor.chart.inv_step(eta_prev)
+                eta_next = track.anchor.chart.inv_step(x_prev)
                 track.history.append(("anchored", eta_next))
-                track.last_residual = track.anchor.chart.step_residual(
-                    eta_prev, eta_next)
+                # an anchored step's residual is its diagram residual
+                track.lift_residual = track.diagram_residual = \
+                    track.anchor.chart.step_residual(x_prev, eta_next)
                 continue
             if not track.blocks:
                 new_block = track.datum.delta
-                track.last_residual = 0.0
+                track.lift_residual = 0.0
             else:
                 prev = track.blocks[-1]
                 res = lift_path(self.g, prev, prev.end)
                 new_block = simplify_path(res.lifted, self._obstacles)
-                track.last_residual = res.max_residual
+                track.lift_residual = res.max_residual
             track.append_block(new_block)
             track.history.append(("free", new_block.end))
-            self._maybe_anchor(track, new_block)
+            if not self._maybe_anchor(track, new_block):
+                # covers step 1 as well: x_1 = b' with g(b') = b
+                track.diagram_residual = chordal(self.g(new_block.end),
+                                                 x_prev)
         for triv in self.trivial:
             triv.history.append(("free", triv.spec.preimage))
         self._check_distinct()
         return self
 
     def _maybe_anchor(self, track, block):
+        """Whether the track anchored: its free step ``block`` stayed near a
+        repelling fixed puncture. It then steps, and has its residual, in
+        the anchor's chart."""
         x_new = track.history[-1][1]
-        x_prev = track.history[-2][1] if track.history[-2][0] == "free" else None
-        if x_prev is None:
-            return
+        x_prev = track.history[-2][1]  # free: an anchored track steps in-chart
         for anchor in self._anchors.values():
             if anchor.chart_distance(x_new) < anchor.r_anchor and \
                anchor.chart_distance(x_prev) < anchor.r_anchor and \
                all(anchor.chart_distance(z) < 2 * anchor.r_anchor
-                   for z in block.absolute_nodes()):
+                   for z in block.nodes):
                 track.anchor = anchor
                 track.entry_format = _entry_format(track)
                 eta = anchor.chart.deviation_of(x_new)
                 track.history[-1] = ("anchored", eta)
-                return
+                track.diagram_residual = anchor.chart.step_residual(
+                    anchor.chart.deviation_of(x_prev), eta)
+                return True
+        return False
 
     # -- invariants ------------------------------------------------------------
 
@@ -565,46 +578,54 @@ class PullbackRun:
         return self.log10_distances(track)[p_label]
 
     def log10_distances(self, track):
-        """log10 chordal distance from a marked track to every puncture,
-        by label. An anchored track's distance to its own anchor is
-        measured in the chart; to the other punctures it is the anchor's."""
-        anchor = track.anchor
-        # the deviation where anchored, else the position
-        value = track.history[-1][1]
-        if anchor is None:
-            return {lab: math.log10(max(chordal(value, p), 1e-300))
-                    for lab, p in self.punctures}
-        row = dict(anchor.log10_row)
-        row[anchor.label] = anchor.chart.log10_dist_to_anchor(value)
-        return row
+        """log10 chordal distances from a track to the punctures, by label."""
+        return self._record_entry(track)[0]["dist_log10"]
 
     def point_entries(self):
-        """The ``points`` of the current step's trace record: each track's
-        position or anchored deviation, and its log10 distances."""
-        points = {}
-        for track in self._tracks:
-            anchor = track.anchor
-            if anchor is not None:
-                eta = track.history[-1][1]
-                entry = {"mode": "anchored", "type": track.kind,
-                         "anchor": anchor.label,
-                         "eta": [eta.m.real, eta.m.imag], "exp2": eta.e}
-            else:
-                x = track.history[-1][1]
-                entry = {"mode": "free", "type": track.kind,
-                         "value": [x.real, x.imag]}
-            entry["dist_log10"] = self.log10_distances(track)
-            points[track.label] = entry
-        return points
+        """The ``points`` of the current step's record (``_record_entry``)."""
+        return {track.label: self._record_entry(track)[0]
+                for track in self._record_order}
+
+    def _record_entry(self, track):
+        """A track's entry in the current step's record, the entry's text
+        (``entry_format`` filled) and its row's text. An anchored track's
+        log10 distance to its own anchor is measured in the chart; to the
+        other punctures it is the anchor's."""
+        anchor = track.anchor
+        value = track.history[-1][1]  # the deviation where anchored
+        if anchor is None:
+            row = {lab: math.log10(max(chordal(value, p), 1e-300))
+                   for lab, p in self.punctures}
+            row_text = self._row_text(row)
+            x, y = value.real, value.imag
+            entry = {"mode": "free", "type": track.kind, "value": [x, y],
+                     "dist_log10": row}
+            return entry, track.entry_format % (
+                row_text, _json_number(x), _json_number(y)), row_text
+        own = anchor.chart.log10_dist_to_anchor(value)
+        row = dict(anchor.log10_row)
+        row[anchor.label] = own
+        row_text = anchor.row_format % _json_number(own)
+        x, y = value.m.real, value.m.imag
+        entry = {"mode": "anchored", "type": track.kind,
+                 "anchor": anchor.label, "eta": [x, y], "exp2": value.e,
+                 "dist_log10": row}
+        return entry, track.entry_format % (
+            row_text, _json_number(x), _json_number(y),
+            _json_number(value.e)), row_text
 
     def trace_record(self):
-        points = self.point_entries()
+        points = {}
+        texts = []
+        for track in self._record_order:
+            points[track.label], text, row_text = self._record_entry(track)
+            texts.append(text)
         diag = 0.0
         residual = 0.0
         nodes = 0
         for track in self.marked:
-            residual = max(residual, track.last_residual)
-            diag = max(diag, self._diagram_residual(track))
+            residual = max(residual, track.lift_residual)
+            diag = max(diag, track.diagram_residual)
             nodes += track.nodes
         if self.n >= 1:
             try:
@@ -617,57 +638,21 @@ class PullbackRun:
         rec = TraceRecord(n=self.n, points=points, lift_residual=residual,
                           path_nodes=nodes, step_bound=step_bound,
                           diagram_residual=diag, min_dist_log10=min_row)
-        texts = [self._entry_text(track, points[track.label])
-                 for track in self._text_order]
-        # a lone track's row is the minimum itself (min_dist_log10)
-        min_text = texts[0][1] if len(texts) == 1 else self._row_text(min_row)
         diag_text = _json_number(diag)
         rec.line = _RECORD_FORMAT % (
             diag_text,
             # an anchored step's residual is its diagram residual
             diag_text if residual is diag else _json_number(residual),
-            min_text,
+            # a lone track's row is the minimum itself (min_dist_log10)
+            row_text if len(texts) == 1 else self._row_text(min_row),
             _json_number(self.n), _json_number(nodes),
-            "{%s}" % ",".join([text for text, _ in texts]),
-            _json_number(step_bound))
+            "{%s}" % ",".join(texts), _json_number(step_bound))
         return rec
 
     def _row_text(self, row):
         """JSON text of a row of distances keyed by the puncture labels."""
         return self._row_format % tuple([_json_number(row[lab])
                                          for lab in self._row_labels])
-
-    def _entry_text(self, track, entry):
-        """(JSON text of a track's point entry, text of its row), filled
-        into its ``entry_format``; an anchored row into its anchor's."""
-        anchor = track.anchor
-        row = entry["dist_log10"]
-        if anchor is None:
-            row_text = self._row_text(row)
-            x, y = entry["value"]
-            return track.entry_format % (row_text, _json_number(x),
-                                         _json_number(y)), row_text
-        row_text = anchor.row_format % _json_number(row[anchor.label])
-        x, y = entry["eta"]
-        return track.entry_format % (
-            row_text, _json_number(x), _json_number(y),
-            _json_number(entry["exp2"])), row_text
-
-    def _diagram_residual(self, track):
-        """Chordal |g(x_n) - x_{n-1}| for the most recent step."""
-        if self.n < 1 or len(track.history) < 2:
-            return 0.0
-        mode_new, val_new = track.history[-1]
-        mode_old, val_old = track.history[-2]
-        if mode_new == "anchored":
-            if mode_old == "anchored":
-                # pullback_step's chart.step_residual(val_old, val_new)
-                return track.last_residual
-            chart = track.anchor.chart
-            eta_old = chart.deviation_of(val_old)
-            return chart.step_residual(eta_old, val_new)
-        # covers step 1 as well: x_1 = b' with g(b') = b
-        return chordal(self.g(val_new), val_old)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ import math
 from cmath import phase as cmath_phase
 
 from .errors import NoApplicableComparison
-from .sphere import is_inf, json_complex, json_float, json_typed
+from .sphere import (as_point, decode_point, encode_point, is_inf,
+                     json_complex, json_float, json_typed)
 
 ELL_STAR = math.log(3.0 + 2.0 * math.sqrt(2.0))  # short-geodesic threshold
 
@@ -24,9 +25,9 @@ _ROUND_UP = 1.01     # reported bounds carry this upward pad
 
 
 class RoundAnnulus:
-    """Round annulus r_in < |z - center| < r_out, kept in log-radius form so
-    extreme moduli survive; ``anchor`` marks a translated working chart
-    (absolute center = anchor + center)."""
+    """Round annulus r_in < |w - center| < r_out, kept in log-radius form so
+    extreme moduli survive; ``anchor`` (None, a finite point or INF) names
+    the working chart of w and the center (``sphere.chart_coordinate``)."""
 
     __slots__ = ("center", "log_rin", "log_rout", "anchor")
 
@@ -38,7 +39,7 @@ class RoundAnnulus:
         self.center = complex(center)
         self.log_rin = float(log_rin)
         self.log_rout = float(log_rout)
-        self.anchor = None if anchor is None else complex(anchor)
+        self.anchor = None if anchor is None else as_point(anchor)
 
     @classmethod
     def from_radii(cls, center, r_in, r_out, anchor=None):
@@ -61,15 +62,14 @@ class RoundAnnulus:
         obj = {"center": [self.center.real, self.center.imag],
                "log_rin": self.log_rin, "log_rout": self.log_rout}
         if self.anchor is not None:
-            obj["anchor"] = [self.anchor.real, self.anchor.imag]
+            obj["anchor"] = encode_point(self.anchor)
         return obj
 
     @classmethod
     def from_json(cls, obj):
-        json_typed(obj, dict, "annulus")
-        anchor = obj.get("anchor")
+        anchor = json_typed(obj, dict, "annulus").get("anchor")
         if anchor is not None:
-            anchor = json_complex(anchor, "annulus anchor")
+            anchor = decode_point(anchor, "annulus anchor")
         return cls(json_complex(obj["center"], "annulus center"),
                    json_float(obj["log_rin"], "annulus log_rin"),
                    json_float(obj["log_rout"], "annulus log_rout"),
@@ -186,11 +186,10 @@ def _segment_upper_sum(density, a, b):
 
 def path_length_upper_bound(P, path):
     """Upper Riemann sum of the comparison density of the points P along
-    the polyline of a ``lifting.Path``."""
+    the polyline of an unanchored ``lifting.Path``."""
     comp = DiskComparisons(P)
-    nodes = path.absolute_nodes()
     total = 0.0
-    for a, b in zip(nodes, nodes[1:]):
+    for a, b in zip(path.nodes, path.nodes[1:]):
         total += _segment_upper_sum(comp.density, a, b)
     return _length_bound(total)
 

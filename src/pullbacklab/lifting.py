@@ -12,9 +12,10 @@ times the distance from the previous node to the nearest critical point,
 otherwise the target segment is bisected (up to a fixed depth). This
 safeguard is what prevents silent branch jumps near critical points.
 
-A Path may carry an ``anchor``: its nodes are then offsets from that point.
-Lifting an anchored path uses the translated map g(anchor + w) - anchor,
-which lets curves live at scales far below the anchor's own magnitude.
+A Path may carry an ``anchor``, a finite point or oo: its nodes are then
+coordinates in the working chart at that point (``sphere.chart_coordinate``)
+and lifting it uses the map in that chart (``RationalMap.chart``), which
+lets curves live at scales far below the anchor's own magnitude.
 """
 
 import cmath
@@ -23,7 +24,8 @@ import math
 from .errors import (BranchJumpSuspected, ChartOverflow, EndpointMismatch,
                      NearCriticalValue)
 from .ratmap import critical_values
-from .sphere import (CHART_LIMIT, chart_coordinate, chordal, is_inf,
+from .sphere import (CHART_LIMIT, as_point, chart_coordinate, chordal,
+                     chordal_scale, decode_point, encode_point, is_inf,
                      json_complex, json_typed)
 
 EPS_LIFT = 1e-9    # chordal residual allowed for accepted lift nodes
@@ -38,7 +40,8 @@ class Path:
     """Polyline with flagged endpoints; immutable after construction.
 
     Nodes are finite complex numbers; exact consecutive duplicates are
-    dropped. When ``anchor`` is set the nodes are offsets from it.
+    dropped. When ``anchor`` (a finite point or INF) is set the nodes are
+    coordinates in the working chart at it.
     """
 
     __slots__ = ("nodes", "anchor")
@@ -55,13 +58,13 @@ class Path:
         if not cleaned:
             raise ValueError("path needs at least one node")
         self.nodes = tuple(cleaned)
-        self.anchor = None if anchor is None else complex(anchor)
+        self.anchor = None if anchor is None else as_point(anchor)
 
     @classmethod
     def _of_clean(cls, nodes, anchor):
         """The path of ``nodes`` as ``__init__`` would clean them: finite
         complex numbers with no exact consecutive duplicate, and ``anchor``
-        None or complex. Nothing is checked."""
+        None, complex or INF. Nothing is checked."""
         path = cls.__new__(cls)
         path.nodes = tuple(nodes)
         path.anchor = anchor
@@ -91,15 +94,10 @@ class Path:
                 out.append(a + (b - a) * (j / k))
         return Path(out, anchor=self.anchor)
 
-    def absolute_nodes(self):
-        if self.anchor is None:
-            return self.nodes
-        return tuple(self.anchor + z for z in self.nodes)
-
     def to_json(self):
         obj = {"nodes": [[z.real, z.imag] for z in self.nodes]}
         if self.anchor is not None:
-            obj["anchor"] = [self.anchor.real, self.anchor.imag]
+            obj["anchor"] = encode_point(self.anchor)
         return obj
 
     @classmethod
@@ -109,7 +107,7 @@ class Path:
         return cls([json_complex(z, node)
                     for z in json_typed(obj["nodes"], list, node + "s")],
                    anchor=None if anchor is None
-                   else json_complex(anchor, what + " anchor"))
+                   else decode_point(anchor, what + " anchor"))
 
     def __len__(self):
         return len(self.nodes)
@@ -159,8 +157,9 @@ def _chordal_seg_to_point(a, b, q):
 
 
 def path_clearance(path, points):
-    """Minimum chordal distance from the polyline to the given points."""
-    nodes = path.absolute_nodes()
+    """Minimum chordal distance from the polyline of an unanchored path to
+    the given points."""
+    nodes = path.nodes
     best = math.inf
     for q in points:
         if len(nodes) == 1:
@@ -214,20 +213,19 @@ def lift_path(g, path, start_lift, check_clearance=True):
     """Unique continuation of the inverse branch of g along ``path`` from
     ``start_lift`` (with g(start_lift) = path.start).
 
-    For an anchored path, ``start_lift`` is an offset in the same chart and
-    the result keeps the anchor.
+    For an anchored path, ``start_lift`` is a coordinate in the same chart
+    and the result keeps the anchor.
     """
     anchor = path.anchor
     gm, crit = g.chart(anchor)
     if anchor is None:
         residual = chordal
     else:
-        denom = 1.0 + abs(anchor) ** 2
+        scale = chordal_scale(anchor)
 
         def residual(u, v):
-            # both points sit near the anchor; translate back for the
-            # metric factor
-            return 2.0 * abs(u - v) / denom
+            # both points sit near the chart's center
+            return scale * abs(u - v)
 
     start_lift = complex(start_lift)
     if not cmath.isfinite(start_lift):
@@ -314,8 +312,7 @@ def lift_closed_curve(g, loop, start_lift, check_clearance=True):
 
 def concatenate(p1, p2):
     """Join two polylines, snapping p2's start onto p1's end."""
-    if (p1.anchor is None) != (p2.anchor is None) or (
-            p1.anchor is not None and p1.anchor != p2.anchor):
+    if p1.anchor != p2.anchor:
         raise EndpointMismatch("paths live in different charts")
     scale = max(abs(p1.end), abs(p2.start), 1e-300)
     if abs(p1.end - p2.start) > max(EPS_LIFT, 1e-12 * scale):

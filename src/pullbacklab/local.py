@@ -19,7 +19,7 @@ import math
 
 from .errors import BranchJumpSuspected
 from .ratmap import is_repelling
-from .sphere import INF, chart_coordinate, is_inf
+from .sphere import INF, chart_coordinate, chordal_scale, is_inf
 
 # |eta| above which the inverse step re-solves the translated map; below it
 # the linearized step carries relative error O(|eta|) per step, which sums
@@ -104,7 +104,7 @@ class LocalFixedChart:
     def __init__(self, g, p):
         self.puncture = p
         self.T, _ = g.chart(p)
-        self.chordal_factor = 2.0 if is_inf(p) else 2.0 / (1.0 + abs(p) ** 2)
+        self.chordal_factor = chordal_scale(p)
         self.eps_star = self._solve_offset()
         _, lam = self.T.evaluate_with_derivative(self.eps_star)
         if not is_repelling(lam):
@@ -172,12 +172,11 @@ class LocalFixedChart:
     def materialize(self, eta):
         """Best double representation of the tracked position."""
         z = eta.to_complex()
-        if is_inf(self.puncture):
-            # the chart at oo is its own inverse
-            return INF if z is None else chart_coordinate(
-                INF, self.eps_star + z)
         if z is None:
             return self.puncture
+        if is_inf(self.puncture):
+            # the chart at oo is its own inverse
+            return chart_coordinate(INF, self.eps_star + z)
         return self.puncture + (self.eps_star + z)
 
     # -- reporting ------------------------------------------------------------

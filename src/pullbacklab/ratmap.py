@@ -14,7 +14,8 @@ clustering, which is robust at the low degrees (<= 8) this engine targets.
 P is ordered and labelled in one place, ``puncture_configuration``: finite
 points lexicographically, oo last, as p0, p1, ...; a point counts as a point
 of P, or of any list of points, by ``sphere.index_near``. A multiplier is
-repelling by ``is_repelling``, the only reader of ``REPELLING_MARGIN``.
+repelling by ``is_repelling``, the only reader of ``REPELLING_MARGIN``, and
+a point is fixed by ``fixed_multiplier``, which gives its multiplier.
 """
 
 import cmath
@@ -32,11 +33,19 @@ _CLUSTER_TOL = 1e-6     # root clustering scale for multiplicity detection
 _ABERTH_SWEEPS = 100    # a root not at rounding level by then raises
 MAX_ORBIT = 200         # critical-value orbit steps before "not psf"
 EPS_CYCLE = 1e-6        # chordal gap at which an orbit counts as closed
+EPS_FIX = 1e-9          # chordal residual of g(p) = p for a fixed point
 
 
 def is_repelling(multiplier):
     """Whether a fixed point or cycle with this multiplier is repelling."""
     return abs(multiplier) > 1.0 + REPELLING_MARGIN
+
+
+def fixed_multiplier(g, p):
+    """g'(p) in the chart at p when g fixes the point p (oo included), that
+    is chordal(g(p), p) <= EPS_FIX; None otherwise."""
+    gp, mult = g.evaluate_with_derivative(p)
+    return mult if chordal(gp, p) <= EPS_FIX else None
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,12 @@ def chart_coordinate(q, x):
     return INF if is_inf(x) else x - q
 
 
+def chordal_scale(q):
+    """Factor of the chordal metric at the center of the working chart at
+    q (chordal ~ factor |du|): 2/(1 + |q|^2) at a finite q, 2 at oo."""
+    return 2.0 if is_inf(q) else 2.0 / (1.0 + abs(q) ** 2)
+
+
 def encode_point(p):
     """JSON form: [re, im] for finite points, the string "inf" otherwise."""
     if is_inf(p):

@@ -1,6 +1,7 @@
 import cmath
 import copy
 import glob
+import json
 import math
 import os
 import struct
@@ -22,7 +23,8 @@ from pullbacklab.fiber import BranchDatum, init_run, run_until
 from pullbacklab.hyperbolic import (ELL_STAR, RoundAnnulus, annulus_modulus)
 from pullbacklab.lifting import Path
 from pullbacklab.ratmap import RationalMap
-from pullbacklab.sphere import Configuration, INF, chordal, is_inf
+from pullbacklab.sphere import (Configuration, INF, chart_coordinate, chordal,
+                               is_inf)
 
 CHEB = RationalMap([-2, 0, 1])
 BASILICA = RationalMap([-1, 0, 1])
@@ -413,13 +415,57 @@ def test_certificate_tamper_detection():
                 (name, message, result.mismatches)
 
 
+def certified(g, datum):
+    """An obstructed run stepped on to its certificate, and the certificate."""
+    run, _, _ = finished(g, datum, max_iters=2000)
+    return run, certify_obstructed(run)
+
+
+# z^2 - 2 conjugated by w = 1/(z - 2): its repelling fixed puncture is oo
+AT_INFINITY = (RationalMap([0, 0, 1], [1, 4]),
+               BranchDatum(-0.5, 1 / (math.sqrt(2) - 2)))
+
+
 def test_certificate_json_roundtrip():
-    run, _, _ = finished(CHEB, BranchDatum(0.0, math.sqrt(2)), max_iters=2000)
-    cert = certify_obstructed(run)
-    back = LevyCertificate.from_json(cert.to_json())
-    assert back.modulus == cert.modulus
-    assert back.curve_enclosed_labels == cert.curve_enclosed_labels
-    assert verify_certificate(back, run).ok
+    for (run, cert), anchor in (
+            (certified(CHEB, BranchDatum(0.0, math.sqrt(2))), [2.0, 0.0]),
+            (certified(*AT_INFINITY), "inf")):
+        obj = json.loads(json.dumps(cert.to_json()))
+        assert obj["annulus"]["anchor"] == anchor
+        assert all(c["anchor"] == anchor
+                   for c in obj["representative_curves"])
+        back = LevyCertificate.from_json(obj)
+        assert back.modulus == cert.modulus
+        assert back.curve_enclosed_labels == cert.curve_enclosed_labels
+        assert back.annulus.anchor == cert.annulus.anchor
+        assert verify_certificate(back, run).ok
+
+
+def test_certificate_at_infinity():
+    # the chebyshev run seen in the chart w = 1/(z - 2) is certified in the
+    # chart at its cluster's puncture oo, at chebyshev's step and with its
+    # annulus; d0 bounds the first step in each run's own coordinates
+    run, cert = certified(*AT_INFINITY)
+    _, ref = certified(CHEB, BranchDatum(0.0, math.sqrt(2)))
+    assert cert.step == ref.step == 116 and is_inf(cert.annulus.anchor)
+    assert verify_certificate(cert, run).ok
+    for name in ("k", "modulus", "inner_count_A", "inner_count_B",
+                 "outer_count_A", "outer_count_B", "curve_windings",
+                 "injectivity_evidence"):
+        assert getattr(cert, name) == getattr(ref, name), name
+    assert (cert.annulus.log_rin, cert.annulus.log_rout) == \
+        (ref.annulus.log_rin, ref.annulus.log_rout)
+    assert abs(cert.annulus.center - ref.annulus.center) <= \
+        1e-12 * abs(ref.annulus.center)
+    assert cert.d0_bound != ref.d0_bound and \
+        abs(cert.threshold - ref.threshold) < 0.1
+    # the same annulus in the chart at the puncture 0 is no certificate
+    obj = cert.to_json()
+    obj["annulus"]["anchor"] = [0.0, 0.0]
+    result = verify_certificate(LevyCertificate.from_json(obj), run)
+    assert not result
+    assert any(m.startswith("side counts mismatch")
+               for m in result.mismatches), result.mismatches
 
 
 def test_no_emission_on_early_step():
@@ -562,3 +608,28 @@ def test_step_points_match_the_track_reading():
     assert same_chart > 0
     with pytest.raises(ValueError):
         run.step_points(run.n + 1)
+
+
+def test_step_chart_entries_across_oo():
+    # a point anchored at oo charted at the finite puncture 0, and one
+    # anchored at the finite puncture 2 charted at oo, sit at their
+    # materialized positions; in the chart at their own puncture, at
+    # eps* + eta
+    for (g, datum), q in ((AT_INFINITY, 0j),
+                          ((CHEB, BranchDatum(0.0, math.sqrt(2))), INF)):
+        run = init_run(g, [datum])
+        for _ in range(40):
+            run.pullback_step()
+        track = run.marked[0]
+        p = track.anchor.puncture
+        assert is_inf(p) != is_inf(q)
+        points = run.step_points(40)
+        entries = {lab: z for lab, _, z in _step_chart_entries(points, q, 40)}
+        want = chart_coordinate(q, track.position())
+        assert entries["m0"] == want and not is_inf(want)
+        # the chart's oo is None: the puncture oo in the chart at 0
+        assert [lab for lab, z in entries.items() if z is None] == \
+            ([] if is_inf(q) else ["p2"])
+        own = {lab: z for lab, _, z in _step_chart_entries(points, p, 40)}
+        assert own["m0"] == track.anchor.chart.eps_star + \
+            track.history[-1][1].to_complex()

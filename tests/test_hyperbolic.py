@@ -42,9 +42,12 @@ def test_annulus_validation_and_json():
         RoundAnnulus.from_radii(0j, 2.0, 1.0)
     with pytest.raises(ValueError):
         RoundAnnulus.from_radii(0j, -1.0, 1.0)
-    a = RoundAnnulus.from_radii(1j, 1e-70, 3.0)
-    b = RoundAnnulus.from_json(a.to_json())
-    assert b.log_rin == a.log_rin and b.center == a.center
+    for anchor, form in ((None, None), (2.0, [2.0, 0.0]), (INF, "inf")):
+        a = RoundAnnulus.from_radii(1j, 1e-70, 3.0, anchor=anchor)
+        assert a.to_json().get("anchor") == form
+        b = RoundAnnulus.from_json(a.to_json())
+        assert b.log_rin == a.log_rin and b.center == a.center
+        assert b.anchor == a.anchor
 
 
 def test_geodesic_length_bound():

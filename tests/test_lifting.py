@@ -197,13 +197,17 @@ def test_simplify_keeps_homotopy_class_around_puncture():
 
 
 def test_anchored_chart_lift():
-    # lifting in a translated chart: same branch, tiny scale
-    anchor = 2.0
-    tiny = Path([1e-30, 2e-30], anchor=anchor)  # segment near the fixed point
-    res = lift_path(CHEB, tiny, 0.25e-30)
-    assert res.lifted.anchor == anchor
-    # the p-fixing branch contracts by ~1/4
-    assert abs(res.lifted.end - 0.5e-30) < 1e-32
+    # lifting in the chart at a repelling fixed point: same branch, tiny
+    # scale; at 2 for z^2 - 2, and at oo for its conjugate w^2 / (4w + 1)
+    for g, anchor in ((CHEB, 2.0), (RationalMap([0, 0, 1], [1, 4]), INF)):
+        # a segment near the fixed point
+        tiny = Path([1e-30, 2e-30], anchor=anchor)
+        res = lift_path(g, tiny, 0.25e-30)
+        assert res.lifted.anchor == anchor
+        # the p-fixing branch contracts by ~1/4
+        assert abs(res.lifted.end - 0.5e-30) < 1e-32
+        back = Path.from_json(res.lifted.to_json())
+        assert back.anchor == anchor and back.nodes == res.lifted.nodes
 
 
 # ---------------------------------------------------------------------------

@@ -450,6 +450,21 @@ def test_is_repelling():
     assert not ratmap.is_repelling(complex(math.nan, 0.0))
 
 
+def test_fixed_multiplier():
+    # a fixed finite point, oo (superattracting for z^2 - 2, repelling for
+    # its conjugate w^2 / (4w + 1)) and a point mapped elsewhere
+    assert ratmap.fixed_multiplier(CHEB, 2 + 0j) == 4
+    assert ratmap.fixed_multiplier(CHEB, INF) == 0
+    assert ratmap.fixed_multiplier(RationalMap([0, 0, 1], [1, 4]), INF) == 4
+    assert ratmap.fixed_multiplier(CHEB, -2 + 0j) is None
+    assert ratmap.fixed_multiplier(RationalMap([0, 0, 1], [1, 4]), 0j) == 0
+    # fixed means a chordal residual of at most EPS_FIX
+    for x in (2 + 1e-10, 2 + 1e-8):
+        fixed = chordal(CHEB(x), x) <= ratmap.EPS_FIX
+        assert fixed == (x == 2 + 1e-10)
+        assert (ratmap.fixed_multiplier(CHEB, x) is not None) == fixed
+
+
 def test_postsingular_chebyshev():
     an = postsingular_analysis(CHEB)
     pts = sorted(("inf" if is_inf(p) else round(p.real, 9)
