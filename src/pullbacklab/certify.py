@@ -9,19 +9,29 @@ evidence for the k-fold forward advance of the annulus and the chain of
 degree-1 inverse lifts of its core curve. All checks are floating point:
 certificates are numerical evidence, with every tolerance embedded.
 
+The injectivity evidence asks, at each forward stage, that the images of
+the two boundary circles be star-shaped about the image of the annulus
+center and separated by a circle about it (``injectivity_test``): every
+curve involved is the image of a round circle, so O(n) tests in pure
+Python suffice, and no pair of edges is tested. A simple image that is
+not star-shaped is declined.
+
 Emission and ``verify_certificate`` derive a certificate the same way:
 ``_derive_certificate`` computes every field from the run, the step and
 the annulus (the step configuration from ``PullbackRun.step_points``,
 charted by ``_step_chart_entries`` at the annulus's anchor, the cluster's
 puncture, oo included; the product (k+4) pi e^{k d0} from
-``_threshold_product(run)``, its one definition, which the emission
-floor and clustering scale read too) and returns the messages of the
-conditions that fail (``_annulus_faults``, ``_curve_faults``). Emission finds the
-annulus by clustering the step configuration (``_log_euclid_dist``);
-verification takes the stored one and compares each stored field with
-the derived one.
+``_threshold_product(run)``, its one definition, which the clustering
+scale reads too, while the emission floor reads its log,
+``_log_threshold``) and returns the messages of the conditions that fail
+(``_annulus_faults``, ``_curve_faults``). Emission finds the annulus by
+clustering the step configuration (``_log_euclid_dist``); verification
+takes the stored one and compares each stored field with the derived
+one.
 """
 
+import cmath
+import functools
 import math
 import operator
 import reprlib
@@ -30,9 +40,10 @@ from .errors import (InjectivityUndetermined, NoSeparatingAnnulus,
                      PullbackLabError)
 from .fiber import step_until
 from .hyperbolic import ELL_STAR, RoundAnnulus, annulus_modulus
-from .lifting import EPS_CV, Path, lift_closed_curve, _newton_preimage
+from .lifting import (EPS_CV, Path, lift_closed_curve, _newton_preimage,
+                      _seg_closest)
 from .ratmap import EPS_FIX, fixed_multiplier, is_repelling
-from .sphere import (chart_coordinate, chordal, encode_point, is_inf,
+from .sphere import (INF, chart_coordinate, chordal, encode_point, is_inf,
                      json_float, json_typed)
 
 TWO_PI = 2.0 * math.pi
@@ -204,145 +215,130 @@ def _side_counts(entries, annulus):
 # ---------------------------------------------------------------------------
 # injectivity evidence
 #
-# numpy is imported inside each function that uses it: only certificate
-# geometry needs it, so runs that never build or check a certificate do not
-# pay for loading it.
+# Every curve here is a sampled closed curve: a list of n + 1 samples whose
+# last is the first point sampled again (equal to it up to rounding). At
+# stage 0 it is ``_circle``'s regular n-gon; later it is the image of the
+# previous stage's curve.
+
+@functools.lru_cache(maxsize=8)
+def _unit_roots(n):
+    """e^{i theta} at theta = j (2 pi / n) for j < n, then at exactly 2 pi."""
+    step = TWO_PI / n
+    return tuple([cmath.exp(1j * (j * step)) for j in range(n)]
+                 + [cmath.exp(1j * TWO_PI)])
+
 
 def _circle(center, radius, n):
-    import numpy as np
-    th = np.linspace(0.0, TWO_PI, n + 1)
-    return center + radius * np.exp(1j * th)
-
-
-def _horner(coeffs, zr, zi):
-    """Real and imaginary parts of ``ratmap._peval`` on arrays, replaying
-    CPython's ``acc * z + c`` one rounded operation at a time."""
-    import numpy as np
-    ar = np.zeros_like(zr)
-    ai = np.zeros_like(zr)
-    for c in reversed(coeffs):
-        ar, ai = ar * zr - ai * zi + c.real, ar * zi + ai * zr + c.imag
-    return ar, ai
+    """n + 1 samples of the circle, center + radius ``_unit_roots(n)``."""
+    return [center + radius * w for w in _unit_roots(n)]
 
 
 def _apply_map(gm, zs):
-    """gm on every sample, bit-for-bit equal to ``gm(z)`` per sample: real
-    Horner plus CPython's complex division (Smith's method, as
-    ``_Py_c_quot``). numpy's complex arithmetic may round differently."""
-    import numpy as np
-    zr, zi = zs.real, zs.imag
-    nr, ni = _horner(gm.numerator, zr, zi)
-    dr, di = _horner(gm.denominator, zr, zi)
-    with np.errstate(all="ignore"):
-        by_real = np.abs(dr) >= np.abs(di)
-        ratio = np.where(by_real, di / dr, dr / di)
-        denom = np.where(by_real, dr + di * ratio, dr * ratio + di)
-        wr = np.where(by_real, nr + ni * ratio, nr * ratio + ni) / denom
-        wi = np.where(by_real, ni - nr * ratio, ni * ratio - nr) / denom
-        pole = (dr == 0) & (di == 0)
-        # np.hypot only preselects; abs(complex) decides as gm's caller did
-        far = np.flatnonzero(np.hypot(wr, wi) > 0.5e12)
-    if np.any(pole) or not (np.all(np.isfinite(wr)) and
-                            np.all(np.isfinite(wi))) or \
-            any(abs(complex(wr[i], wi[i])) > 1e12 for i in far):
-        raise InjectivityUndetermined(
-            "tracked boundary image leaves the working chart")
-    out = np.empty(len(zs), dtype=complex)
-    out.real = wr
-    out.imag = wi
+    """gm on every sample; refuses a pole, a non-finite value or |w| > 1e12
+    (the image leaves the working chart)."""
+    out = []
+    for z in zs:
+        w = gm(z)
+        if w is INF or abs(w) > 1e12:
+            raise InjectivityUndetermined(
+                "tracked boundary image leaves the working chart")
+        out.append(w)
     return out
 
 
 def _winding(zs, q):
-    import numpy as np
-    rel = zs - q
-    if np.any(rel == 0):
+    """Winding number about q of the closed polygon through zs, its last
+    sample joined to its first: signed crossings of the ray from q in the
+    direction +1. None when q is a sample or lies on an edge."""
+    if q in zs:
         return None
-    ang = np.angle(rel[1:] / rel[:-1])
-    return int(round(float(np.sum(ang)) / TWO_PI))
-
-
-def _closed_winding(curve, q):
-    """Winding number around q of a Path closed by joining its last node
-    to its first; None when q is a node."""
-    import numpy as np
-    return _winding(np.array(curve.nodes + (curve.nodes[0],)), q)
+    qy = q.imag
+    w = 0
+    prev = zs[-1]
+    above = prev.imag > qy
+    for z in zs:
+        if (z.imag > qy) != above:
+            above = not above
+            a = prev - q
+            b = z - q
+            # where the edge meets the line through q: scale-free
+            x = a.real + (b.real - a.real) * (a.imag / (a.imag - b.imag))
+            if x == 0:
+                return None
+            if x > 0:
+                w += 1 if above else -1
+        prev = z
+    return w
 
 
 def _poly_min_dist(zs, q):
-    import numpy as np
-    a, b = zs[:-1], zs[1:]
-    d = b - a
-    L2 = (d * d.conjugate()).real
-    t = np.zeros_like(L2)
-    mask = L2 > 0
-    t[mask] = ((q - a[mask]) * d[mask].conjugate()).real / L2[mask]
-    t = np.clip(t, 0.0, 1.0)
-    proj = a + t * d
-    return float(np.min(np.abs(proj - q)))
+    """Distance from q to the polyline through zs (closing edge excluded):
+    the least ``_seg_closest`` distance over the edges that can attain it.
+    An edge [a, b] is no nearer q than (|q - a| + |q - b| - |b - a|) / 2,
+    and the nearest sample is no farther than the answer; the slack on that
+    test exceeds its rounding, so the result is the one every edge gives."""
+    near = [abs(z - q) for z in zs]
+    lengths = list(map(abs, map(operator.sub, zs[1:], zs[:-1])))
+    limit = 2 * min(near) + 1e-12 * (2 * max(near) + max(lengths))
+    return min(abs(_seg_closest(zs[i], zs[i + 1], q) - q)
+               for i in range(len(lengths))
+               if near[i] + near[i + 1] - lengths[i] <= limit)
 
 
-def _cross(u, v):
-    return u.real * v.imag - u.imag * v.real
+def _circle_position(zs, q, center, radius):
+    """(winding about q, distance from q) of ``_circle(center, radius, n)``'s
+    samples zs. A q farther from the center than the circle has winding 0,
+    one nearer than the inradius r cos(pi / n) winding 1, both with a
+    margin for rounding; the nearest point of this convex polygon is then
+    on the edge facing q, so three edges give its distance. In the band
+    between, one full pass (``_winding``, ``_poly_min_dist``)."""
+    n = len(zs) - 1
+    u = q - center
+    dist = abs(u)
+    slack = 1e-12 * (abs(center) + radius + dist)
+    if dist > radius + slack:
+        w = 0
+    elif dist < radius * math.cos(math.pi / n) - slack:
+        w = 1
+    else:
+        return _winding(zs, q), _poly_min_dist(zs, q)
+    i = int(cmath.phase(u) % TWO_PI / (TWO_PI / n))
+    return w, min(abs(_seg_closest(zs[e % n], zs[e % n + 1], q) - q)
+                  for e in (i - 1, i, i + 1))
 
 
-def _segments_intersect_any(z1, z2, skip_adjacent):
-    """Any proper crossing or collinear overlap between segment families.
+def _star_radii(zs, c):
+    """(rho, R) for a sampled closed curve star-shaped about c, else None.
 
-    Only pairs whose x- and y-boxes overlap (family 1 padded by
-    1e-12 scale) are evaluated: family 2 is sorted by left x-edge, and for
-    each family-1 segment a binary search bounds the window of family-2
-    segments that start before its right edge and whose running maximum
-    right edge reaches its left edge (Shamos-Hoey box sweep). Two segments
-    with disjoint boxes can neither cross nor overlap, and the collinear
-    test already required overlapping boxes; the predicate on the kept
-    pairs is unchanged. So the verdict is that of testing all pairs, save
-    one rounding artefact it no longer reports: a "crossing" of two
-    box-disjoint segments so nearly collinear that the signs of their
-    cross products are rounding noise. Work is (n + m) log m plus the
-    kept windows, at most the n m of testing all pairs (long segments
-    widen the windows)."""
-    import numpy as np
-    a, b = z1[:-1], z1[1:]
-    c, d = z2[:-1], z2[1:]
-    n = len(a)
-    scale = max(float(np.max(np.abs(b - a))), float(np.max(np.abs(d - c))), 1e-300)
-    eps = (1e-10 * scale) ** 2
-    pad = 1e-12 * scale
-    lo1 = np.minimum(a.real, b.real) - pad
-    hi1 = np.maximum(a.real, b.real) + pad
-    lo2 = np.minimum(c.real, d.real)
-    hi2 = np.maximum(c.real, d.real)
-
-    order = np.argsort(lo2, kind="stable")
-    reach = np.maximum.accumulate(hi2[order])
-    start = np.searchsorted(reach, lo1, side="left")
-    stop = np.searchsorted(lo2[order], hi1, side="right")
-    count = np.maximum(stop - start, 0)
-    i = np.repeat(np.arange(n), count)
-    offset = np.repeat(start - (np.cumsum(count) - count), count)
-    j = order[offset + np.arange(len(i))]
-
-    lo1i = np.minimum(a.imag, b.imag) - pad
-    hi1i = np.maximum(a.imag, b.imag) + pad
-    lo2i = np.minimum(c.imag, d.imag)
-    hi2i = np.maximum(c.imag, d.imag)
-    keep = (lo1[i] <= hi2[j]) & (lo2[j] <= hi1[i]) & \
-           (lo1i[i] <= hi2i[j]) & (lo2i[j] <= hi1i[i])
-    if skip_adjacent:
-        gap = np.abs(i - j)
-        keep &= (gap > 1) & (gap != n - 1)
-    i, j = i[keep], j[keep]
-
-    A, B, C, D = a[i], b[i], c[j], d[j]
-    d1 = _cross(D - C, A - C)
-    d2 = _cross(D - C, B - C)
-    d3 = _cross(B - A, C - A)
-    d4 = _cross(B - A, D - A)
-    proper = ((d1 * d2) < 0) & ((d3 * d4) < 0)
-    collinear = (np.abs(d1) < eps) & (np.abs(d2) < eps) & \
-                (np.abs(d3) < eps) & (np.abs(d4) < eps)
-    return bool(np.any(proper | collinear))
+    It counts as star-shaped when every turn about c between consecutive
+    samples lies in (0, pi) and the turns total one full turn, to within
+    the first and the last turn: each ray from c then meets the curve
+    once, non-adjacent edges lie in disjoint angular sectors, and the
+    curve is simple. rho is the least distance from c to an edge's line
+    (the closing edge counted by its nearer end less its length), so the
+    disk of radius rho about c lies inside the curve; R is the largest
+    distance from c to a sample, so the curve lies in the disk of radius
+    R. O(n): no pair of edges is tested."""
+    us = [z - c for z in zs]
+    big = max(map(abs, us))
+    if not 1e-300 < big < 1e300:
+        return None
+    # scaled by a power of two, exactly, so that products cannot underflow
+    s = math.ldexp(1.0, -math.frexp(big)[1])
+    us = [u * s for u in us]
+    # conj(u_j) u_{j+1}: the dot product plus i times the cross product
+    turns = list(map(operator.mul, map(complex.conjugate, us[:-1]), us[1:]))
+    if not min([t.imag for t in turns]) > 0:
+        return None
+    total = sum(map(cmath.phase, turns))
+    if not abs(total - TWO_PI) < min(cmath.phase(turns[0]),
+                                      cmath.phase(turns[-1])):
+        return None
+    edges = map(abs, map(operator.sub, us[1:], us[:-1]))
+    rho = min(map(operator.truediv, [t.imag for t in turns], edges))
+    first, last = us[0], us[-1]
+    rho = min(rho, min(abs(first), abs(last)) - abs(first - last))
+    return rho / s, big
 
 
 def injectivity_test(g, annulus, k):
@@ -351,48 +347,66 @@ def injectivity_test(g, annulus, k):
     region (with clearance), simple and mutually disjoint boundary images,
     and a degree-1 closing inverse lift of the core curve.
 
-    Boundary images are computed on all samples at once, bit-for-bit
-    equal to evaluating the map sample by sample (``_apply_map``).
-    Simplicity and disjointness are decided by ``_segments_intersect_any``
-    on the segment pairs whose bounding boxes touch, found by a sweep
-    over sorted x-edges, instead of on all n^2 pairs.
+    Boundary images are mapped sample by sample (``_apply_map``). At
+    stage j both images must be star-shaped about c_{j+1} = gm^{j+1}(annulus
+    center) (``_star_radii``), which makes each simple, and the inner
+    image's farthest sample must lie nearer to c_{j+1} than every edge line
+    of the outer image, which makes them disjoint. Both tests are O(n).
+    They are stricter than simplicity and disjointness themselves: a
+    simple image that is not star-shaped about c_{j+1} is declined, with
+    the stage named. At stage 0 the tracked curves are ``_circle``'s
+    polygons, and a critical point outside the outer circle or inside the
+    inner inradius needs no pass (``_circle_position``).
 
     Raises InjectivityUndetermined on any failed check (which is not a
     proof of non-injectivity)."""
     anchor = annulus.anchor
     gm, crit = g.chart(anchor)
-    inner = _circle(annulus.center, annulus.r_in, N_SAMP)
-    outer = _circle(annulus.center, annulus.r_out, N_SAMP)
-    core = _circle(annulus.center, annulus.core_radius(), N_SAMP)
+    center = annulus.center
+    r_in, r_out = annulus.r_in, annulus.r_out
+    inner = _circle(center, r_in, N_SAMP)
+    outer = _circle(center, r_out, N_SAMP)
+    core = _circle(center, annulus.core_radius(), N_SAMP)
     stages = []
     for j in range(k):
         clear = math.inf
         for c in crit:
-            w_out = _winding(outer, c)
-            w_in = _winding(inner, c)
+            if j == 0:
+                w_out, d_out = _circle_position(outer, c, center, r_out)
+                w_in, d_in = _circle_position(inner, c, center, r_in)
+            else:
+                w_out, d_out = _winding(outer, c), _poly_min_dist(outer, c)
+                w_in, d_in = _winding(inner, c), _poly_min_dist(inner, c)
             if w_out is None or w_in is None:
                 raise InjectivityUndetermined("critical point on a boundary")
             if w_out != 0 and w_in == 0:
                 raise InjectivityUndetermined(
                     "critical point %r inside tracked region at stage %d"
                     % (c, j))
-            clear = min(clear, _poly_min_dist(inner, c),
-                        _poly_min_dist(outer, c))
+            clear = min(clear, d_in, d_out)
         if not clear > EPS_CV:
             raise InjectivityUndetermined(
                 "critical clearance %.3g at stage %d" % (clear, j))
-        img_inner = _apply_map(gm, inner)
-        img_outer = _apply_map(gm, outer)
-        img_core = _apply_map(gm, core)
-        for side, img in (("inner", img_inner), ("outer", img_outer)):
-            if _segments_intersect_any(img, img, skip_adjacent=True):
-                raise InjectivityUndetermined(
-                    "%s boundary image not simple at stage %d" % (side, j))
-        if _segments_intersect_any(img_inner, img_outer, skip_adjacent=False):
+        center = gm(center)
+        if center is INF:
             raise InjectivityUndetermined(
-                "boundary images intersect at stage %d" % j)
-        loop = Path(img_core.tolist(), anchor=anchor)
-        res, closes = lift_closed_curve(g, loop, complex(core[0]),
+                "image of the annulus center leaves the working chart")
+        images, radii = [], []
+        for side, curve in (("inner", inner), ("outer", outer)):
+            images.append(_apply_map(gm, curve))
+            radii.append(_star_radii(images[-1], center))
+            if radii[-1] is None:
+                raise InjectivityUndetermined(
+                    "%s boundary image not star-shaped about the image of "
+                    "the annulus center at stage %d" % (side, j))
+        (_, inner_reach), (outer_clear, _) = radii
+        if not inner_reach < outer_clear:
+            raise InjectivityUndetermined(
+                "boundary images not separated by a circle about the image "
+                "of the annulus center at stage %d" % j)
+        img_core = _apply_map(gm, core)
+        loop = Path(img_core, anchor=anchor)
+        res, closes = lift_closed_curve(g, loop, core[0],
                                         check_clearance=False)
         if not closes:
             raise InjectivityUndetermined(
@@ -404,7 +418,7 @@ def injectivity_test(g, annulus, k):
             "boundaries_disjoint": True,
             "core_lift_residual": res.max_residual,
         })
-        inner, outer, core = img_inner, img_outer, img_core
+        (inner, outer), core = images, img_core
     return {"samples": N_SAMP, "stages": stages, "k": k}
 
 
@@ -480,9 +494,20 @@ def _threshold_product(run):
     """(k + 4) pi e^{k d0} for the run's k and first-step bound d0
     (``PullbackRun.d0_bound``): divided by ell* it is the modulus
     threshold, divided by an annulus modulus the length bound of the core
-    geodesic."""
+    geodesic. Past double range it is +inf, which no modulus exceeds;
+    ``_log_threshold`` gives its size."""
     k = run.k
-    return (k + 4) * math.pi * math.exp(k * run.d0_bound())
+    try:
+        return (k + 4) * math.pi * math.exp(k * run.d0_bound())
+    except OverflowError:
+        return math.inf
+
+
+def _log_threshold(run):
+    """log of the modulus threshold (k + 4) pi e^{k d0} / ell*, finite
+    where the threshold itself overflows."""
+    k = run.k
+    return math.log((k + 4) * math.pi / ELL_STAR) + k * run.d0_bound()
 
 
 def _annulus_faults(modulus, threshold, counts, ring):
@@ -648,7 +673,7 @@ def _derive_certificate(run, n, annulus):
     if curves is None:
         return fields, ["core curve has no chain of %d closing degree-1 "
                         "lifts" % k]
-    windings = tuple(_closed_winding(c, annulus.center) for c in curves)
+    windings = tuple(_winding(c.nodes, annulus.center) for c in curves)
     enclosed = tuple(_enclosed_labels(c, entries) for c in curves)
     length_bound = product / modulus
     fields.update(representative_curves=curves, curve_windings=windings,
@@ -665,7 +690,7 @@ def _enclosed_labels(curve, entries):
     """Sorted labels of the step configuration enclosed by a closed curve
     (same chart); oo entries are never enclosed."""
     return tuple(sorted(lab for lab, _, z in entries if z is not None and
-                        _closed_winding(curve, z) not in (None, 0)))
+                        _winding(curve.nodes, z) not in (None, 0)))
 
 
 def _representative_curves(run, annulus, k):
@@ -674,9 +699,9 @@ def _representative_curves(run, annulus, k):
     anchor = annulus.anchor
     gm, _ = run.g.chart(anchor)
     core = _circle(annulus.center, annulus.core_radius(), N_CURVE)
-    curves = [Path(core.tolist(), anchor=anchor)]
+    curves = [Path(core, anchor=anchor)]
     for _ in range(k):
-        start = complex(curves[-1].nodes[0])
+        start = curves[-1].nodes[0]
         found = _newton_preimage(gm, start, start)
         if found is None:
             return None
@@ -694,6 +719,8 @@ def _representative_curves(run, annulus, k):
 # certificate clusters and curves live in a double chart; below
 # this scale the engine declines to emit rather than degrade silently
 _EMISSION_FLOOR_LOG = math.log(1e-290)
+# the log of the largest threshold whose cluster scale is above the floor
+_FLOOR_LOG_THRESHOLD = math.log(-_EMISSION_FLOOR_LOG / TWO_PI)
 
 
 def certify_obstructed(run, engine_version="", max_steps=None,
@@ -705,18 +732,23 @@ def certify_obstructed(run, engine_version="", max_steps=None,
     happens within O(threshold) further steps of an obstructed run. When the
     cluster scale e^{-2 pi threshold} falls below double range the engine
     returns None immediately: the certificate chart cannot represent the
-    collapsing cluster at that depth."""
+    collapsing cluster at that depth. That test is made on the log of the
+    threshold, which stays finite where the threshold overflows."""
     cap = run.tol.max_iters if max_steps is None else max_steps
 
     def attempt():
         if run.n < 1:
             return None
         try:
-            threshold = _threshold_product(run) / ELL_STAR
+            log_threshold = _log_threshold(run)
         except PullbackLabError as exc:
             return None, "no certified first-step bound: %s" % exc
-        if -TWO_PI * threshold < _EMISSION_FLOOR_LOG:
-            return None, ("cluster scale exp(-2 pi * %.4g) is below the "
+        if log_threshold > _FLOOR_LOG_THRESHOLD:
+            try:
+                threshold = "%.4g" % math.exp(log_threshold)
+            except OverflowError:  # past double range: its log
+                threshold = "e^%.4g" % log_threshold
+            return None, ("cluster scale exp(-2 pi * %s) is below the "
                           "double-range certificate chart" % threshold)
         cert = emit_levy_certificate(run, engine_version=engine_version)
         return None if cert is None else (cert, "emitted at step %d"
@@ -760,11 +792,10 @@ def same_within(got, want, rel, floor):
 
 def _same_nodes(got, want):
     """Same node count, each node within 1e-6 of want's largest |node|
-    (np.exp, which draws the curves, may round differently elsewhere)."""
-    import numpy as np
-    scale = max(max(abs(z) for z in want.nodes), 1e-300)
-    return len(got.nodes) == len(want.nodes) and bool(np.all(
-        np.abs(np.subtract(got.nodes, want.nodes)) <= 1e-6 * scale))
+    (another host's libm may draw the curves a few ulps apart)."""
+    tol = 1e-6 * max(max(abs(z) for z in want.nodes), 1e-300)
+    return len(got.nodes) == len(want.nodes) and all(
+        abs(a - b) <= tol for a, b in zip(got.nodes, want.nodes))
 
 
 # each field verify_certificate compares as a whole: the name its message

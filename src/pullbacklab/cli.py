@@ -26,7 +26,8 @@ same stopping rule, ``fiber.stopping_status``, at the first record where
 it fires. ``check`` reads the trace file once, for its SHA-256 and its
 records, rebuilds the run from its certificate, steps it through the
 stored records 0..step, whose ``points`` and ``min_dist_log10`` must be
-the run's at each step (floats within 1e-12 max(1, |x|)), and verifies
+the run's at each step (the texts the run writes, or else floats within
+1e-12 max(1, |x|)), and verifies
 the certificate against it; with ``--report`` the report must
 carry the trace's digest, the certificate's config and tolerances, and the
 classification, status and steps the stored trace gives. ``run`` hashes
@@ -41,6 +42,7 @@ import io
 import json
 import math
 import os
+import re
 import reprlib
 import sys
 import time
@@ -51,7 +53,7 @@ from .certify import (LevyCertificate, certify_obstructed, classify_run,
 from .errors import InvalidBranchDatum, PullbackLabError
 from .fiber import (JSON_ENCODER, BranchDatum, RunStatus, Tolerances, Trace,
                     TrivialMarkedSpec, compose_iterate_run, init_run,
-                    min_dist_log10, run_until, step_until, stopping_status)
+                    run_until, step_until, stopping_status)
 from .lifting import Path
 from .ratmap import RationalMap, postsingular_analysis
 from .sphere import decode_point, json_complex, json_float, json_typed
@@ -290,17 +292,22 @@ def _typed_log10s(row, what):
 
 
 def _read_trace(path):
-    """A stored trace's records (see ``_trace_records``)."""
+    """A stored trace's records (``_trace_lines``, ``_trace_records``)."""
     with open(path, "rb") as fh:
-        return _trace_records(fh.read())
+        return _trace_records(_trace_lines(fh.read()))
 
 
-def _trace_records(data):
-    """The records of a stored trace's bytes: one JSON object per non-blank
-    line, lines split as a text-mode file splits them."""
-    return [json_typed(json.loads(line), dict, "trace line")
-            for line in io.StringIO(data.decode(), newline=None)
+def _trace_lines(data):
+    """The non-blank lines of a stored trace's bytes, split as a text-mode
+    file splits them."""
+    return [line for line in io.StringIO(data.decode(), newline=None)
             if line.strip()]
+
+
+def _trace_records(lines):
+    """The records of a stored trace's lines: one JSON object each."""
+    return [json_typed(json.loads(line), dict, "trace line")
+            for line in lines]
 
 
 def cmd_certify(args):
@@ -321,7 +328,8 @@ def cmd_check(args):
     if payload.get("run_config") is None:
         failures.append("certificate does not embed its run config")
     else:
-        records = _trace_records(data)
+        lines = _trace_lines(data)
+        records = _trace_records(lines)
         run = _build_run(artifact_config(payload))
         # the steps come first: a forged cert.step must not drive stepping
         if [rec.get("n") for rec in records] != list(range(len(records))) \
@@ -329,7 +337,7 @@ def cmd_check(args):
             failures.append("trace records are not the steps 0..%d of the "
                             "certificate, in order" % cert.step)
         else:
-            failures.extend(_replay_mismatches(records, run))
+            failures.extend(_replay_mismatches(lines, run))
             result = verify_certificate(cert, run)
             if not result:
                 failures.extend(result.mismatches)
@@ -383,22 +391,40 @@ def _same_json(a, b):
     return JSON_ENCODER.encode(a) == JSON_ENCODER.encode(b)
 
 
-def _replay_mismatches(records, run):
-    """Step ``run`` through consecutive records from ``run.n`` on, with
-    the engine's one step loop (``fiber.step_until``); each record's points
-    and minima must be the run's, floats within 1e-12 max(1, |x|) (another
-    machine's libm may round the last bit apart)."""
+# a trace record as JSON_ENCODER writes it (``fiber.TraceRecord``): its
+# min_dist_log10, n and points, with the other fields single numbers
+_NUMBER = r"(?:-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?|null|NaN|-?Infinity)"
+_RECORD_LINE = re.compile(
+    r'\{"diagram_residual":%(num)s,"lift_residual":%(num)s,'
+    r'"min_dist_log10":(\{.*\}),"n":([0-9]+),"path_nodes":%(num)s,'
+    r'"points":(\{.*\}),"step_bound":%(num)s\}\s*' % {"num": _NUMBER})
+
+
+def _replay_mismatches(lines, run):
+    """Step ``run`` through a stored trace's lines of steps 0, 1, ... with
+    the engine's one step loop (``fiber.step_until``); each line's
+    ``points`` and ``min_dist_log10`` must be the run's. A line laid out as
+    the run writes its records, with the texts the run writes for these
+    two fields (``PullbackRun.record_points``), holds the run's values.
+    Any other line is parsed and compared field by field, floats within
+    1e-12 max(1, |x|): another machine's libm may round the last bit
+    apart."""
     differ = []
-    for rec in records:
-        step_until(run, lambda: None, rec["n"])
-        points = run.point_entries()
-        want = {"points": points, "min_dist_log10": min_dist_log10(points)}
+    for n, line in enumerate(lines):
+        step_until(run, lambda: None, n)
+        points, points_text, min_row, min_text = run.record_points()
+        layout = _RECORD_LINE.fullmatch(line)
+        if layout is not None and layout.group(3) == points_text and \
+                layout.group(1) == min_text and layout.group(2) == str(n):
+            continue
+        rec = json.loads(line)
+        want = {"points": points, "min_dist_log10": min_row}
         got = {key: rec.get(key) for key in want}
         if got != want and not same_within(got, want, 1e-12, 1.0):
-            differ.append(rec["n"])
+            differ.append(n)
     if differ:
         return ["trace differs from the re-stepped run at %d of %d records, "
-                "first at n=%d" % (len(differ), len(records), differ[0])]
+                "first at n=%d" % (len(differ), len(lines), differ[0])]
     return []
 
 
@@ -491,10 +517,6 @@ def build_parser():
 
 
 def main(argv=None):
-    # certificate geometry imports numpy (after this point) but calls no
-    # BLAS, whose OpenBLAS would start a helper thread per core on import;
-    # a value the user sets wins
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     handlers = {"analyze": cmd_analyze, "run": cmd_run,
                 "classify": cmd_classify, "certify": cmd_certify,

@@ -581,10 +581,19 @@ class PullbackRun:
         """log10 chordal distances from a track to the punctures, by label."""
         return self._record_entry(track)[0]["dist_log10"]
 
-    def point_entries(self):
-        """The ``points`` of the current step's record (``_record_entry``)."""
-        return {track.label: self._record_entry(track)[0]
-                for track in self._record_order}
+    def record_points(self):
+        """The ``points`` of the current step's record (``_record_entry``)
+        and their per-puncture minimum (``min_dist_log10``), each followed
+        by its JSON text: (points, text, minimum, text)."""
+        points = {}
+        texts = []
+        for track in self._record_order:
+            points[track.label], text, row_text = self._record_entry(track)
+            texts.append(text)
+        min_row = min_dist_log10(points)
+        # a lone track's row is the minimum itself (min_dist_log10)
+        min_text = row_text if len(texts) == 1 else self._row_text(min_row)
+        return points, "{%s}" % ",".join(texts), min_row, min_text
 
     def _record_entry(self, track):
         """A track's entry in the current step's record, the entry's text
@@ -615,11 +624,7 @@ class PullbackRun:
             _json_number(value.e)), row_text
 
     def trace_record(self):
-        points = {}
-        texts = []
-        for track in self._record_order:
-            points[track.label], text, row_text = self._record_entry(track)
-            texts.append(text)
+        points, points_text, min_row, min_text = self.record_points()
         diag = 0.0
         residual = 0.0
         nodes = 0
@@ -634,7 +639,6 @@ class PullbackRun:
                 step_bound = None  # no certified bound for this step
         else:
             step_bound = 0.0
-        min_row = min_dist_log10(points)
         rec = TraceRecord(n=self.n, points=points, lift_residual=residual,
                           path_nodes=nodes, step_bound=step_bound,
                           diagram_residual=diag, min_dist_log10=min_row)
@@ -643,10 +647,8 @@ class PullbackRun:
             diag_text,
             # an anchored step's residual is its diagram residual
             diag_text if residual is diag else _json_number(residual),
-            # a lone track's row is the minimum itself (min_dist_log10)
-            row_text if len(texts) == 1 else self._row_text(min_row),
-            _json_number(self.n), _json_number(nodes),
-            "{%s}" % ",".join(texts), _json_number(step_bound))
+            min_text, _json_number(self.n), _json_number(nodes),
+            points_text, _json_number(step_bound))
         return rec
 
     def _row_text(self, row):

@@ -218,21 +218,16 @@ def lift_path(g, path, start_lift, check_clearance=True):
     """
     anchor = path.anchor
     gm, crit = g.chart(anchor)
-    if anchor is None:
-        residual = chordal
-    else:
-        scale = chordal_scale(anchor)
-
-        def residual(u, v):
-            # both points sit near the chart's center
-            return scale * abs(u - v)
+    # both points of an anchored residual sit near the chart's center
+    scale = None if anchor is None else chordal_scale(anchor)
 
     start_lift = complex(start_lift)
     if not cmath.isfinite(start_lift):
         raise ValueError("path nodes must be finite")
     # (g, g') at lifted[-1], which seeds the next node's Newton solve
     last_eval = gm.evaluate_with_derivative(start_lift)
-    start_res = residual(last_eval[0], path.start)
+    start_res = (chordal(last_eval[0], path.start) if scale is None
+                 else scale * abs(last_eval[0] - path.start))
     if start_res > EPS_LIFT:
         raise EndpointMismatch(
             "g(start_lift) misses path start by chordal %.3g" % start_res)
@@ -248,28 +243,28 @@ def lift_path(g, path, start_lift, check_clearance=True):
     max_res = start_res
     subdivisions = 0
 
-    def crit_distance(w):
+    def allowed_step(w):
+        """ETA_SAFE times the distance from w to the nearest critical point."""
         if not crit:
             return math.inf
-        return min(abs(w - c) for c in crit)
+        return ETA_SAFE * min(abs(w - c) for c in crit)
 
-    for seg_a, seg_b in zip(path.nodes, path.nodes[1:]):
-        # stack of pending targets along this segment (LIFO of (z, depth))
-        pending = [(seg_b, 0)]
-        z_from = seg_a
-        while pending:
-            z_to, depth = pending.pop()
-            w_prev = lifted[-1]
+    w_prev = start_lift
+    allowed = allowed_step(w_prev)
+    for z_from, z_to in zip(path.nodes, path.nodes[1:]):
+        # pending targets along this segment (LIFO of (z, depth)), built
+        # only once the segment subdivides
+        pending = None
+        depth = 0
+        while True:
             found = _newton_preimage(gm, z_to, w_prev, last_eval)
             ok = False
             if found is not None:
                 w, gv, gd = found
-                allowed = ETA_SAFE * crit_distance(w_prev)
-                ok = abs(w - w_prev) < allowed
-            if ok:
-                res = residual(gv, z_to)
-                if res > EPS_LIFT:
-                    ok = False
+                if abs(w - w_prev) < allowed:
+                    res = (chordal(gv, z_to) if scale is None
+                           else scale * abs(gv - z_to))
+                    ok = not res > EPS_LIFT
             if ok and anchor is None and abs(w) > CHART_LIMIT:
                 raise ChartOverflow(
                     "lift reached |w| = %.3g; transport the chart" % abs(w))
@@ -279,19 +274,26 @@ def lift_path(g, path, start_lift, check_clearance=True):
                         "safeguard violated at depth %d near %r" % (depth, z_to))
                 mid = 0.5 * (z_from + z_to)
                 subdivisions += 1
+                if pending is None:
+                    pending = []
                 pending.append((z_to, depth + 1))
-                pending.append((mid, depth + 1))
+                z_to, depth = mid, depth + 1
                 continue
             max_res = max(max_res, res)
             z_from = z_to
-            if w == lifted[-1] or z_to == last_target:
-                continue  # keep lifted nodes and their targets aligned
-            # w is complex, finite (|w - w_prev| < allowed held, and
-            # lifted[0] is finite) and not lifted[-1]: lifted stays a
-            # clean node list, as Path._of_clean takes it
-            lifted.append(w)
-            last_target = z_to
-            last_eval = gv, gd
+            # keep lifted nodes and their targets aligned
+            if w != w_prev and z_to != last_target:
+                # w is complex, finite (|w - w_prev| < allowed held, and
+                # lifted[0] is finite) and not lifted[-1]: lifted stays a
+                # clean node list, as Path._of_clean takes it
+                lifted.append(w)
+                last_target = z_to
+                last_eval = gv, gd
+                w_prev = w
+                allowed = allowed_step(w)
+            if not pending:
+                break
+            z_to, depth = pending.pop()
 
     return LiftResult(Path._of_clean(lifted, anchor), max_res, subdivisions)
 

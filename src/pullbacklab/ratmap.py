@@ -253,7 +253,20 @@ class RationalMap:
     # -- basic evaluation ---------------------------------------------------
 
     def __call__(self, z):
-        return self.evaluate_with_derivative(z)[0]
+        """g(z): the value ``evaluate_with_derivative`` gives, from its N
+        and D Horner loops alone."""
+        if z is INF:
+            return self._eval_at_infinity()[0]
+        Nv = 0j
+        for c in self._hN:
+            Nv = Nv * z + c
+        Dv = 0j
+        for c in self._hD:
+            Dv = Dv * z + c
+        if Dv == 0:
+            return INF
+        w = Nv / Dv
+        return w if cmath.isfinite(w) else INF
 
     def evaluate_with_derivative(self, z):
         """(g(z), chart derivative). The derivative is taken between the

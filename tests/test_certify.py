@@ -15,13 +15,14 @@ from pullbacklab.certify import (certify_obstructed, classify_run,
                                  emit_levy_certificate,
                                  find_separating_annulus, injectivity_test,
                                  verify_certificate, LevyCertificate,
-                                 _apply_map, _circle, _log_euclid_dist,
-                                 _segments_intersect_any, _step_chart_entries)
+                                 _apply_map, _circle, _circle_position,
+                                 _log_euclid_dist, _poly_min_dist,
+                                 _star_radii, _step_chart_entries, _winding)
 from pullbacklab.cli import _build_run, load_config
 from pullbacklab.errors import (InjectivityUndetermined, NoSeparatingAnnulus)
 from pullbacklab.fiber import BranchDatum, init_run, run_until
 from pullbacklab.hyperbolic import (ELL_STAR, RoundAnnulus, annulus_modulus)
-from pullbacklab.lifting import Path
+from pullbacklab.lifting import Path, _seg_closest
 from pullbacklab.ratmap import RationalMap
 from pullbacklab.sphere import (Configuration, INF, chart_coordinate, chordal,
                                is_inf)
@@ -162,6 +163,20 @@ def test_injectivity_fails_doubly_covered_boundary():
         injectivity_test(SQUARE, ann, 1)
 
 
+def test_injectivity_declines_unseparated_boundary_images():
+    # z^2 is injective on |z - 1| < 0.31, so the images of the circles
+    # |z - 1| = 0.3 and 0.31 are disjoint, and each is star-shaped about
+    # 1; but the inner image reaches 0.3 * 2.3 from 1 and the outer comes
+    # within 0.31 * 1.69: no circle about 1 separates them
+    ann = RoundAnnulus.from_radii(1 + 0j, 0.3, 0.31)
+    with pytest.raises(InjectivityUndetermined,
+                       match="not separated by a circle .* at stage 0"):
+        injectivity_test(SQUARE, ann, 1)
+    wide = RoundAnnulus.from_radii(1 + 0j, 0.05, 0.31)
+    assert injectivity_test(SQUARE, wide, 1)["stages"][0][
+        "boundaries_disjoint"]
+
+
 def test_injectivity_k0_vacuous():
     ann = RoundAnnulus.from_radii(0j, 0.5, 2.0)
     evidence = injectivity_test(SQUARE, ann, 0)
@@ -169,7 +184,9 @@ def test_injectivity_k0_vacuous():
 
 
 def _dense_reference(z1, z2, skip_adjacent):
-    """All-pairs crossing test, the reference for the box sweep."""
+    """All-pairs crossing test: a proper crossing or a collinear overlap
+    of two segments whose boxes meet (family 1 padded by 1e-12 scale)."""
+    z1, z2 = np.array(z1, dtype=complex), np.array(z2, dtype=complex)
     a, b = z1[:-1], z1[1:]
     c, d = z2[:-1], z2[1:]
     n, m = len(a), len(c)
@@ -201,7 +218,7 @@ def _dense_reference(z1, z2, skip_adjacent):
     lo2i = np.minimum(C.imag, D.imag)
     hi2i = np.maximum(C.imag, D.imag)
     overlap_y = (lo1i <= hi2i) & (lo2i <= hi1i)
-    hits = proper | (collinear & overlap_x & overlap_y)
+    hits = (proper | collinear) & overlap_x & overlap_y
 
     if skip_adjacent:
         idx = np.arange(n)
@@ -213,75 +230,184 @@ def _dense_reference(z1, z2, skip_adjacent):
     return bool(np.any(hits))
 
 
-def assert_sweep_agrees(z1, z2):
-    for z in (z1, z2):
-        assert _segments_intersect_any(z, z, True) == \
-            _dense_reference(z, z, True)
-    for skip in (False, True):
-        assert _segments_intersect_any(z1, z2, skip) == \
-            _dense_reference(z1, z2, skip)
+def assert_star_test_sound(inner, outer, c):
+    """Whatever the star-shaped test accepts, the dense reference finds no
+    crossing: in an accepted curve, nor between an accepted pair whose
+    inner curve lies inside the outer's disk (the injectivity test's
+    disjointness rule). Returns the two tests' results."""
+    radii = [_star_radii(z, c) for z in (inner, outer)]
+    for z, r in zip((inner, outer), radii):
+        if r is not None:
+            assert not _dense_reference(z, z, True)
+    if None not in radii and radii[0][1] < radii[1][0]:
+        assert not _dense_reference(inner, outer, False)
+    return radii
 
 
-# fixed seed: the sweep must agree with the reference on these inputs
+# fixed seed: whatever the star test accepts must be free of crossings
 agree = settings(max_examples=120, deadline=None, derandomize=True)
 coord = st.floats(-4.0, 4.0, allow_nan=False)
 point = st.builds(complex, coord, coord)
-polyline = st.lists(point, min_size=2, max_size=24).map(np.array)
+
+
+@agree
+@given(point, st.lists(st.floats(0.05, 3.0), min_size=3, max_size=40),
+       st.floats(0.0, 0.99), point, st.booleans())
+def test_star_test_sound_on_random_polygons(c, radii, jitter, shift, closed):
+    # polygons at increasing angles about c (star-shaped unless jitter
+    # turns some edge back), judged about c and about a shifted point
+    n = len(radii)
+    angles = [2 * math.pi * (j + jitter * ((j * 7) % 3 - 1)) / n
+              for j in range(n)]
+    poly = [c + r * cmath.exp(1j * a) for a, r in zip(angles, radii)]
+    poly.append(poly[0] if closed else poly[0] * (1 + 1e-15))
+    for center in (c, c + 0.3 * shift):
+        assert_star_test_sound(poly, [center + 2 * (z - center) for z in poly],
+                               center)
+
+
 lattice = st.lists(st.builds(complex, st.integers(-3, 3), st.integers(-3, 3)),
-                   min_size=2, max_size=16)
+                   min_size=3, max_size=16)
 
 
 @agree
-@given(polyline, polyline)
-def test_sweep_matches_dense_random_polylines(z1, z2):
-    assert_sweep_agrees(z1, z2)
-
-
-@agree
-@given(lattice, lattice, st.booleans())
-def test_sweep_matches_dense_lattice_polylines(p1, p2, closed):
-    # exact touches, shared vertices, repeated points and collinear overlaps
-    if closed:
-        p1, p2 = p1 + p1[:1], p2 + p2[:1]
-    assert_sweep_agrees(np.array(p1, dtype=complex),
-                        np.array(p2, dtype=complex))
+@given(lattice, st.sampled_from([0j, 0.5 + 0.5j, 0.5 + 0j]))
+def test_star_test_sound_on_lattice_polygons(points, c):
+    # exact touches, shared and repeated vertices, collinear edges and
+    # vertices on a ray from c: lattice points in order of angle about c
+    poly = sorted(points, key=lambda z: cmath.phase(z - c) if z != c else 0.0)
+    poly.append(poly[0])
+    assert_star_test_sound(poly, [c + 3 * (z - c) for z in poly], c)
 
 
 @agree
 @given(point, st.floats(0.05, 3.0), point, st.integers(8, 160))
-def test_sweep_matches_dense_circle_images(center, radius, c, n):
-    inner = _circle(center, radius / 2, n)
-    outer = _circle(center, radius, n)
-    assert_sweep_agrees(inner * inner + c, outer * outer + c)
+def test_star_test_sound_on_circle_images(center, radius, c, n):
+    inner = [z * z + c for z in _circle(center, radius / 2, n)]
+    outer = [z * z + c for z in _circle(center, radius, n)]
+    radii = assert_star_test_sound(inner, outer, center * center + c)
+    if abs(center) > 1.5 * radius:  # 0, the critical point, is outside
+        assert None not in radii
 
 
 @agree
 @given(st.floats(0.0, 2 * math.pi), st.floats(-9.5, -8.5), point,
        st.integers(8, 160))
-def test_sweep_matches_dense_tiny_circles(phi, log_r, c, n):
+def test_star_test_sound_on_tiny_circles(phi, log_r, c, n):
     # radius ~1e-9 around a point 1e-8 from 0; under z^2 + c the image
     # collapses onto a few representable values near c
-    circle = _circle(1e-8 * cmath.exp(1j * phi), 10.0 ** log_r, n)
-    assert_sweep_agrees(circle, circle * circle + c)
-    assert_sweep_agrees(circle * circle, circle * circle + c)
+    center = 1e-8 * cmath.exp(1j * phi)
+    circle = _circle(center, 10.0 ** log_r, n)
+    image = [z * z + c for z in circle]
+    assert_star_test_sound(circle, image, center)
+    assert_star_test_sound([z * z for z in circle], image, center * center + c)
+    assert_star_test_sound(image, image, center * center + c)
 
 
-def test_sweep_ignores_rounding_crossing_of_disjoint_boxes():
-    # collinear to ~1e-16: the reference's cross-product signs are rounding
-    # noise and report a crossing of two segments with disjoint boxes
-    z = np.array([-0.8950058802894161 - 1.2776542243960578j,
-                  -0.6261409398676607 - 0.3244825989718599j,
-                  -0.5255518379875906 + 0.03212275681973742j,
-                  -0.4529391272524107 + 0.2895470807547901j])
-    assert max(z[:2].real) < min(z[2:].real)
-    assert _dense_reference(z[:2], z[2:], False)
-    assert not _segments_intersect_any(z[:2], z[2:], False)
+def test_star_test_declines_simple_non_star_and_crossing_curves():
+    # a "C" around the center: simple, and star-shaped about no point
+    c_shape = [-2 - 2j, 2 - 2j, 2 - 1j, -1 - 1j, -1 + 1j, 2 + 1j, 2 + 2j,
+               -2 + 2j, -2 - 2j]
+    assert not _dense_reference(c_shape, c_shape, True)
+    assert _star_radii(c_shape, -1.5 + 0j) is None
+    # an "L": star-shaped about a point of the square [0, 1]^2 only
+    l_shape = [0j, 2 + 0j, 2 + 1j, 1 + 1j, 1 + 2j, 2j, 0j]
+    assert not _dense_reference(l_shape, l_shape, True)
+    assert _star_radii(l_shape, 0.5 + 0.5j) is not None
+    assert _star_radii(l_shape, 1.8 + 0.5j) is None
+    # a figure-eight crosses itself
+    eight = [cmath.sin(t) + 0.5j * cmath.sin(2 * t)
+             for t in (2 * math.pi * (j + 0.5) / 64 for j in range(65))]
+    assert _dense_reference(eight, eight, True)
+    for c in (0.5 + 0j, -0.5 + 0.1j, 2 + 0j):
+        assert _star_radii(eight, c) is None
+    # a circle traversed twice: every turn is positive, the total is 4 pi
+    twice = [z * z for z in _circle(0j, 1.0, 128)]
+    assert _dense_reference(twice, twice, True)
+    assert _star_radii(twice, 0j) is None
 
 
-def assert_bits_equal(got, want):
-    for part in ("real", "imag"):
-        assert np.array_equal(getattr(got, part).view(np.int64),
-                              getattr(want, part).view(np.int64))
+def _angle_sum_winding(zs, q):
+    """The winding number as the sum of the angles each edge subtends at q,
+    the closing edge included; None when q is a sample."""
+    rel = np.array(list(zs) + [zs[0]], dtype=complex) - q
+    if np.any(rel == 0):
+        return None
+    turns = np.angle(rel[1:] / rel[:-1])
+    return int(round(float(np.sum(turns)) / (2 * math.pi)))
+
+
+@agree
+@given(point, st.floats(1e-6, 3.0), st.integers(8, 160), point,
+       st.floats(-1.0, 1.0))
+def test_winding_matches_angle_sum(center, radius, n, q, frac):
+    circle = _circle(center, radius, n)
+    image = [z * z + q for z in circle]
+    # points on the circle's horizontal, which meets it at sample 0 and
+    # at the closing edge, and at random
+    for p in (q, center + 2 * frac * radius, center + frac * radius * 1j):
+        for zs in (circle, image):
+            assert _winding(zs, p) == _angle_sum_winding(zs, p)
+
+
+def test_winding_counts_the_closing_edge():
+    # squaring_b's critical point -1 lies on the horizontal of the
+    # annulus center in the chart at 1, where sample 0 sits and the
+    # closing edge comes back from below
+    circle = _circle(-1e-40 + 0j, 1e-41, 512)
+    assert circle[0].imag == 0.0 > circle[-1].imag
+    assert _winding(circle, -1 + 0j) == 0
+    assert _angle_sum_winding(circle, -1 + 0j) == 0
+    assert _winding(circle, -1e-40 + 0j) == 1
+    # a polygon whose only crossing of the ray is its closing edge
+    square = [1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]
+    assert _winding(square, 0j) == _angle_sum_winding(square, 0j) == 1
+    assert _winding(square[::-1], 0j) == -1
+    assert _winding(square, 1 + 1j) is None  # a sample
+    assert _winding(square, 1 + 0j) is None  # on the closing edge
+
+
+@agree
+@given(point, st.floats(1e-12, 3.0), st.integers(8, 512),
+       st.floats(0.0, 2 * math.pi), st.floats(0.0, 4.0))
+@example(0j, 1.75, 11, 0.0, 0.0)  # q at the center: every edge ties
+def test_circle_position_matches_full_pass(center, radius, n, phi, scale):
+    # the facing edge's distance is the least over all edges in exact
+    # arithmetic; in floats, edges that tie may differ at the rounding of
+    # the samples' coordinates
+    zs = _circle(center, radius, n)
+    q = center + scale * radius * cmath.exp(1j * phi)
+    w, d = _circle_position(zs, q, center, radius)
+    assert w == _winding(zs, q)
+    assert abs(d - _poly_min_dist(zs, q)) <= \
+        1e-14 * (abs(center) + radius + abs(q))
+
+
+@agree
+@given(st.lists(point, min_size=2, max_size=40), point,
+       st.integers(0, 38), st.floats(0.0, 1.0), st.floats(-12.0, 0.0))
+def test_poly_min_dist_is_the_least_over_all_edges(zs, q, edge, t, log_off):
+    # q at random, and q within 10^log_off of a point of one edge (long
+    # edges near q are the case the skip test must not drop)
+    i = edge % (len(zs) - 1)
+    for p in (q, zs[i] + t * (zs[i + 1] - zs[i]) + 10.0 ** log_off * 1j):
+        assert _poly_min_dist(zs, p) == min(
+            abs(_seg_closest(a, b, p) - p) for a, b in zip(zs, zs[1:]))
+
+
+def test_circle_position_needs_no_pass_off_the_band(monkeypatch):
+    # a certificate circle in the chart at 2: chebyshev's critical point
+    # sits at -2, far outside it; the center is inside
+    center = 3e-30 + 1e-30j
+    zs = _circle(center, 1e-30, 512)
+    monkeypatch.setattr(pullbacklab.certify, "_winding", None)
+    monkeypatch.setattr(pullbacklab.certify, "_poly_min_dist", None)
+    assert _circle_position(zs, -2 + 0j, center, 1e-30) == (0, 2.0)
+    assert _circle_position(zs, center, center, 1e-30)[0] == 1
+
+
+def _bits(z):
+    return struct.pack("<dd", z.real, z.imag)
 
 
 coef = point.filter(lambda c: c == 0 or abs(c) > 1e-3)
@@ -295,18 +421,21 @@ lead = point.filter(lambda c: abs(c) > 0.1)
 @example([-2, 0], 1, [], 1, 2 + 0.1j, 0.3, 2 + 0j, 512)  # chebyshev's chart
 def test_apply_map_bit_exact(num, num_lead, den, den_lead, center, radius,
                              anchor, n):
+    # each sample's image is the value evaluate_with_derivative gives, to
+    # the bit: the value-only RationalMap.__call__ runs the same operations
     try:
         g = RationalMap(num + [num_lead], den + [den_lead])
     except ValueError:  # a shared root
         assume(False)
     zs = _circle(center, radius, n)
     for gm in (g, g.shifted(anchor)):
-        want = [gm(complex(z)) for z in zs]
+        want = [gm.evaluate_with_derivative(z)[0] for z in zs]
         if any(w is INF or abs(w) > 1e12 for w in want):
             with pytest.raises(InjectivityUndetermined):
                 _apply_map(gm, zs)
             continue
-        assert_bits_equal(_apply_map(gm, zs), np.array(want, dtype=complex))
+        assert [_bits(w) for w in _apply_map(gm, zs)] == \
+            [_bits(w) for w in want]
 
 
 def test_apply_map_leaves_chart():
@@ -315,8 +444,18 @@ def test_apply_map_leaves_chart():
         _apply_map(RationalMap([0, 0, 1], [-1, 0, 1]), unit)  # pole at 1
     with pytest.raises(InjectivityUndetermined):
         _apply_map(RationalMap([0, 0, 1e12 * (1 + 1e-9)]), unit)
-    assert np.max(np.abs(_apply_map(RationalMap([0, 0, 1e12 * (1 - 1e-9)]),
-                                    unit))) <= 1e12
+    assert max(map(abs, _apply_map(RationalMap([0, 0, 1e12 * (1 - 1e-9)]),
+                                   unit))) <= 1e12
+
+
+def test_circle_matches_numpy_linspace_samples():
+    # the samples np.exp drew on np.linspace angles, to the bit, so that
+    # stored certificate curves keep their bytes
+    for n in (8, 64, 256, 512):
+        th = np.linspace(0.0, 2 * math.pi, n + 1)
+        want = (1e-30 + 2e-31j) + 3e-32 * np.exp(1j * th)
+        got = _circle(1e-30 + 2e-31j, 3e-32, n)
+        assert [_bits(w) for w in got] == [_bits(complex(w)) for w in want]
 
 
 def test_emit_and_verify_certificate():

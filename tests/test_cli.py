@@ -1,3 +1,4 @@
+import cmath
 import glob
 import hashlib
 import json
@@ -11,6 +12,7 @@ import pytest
 
 import pullbacklab
 from pullbacklab.cli import load_config, main
+from pullbacklab.fiber import JSON_ENCODER
 
 
 def read_json(path):
@@ -258,20 +260,6 @@ def test_analyze_subcommand(tmp_path):
     an = read_json(os.path.join(out, "cheb.analysis.json"))
     assert an["is_psf"]
     assert len(an["postsingular"]) == 3
-
-
-def test_main_starts_no_blas_helper_threads(tmp_path, monkeypatch):
-    # main sets OPENBLAS_NUM_THREADS=1 where it is unset, before numpy
-    # loads, and leaves a value the user set alone
-    cfgp = write_config(tmp_path)
-    out = str(tmp_path / "out")
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "")  # restored afterwards
-    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
-    assert main(["analyze", "--config", cfgp, "--out", out]) == 0
-    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
-    assert main(["analyze", "--config", cfgp, "--out", out]) == 0
-    assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
 
 
 def test_tol_override_and_env(tmp_path, monkeypatch):
@@ -533,21 +521,35 @@ def test_certify_requires_a_certificate(tmp_path, capsys, row):
 
 
 @pytest.mark.parametrize("path", DEMO_CONFIGS, ids=os.path.basename)
-def test_stored_trace_replays_against_its_rebuilt_run(corpus_out, path):
+def test_stored_trace_replays_against_its_rebuilt_run(corpus_out, path,
+                                                     monkeypatch):
     # every stored record, trivial points included, is its rebuilt run's
-    # record at that step; a last-bit change in one float is within the
-    # comparison's tolerance
-    from pullbacklab.cli import _build_run, _read_trace, _replay_mismatches
+    # record at that step, text for text; a last-bit change in one float
+    # (as another host's libm may round it) is within the comparison's
+    # tolerance, a larger one is not
+    from pullbacklab import cli
     name = os.path.splitext(os.path.basename(path))[0]
-    records = _read_trace(os.path.join(corpus_out, name + ".trace.jsonl"))
-    assert _replay_mismatches(records, _build_run(load_config(path))) == []
-    entry = records[-1]["points"]["m0"]
+    with open(os.path.join(corpus_out, name + ".trace.jsonl"), "rb") as fh:
+        lines = cli._trace_lines(fh.read())
+    run = cli._build_run(load_config(path))
+    parsed = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda text, **kw:
+                        parsed.append(text) or loads(text, **kw))
+    assert cli._replay_mismatches(lines, run) == []
+    monkeypatch.undo()
+    assert parsed == []  # every line matched the run's texts
+    rec = json.loads(lines[-1])
+    entry = rec["points"]["m0"]
     key = "value" if entry["mode"] == "free" else "eta"
     entry[key][0] = math.nextafter(entry[key][0], math.inf)
-    assert _replay_mismatches(records, _build_run(load_config(path))) == []
+    lines[-1] = JSON_ENCODER.encode(rec) + "\n"
+    assert cli._replay_mismatches(lines, cli._build_run(load_config(path))) \
+        == []
     entry[key][0] += 1e-9 * max(1.0, abs(entry[key][0]))
-    assert len(_replay_mismatches(records, _build_run(load_config(path)))) \
-        == 1
+    lines[-1] = JSON_ENCODER.encode(rec) + "\n"
+    assert len(cli._replay_mismatches(
+        lines, cli._build_run(load_config(path)))) == 1
 
 
 def _set(keys, value):
@@ -749,6 +751,90 @@ def test_realized_run_and_analyze_need_no_numpy(corpus_out, tmp_path):
         pathlib.Path(corpus_out, "basilica.trace.jsonl").read_bytes()
     assert _without_timing(os.path.join(out, "basilica.report.json")) == \
         _without_timing(os.path.join(corpus_out, "basilica.report.json"))
+
+
+def test_certificates_need_no_numpy(corpus_out, tmp_path):
+    # chebyshev's run builds its certificate and check verifies it with
+    # numpy unimportable; the files are the ones a normal process writes,
+    # and a certificate whose k is forged still fails
+    out = str(tmp_path / "no_numpy")
+    chebyshev = [p for p in DEMO_CONFIGS if p.endswith("chebyshev.json")][0]
+    base = os.path.join(out, "chebyshev")
+    forged = read_json(os.path.join(corpus_out, "chebyshev.certificate.json"))
+    forged["k"] = 2000
+    forged_path = str(tmp_path / "forged.json")
+    pathlib.Path(forged_path).write_text(json.dumps(forged))
+    proc = _python(
+        "import sys; sys.modules['numpy'] = None\n"
+        "from pullbacklab import cli\n"
+        "config, out, base, forged = sys.argv[1:]\n"
+        "assert cli.main(['run', '--config', config, '--out', out]) == 0\n"
+        "check = ['check', '--trace', base + '.trace.jsonl', '--cert']\n"
+        "assert cli.main(check + [base + '.certificate.json', '--report',\n"
+        "                         base + '.report.json']) == 0\n"
+        "assert cli.main(check + [forged]) == 1\n"
+        "assert 'numpy' not in sys.modules or sys.modules['numpy'] is None",
+        chebyshev, out, base, forged_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "CHECK FAIL: k mismatch" in proc.stdout
+    for suffix in (".certificate.json", ".trace.jsonl"):
+        assert pathlib.Path(base + suffix).read_bytes() == pathlib.Path(
+            corpus_out, "chebyshev" + suffix).read_bytes()
+    assert _without_timing(base + ".report.json") == \
+        _without_timing(os.path.join(corpus_out, "chebyshev.report.json"))
+
+
+def _z16_config():
+    """z^16 with extra puncture 1 and two marked fixed points, each
+    branch point the 16th root of its basepoint nearest a root of unity:
+    m1's first move ends just outside puncture 0's comparison disk, so
+    d0 ~ 1e11 and the threshold e^{2 d0} is far past double range."""
+    omega3 = cmath.exp(6j * math.pi / 15)
+    marked = []
+    for b, near in ((0.9 * cmath.exp(0.2j), 1.0),
+                    (0.9 * omega3 * cmath.exp(0.05j), omega3)):
+        roots = [abs(b) ** (1 / 16) * cmath.exp(
+            1j * (cmath.phase(b) + 2 * math.pi * m) / 16) for m in range(16)]
+        branch = min(roots, key=lambda z: abs(z - near))
+        marked.append({"type": "fixed", "basepoint": [b.real, b.imag],
+                       "branch_point": [branch.real, branch.imag]})
+    return {"name": "z16",
+            "map": {"numerator": [[0, 0]] * 16 + [[1, 0]],
+                    "denominator": [[1, 0]]},
+            "extra_punctures": [[1.0, 0.0]], "marked": marked}
+
+
+def test_threshold_past_double_range_ends_at_the_emission_floor(tmp_path,
+                                                                capsys):
+    # k = 2: the emission floor is tested on the log of the threshold, so
+    # the run ends obstructed with a note instead of an OverflowError;
+    # check of a certificate forged onto this run fails without one
+    cfgp = str(tmp_path / "z16.json")
+    pathlib.Path(cfgp).write_text(json.dumps(_z16_config()))
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", cfgp, "--out", out]) == 0
+    report = read_json(os.path.join(out, "z16.report.json"))
+    assert report["classification"]["verdict"] == "obstructed"
+    assert report["certificate"] is None
+    note = report["certificate_note"]
+    assert note.startswith("cluster scale exp(-2 pi * e^") and note.endswith(
+        ") is below the double-range certificate chart"), note
+    log_threshold = float(note.split("e^")[1].split(")")[0])
+    assert 1e11 < log_threshold < math.inf
+    with open(os.path.join(out, "z16.trace.jsonl"), "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    chebyshev = [p for p in DEMO_CONFIGS if p.endswith("chebyshev.json")][0]
+    cheb_out = str(tmp_path / "cheb")
+    assert main(["run", "--config", chebyshev, "--out", cheb_out]) == 0
+    forged = read_json(os.path.join(cheb_out, "chebyshev.certificate.json"))
+    forged.update(run_config=_z16_config(), step=report["steps"],
+                  trace_digest=digest, k=2)
+    forged_path = str(tmp_path / "forged.json")
+    pathlib.Path(forged_path).write_text(json.dumps(forged))
+    capsys.readouterr()
+    assert main(["check", "--trace", os.path.join(out, "z16.trace.jsonl"),
+                 "--cert", forged_path]) == 1
+    assert "CHECK FAIL: " in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("path", DEMO_CONFIGS, ids=os.path.basename)

@@ -376,8 +376,7 @@ def certificate_lifts():
         ann = cert.annulus
         core = _circle(ann.center, ann.core_radius(), 512)
         image = _apply_map(g.shifted(ann.anchor), core)
-        lifts.append((g, Path(image.tolist(), anchor=ann.anchor),
-                      complex(core[0])))
+        lifts.append((g, Path(image, anchor=ann.anchor), core[0]))
         curves = cert.representative_curves
         lifts.append((g, curves[0], curves[1].start))
     assert len(lifts) == 8

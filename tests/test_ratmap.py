@@ -83,15 +83,18 @@ def _bits(point):
 
 def _assert_kernel_matches(g, z):
     """Bit-for-bit agreement, signed zeros included, or the same exception
-    (0/0 where N and D share a root); returns the branch."""
+    (0/0 where N and D share a root); returns the branch. The value-only
+    ``g(z)`` agrees with the value to the bit, and is oo at a shared root."""
     try:
         want, branch = _reference_evaluate(g, z)
     except ZeroDivisionError:
         with pytest.raises(ZeroDivisionError):
             g.evaluate_with_derivative(z)
+        assert g(z) is INF
         return "common root"
     got = g.evaluate_with_derivative(z)
     assert tuple(map(_bits, got)) == tuple(map(_bits, want)), (g, z)
+    assert _bits(g(z)) == _bits(want[0]), (g, z)
     return branch
 
 
