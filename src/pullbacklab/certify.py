@@ -14,7 +14,12 @@ the two boundary circles be star-shaped about the image of the annulus
 center and separated by a circle about it (``injectivity_test``): every
 curve involved is the image of a round circle, so O(n) tests in pure
 Python suffice, and no pair of edges is tested. A simple image that is
-not star-shaped is declined.
+not star-shaped is declined. The core curve's inverse lift is the core
+curve itself, by unique path lifting away from the critical points, so
+no preimage is solved again: each step between its samples must pass
+the branch safeguard ``lift_path`` applies (``lifting.branch_step``),
+and a step that fails is declined where ``lift_path`` would bisect it.
+Its recorded lift residual is therefore 0.0.
 
 Emission and ``verify_certificate`` derive a certificate the same way:
 ``_derive_certificate`` computes every field from the run, the step and
@@ -40,11 +45,11 @@ from .errors import (InjectivityUndetermined, NoSeparatingAnnulus,
                      PullbackLabError)
 from .fiber import step_until
 from .hyperbolic import ELL_STAR, RoundAnnulus, annulus_modulus
-from .lifting import (EPS_CV, Path, lift_closed_curve, _newton_preimage,
-                      _seg_closest)
+from .lifting import (EPS_CV, Path, branch_step, lift_closed_curve,
+                      _newton_preimage, _seg_closest)
 from .ratmap import EPS_FIX, fixed_multiplier, is_repelling
-from .sphere import (INF, chart_coordinate, chordal, encode_point, is_inf,
-                     json_float, json_typed)
+from .sphere import (CHART_LIMIT, INF, chart_coordinate, chordal,
+                     encode_point, is_inf, json_float, json_typed)
 
 TWO_PI = 2.0 * math.pi
 _LN2 = math.log(2.0)
@@ -358,6 +363,22 @@ def injectivity_test(g, annulus, k):
     polygons, and a critical point outside the outer circle or inside the
     inner inradius needs no pass (``_circle_position``).
 
+    The core curve gamma_j = gm^j(core circle) needs no lift solved. The
+    stage's critical-point test keeps every critical point out of the
+    tracked region, so gamma_j avoids them; at a regular point the lift of
+    gm o gamma_j from gamma_j(0) is unique, so it is gamma_j itself, and it
+    closes because gamma_j does. The stage therefore takes gamma_j's
+    samples as the lift's nodes and keeps the numerical content of a
+    Newton lift, its branch safeguard: each step between consecutive
+    samples must be shorter than ``lifting.branch_step`` at its start, and
+    in the plane chart every sample must stay within CHART_LIMIT, as
+    ``lift_path`` requires of the nodes it accepts. That is stricter than
+    ``lift_path``, which would bisect a step the safeguard refuses; here
+    it is declined, with the stage named. ``core_lift_residual`` is 0.0:
+    the lift's nodes are the samples, and their images are its targets
+    bit for bit. The key stays in the evidence, whose format is unchanged.
+    The core is mapped forward only for a later stage.
+
     Raises InjectivityUndetermined on any failed check (which is not a
     proof of non-injectivity)."""
     anchor = annulus.anchor
@@ -404,21 +425,27 @@ def injectivity_test(g, annulus, k):
             raise InjectivityUndetermined(
                 "boundary images not separated by a circle about the image "
                 "of the annulus center at stage %d" % j)
-        img_core = _apply_map(gm, core)
-        loop = Path(img_core, anchor=anchor)
-        res, closes = lift_closed_curve(g, loop, core[0],
-                                        check_clearance=False)
-        if not closes:
-            raise InjectivityUndetermined(
-                "core-curve inverse lift has monodromy at stage %d" % j)
+        # the lift of gm(core) from core[0] is core itself: each of its
+        # steps must be one lift_path accepts, inside the working chart
+        for a, b in zip(core, core[1:]):
+            if not abs(b - a) < branch_step(a, crit):
+                raise InjectivityUndetermined(
+                    "core-curve sample step exceeds the branch safeguard at "
+                    "stage %d" % j)
+            if anchor is None and abs(b) > CHART_LIMIT:
+                raise InjectivityUndetermined(
+                    "core curve leaves the working chart at stage %d" % j)
         stages.append({
             "stage": j,
             "critical_clearance": clear if math.isfinite(clear) else None,
             "boundaries_simple": True,
             "boundaries_disjoint": True,
-            "core_lift_residual": res.max_residual,
+            # the lift's nodes are the samples, its targets their images
+            "core_lift_residual": 0.0,
         })
-        (inner, outer), core = images, img_core
+        inner, outer = images
+        if j + 1 < k:
+            core = _apply_map(gm, core)
     return {"samples": N_SAMP, "stages": stages, "k": k}
 
 

@@ -24,14 +24,16 @@ the same trace. Reports and certificates store the run's config and all
 rebuilds the run from either artifact. A stored trace is judged by the
 same stopping rule, ``fiber.stopping_status``, at the first record where
 it fires. ``check`` reads the trace file once, for its SHA-256 and its
-records, rebuilds the run from its certificate, steps it through the
-stored records 0..step, whose ``points`` and ``min_dist_log10`` must be
-the run's at each step (the texts the run writes, or else floats within
-1e-12 max(1, |x|)), and verifies
-the certificate against it; with ``--report`` the report must
-carry the trace's digest, the certificate's config and tolerances, and the
-classification, status and steps the stored trace gives. ``run`` hashes
-the trace bytes as it writes them.
+lines, and matches each line against the layout the run writes
+(``_RECORD_LINE``), parsing only the lines laid out otherwise. It takes
+the step numbers from these, rebuilds the run from its certificate,
+steps it through the stored records 0..step, whose ``points`` and
+``min_dist_log10`` must be the run's at each step (the texts the run
+writes, or else floats within 1e-12 max(1, |x|)), and verifies the
+certificate against it; with ``--report`` it parses every line, and the
+report must carry the trace's digest, the certificate's config and
+tolerances, and the classification, status and steps the stored trace
+gives. ``run`` hashes the trace bytes as it writes them.
 """
 
 import argparse
@@ -292,9 +294,9 @@ def _typed_log10s(row, what):
 
 
 def _read_trace(path):
-    """A stored trace's records (``_trace_lines``, ``_trace_records``)."""
+    """A stored trace's records, one per line (``_trace_lines``)."""
     with open(path, "rb") as fh:
-        return _trace_records(_trace_lines(fh.read()))
+        return [_trace_record(line) for line in _trace_lines(fh.read())]
 
 
 def _trace_lines(data):
@@ -304,10 +306,21 @@ def _trace_lines(data):
             if line.strip()]
 
 
-def _trace_records(lines):
-    """The records of a stored trace's lines: one JSON object each."""
-    return [json_typed(json.loads(line), dict, "trace line")
-            for line in lines]
+def _trace_record(line):
+    """The record of a stored trace line: one JSON object."""
+    return json_typed(json.loads(line), dict, "trace line")
+
+
+def _stored_lines(lines):
+    """Each stored trace line as (layout, record): its ``_RECORD_LINE``
+    match and None, or, for a line laid out otherwise, None and its
+    record, parsed (one JSON object). Only such lines are parsed."""
+    out = []
+    for line in lines:
+        layout = _RECORD_LINE.fullmatch(line)
+        out.append((layout, None if layout else _trace_record(line)))
+    return out
+
 
 
 def cmd_certify(args):
@@ -328,20 +341,22 @@ def cmd_check(args):
     if payload.get("run_config") is None:
         failures.append("certificate does not embed its run config")
     else:
-        lines = _trace_lines(data)
-        records = _trace_records(lines)
+        stored = _stored_lines(_trace_lines(data))
         run = _build_run(artifact_config(payload))
         # the steps come first: a forged cert.step must not drive stepping
-        if [rec.get("n") for rec in records] != list(range(len(records))) \
-                or len(records) != cert.step + 1:
+        steps = [int(layout.group(2)) if layout else rec.get("n")
+                 for layout, rec in stored]
+        if steps != list(range(len(stored))) or len(stored) != cert.step + 1:
             failures.append("trace records are not the steps 0..%d of the "
                             "certificate, in order" % cert.step)
         else:
-            failures.extend(_replay_mismatches(lines, run))
+            failures.extend(_replay_mismatches(stored, run))
             result = verify_certificate(cert, run)
             if not result:
                 failures.extend(result.mismatches)
         if args.report:
+            records = [_trace_record(layout.string) if layout else record
+                       for layout, record in stored]
             failures.extend(_report_mismatches(records, run, payload, digest,
                                                args.report))
     if failures:
@@ -392,39 +407,41 @@ def _same_json(a, b):
 
 
 # a trace record as JSON_ENCODER writes it (``fiber.TraceRecord``): its
-# min_dist_log10, n and points, with the other fields single numbers
+# min_dist_log10, n (as JSON writes an int) and points, with the other
+# fields single numbers
 _NUMBER = r"(?:-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?|null|NaN|-?Infinity)"
 _RECORD_LINE = re.compile(
     r'\{"diagram_residual":%(num)s,"lift_residual":%(num)s,'
-    r'"min_dist_log10":(\{.*\}),"n":([0-9]+),"path_nodes":%(num)s,'
+    r'"min_dist_log10":(\{.*\}),"n":(0|[1-9][0-9]*),"path_nodes":%(num)s,'
     r'"points":(\{.*\}),"step_bound":%(num)s\}\s*' % {"num": _NUMBER})
 
 
-def _replay_mismatches(lines, run):
-    """Step ``run`` through a stored trace's lines of steps 0, 1, ... with
-    the engine's one step loop (``fiber.step_until``); each line's
-    ``points`` and ``min_dist_log10`` must be the run's. A line laid out as
-    the run writes its records, with the texts the run writes for these
-    two fields (``PullbackRun.record_points``), holds the run's values.
-    Any other line is parsed and compared field by field, floats within
-    1e-12 max(1, |x|): another machine's libm may round the last bit
-    apart."""
+def _replay_mismatches(stored, run):
+    """Step ``run`` through a stored trace's lines of steps 0, 1, ...
+    (``_stored_lines``) with the engine's one step loop
+    (``fiber.step_until``); each line's ``points`` and ``min_dist_log10``
+    must be the run's. A line laid out as the run writes its records, with
+    the texts the run writes for these two fields
+    (``PullbackRun.record_points``), holds the run's values. Any other
+    line is compared by its record, parsed here if its layout matched,
+    field by field, floats within 1e-12 max(1, |x|): another machine's
+    libm may round the last bit apart."""
     differ = []
-    for n, line in enumerate(lines):
+    for n, (layout, rec) in enumerate(stored):
         step_until(run, lambda: None, n)
         points, points_text, min_row, min_text = run.record_points()
-        layout = _RECORD_LINE.fullmatch(line)
-        if layout is not None and layout.group(3) == points_text and \
-                layout.group(1) == min_text and layout.group(2) == str(n):
-            continue
-        rec = json.loads(line)
+        if layout is not None:
+            if layout.group(3) == points_text and \
+                    layout.group(1) == min_text and layout.group(2) == str(n):
+                continue
+            rec = _trace_record(layout.string)
         want = {"points": points, "min_dist_log10": min_row}
         got = {key: rec.get(key) for key in want}
         if got != want and not same_within(got, want, 1e-12, 1.0):
             differ.append(n)
     if differ:
         return ["trace differs from the re-stepped run at %d of %d records, "
-                "first at n=%d" % (len(differ), len(lines), differ[0])]
+                "first at n=%d" % (len(differ), len(stored), differ[0])]
     return []
 
 

@@ -633,8 +633,9 @@ class PullbackRun:
             diag = max(diag, track.diagram_residual)
             nodes += track.nodes
         if self.n >= 1:
-            try:
-                step_bound = teich_step_bound(self, self.n)
+            try:  # step 1's bound is d0, computed once
+                step_bound = self.d0_bound() if self.n == 1 else \
+                    teich_step_bound(self, self.n)
             except NoApplicableComparison:
                 step_bound = None  # no certified bound for this step
         else:

@@ -8,9 +8,12 @@ residual check reads g at Newton's answer from the same solve. A node
 therefore costs only the evaluations after Newton's first step: one when
 that step hits the target exactly, as on the small anchored circles of a
 certificate. A step is accepted only when the displacement stays below eta
-times the distance from the previous node to the nearest critical point,
-otherwise the target segment is bisected (up to a fixed depth). This
-safeguard is what prevents silent branch jumps near critical points.
+times the distance from the previous node to the nearest critical point
+(``branch_step``), otherwise the target segment is bisected (up to a fixed
+depth). This safeguard is what prevents silent branch jumps near critical
+points. It has one definition: the injectivity test applies the same rule
+to the core-curve samples whose lift it already holds
+(``certify.injectivity_test``).
 
 A Path may carry an ``anchor``, a finite point or oo: its nodes are then
 coordinates in the working chart at that point (``sphere.chart_coordinate``)
@@ -209,6 +212,15 @@ def _newton_preimage(gm, target, seed, seed_eval=None):
     return best
 
 
+def branch_step(w, crit):
+    """The branch safeguard: a continuation step from w is accepted only
+    when shorter than ETA_SAFE times the distance from w to the nearest
+    critical point in ``crit`` (+inf when there is none)."""
+    if not crit:
+        return math.inf
+    return ETA_SAFE * min(abs(w - c) for c in crit)
+
+
 def lift_path(g, path, start_lift, check_clearance=True):
     """Unique continuation of the inverse branch of g along ``path`` from
     ``start_lift`` (with g(start_lift) = path.start).
@@ -243,14 +255,8 @@ def lift_path(g, path, start_lift, check_clearance=True):
     max_res = start_res
     subdivisions = 0
 
-    def allowed_step(w):
-        """ETA_SAFE times the distance from w to the nearest critical point."""
-        if not crit:
-            return math.inf
-        return ETA_SAFE * min(abs(w - c) for c in crit)
-
     w_prev = start_lift
-    allowed = allowed_step(w_prev)
+    allowed = branch_step(w_prev, crit)
     for z_from, z_to in zip(path.nodes, path.nodes[1:]):
         # pending targets along this segment (LIFO of (z, depth)), built
         # only once the segment subdivides
@@ -290,7 +296,7 @@ def lift_path(g, path, start_lift, check_clearance=True):
                 last_target = z_to
                 last_eval = gv, gd
                 w_prev = w
-                allowed = allowed_step(w)
+                allowed = branch_step(w, crit)
             if not pending:
                 break
             z_to, depth = pending.pop()

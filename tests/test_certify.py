@@ -11,18 +11,22 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import pullbacklab
-from pullbacklab.certify import (certify_obstructed, classify_run,
+from pullbacklab import certify
+from pullbacklab.certify import (N_SAMP, certify_obstructed, classify_run,
                                  emit_levy_certificate,
                                  find_separating_annulus, injectivity_test,
                                  verify_certificate, LevyCertificate,
                                  _apply_map, _circle, _circle_position,
-                                 _log_euclid_dist, _poly_min_dist,
-                                 _star_radii, _step_chart_entries, _winding)
+                                 _derive_certificate, _log_euclid_dist,
+                                 _poly_min_dist, _star_radii,
+                                 _step_chart_entries, _winding)
 from pullbacklab.cli import _build_run, load_config
-from pullbacklab.errors import (InjectivityUndetermined, NoSeparatingAnnulus)
+from pullbacklab.errors import (ChartOverflow, InjectivityUndetermined,
+                                NoSeparatingAnnulus)
 from pullbacklab.fiber import BranchDatum, init_run, run_until
 from pullbacklab.hyperbolic import (ELL_STAR, RoundAnnulus, annulus_modulus)
-from pullbacklab.lifting import Path, _seg_closest
+from pullbacklab.lifting import (Path, branch_step, lift_closed_curve,
+                                 _seg_closest)
 from pullbacklab.ratmap import RationalMap
 from pullbacklab.sphere import (Configuration, INF, chart_coordinate, chordal,
                                is_inf)
@@ -181,6 +185,87 @@ def test_injectivity_k0_vacuous():
     ann = RoundAnnulus.from_radii(0j, 0.5, 2.0)
     evidence = injectivity_test(SQUARE, ann, 0)
     assert evidence["stages"] == []
+
+
+def _widest_certified_annulus(extra, n=700):
+    """z^2 from the basepoint 0.6 + 0.1i, stepped to n, and the annulus
+    separating its marked point from the puncture it collapses onto, with
+    r_out shrunk by 0.9 until the certificate derives with no fault."""
+    b = 0.6 + 0.1j
+    run = init_run(SQUARE, [BranchDatum(b, cmath.sqrt(b))],
+                   extra_punctures=extra)
+    while run.n < n:
+        run.pullback_step()
+    points = run.step_points(n)
+    (m_lab, _, q, _), = [p for p in points if p[1] == "marked"]
+    p_lab = next(lab for lab, kind, z, _ in points if kind == "P" and z == q)
+    entries = _step_chart_entries(points, q, n)
+    ann = find_separating_annulus([(lab, z) for lab, _, z in entries],
+                                  [p_lab, m_lab],
+                                  obstacles=run.g.chart(q)[1], anchor=q)
+    while True:
+        fields, faults = _derive_certificate(run, n, ann)
+        if not faults:
+            return run, ann, fields["injectivity_evidence"]
+        ann = RoundAnnulus.from_radii(ann.center, ann.r_in, 0.9 * ann.r_out,
+                                      anchor=q)
+
+
+@pytest.mark.parametrize("extra, k, r_out", [
+    ([1.0, -1.0], 2, 0.623), ([1.0, -1.0, 1j], 3, 0.331)], ids=["k2", "k3"])
+def test_core_stage_agrees_with_the_newton_lift_at_every_stage(extra, k,
+                                                               r_out):
+    # the core stage takes gm^j(core circle) as the lift of its image; the
+    # Newton continuation it replaced returns exactly those samples, with
+    # residual 0, at every stage of a k >= 2 annulus
+    run, ann, evidence = _widest_certified_annulus(extra)
+    assert run.k == evidence["k"] == k and abs(ann.r_out - r_out) < 1e-3
+    assert injectivity_test(run.g, ann, k) == evidence
+    gm, _ = run.g.chart(ann.anchor)
+    core = _circle(ann.center, ann.core_radius(), N_SAMP)
+    for stage in evidence["stages"]:
+        image = _apply_map(gm, core)
+        res, closes = lift_closed_curve(run.g, Path(image, anchor=ann.anchor),
+                                        core[0], check_clearance=False)
+        assert closes and res.subdivisions == 0
+        assert res.lifted.nodes == Path(core).nodes
+        assert res.max_residual == stage["core_lift_residual"] == 0.0
+        core = image
+
+
+def test_coarse_core_step_is_declined_where_lift_path_bisects(monkeypatch):
+    # with 4 samples a step of the core of 0.05 < |z - 1| < 0.6 is longer
+    # than the branch safeguard allows at z^2's critical point 0:
+    # lift_path would bisect it, the core stage declines it
+    ann = RoundAnnulus.from_radii(1 + 0j, 0.05, 0.6)
+    monkeypatch.setattr(certify, "N_SAMP", 4)
+    core = _circle(ann.center, ann.core_radius(), 4)
+    assert not all(abs(b - a) < branch_step(a, (0j,))
+                   for a, b in zip(core, core[1:]))
+    res, closes = lift_closed_curve(SQUARE, Path(_apply_map(SQUARE, core)),
+                                    core[0])
+    assert closes and res.subdivisions > 0
+    with pytest.raises(InjectivityUndetermined, match=(
+            "core-curve sample step exceeds the branch safeguard at "
+            "stage 0")):
+        injectivity_test(SQUARE, ann, 1)
+    monkeypatch.setattr(certify, "N_SAMP", 5)
+    assert injectivity_test(SQUARE, ann, 1)["stages"][0][
+        "core_lift_residual"] == 0.0
+
+
+def test_core_outside_the_plane_chart_is_declined():
+    # a core sample beyond CHART_LIMIT, which lift_path refuses with
+    # ChartOverflow, declines the injectivity test
+    g = RationalMap([0, 0, 1e-3])
+    ann = RoundAnnulus.from_radii(2e6 + 0j, 1e4, 1e6)
+    core = _circle(ann.center, ann.core_radius(), N_SAMP)
+    with pytest.raises(ChartOverflow):
+        lift_closed_curve(g, Path(_apply_map(g, core)), core[0],
+                          check_clearance=False)
+    with pytest.raises(InjectivityUndetermined,
+                       match="core curve leaves the working chart at stage 0"):
+        injectivity_test(g, ann, 1)
 
 
 def _dense_reference(z1, z2, skip_adjacent):
@@ -493,10 +578,10 @@ def _with_moved_node(curves, idx):
         curves[idx + 1:]
 
 
-def _with_scaled_clearance(evidence, factor):
-    """The evidence with stage 0's critical clearance scaled by factor."""
+def _with_stage_0(evidence, key, value):
+    """The evidence with stage 0's ``key`` set to value."""
     out = copy.deepcopy(evidence)
-    out["stages"][0]["critical_clearance"] *= factor
+    out["stages"][0][key] = value
     return out
 
 
@@ -534,8 +619,14 @@ def test_certificate_tamper_detection():
          ["promotion flag mismatch"]),
         ("injectivity_evidence", {"samples": 1, "stages": [], "k": 9},
          ["injectivity evidence mismatch"]),
-        ("injectivity_evidence", _with_scaled_clearance(
-            cert.injectivity_evidence, 1.01),
+        ("injectivity_evidence", _with_stage_0(
+            cert.injectivity_evidence, "critical_clearance",
+            cert.injectivity_evidence["stages"][0]["critical_clearance"]
+            * 1.01),
+         ["injectivity evidence mismatch"]),
+        # the derived residual is 0.0, so even a denormal-scale one differs
+        ("injectivity_evidence", _with_stage_0(
+            cert.injectivity_evidence, "core_lift_residual", 1e-300),
          ["injectivity evidence mismatch"]),
         ("k", 2000, ["k mismatch"]),
         ("d0_bound", 1e6, ["d0 bound mismatch"]),

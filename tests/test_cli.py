@@ -470,6 +470,45 @@ def test_check_ties_the_trace_to_the_restepped_run(corpus_out, tmp_path, row):
     assert main(argv) == want
 
 
+def _check_chebyshev_lines(corpus_out, tmp_path, lines):
+    """check's exit status on the chebyshev certificate with these trace
+    lines, the trace's digest rewritten into it."""
+    payload = read_json(os.path.join(corpus_out, "chebyshev.certificate.json"))
+    trace = tmp_path / "lines.trace.jsonl"
+    trace.write_text("".join(line + "\n" for line in lines))
+    payload["trace_digest"] = hashlib.sha256(trace.read_bytes()).hexdigest()
+    cert = tmp_path / "lines.certificate.json"
+    cert.write_text(json.dumps(payload))
+    return main(["check", "--trace", str(trace), "--cert", str(cert)])
+
+
+def test_check_parses_the_lines_it_cannot_match(corpus_out, tmp_path):
+    # lines re-serialized with json.dumps's default separators match no
+    # layout the run writes: check parses them, and the values are the
+    # run's
+    from pullbacklab.cli import _RECORD_LINE
+    records = _stored_records(corpus_out, "chebyshev")
+    lines = [json.dumps(rec) for rec in records]
+    assert not any(_RECORD_LINE.fullmatch(line) for line in lines)
+    assert _check_chebyshev_lines(corpus_out, tmp_path, lines) == 0
+
+
+def test_check_takes_step_numbers_from_matched_lines(corpus_out, tmp_path,
+                                                     capsys):
+    # a line laid out as the run writes it, with its n edited, still
+    # matches the layout; the step order test reads n from the match
+    from pullbacklab.cli import _RECORD_LINE
+    lines = pathlib.Path(corpus_out, "chebyshev.trace.jsonl").read_text() \
+        .splitlines()
+    lines[3] = lines[3].replace('"n":3,', '"n":4,')
+    assert _RECORD_LINE.fullmatch(lines[3]).group(2) == "4"
+    capsys.readouterr()
+    assert _check_chebyshev_lines(corpus_out, tmp_path, lines) == 1
+    assert capsys.readouterr().out == (
+        "CHECK FAIL: trace records are not the steps 0..116 of the "
+        "certificate, in order\n")
+
+
 def test_trace_lines_must_be_json_objects(corpus_out, tmp_path, capsys):
     trace = tmp_path / "list.trace.jsonl"
     trace.write_text(json.dumps({"n": 0}) + "\n[1, 2]\n")
@@ -536,20 +575,20 @@ def test_stored_trace_replays_against_its_rebuilt_run(corpus_out, path,
     loads = json.loads
     monkeypatch.setattr(json, "loads", lambda text, **kw:
                         parsed.append(text) or loads(text, **kw))
-    assert cli._replay_mismatches(lines, run) == []
+    assert cli._replay_mismatches(cli._stored_lines(lines), run) == []
     monkeypatch.undo()
-    assert parsed == []  # every line matched the run's texts
+    assert parsed == []  # every line matched the run's layout and texts
     rec = json.loads(lines[-1])
     entry = rec["points"]["m0"]
     key = "value" if entry["mode"] == "free" else "eta"
     entry[key][0] = math.nextafter(entry[key][0], math.inf)
     lines[-1] = JSON_ENCODER.encode(rec) + "\n"
-    assert cli._replay_mismatches(lines, cli._build_run(load_config(path))) \
-        == []
+    assert cli._replay_mismatches(cli._stored_lines(lines),
+                                  cli._build_run(load_config(path))) == []
     entry[key][0] += 1e-9 * max(1.0, abs(entry[key][0]))
     lines[-1] = JSON_ENCODER.encode(rec) + "\n"
     assert len(cli._replay_mismatches(
-        lines, cli._build_run(load_config(path)))) == 1
+        cli._stored_lines(lines), cli._build_run(load_config(path)))) == 1
 
 
 def _set(keys, value):

@@ -326,6 +326,22 @@ def test_teich_step_bound_first_step_window():
     assert 1.0 <= d0 <= 1.6
 
 
+def test_obstructed_run_bounds_each_step_once(monkeypatch):
+    # step 1's record reads d0 through its cache, so a run stepped to its
+    # certificate, whose emission reads d0 at every attempt, computes one
+    # bound per step
+    calls = []
+    bound = fiber.teich_step_bound
+    monkeypatch.setattr(fiber, "teich_step_bound", lambda run, n:
+                        calls.append(n) or bound(run, n))
+    run = cheb_run()
+    trace, _ = run_until(run)
+    cert = certify_obstructed(run, records=trace.records)
+    assert cert is not None and cert.step == run.n == 116
+    assert calls == list(range(1, run.n + 1))
+    assert trace.records[1]["step_bound"] == run.d0_bound()
+
+
 def test_collision_detected_on_merging_marked_points():
     # two fixed marked points driven into the same puncture with the same
     # branch data collide (relative separation below eps_sep eventually);

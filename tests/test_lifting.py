@@ -95,6 +95,12 @@ def test_lift_closed_curve_away_from_branch_point():
     assert closes
 
 
+def test_branch_step_is_the_safeguard_radius():
+    assert lifting.branch_step(1 + 1j, ()) == math.inf
+    assert lifting.branch_step(3 + 0j, (0j, 2 + 0j)) == lifting.ETA_SAFE
+    assert lifting.branch_step(0.5 + 0j, (0j,)) == 0.5 * lifting.ETA_SAFE
+
+
 def test_lift_requires_matching_start():
     with pytest.raises(EndpointMismatch):
         lift_path(SQUARE, Path([1, 4]), 3 + 0j)
@@ -366,21 +372,47 @@ def _corpus_certificates():
 
 
 @pytest.fixture(scope="module")
-def certificate_lifts():
+def corpus_certificates():
+    return _corpus_certificates()
+
+
+def _core(cert):
+    """The core circle's samples, as the injectivity test takes them."""
+    ann = cert.annulus
+    return _circle(ann.center, ann.core_radius(), 512)
+
+
+@pytest.fixture(scope="module")
+def certificate_lifts(corpus_certificates):
     """(g, loop, start) for the closed-curve lifts behind each corpus
-    certificate: the core-curve image lifted from the core circle (the
-    injectivity evidence), and the representative curve re-lifted (its
-    verification). The circles are anchored, at scales 1e-23 to 1e-61."""
+    certificate: the core-curve image lifted from the core circle (what
+    the injectivity test takes to be the core circle itself), and the
+    representative curve re-lifted (its verification). The circles are
+    anchored, at scales 1e-23 to 1e-61."""
     lifts = []
-    for g, cert in _corpus_certificates():
+    for g, cert in corpus_certificates:
         ann = cert.annulus
-        core = _circle(ann.center, ann.core_radius(), 512)
+        core = _core(cert)
         image = _apply_map(g.shifted(ann.anchor), core)
         lifts.append((g, Path(image, anchor=ann.anchor), core[0]))
         curves = cert.representative_curves
         lifts.append((g, curves[0], curves[1].start))
     assert len(lifts) == 8
     return lifts
+
+
+def test_core_image_lifts_return_the_core_samples(corpus_certificates,
+                                                  certificate_lifts):
+    # the Newton continuation is the reference for the injectivity test's
+    # core stage: lifting the core's image from its first sample gives the
+    # samples back, bit for bit, with residual 0 and no bisection
+    for (_, cert), (g, loop, start) in zip(corpus_certificates,
+                                           certificate_lifts[::2]):
+        res, closes = lift_closed_curve(g, loop, start, check_clearance=False)
+        assert closes and res.subdivisions == 0 and res.max_residual == 0.0
+        assert _hex_nodes(res.lifted) == _hex_nodes(Path(_core(cert)))
+        assert [stage["core_lift_residual"] for stage in
+                cert.injectivity_evidence["stages"]] == [0.0]
 
 
 def test_closed_curve_lifts_match_reference_on_certificate_circles(
