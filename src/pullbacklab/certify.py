@@ -762,21 +762,28 @@ def certify_obstructed(run, engine_version="", max_steps=None,
     collapsing cluster at that depth. That test is made on the log of the
     threshold, which stays finite where the threshold overflows."""
     cap = run.tol.max_iters if max_steps is None else max_steps
+    # d0 and k never change once the run has stepped, so the threshold and
+    # its floor test are settled at the first attempt; one that fails ends
+    # the call
+    floor_cleared = False
 
     def attempt():
+        nonlocal floor_cleared
         if run.n < 1:
             return None
-        try:
-            log_threshold = _log_threshold(run)
-        except PullbackLabError as exc:
-            return None, "no certified first-step bound: %s" % exc
-        if log_threshold > _FLOOR_LOG_THRESHOLD:
+        if not floor_cleared:
             try:
-                threshold = "%.4g" % math.exp(log_threshold)
-            except OverflowError:  # past double range: its log
-                threshold = "e^%.4g" % log_threshold
-            return None, ("cluster scale exp(-2 pi * %s) is below the "
-                          "double-range certificate chart" % threshold)
+                log_threshold = _log_threshold(run)
+            except PullbackLabError as exc:
+                return None, "no certified first-step bound: %s" % exc
+            if log_threshold > _FLOOR_LOG_THRESHOLD:
+                try:
+                    threshold = "%.4g" % math.exp(log_threshold)
+                except OverflowError:  # past double range: its log
+                    threshold = "e^%.4g" % log_threshold
+                return None, ("cluster scale exp(-2 pi * %s) is below the "
+                              "double-range certificate chart" % threshold)
+            floor_cleared = True
         cert = emit_levy_certificate(run, engine_version=engine_version)
         return None if cert is None else (cert, "emitted at step %d"
                                           % cert.step)

@@ -42,13 +42,15 @@ an anchored step leaves it as it is.
 A record writes its own JSON line (``TraceRecord.line``), byte for byte
 what ``JSON_ENCODER`` writes, in one walk over the tracks in label order:
 ``_record_entry`` gives a track's entry with the texts of the entry and
-its row, each number written once by ``_json_number``. The texts fill
+its row, each number written once: by ``float.__repr__`` or
+``int.__repr__`` where its type and finiteness are fixed by construction,
+else by ``_json_number``. The texts fill
 formats fixed when the run is built: a row format with the labels in the
 encoder's key order, each anchor's row with the distances to the other
 punctures written in and one slot for its own, and each track's entry
 format, fixed by its label, its type and, once anchored, its anchor. A
-lone track's row text serves as the minimum's too, and an anchored step's
-residual text as its diagram residual's.
+lone track's row and its text serve as the minimum's too, and an anchored
+step's residual text as its diagram residual's.
 
 A step moves points and stores the residuals it makes on the track
 (``lift_residual``, ``diagram_residual``), which the record reads: each
@@ -116,6 +118,17 @@ def _json_number(x):
     if x is None:
         return "null"
     raise TypeError("not a JSON number: %r" % (x,))
+
+
+# the record numbers whose type and finiteness are fixed by construction
+# bypass _json_number: an anchored track's eta parts and own log10
+# distance are floats (ScaledComplex holds a finite nonzero m and finite
+# logs, and the chart's log10 factor is finite), its exp2 and a record's n
+# and path_nodes are ints. _json_number writes the slots that can be null
+# or not finite (step_bound, the residuals), a free track's numbers and a
+# minimum row over several tracks
+_float_text = float.__repr__
+_int_text = int.__repr__
 
 
 def _quoted(text):
@@ -585,15 +598,22 @@ class PullbackRun:
         """The ``points`` of the current step's record (``_record_entry``)
         and their per-puncture minimum (``min_dist_log10``), each followed
         by its JSON text: (points, text, minimum, text)."""
+        tracks = self._record_order
+        if len(tracks) == 1:
+            # a lone track's row is the minimum itself; no reader changes
+            # a record
+            track, = tracks
+            entry, text, row_text = self._record_entry(track)
+            return ({track.label: entry}, "{%s}" % text, entry["dist_log10"],
+                    row_text)
         points = {}
         texts = []
-        for track in self._record_order:
-            points[track.label], text, row_text = self._record_entry(track)
+        for track in tracks:
+            points[track.label], text, _ = self._record_entry(track)
             texts.append(text)
         min_row = min_dist_log10(points)
-        # a lone track's row is the minimum itself (min_dist_log10)
-        min_text = row_text if len(texts) == 1 else self._row_text(min_row)
-        return points, "{%s}" % ",".join(texts), min_row, min_text
+        return points, "{%s}" % ",".join(texts), min_row, \
+            self._row_text(min_row)
 
     def _record_entry(self, track):
         """A track's entry in the current step's record, the entry's text
@@ -612,16 +632,16 @@ class PullbackRun:
             return entry, track.entry_format % (
                 row_text, _json_number(x), _json_number(y)), row_text
         own = anchor.chart.log10_dist_to_anchor(value)
-        row = dict(anchor.log10_row)
+        row = anchor.log10_row.copy()
         row[anchor.label] = own
-        row_text = anchor.row_format % _json_number(own)
+        row_text = anchor.row_format % _float_text(own)
         x, y = value.m.real, value.m.imag
         entry = {"mode": "anchored", "type": track.kind,
                  "anchor": anchor.label, "eta": [x, y], "exp2": value.e,
                  "dist_log10": row}
         return entry, track.entry_format % (
-            row_text, _json_number(x), _json_number(y),
-            _json_number(value.e)), row_text
+            row_text, _float_text(x), _float_text(y),
+            _int_text(value.e)), row_text
 
     def trace_record(self):
         points, points_text, min_row, min_text = self.record_points()
@@ -648,8 +668,8 @@ class PullbackRun:
             diag_text,
             # an anchored step's residual is its diagram residual
             diag_text if residual is diag else _json_number(residual),
-            min_text, _json_number(self.n), _json_number(nodes),
-            points_text, _json_number(step_bound))
+            min_text, _int_text(self.n), _int_text(nodes), points_text,
+            _json_number(step_bound))
         return rec
 
     def _row_text(self, row):
@@ -705,11 +725,8 @@ def teich_step_bound(run, n):
 
 def min_dist_log10(points):
     """Per-puncture minimum of the points' log10 distances, keyed like their
-    rows: the first row, lowered where a later one is smaller, as ``min``.
-    A lone point's row is returned itself; no reader changes a record."""
+    rows: the first row, lowered where a later one is smaller, as ``min``."""
     first, *rest = [entry["dist_log10"] for entry in points.values()]
-    if not rest:
-        return first
     best = dict(first)
     for row in rest:
         for lab, d in row.items():

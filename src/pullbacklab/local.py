@@ -15,6 +15,7 @@ point sits at p + eps_star with eps_star recovered by Newton, so tracked
 deviations are measured from the true fixed point and decay cleanly.
 """
 
+import cmath
 import math
 
 from .errors import BranchJumpSuspected
@@ -30,11 +31,14 @@ _LN2 = math.log(2.0)
 # residual |T(w) - target| / |target| of a Newton iterate at rounding level:
 # about 4.5 units in the last place
 _NEWTON_RES_ROUNDING = 1e-15
+# an instance without __init__, for results that need none of its checks
+_new = object.__new__
 
 
 class ScaledComplex:
     """value = m * 2**e with 0.5 <= |m| < 1 after normalization; never
-    changed, so its logs are taken once, when it is made."""
+    changed, so its logs are taken once, when it is made. Zero and values
+    that are not finite are refused."""
 
     __slots__ = ("m", "e", "_log2", "_ln")
 
@@ -42,12 +46,20 @@ class ScaledComplex:
         m = complex(m)
         if m == 0:
             raise ValueError("ScaledComplex cannot hold zero")
+        if not cmath.isfinite(m):
+            raise ValueError("ScaledComplex cannot hold %r: it is not finite"
+                             % (m,))
+        self._normalize(m, e)
+
+    def _normalize(self, m, e):
+        """Store m * 2**e with m scaled into 0.5 <= |m| < 1, and its logs;
+        m is finite and nonzero."""
+        _, k = math.frexp(abs(m))  # |m| = f * 2**k, f in [0.5, 1)
+        self.m = m = complex(math.ldexp(m.real, -k), math.ldexp(m.imag, -k))
+        self.e = e = e + k
         a = abs(m)
-        _, k = math.frexp(a)  # a = f * 2**k, f in [0.5, 1)
-        self.m = complex(math.ldexp(m.real, -k), math.ldexp(m.imag, -k))
-        self.e = e + k
-        self._log2 = math.log2(abs(self.m)) + self.e
-        self._ln = math.log(abs(self.m)) + self.e * _LN2
+        self._log2 = math.log2(a) + e
+        self._ln = math.log(a) + e * _LN2
 
     def to_complex(self):
         """Plain complex value; None when outside double range."""
@@ -57,7 +69,13 @@ class ScaledComplex:
                        math.ldexp(self.m.imag, self.e))
 
     def mul_complex(self, w):
-        return ScaledComplex(self.m * w, self.e)
+        """self * w for a finite nonzero w of normal size, such as a chart's
+        1/lambda: with 0.5 <= |m| < 1 the product is finite and nonzero, so
+        the constructor's conversion and checks are skipped. Bit for bit
+        what ``ScaledComplex(self.m * w, self.e)`` gives."""
+        out = _new(ScaledComplex)
+        out._normalize(self.m * w, self.e)
+        return out
 
     def sub(self, other):
         gap = other.e - self.e
@@ -86,7 +104,7 @@ class ScaledComplex:
         return self._ln
 
     def log10_abs(self):
-        return self.log2_abs() / _LOG2_10
+        return self._log2 / _LOG2_10
 
     def __repr__(self):
         return "ScaledComplex(%r, %d)" % (self.m, self.e)

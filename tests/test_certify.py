@@ -23,7 +23,8 @@ from pullbacklab.certify import (N_SAMP, certify_obstructed, classify_run,
 from pullbacklab.cli import _build_run, load_config
 from pullbacklab.errors import (ChartOverflow, InjectivityUndetermined,
                                 NoSeparatingAnnulus)
-from pullbacklab.fiber import BranchDatum, init_run, run_until
+from pullbacklab.fiber import (BranchDatum, TrivialMarkedSpec, init_run,
+                               run_until)
 from pullbacklab.hyperbolic import (ELL_STAR, RoundAnnulus, annulus_modulus)
 from pullbacklab.lifting import (Path, branch_step, lift_closed_curve,
                                  _seg_closest)
@@ -712,6 +713,28 @@ def test_emission_floor_reason():
     cert, note = certify_obstructed(run, with_reason=True, max_steps=50)
     assert cert is None
     assert "below the double-range" in note
+
+
+def test_threshold_is_taken_once_per_certification_call(monkeypatch):
+    # d0 and k are fixed once the run has stepped, so one call takes the
+    # threshold and its floor test once, however long its tail; a first
+    # step without a certified bound ends the call before any step
+    calls = []
+    log_threshold = certify._log_threshold
+    monkeypatch.setattr(certify, "_log_threshold",
+                        lambda run: calls.append(run.n) or log_threshold(run))
+    run = init_run(CHEB, [BranchDatum(0.0, math.sqrt(2))])
+    cert, note = certify_obstructed(run, with_reason=True)
+    assert (cert.step, note) == (116, "emitted at step 116")
+    assert calls == [1]
+    crossing = init_run(CHEB, [BranchDatum(0.0, math.sqrt(2))],
+                        trivial=[TrivialMarkedSpec(-2.0, 0.0, start=0.5)])
+    crossing.pullback_step()
+    cert, note = certify_obstructed(crossing, with_reason=True, max_steps=50)
+    assert (cert, crossing.n, calls) == (None, 1, [1, 1])
+    assert note == ("no certified first-step bound: step 1 bound not "
+                    "certified: connector of m0 crosses another marked "
+                    "coordinate")
 
 
 # -- the step configuration against the reading it replaced ------------------

@@ -549,12 +549,27 @@ def test_past_step_bounds_do_not_drift():
     assert uncertified == {"crossing"}
 
 
+def _two_anchor_run():
+    """Dickson T_3 = z^3 - 3z (k = 2), whose -2 and 2 are repelling fixed
+    punctures (multiplier 9), with one marked point collapsing onto each:
+    basepoints 1.5 + 0.1i and its mirror -1.5 + 0.1i, branch points on the
+    branches fixing 2 and -2 (T_3(u + 1/u) = u^3 + u^-3, and
+    T_3(-conj z) = -conj T_3(z))."""
+    b = 1.5 + 0.1j
+    u = ((b + cmath.sqrt(b * b - 4.0)) / 2.0) ** (1.0 / 3.0)
+    bp = u + 1.0 / u
+    return init_run(RationalMap([0, -3, 0, 1]),
+                    [BranchDatum(b, bp),
+                     BranchDatum(-b.conjugate(), -bp.conjugate())])
+
+
 def _line_runs():
     """(name, run, records) for the trace-line tests: the finished runs
     above (the demo configs with their certification tails, a trivial
     point, a step whose bound is null), the alpha-map (an inexact anchor),
-    the run anchored at oo and z^2 with the 15th roots of unity as extra
-    punctures (17 labels), each stepped deep past anchoring."""
+    the run anchored at oo, z^2 with the 15th roots of unity as extra
+    punctures (17 labels) and two tracks anchored at two punctures (a
+    minimum row taken over tracks), each stepped deep past anchoring."""
     yield from _finished_runs()
     c, b = -1.5436890126920764, 0.3 + 0.2j
     roots = [cmath.exp(2j * math.pi * j / 15) for j in range(15)]
@@ -565,7 +580,8 @@ def _line_runs():
                                   [BranchDatum(-0.5, 1 / (math.sqrt(2) - 2))]),
              600),
             ("roots", init_run(SQUARE, [BranchDatum(0.5, math.sqrt(0.5))],
-                               extra_punctures=roots), 1200)):
+                               extra_punctures=roots), 1200),
+            ("two_anchors", _two_anchor_run(), 600)):
         records = [run.trace_record()]
         step_until(run, lambda: None, steps, records)
         yield name, run, records
@@ -593,6 +609,30 @@ def test_trace_line_is_what_the_encoder_writes():
             seen.add("p10 before p2")
             assert last.line.index('"p10":') < last.line.index('"p2":')
     assert seen == {"anchored", "trivial", "null step bound", "p10 before p2"}
+
+
+def test_two_tracks_at_two_anchors_record_their_minimum_row():
+    # each track is nearer its own anchor: the record's minimum row takes
+    # p0 from one track's row and p1 from the other's, and its line writes
+    # that row
+    run = _two_anchor_run()
+    records = [run.trace_record()]
+    step_until(run, lambda: None, 400, records)
+    assert [(t.anchor.label, t.anchor.puncture) for t in run.marked] == \
+        [("p1", 2), ("p0", -2)]
+    for rec in records[2:]:
+        rows = {lab: entry["dist_log10"]
+                for lab, entry in rec["points"].items()}
+        assert all(entry["mode"] == "anchored"
+                   for entry in rec["points"].values()), rec["n"]
+        assert rec["min_dist_log10"] == {
+            lab: min(rows["m0"][lab], rows["m1"][lab]) for lab in rows["m0"]}
+        assert rec["min_dist_log10"]["p0"] == rows["m1"]["p0"] < \
+            rows["m0"]["p0"]
+        assert rec["min_dist_log10"]["p1"] == rows["m0"]["p1"] < \
+            rows["m1"]["p1"]
+        assert json.loads(rec.line)["min_dist_log10"] == rec["min_dist_log10"]
+    assert records[-1]["points"]["m0"]["exp2"] < -1074
 
 
 def test_json_number_writes_what_json_writes():

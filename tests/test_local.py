@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 
@@ -20,6 +21,54 @@ def test_scaled_complex_normalization():
     assert abs(s.to_complex() - (3 + 4j)) < 1e-15
     with pytest.raises(ValueError):
         ScaledComplex(0j)
+
+
+def test_scaled_complex_refuses_non_finite_values():
+    # as it refuses zero: each of these would leave 0.5 <= |m| < 1 broken
+    for value in (complex("inf"), complex("nan"), complex(1.0, -math.inf),
+                  complex(math.nan, 1.0), complex(math.inf, math.nan)):
+        with pytest.raises(ValueError, match="not finite"):
+            ScaledComplex(value)
+    with pytest.raises(ValueError, match="zero"):
+        ScaledComplex(0j, 7)
+
+
+def _bits(s):
+    return (s.m.real.hex(), s.m.imag.hex(), s.e, s.log2_abs().hex(),
+            s.ln_abs().hex())
+
+
+def test_mul_complex_is_the_constructor_bit_for_bit():
+    # mul_complex skips the constructor's conversion and checks; its
+    # result is the one ScaledComplex(m * w, e) normalizes, bit for bit,
+    # on seeded mantissas and multipliers, on products that land exactly
+    # on a power of two, and past the +-1020 binades where to_complex has
+    # no value
+    rng = random.Random(11)
+    cases = []
+    for _ in range(2000):
+        s = ScaledComplex(cmath.rect(rng.uniform(0.5, 1.0),
+                                     rng.uniform(-math.pi, math.pi)),
+                          rng.randint(-3000, 3000))
+        w = cmath.rect(2.0 ** rng.uniform(-60.0, 60.0),
+                       rng.uniform(-math.pi, math.pi))
+        cases.append((s, rng.choice((w, complex(w.real), 1j * w.imag))))
+    for e in (-5000, -1021, -1020, 0, 1019, 1020, 1021, 5000):
+        for m in (0.5, -0.5j, 0.75 + 0.5j):
+            for w in (2.0, 0.5, -4.0, 0.25j, 1.0, 1.5, 2.0 ** -600):
+                cases.append((ScaledComplex(m, e), w))
+    beyond = 0
+    for s, w in cases:
+        got, want = s.mul_complex(w), ScaledComplex(s.m * w, s.e)
+        assert _bits(got) == _bits(want), (s, w)
+        assert 0.5 <= abs(got.m) < 1.0
+        assert got.to_complex() == want.to_complex()
+        beyond += got.to_complex() is None
+    assert beyond > 0
+    powers = [ScaledComplex(0.5, e).mul_complex(w)
+              for e in (-1021, 1021) for w in (2.0, 0.25j)]
+    assert [(p.m, p.e) for p in powers] == [
+        (0.5, -1020), (0.5j, -1023), (0.5, 1022), (0.5j, 1019)]
 
 
 def test_scaled_complex_extreme_range():
