@@ -45,7 +45,7 @@ from .errors import (InjectivityUndetermined, NoSeparatingAnnulus,
                      PullbackLabError)
 from .fiber import step_until
 from .hyperbolic import ELL_STAR, RoundAnnulus, annulus_modulus
-from .lifting import (EPS_CV, Path, branch_step, lift_closed_curve,
+from .lifting import (EPS_CV, ETA_SAFE, Path, branch_step, lift_closed_curve,
                       _newton_preimage, _seg_closest)
 from .ratmap import EPS_FIX, fixed_multiplier, is_repelling
 from .sphere import (CHART_LIMIT, INF, chart_coordinate, chordal,
@@ -239,15 +239,13 @@ def _circle(center, radius, n):
 
 
 def _apply_map(gm, zs):
-    """gm on every sample; refuses a pole, a non-finite value or |w| > 1e12
-    (the image leaves the working chart)."""
-    out = []
-    for z in zs:
-        w = gm(z)
+    """gm on every sample (``RationalMap.images``); refuses a pole, a
+    non-finite value or |w| > 1e12 (the image leaves the working chart)."""
+    out = gm.images(zs)
+    for w in out:
         if w is INF or abs(w) > 1e12:
             raise InjectivityUndetermined(
                 "tracked boundary image leaves the working chart")
-        out.append(w)
     return out
 
 
@@ -310,6 +308,18 @@ def _circle_position(zs, q, center, radius):
     i = int(cmath.phase(u) % TWO_PI / (TWO_PI / n))
     return w, min(abs(_seg_closest(zs[e % n], zs[e % n + 1], q) - q)
                   for e in (i - 1, i, i + 1))
+
+
+def _core_circle_clear(center, radius, crit, plane):
+    """Whether the core circle clearly passes stage 0's sample loop
+    (``injectivity_test``); False decides nothing."""
+    chord = 2.0 * radius * math.sin(math.pi / N_SAMP)
+    reach = abs(center) + radius
+    for dist in [abs(c - center) for c in crit]:
+        slack = 1e-12 * (reach + dist)
+        if not chord + slack < ETA_SAFE * (abs(dist - radius) - slack):
+            return False
+    return not plane or reach + 1e-12 * reach <= CHART_LIMIT
 
 
 def _star_radii(zs, c):
@@ -379,6 +389,16 @@ def injectivity_test(g, annulus, k):
     bit for bit. The key stays in the evidence, whose format is unchanged.
     The core is mapped forward only for a later stage.
 
+    At stage 0 the core is ``_circle``'s polygon of radius r, and a closed
+    form clears it where it clearly passes (``_core_circle_clear``); else
+    the sample loop decides, as at every later stage. Its steps are the
+    chord 2r sin(pi / N_SAMP), and a sample is no nearer a critical point
+    c than the gap ||c - center| - r|, each up to a few ulps of |center| +
+    r + |c - center|, far inside ``_circle_position``'s 1e-12 relative
+    slack. So a chord plus slack below ETA_SAFE times each gap less slack
+    passes every step, and |center| + r plus slack at most CHART_LIMIT
+    keeps every sample in the plane chart.
+
     Raises InjectivityUndetermined on any failed check (which is not a
     proof of non-injectivity)."""
     anchor = annulus.anchor
@@ -387,7 +407,11 @@ def injectivity_test(g, annulus, k):
     r_in, r_out = annulus.r_in, annulus.r_out
     inner = _circle(center, r_in, N_SAMP)
     outer = _circle(center, r_out, N_SAMP)
-    core = _circle(center, annulus.core_radius(), N_SAMP)
+    # a core the closed form settles and no later stage maps is not sampled
+    clear_core = _core_circle_clear(center, annulus.core_radius(), crit,
+                                    anchor is None)
+    core = None if clear_core and k == 1 else \
+        _circle(center, annulus.core_radius(), N_SAMP)
     stages = []
     for j in range(k):
         clear = math.inf
@@ -427,7 +451,7 @@ def injectivity_test(g, annulus, k):
                 "of the annulus center at stage %d" % j)
         # the lift of gm(core) from core[0] is core itself: each of its
         # steps must be one lift_path accepts, inside the working chart
-        for a, b in zip(core, core[1:]):
+        for a, b in () if j == 0 and clear_core else zip(core, core[1:]):
             if not abs(b - a) < branch_step(a, crit):
                 raise InjectivityUndetermined(
                     "core-curve sample step exceeds the branch safeguard at "
@@ -625,7 +649,23 @@ def emit_levy_certificate(run, engine_version=""):
     log_r_cluster = -TWO_PI * (_threshold_product(run) / ELL_STAR)
     points = run.step_points(n)
 
-    # single-linkage clustering at the threshold scale
+    for cluster in _clusters(points, len(run.punctures), log_r_cluster):
+        cert = _try_cluster(run, n, points, cluster, engine_version)
+        if cert is not None:
+            return cert
+    return None
+
+
+def _clusters(points, n_punctures, log_r):
+    """The clusters of two or more ``step_points`` entries linked at log
+    distance ``log_r`` (``_log_euclid_dist``), in entry order. Only pairs
+    with a marked point are measured: the punctures, which come first, are
+    over EPS_SEP / 2 apart, and log_r <= -2 pi 5 pi / ell* < log 1e-24."""
+    links = [(i, j) for j in range(n_punctures, len(points))
+             for i in range(j)
+             if _log_euclid_dist(points[i], points[j]) <= log_r]
+    if not links:
+        return []
     parent = list(range(len(points)))
 
     def find(i):
@@ -634,22 +674,12 @@ def emit_levy_certificate(run, engine_version=""):
             i = parent[i]
         return i
 
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            if _log_euclid_dist(points[i], points[j]) <= log_r_cluster:
-                parent[find(i)] = find(j)
-
+    for i, j in links:
+        parent[find(i)] = find(j)
     clusters = {}
     for i in range(len(points)):
         clusters.setdefault(find(i), []).append(points[i])
-
-    for cluster in clusters.values():
-        if len(cluster) < 2:
-            continue
-        cert = _try_cluster(run, n, points, cluster, engine_version)
-        if cert is not None:
-            return cert
-    return None
+    return [c for c in clusters.values() if len(c) >= 2]
 
 
 def _try_cluster(run, n, points, cluster, engine_version):
@@ -700,8 +730,12 @@ def _derive_certificate(run, n, annulus):
     if curves is None:
         return fields, ["core curve has no chain of %d closing degree-1 "
                         "lifts" % k]
-    windings = tuple(_winding(c.nodes, annulus.center) for c in curves)
-    enclosed = tuple(_enclosed_labels(c, entries) for c in curves)
+    windings = _windings(curves, annulus, annulus.center)
+    about = [(lab, _windings(curves, annulus, z))  # oo is never enclosed
+             for lab, _, z in entries if z is not None]
+    enclosed = tuple(tuple(sorted(lab for lab, ws in about
+                                  if ws[idx] not in (None, 0)))
+                     for idx in range(len(curves)))
     length_bound = product / modulus
     fields.update(representative_curves=curves, curve_windings=windings,
                   curve_enclosed_labels=enclosed, length_bound=length_bound,
@@ -713,11 +747,13 @@ _COUNT_FIELDS = ("inner_count_A", "inner_count_B", "outer_count_A",
                  "outer_count_B")
 
 
-def _enclosed_labels(curve, entries):
-    """Sorted labels of the step configuration enclosed by a closed curve
-    (same chart); oo entries are never enclosed."""
-    return tuple(sorted(lab for lab, _, z in entries if z is not None and
-                        _winding(curve.nodes, z) not in (None, 0)))
+def _windings(curves, annulus, q):
+    """The winding about q of each representative curve: the core
+    circle's by ``_circle_position``, its lifts' by ``_winding``."""
+    core = curves[0].nodes
+    return (_circle_position(core, q, annulus.center,
+                             annulus.core_radius())[0],) + \
+        tuple(_winding(c.nodes, q) for c in curves[1:])
 
 
 def _representative_curves(run, annulus, k):

@@ -431,6 +431,10 @@ class PullbackRun:
         self._row_format = _object_format(dict.fromkeys(punctures.labels,
                                                         "%s"))
         self._record_order = sorted(self._tracks, key=lambda t: t.label)
+        # hypot(1, |p|) of each puncture p (None at oo), for a free row
+        self._chordal_scales = [
+            (lab, p, None if is_inf(p) else math.hypot(1.0, abs(p)))
+            for lab, p in punctures]
         for track in self._tracks:
             track.entry_format = _entry_format(track)
         self._anchors = self._prepare_anchor_charts()
@@ -623,8 +627,10 @@ class PullbackRun:
         anchor = track.anchor
         value = track.history[-1][1]  # the deviation where anchored
         if anchor is None:
-            row = {lab: math.log10(max(chordal(value, p), 1e-300))
-                   for lab, p in self.punctures}
+            hv = math.hypot(1.0, abs(value))  # chordal(value, p), as below
+            row = {lab: math.log10(max(
+                2.0 / hv if hp is None else 2.0 * abs(value - p) / (hv * hp),
+                1e-300)) for lab, p, hp in self._chordal_scales}
             row_text = self._row_text(row)
             x, y = value.real, value.imag
             entry = {"mode": "free", "type": track.kind, "value": [x, y],

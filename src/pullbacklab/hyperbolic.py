@@ -9,6 +9,7 @@ plain floats. No function here takes a run: ``fiber.teich_step_bound``
 sums the bounds of a step's moves.
 """
 
+import functools
 import math
 from cmath import phase as cmath_phase
 
@@ -138,59 +139,87 @@ class DiskComparisons:
             else None
 
     def density(self, z):
-        """min over applicable punctures of 1/(d log(R/d)), d = |z - p|,
-        and of 1/(|z| log(|z|/R_inf)) for |z| > R_inf."""
-        best = math.inf
-        for p, R in self.pairs:
-            d = abs(z - p)
-            if d <= 0.0 or d >= R:
-                continue
-            best = min(best, 1.0 / (d * math.log(R / d)))
-        if self.r_inf is not None:
-            r = abs(z)
-            if r > self.r_inf:
-                best = min(best, 1.0 / (r * math.log(r / self.r_inf)))
-        if not math.isfinite(best):
-            raise NoApplicableComparison(
-                "point %r lies in no punctured-disk comparison region" % (z,))
-        return best
+        """``densities`` at the one point z."""
+        return self.densities((z,))[0]
+
+    def densities(self, zs):
+        """At each z of zs: the min over applicable punctures of 1/(d log(R/d)),
+        d = |z - p|, and of 1/(|z| log(|z|/R_inf)) for |z| > R_inf."""
+        pairs, r_inf, log, out = self.pairs, self.r_inf, math.log, []
+        for z in zs:
+            best = math.inf  # each minimum taken by comparison, as min()
+            for p, R in pairs:
+                d = abs(z - p)
+                if 0.0 < d < R:
+                    rho = 1.0 / (d * log(R / d))
+                    if rho < best:
+                        best = rho
+            if r_inf is not None:
+                r = abs(z)
+                if r > r_inf:
+                    rho = 1.0 / (r * log(r / r_inf))
+                    if rho < best:
+                        best = rho
+            if not math.isfinite(best):
+                raise NoApplicableComparison(
+                    "point %r lies in no punctured-disk comparison region"
+                    % (z,))
+            out.append(best)
+        return out
 
 
-def _segment_upper_sum(density, a, b):
-    """Adaptive upper Riemann sum of ``density`` along the segment [a, b]:
+def _segment_upper_sum(densities, a, b):
+    """Adaptive upper Riemann sum of the comparison density along the
+    segment [a, b], ``densities`` giving it at a list of points:
     per-subinterval max of sampled densities, refined until successive
     estimates agree to 1%, then rounded up by the same margin. Level 2n
     keeps level n's samples at i / (2n) == 2i / (4n) (exactly) as its even
-    ones and evaluates ``density`` only at its n new odd points."""
+    ones and takes the density only at its n new odd points, one list."""
     L = abs(b - a)
     if L == 0.0:
         return 0.0
+    d = b - a
     prev = None
     n = 4
-    samples = [density(a + (b - a) * (i / (2 * n))) for i in range(2 * n + 1)]
+    samples = densities([a + d * (i / 8) for i in range(9)])
     while True:
         total = 0.0
-        for i in range(n):
-            rho = max(samples[2 * i], samples[2 * i + 1], samples[2 * i + 2])
-            total += rho * (L / n)
+        h = L / n
+        right = samples[0]
+        for i in range(1, 2 * n, 2):  # each max by comparison, as max()
+            rho = right
+            if samples[i] > rho:
+                rho = samples[i]
+            right = samples[i + 1]
+            if right > rho:
+                rho = right
+            total += rho * h
         if prev is not None and abs(total - prev) <= _REFINE_TOL * total:
             return max(total, prev) * _ROUND_UP
         prev = total
         n *= 2
         if n > 4096:
             return prev * _ROUND_UP
-        odd = [density(a + (b - a) * (i / (2 * n)))
-               for i in range(1, 2 * n, 2)]
-        samples = [s for two in zip(samples, odd) for s in two] + samples[-1:]
+        finer = [0.0] * (2 * n + 1)
+        finer[::2] = samples
+        finer[1::2] = densities([a + d * (i / (2 * n))
+                                 for i in range(1, 2 * n, 2)])
+        samples = finer
+
+
+@functools.lru_cache(maxsize=8)
+def _comparisons(points):
+    """The comparison disks of a tuple of points, built once a point set."""
+    return DiskComparisons(points)
 
 
 def path_length_upper_bound(P, path):
     """Upper Riemann sum of the comparison density of the points P along
     the polyline of an unanchored ``lifting.Path``."""
-    comp = DiskComparisons(P)
+    comp = _comparisons(tuple(P))
     total = 0.0
     for a, b in zip(path.nodes, path.nodes[1:]):
-        total += _segment_upper_sum(comp.density, a, b)
+        total += _segment_upper_sum(comp.densities, a, b)
     return _length_bound(total)
 
 

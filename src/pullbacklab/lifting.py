@@ -22,6 +22,7 @@ lets curves live at scales far below the anchor's own magnitude.
 """
 
 import cmath
+import itertools
 import math
 
 from .errors import (BranchJumpSuspected, ChartOverflow, EndpointMismatch,
@@ -107,9 +108,14 @@ class Path:
     def from_json(cls, obj, what="path"):
         anchor = json_typed(obj, dict, what).get("anchor")
         node = what + " node"
-        return cls([json_complex(z, node)
-                    for z in json_typed(obj["nodes"], list, node + "s")],
-                   anchor=None if anchor is None
+        zs = json_typed(obj["nodes"], list, node + "s")
+        # float [re, im] pairs, as written, in one pass; else one by one
+        if set(map(type, zs)) == {list} and set(map(len, zs)) == {2} and \
+                set(map(type, itertools.chain.from_iterable(zs))) == {float}:
+            zs = list(map(complex, *zip(*zs)))
+        else:
+            zs = [json_complex(z, node) for z in zs]
+        return cls(zs, anchor=None if anchor is None
                    else decode_point(anchor, what + " anchor"))
 
     def __len__(self):
@@ -153,23 +159,38 @@ def _seg_closest(a, b, q):
 
 
 def _chordal_seg_to_point(a, b, q):
-    if is_inf(q):
-        return 2.0 / math.hypot(1.0, max(abs(a), abs(b)))
     zc = _seg_closest(a, b, q)
     return min(chordal(a, q), chordal(b, q), chordal(zc, q))
 
 
 def path_clearance(path, points):
     """Minimum chordal distance from the polyline of an unanchored path to
-    the given points."""
+    the given points: ``chordal``'s arithmetic and ``min``'s order, with
+    each node's and each point's hypot(1, |z|) taken once."""
     nodes = path.nodes
+    sizes = [abs(z) for z in nodes]
+    scales = [math.hypot(1.0, r) for r in sizes]
+    segments = range(len(nodes) - 1)
     best = math.inf
     for q in points:
-        if len(nodes) == 1:
-            best = min(best, chordal(nodes[0], q))
-            continue
-        for a, b in zip(nodes, nodes[1:]):
-            best = min(best, _chordal_seg_to_point(a, b, q))
+        if is_inf(q):  # 2 / hypot(1, max(|a|, |b|))
+            for i in segments:
+                d = 2.0 / (scales[i + 1] if sizes[i + 1] > sizes[i]
+                           else scales[i])
+                if d < best:
+                    best = d
+            near = [2.0 / scales[0]]
+        else:
+            hq = math.hypot(1.0, abs(q))
+            near = [2.0 * abs(z - q) / (h * hq) for z, h in zip(nodes, scales)]
+            for i in segments:
+                zc = _seg_closest(nodes[i], nodes[i + 1], q)
+                d = min(near[i], near[i + 1],
+                        2.0 * abs(zc - q) / (math.hypot(1.0, abs(zc)) * hq))
+                if d < best:
+                    best = d
+        if not segments and near[0] < best:
+            best = near[0]
     return best
 
 

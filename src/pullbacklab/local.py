@@ -53,8 +53,13 @@ class ScaledComplex:
 
     def _normalize(self, m, e):
         """Store m * 2**e with m scaled into 0.5 <= |m| < 1, and its logs;
-        m is finite and nonzero."""
-        _, k = math.frexp(abs(m))  # |m| = f * 2**k, f in [0.5, 1)
+        m is finite and nonzero; where |m| overflows, m / 4 with e + 2."""
+        try:
+            a = abs(m)
+        except OverflowError:
+            m, e = complex(m.real * 0.25, m.imag * 0.25), e + 2
+            a = abs(m)
+        _, k = math.frexp(a)  # |m| = f * 2**k, f in [0.5, 1)
         self.m = m = complex(math.ldexp(m.real, -k), math.ldexp(m.imag, -k))
         self.e = e = e + k
         a = abs(m)

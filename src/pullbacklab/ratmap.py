@@ -253,20 +253,25 @@ class RationalMap:
     # -- basic evaluation ---------------------------------------------------
 
     def __call__(self, z):
-        """g(z): the value ``evaluate_with_derivative`` gives, from its N
-        and D Horner loops alone."""
-        if z is INF:
-            return self._eval_at_infinity()[0]
-        Nv = 0j
-        for c in self._hN:
-            Nv = Nv * z + c
-        Dv = 0j
-        for c in self._hD:
-            Dv = Dv * z + c
-        if Dv == 0:
-            return INF
-        w = Nv / Dv
-        return w if cmath.isfinite(w) else INF
+        """g(z), oo included: ``images`` at the one point z."""
+        return self._eval_at_infinity()[0] if z is INF else \
+            self.images((z,))[0]
+
+    def images(self, zs):
+        """g at each finite z of zs, in one loop: the value
+        ``evaluate_with_derivative`` gives, from its N and D Horner loops
+        alone; INF at a pole or where the quotient is not finite."""
+        hN, hD, isfinite = self._hN, self._hD, cmath.isfinite
+        out = []
+        for z in zs:
+            Nv = Dv = 0j
+            for c in hN:
+                Nv = Nv * z + c
+            for c in hD:
+                Dv = Dv * z + c
+            w = Nv / Dv if Dv != 0 else INF
+            out.append(w if w is INF or isfinite(w) else INF)
+        return out
 
     def evaluate_with_derivative(self, z):
         """(g(z), chart derivative). The derivative is taken between the

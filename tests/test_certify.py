@@ -4,6 +4,7 @@ import glob
 import json
 import math
 import os
+import random
 import struct
 
 import numpy as np
@@ -886,3 +887,136 @@ def test_step_chart_entries_across_oo():
         own = {lab: z for lab, _, z in _step_chart_entries(points, p, 40)}
         assert own["m0"] == track.anchor.chart.eps_star + \
             track.history[-1][1].to_complex()
+
+
+def _core_loop_passes(center, radius, crit, plane):
+    # the stage-0 sample loop of injectivity_test on the core circle
+    core = _circle(center, radius, N_SAMP)
+    return all(abs(b - a) < branch_step(a, crit) and
+               not (plane and abs(b) > certify.CHART_LIMIT)
+               for a, b in zip(core, core[1:]))
+
+
+def test_core_closed_form_never_clears_a_core_the_loop_declines():
+    # seeded core circles with a critical point at the safeguard's margin,
+    # outside the circle and inside it, from 1e-3 to 1e-15 relative, and
+    # circles that reach CHART_LIMIT's margin in the plane chart
+    rng = random.Random(29)
+    seen = set()
+    chord = 2.0 * math.sin(math.pi / N_SAMP)   # of the unit circle
+    for _ in range(3000):
+        center = 10 ** rng.uniform(-6, 5.5) * cmath.exp(
+            1j * rng.uniform(-math.pi, math.pi))
+        radius = abs(center) * 10 ** rng.uniform(-8, 0) \
+            if rng.random() < 0.8 else 10 ** rng.uniform(-12, 3)
+        gap = radius * chord / certify.ETA_SAFE * (
+            1 + rng.choice((-1, 1)) * 10 ** rng.uniform(-15, -3))
+        side = rng.choice((-1, 1)) if gap < radius else 1
+        crit = [center + (radius + side * gap) *
+                cmath.exp(1j * rng.uniform(-math.pi, math.pi))]
+        if rng.random() < 0.3:
+            crit.append(center + 10 * (radius + gap))
+        plane = rng.random() < 0.5
+        if plane and rng.random() < 0.3:
+            # |center| + radius within 1e-9 relative of CHART_LIMIT
+            center *= (certify.CHART_LIMIT - radius) / abs(center) * (
+                1 + rng.uniform(-1e-9, 1e-9))
+            crit = [center + 2 * radius]
+        cleared = certify._core_circle_clear(center, radius, crit, plane)
+        passes = _core_loop_passes(center, radius, crit, plane)
+        assert passes or not cleared, (center, radius, crit, plane)
+        seen.add((cleared, passes))
+    # the closed form clears, defers to a loop that passes, and defers to
+    # a loop that declines
+    assert seen == {(True, True), (False, True), (False, False)}
+
+
+def _all_pairs_clusters(points, log_r):
+    # emission's clustering as first written: every pair measured, the
+    # union-find built at every attempt
+    parent = list(range(len(points)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            if _log_euclid_dist(points[i], points[j]) <= log_r:
+                parent[find(i)] = find(j)
+    clusters = {}
+    for i in range(len(points)):
+        clusters.setdefault(find(i), []).append(points[i])
+    return [c for c in clusters.values() if len(c) >= 2]
+
+
+def _obstructed_corpus_runs():
+    """The obstructed corpus runs whose cluster scale is above the
+    emission floor, which certify_obstructed steps on, and the run
+    anchored at oo, each run to its verdict."""
+    for path in DEMO_CONFIGS:
+        run = _build_run(load_config(path))
+        trace, _ = run_until(run)
+        if classify_run(trace, run.g, run.punctures,
+                        tol=run.tol).verdict == "obstructed" and \
+                certify._log_threshold(run) <= \
+                certify._FLOOR_LOG_THRESHOLD:
+            yield os.path.basename(path), run
+    run, _, _ = finished(*AT_INFINITY, max_iters=2000)
+    yield "infinity", run
+
+
+def test_links_first_clustering_is_all_pairs_clustering_at_every_tail_step():
+    # at every step of each certification tail the clusters are those the
+    # all-pairs clustering gives, in the same order; the emitted
+    # certificate's windings are _winding's on every curve
+    names, linked = [], 0
+    for name, run in _obstructed_corpus_runs():
+        names.append(name)
+        while True:
+            run.pullback_step()
+            log_r = -certify.TWO_PI * (certify._threshold_product(run)
+                                       / ELL_STAR)
+            points = run.step_points(run.n)
+            got = certify._clusters(points, len(run.punctures), log_r)
+            assert got == _all_pairs_clusters(points, log_r), (name, run.n)
+            linked += bool(got)
+            cert = emit_levy_certificate(run)
+            if cert is not None or run.n > 2000:
+                break
+        assert cert is not None, name
+        curves, ann = cert.representative_curves, cert.annulus
+        entries = _step_chart_entries(points, ann.anchor, run.n)
+        for q in [ann.center] + [z for _, _, z in entries if z is not None]:
+            assert certify._windings(curves, ann, q) == \
+                tuple(_winding(c.nodes, q) for c in curves), (name, q)
+    assert len(names) == 5 and linked >= 5
+
+
+def test_links_first_clustering_on_seeded_configurations():
+    # marked points in tight groups, near a puncture or away from all of
+    # them, and the punctures themselves (more than EPS_SEP apart), give
+    # the clusters the all-pairs clustering gives
+    rng = random.Random(31)
+    sizes = set()
+    for _ in range(300):
+        punctures = [("p%d" % i, "P", z, None) for i, z in enumerate(
+            [complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+             for _ in range(rng.randint(2, 4))] + [INF])]
+        marked = []
+        for _ in range(rng.randint(1, 5)):
+            base = rng.choice([p[2] for p in punctures[:-1]] + [
+                complex(rng.uniform(-3, 3), rng.uniform(-3, 3))])
+            for _ in range(rng.randint(1, 3)):
+                marked.append(("m%d" % len(marked), "marked", base +
+                               10 ** rng.uniform(-40, -20) * cmath.exp(
+                                   1j * rng.uniform(-math.pi, math.pi)),
+                               None))
+        points = punctures + marked
+        log_r = math.log(1e-30)
+        got = certify._clusters(points, len(punctures), log_r)
+        assert got == _all_pairs_clusters(points, log_r)
+        sizes.update(len(c) for c in got)
+    assert {2, 3, 4} <= sizes

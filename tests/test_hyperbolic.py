@@ -188,10 +188,14 @@ def _reference_segment_upper_sum(density, a, b):
 
 
 def _sum_with_calls(upper_sum, density, a, b):
-    """(result or raised message, density calls made)."""
+    """(result or raised message, density samples taken): the reference
+    takes one point a call, the sum a list of points a call."""
     calls = []
 
     def counted(z):
+        if isinstance(z, list):
+            calls.extend(z)
+            return [density(w) for w in z]
         calls.append(z)
         return density(z)
     try:
@@ -241,3 +245,60 @@ def test_segment_upper_sum_reuses_samples_bit_for_bit():
     got, calls = _sum_with_calls(_segment_upper_sum, comp.density, a, b)
     want, _ = _sum_with_calls(_reference_segment_upper_sum, comp.density, a, b)
     assert (got, calls) == (want, 2 * 4096 + 1)
+
+
+def _reference_density(comp, z):
+    # density as first written: one point a call, min() for the minimum
+    best = math.inf
+    for p, R in comp.pairs:
+        d = abs(z - p)
+        if d <= 0.0 or d >= R:
+            continue
+        best = min(best, 1.0 / (d * math.log(R / d)))
+    if comp.r_inf is not None:
+        r = abs(z)
+        if r > comp.r_inf:
+            best = min(best, 1.0 / (r * math.log(r / comp.r_inf)))
+    if not math.isfinite(best):
+        raise NoApplicableComparison(
+            "point %r lies in no punctured-disk comparison region" % (z,))
+    return best
+
+
+def _density_or_raise(density, z):
+    try:
+        return density(z).hex()
+    except NoApplicableComparison as exc:
+        return "raised: %s" % exc
+
+
+def test_densities_are_the_reference_density_bit_for_bit():
+    # the batch takes the same operations in the same order, and raises
+    # the same text at the first sample that lies in no comparison region
+    rng = random.Random(17)
+    raised = 0
+    for points in ([0j, 1 + 0j, -1 + 0j, 2j, 3 - 1j],
+                   [-2 + 0j, 2 + 0j, 1j, INF], [0j, 1 + 0j, INF],
+                   [0.3 - 0.1j, 1e-7 + 0j, -4 + 2j, INF]):
+        comp = DiskComparisons(points)
+        zs = []
+        for _ in range(400):
+            p, R = rng.choice(comp.pairs)
+            zs.append(p + R * 10 ** rng.uniform(-12, 0.3) *
+                      complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
+        zs += [p for p, _ in comp.pairs] + [10 + 0j, -1e6j]
+        want = [_density_or_raise(lambda z: _reference_density(comp, z), z)
+                for z in zs]
+        assert [_density_or_raise(comp.density, z) for z in zs] == want
+        ok = [z for z, w in zip(zs, want) if not w.startswith("raised")]
+        assert [x.hex() for x in comp.densities(ok)] == \
+            [w for w in want if not w.startswith("raised")]
+        bad = [z for z, w in zip(zs, want) if w.startswith("raised")]
+        raised += len(bad)
+        for z in bad[:5]:
+            batch = ok[:7] + [z] + bad + ok[7:]
+            with pytest.raises(NoApplicableComparison) as exc:
+                comp.densities(batch)
+            assert "raised: %s" % exc.value == \
+                _density_or_raise(lambda w: _reference_density(comp, w), z)
+    assert raised > 10

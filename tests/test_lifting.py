@@ -1,7 +1,9 @@
 import cmath
 import glob
+import json
 import math
 import os
+import random
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from pullbacklab.lifting import (Path, cancel_retraces, concatenate,
                                  lift_closed_curve, lift_path,
                                  path_clearance, simplify_path)
 from pullbacklab.ratmap import RationalMap, critical_values, preimages
-from pullbacklab.sphere import CHART_LIMIT, INF, chordal, is_inf
+from pullbacklab.sphere import CHART_LIMIT, INF, chordal, is_inf, json_complex
 
 CHEB = RationalMap([-2, 0, 1])
 SQUARE = RationalMap([0, 0, 1])
@@ -468,3 +470,76 @@ def test_lifted_nodes_are_already_clean(certificate_lifts):
         assert path.anchor is None or type(path.anchor) is complex
     with pytest.raises(ValueError, match="path nodes must be finite"):
         lift_path(SQUARE, Path([1, 2]), complex(math.inf, 0))
+
+
+def _reference_path_clearance(path, points):
+    # path_clearance as first written: chordal per node, per point
+    def seg_to_point(a, b, q):
+        if is_inf(q):
+            return 2.0 / math.hypot(1.0, max(abs(a), abs(b)))
+        zc = lifting._seg_closest(a, b, q)
+        return min(chordal(a, q), chordal(b, q), chordal(zc, q))
+    nodes = path.nodes
+    best = math.inf
+    for q in points:
+        if len(nodes) == 1:
+            best = min(best, chordal(nodes[0], q))
+            continue
+        for a, b in zip(nodes, nodes[1:]):
+            best = min(best, seg_to_point(a, b, q))
+    return best
+
+
+def test_path_clearance_is_the_reference_bit_for_bit():
+    # each hypot(1, |z|) taken once changes no bit: seeded paths of one to
+    # nine nodes at scales 1e-9 to 1e9, against points that include oo,
+    # the nodes themselves and points on the segments
+    rng = random.Random(23)
+
+    def point(scale):
+        return scale * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    lone = 0
+    for _ in range(5000):
+        scale = 10 ** rng.uniform(-9, 9)
+        nodes = [point(scale) for _ in range(rng.choice((1, 1, 2, 3, 9)))]
+        path = Path(nodes)
+        lone += len(path) == 1
+        points = [point(10 ** rng.uniform(-9, 9))
+                  for _ in range(rng.randint(0, 4))]
+        if rng.random() < 0.5:
+            points.insert(rng.randint(0, len(points)), INF)
+        if rng.random() < 0.2:
+            points.append(rng.choice(nodes))
+        if rng.random() < 0.2 and len(nodes) > 1:
+            points.append(nodes[0] + rng.random() * (nodes[1] - nodes[0]))
+        got = path_clearance(path, points)
+        assert got.hex() == _reference_path_clearance(path, points).hex(), \
+            (nodes, points)
+    assert lone > 1000
+
+
+def test_path_from_json_reads_float_pairs_in_one_pass(corpus_certificates):
+    # the float [re, im] pairs the engine writes are read in one pass, to
+    # the nodes json_complex reads one by one, bit for bit; any other node
+    # list is read one by one, with the same result or message
+    def bits(path):
+        return [(z.real.hex(), z.imag.hex()) for z in path.nodes], path.anchor
+    for _, cert in corpus_certificates:
+        for curve in cert.representative_curves:
+            obj = json.loads(json.dumps(curve.to_json()))
+            want = Path([json_complex(z, "node") for z in obj["nodes"]],
+                        anchor=curve.anchor)
+            assert bits(Path.from_json(obj)) == bits(want) == bits(curve)
+    mixed = {"nodes": [[1.0, 2.0], [3, -0.0], [3.0, -0.0], [0.5, 1e300]]}
+    assert bits(Path.from_json(mixed)) == bits(Path([1 + 2j, complex(3, -0.0),
+                                                     0.5 + 1e300j]))
+    for nodes, message in (
+            ([[1.0, 2.0], [1.0, True]], "path node item must be float"),
+            ([[1.0, 2.0], [1.0, 2.0, 3.0]], r"path node must be \[re, im\]"),
+            ([[1.0, 2.0], "ab"], "path node must be list"),
+            ([[1.0, math.inf]], "path nodes must be finite"),
+            ([], "path needs at least one node"),
+            ([[1.0, 2.0], [10 ** 400, 0.0]],
+             r"path node must be \[re, im\] within double range")):
+        with pytest.raises(ValueError, match=message):
+            Path.from_json({"nodes": nodes})

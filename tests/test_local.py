@@ -33,6 +33,17 @@ def test_scaled_complex_refuses_non_finite_values():
         ScaledComplex(0j, 7)
 
 
+
+def test_scaled_complex_holds_a_value_whose_modulus_overflows():
+    # |1.5e308 + 1.5e308i| is past double range: a quarter of it is
+    # normalized, with 2 more in the exponent
+    s = ScaledComplex(1.5e308 + 1.5e308j)
+    assert s.e == 1025 and 0.5 <= abs(s.m) < 1.0
+    assert s.to_complex() is None
+    assert abs(s.log2_abs() - 1024.2388157260289) < 1e-12
+    assert ScaledComplex(-1.5e308 + 1.5e308j).m == -s.m.conjugate()
+
+
 def _bits(s):
     return (s.m.real.hex(), s.m.imag.hex(), s.e, s.log2_abs().hex(),
             s.ln_abs().hex())

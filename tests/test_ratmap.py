@@ -520,3 +520,45 @@ def test_serialization_roundtrip():
     g = RationalMap([1, 0, 1], [0, 1])
     g2 = RationalMap.from_json(g.to_json())
     assert g2.numerator == g.numerator and g2.denominator == g.denominator
+
+
+def _reference_call(g, z):
+    """g(z) as __call__ first wrote it: its own N and D Horner loops."""
+    if z is INF:
+        return g._eval_at_infinity()[0]
+    Nv = 0j
+    for c in g._hN:
+        Nv = Nv * z + c
+    Dv = 0j
+    for c in g._hD:
+        Dv = Dv * z + c
+    if Dv == 0:
+        return INF
+    w = Nv / Dv
+    return w if cmath.isfinite(w) else INF
+
+
+def _assert_images_match(g, zs):
+    want = [_bits(_reference_call(g, z)) for z in zs]
+    assert [_bits(w) for w in g.images(zs)] == want, (g, zs)
+    assert [_bits(g(z)) for z in zs] == want, (g, zs)
+    return want
+
+
+@kernel
+@given(rational_maps(), st.lists(points(), max_size=12))
+def test_images_are_the_reference_call_bit_for_bit(g, zs):
+    _assert_images_match(g, zs)
+    _assert_images_match(g.shifted(0.5 - 0.25j), [z * 1e-60 for z in zs])
+
+
+def test_images_at_a_pole_and_a_non_finite_value():
+    # a pole gives INF, as does a quotient past double range, in the batch
+    # at the place of the sample, between finite values
+    pole = RationalMap([0, 0, 1], [1, 4])      # z^2 / (1 + 4z), pole -1/4
+    inv_tiny = RationalMap([1e10, 0, 1], [0, 1])
+    got = _assert_images_match(pole, [0.5j, -0.25 + 0j, 1e200 + 0j, 2 + 0j])
+    assert got[1] == got[2] == "INF" and "INF" not in (got[0], got[3])
+    got = _assert_images_match(inv_tiny, [1 + 0j, 1e-310 + 0j, 0j])
+    assert got[1:] == ["INF", "INF"]
+    assert pole(INF) is INF and pole.images([]) == []
