@@ -45,8 +45,8 @@ from .errors import (InjectivityUndetermined, NoSeparatingAnnulus,
                      PullbackLabError)
 from .fiber import step_until
 from .hyperbolic import ELL_STAR, RoundAnnulus, annulus_modulus
-from .lifting import (EPS_CV, ETA_SAFE, Path, branch_step, lift_closed_curve,
-                      _newton_preimage, _seg_closest)
+from .lifting import (EPS_CV, EPS_LIFT, ETA_SAFE, Path, branch_step,
+                      lift_closed_curve, _newton_preimage, _seg_closest)
 from .ratmap import EPS_FIX, fixed_multiplier, is_repelling
 from .sphere import (CHART_LIMIT, INF, chart_coordinate, chordal,
                      encode_point, is_inf, json_float, json_typed)
@@ -288,14 +288,14 @@ def _poly_min_dist(zs, q):
                if near[i] + near[i + 1] - lengths[i] <= limit)
 
 
-def _circle_position(zs, q, center, radius):
+def _circle_position(q, center, radius, n):
     """(winding about q, distance from q) of ``_circle(center, radius, n)``'s
-    samples zs. A q farther from the center than the circle has winding 0,
+    samples. A q farther from the center than the circle has winding 0,
     one nearer than the inradius r cos(pi / n) winding 1, both with a
     margin for rounding; the nearest point of this convex polygon is then
-    on the edge facing q, so three edges give its distance. In the band
-    between, one full pass (``_winding``, ``_poly_min_dist``)."""
-    n = len(zs) - 1
+    on the edge facing q, so three edges give its distance, from the four
+    samples they join. In the band between, the circle is sampled for one
+    full pass (``_winding``, ``_poly_min_dist``)."""
     u = q - center
     dist = abs(u)
     slack = 1e-12 * (abs(center) + radius + dist)
@@ -304,9 +304,12 @@ def _circle_position(zs, q, center, radius):
     elif dist < radius * math.cos(math.pi / n) - slack:
         w = 1
     else:
+        zs = _circle(center, radius, n)
         return _winding(zs, q), _poly_min_dist(zs, q)
     i = int(cmath.phase(u) % TWO_PI / (TWO_PI / n))
-    return w, min(abs(_seg_closest(zs[e % n], zs[e % n + 1], q) - q)
+    roots = _unit_roots(n)
+    return w, min(abs(_seg_closest(center + radius * roots[e % n],
+                                   center + radius * roots[e % n + 1], q) - q)
                   for e in (i - 1, i, i + 1))
 
 
@@ -320,6 +323,99 @@ def _core_circle_clear(center, radius, crit, plane):
         if not chord + slack < ETA_SAFE * (abs(dist - radius) - slack):
             return False
     return not plane or reach + 1e-12 * reach <= CHART_LIMIT
+
+
+# the share of |lambda| r that the closed forms below leave to the chart
+# map's departure from its linear part
+LINEAR_MARGIN = 1e-6
+
+
+def _linear_part(gm, s):
+    """(lambda, B) with |gm(w) - lambda w| <= B on |w| <= s, or None.
+
+    For gm = N/D with N(0) = 0 exactly, lambda = N_1 / D_0 and gm(w) -
+    lambda w = sum_{j>=1} (N_j - lambda D_{j-1}) w^j / D(w), where |D(w)| >=
+    |D_0| - sum_{j>=1} |D_j| s^j. That sum must be at most |D_0| / 2, so
+    the quotient is at most twice the numerator sum over |D_0|; B is twice
+    that again, which covers the float sums (Horner's rule on nonnegative
+    terms, each difference padded by 1e-15 of its operands). None when
+    N(0) != 0, as at an anchor that is no double, or D is not so bounded."""
+    N, D = gm.numerator, gm.denominator
+    if N[0] != 0 or len(N) < 2 or D[0] == 0:
+        return None
+    lam = N[1] / D[0]
+    n = max(len(N), len(D) + 1)
+    N, D = N + (0j,) * (n - len(N)), D + (0j,) * (n - len(D))
+    num = den = 0.0
+    for j in range(n - 1, 0, -1):
+        term = lam * D[j - 1]
+        num = (num + abs(N[j] - term) + 1e-15 * (abs(N[j]) + abs(term))) * s
+        den = (den + abs(D[j])) * s
+    if not den <= 0.5 * abs(D[0]):
+        return None
+    return lam, 4.0 * num / abs(D[0])
+
+
+def _inner_reach(gm, center, radius):
+    """A reach about gm(center) of the stage-0 inner boundary image, which
+    the linear part (``_linear_part``) shows star-shaped, or None.
+
+    On |w| <= s = |center| + r, gm = lambda w + E with |E| <= B. A sample
+    w = center + r e^{it} maps to gm(center) + lambda r e^{it} + h with |h|
+    <= 2B, and Horner's rule at |w| <= s, the denominator held within
+    |D_0| / 2 of D_0, adds under 1e-14 (deg + 1) |lambda| s. When that
+    slack is at most LINEAR_MARGIN |lambda| r, each sample lies within
+    that share of the regular polygon lambda r e^{it} about the image of
+    the center, in angle and in modulus. Each turn about it is then 2 pi /
+    N_SAMP within 2e-6, well inside (0, pi), and the turns total one full
+    turn within far less than the first and the last: the polygon passes
+    ``_star_radii``, whose R is at most |lambda| r (1 + LINEAR_MARGIN), one
+    rounding of it less than the reach returned. |lambda| r above 1e-280
+    keeps the samples inside ``_star_radii``'s range and every product the
+    bound underflows far below the slack; |lambda| s below 1e11 keeps
+    every image inside ``_apply_map``'s."""
+    s = abs(center) + radius
+    lin = _linear_part(gm, s)
+    if lin is None:
+        return None
+    lam, bound = lin
+    reach = abs(lam) * radius
+    slack = 2.0 * bound + 1e-14 * (gm.degree + 1) * abs(lam) * s
+    if 1e-280 < reach and abs(lam) * s < 1e11 and \
+            slack <= LINEAR_MARGIN * reach:
+        return reach * (1.0 + 2.0 * LINEAR_MARGIN)
+    return None
+
+
+def _linear_lift(gm, crit, center, radius):
+    """lambda when the closing degree-1 lifts of the core polygon
+    (``_representative_curves``) are its nodes divided by lambda, else None.
+
+    The nodes lie in |w| <= s (s = |center| + r, padded for rounding), and
+    so do their lifts when (|lambda| - 1) s > B. There gm = lambda w + E
+    with |E| <= B (``_linear_part``), so by Rouche each target t of the
+    curve has exactly one preimage within B / |lambda| of t / lambda, the
+    branch ``lift_path`` continues; and z / lambda, rounded, misses its
+    target by at most B + 1e-12 s. So the lift is declined unless what
+    ``lift_path`` asks of every node holds with that slack: residual times
+    the chordal scale (at most 2) within EPS_LIFT, which also keeps s
+    below 500, inside the plane chart's CHART_LIMIT; and each step, the
+    chord 2 r sin(pi / N_CURVE) over |lambda| plus slack, below ETA_SAFE
+    times its gap to the critical points, at least min |c| - (s + B) /
+    |lambda|. The lifted polygon closes as the curve does."""
+    s = (abs(center) + radius) * (1.0 + 1e-12)
+    lin = _linear_part(gm, s)
+    if lin is None:
+        return None
+    lam, bound = lin
+    step = (2.0 * radius * math.sin(math.pi / N_CURVE) + 1e-12 * s
+            + 2.0 * bound) / abs(lam)
+    gap = min([abs(c) for c in crit], default=math.inf) - \
+        (s + bound) / abs(lam)
+    if (abs(lam) - 1.0) * s > bound and \
+            2.0 * (bound + 1e-12 * s) <= EPS_LIFT and step < ETA_SAFE * gap:
+        return lam
+    return None
 
 
 def _star_radii(zs, c):
@@ -399,15 +495,29 @@ def injectivity_test(g, annulus, k):
     passes every step, and |center| + r plus slack at most CHART_LIMIT
     keeps every sample in the plane chart.
 
+    When k = 1 the inner boundary image is judged in closed form where the
+    anchor chart map is its linear part lambda w to within a stated share
+    of |lambda| r_in on the inner disk (``_inner_reach``, LINEAR_MARGIN),
+    as it is far below one ulp at an emission step: the image is then
+    star-shaped about c_1, with a reach at most |lambda| r_in (1 + 2
+    LINEAR_MARGIN) that must lie inside the outer image's rho. The inner
+    circle is then neither mapped nor star-tested, and it is sampled only
+    where ``_circle_position`` finds a critical point in its band. At k >=
+    2, stage 1 needs the inner image, and the stage-0 test runs on it as
+    elsewhere; where the bound is not that small, the samples decide.
+
     Raises InjectivityUndetermined on any failed check (which is not a
     proof of non-injectivity)."""
     anchor = annulus.anchor
     gm, crit = g.chart(anchor)
     center = annulus.center
     r_in, r_out = annulus.r_in, annulus.r_out
-    inner = _circle(center, r_in, N_SAMP)
+    # an inner image the closed form settles and no later stage maps, like
+    # such a core, is not sampled
+    inner_reach = _inner_reach(gm, center, r_in) if k == 1 else None
+    inner = None if inner_reach is not None else \
+        _circle(center, r_in, N_SAMP)
     outer = _circle(center, r_out, N_SAMP)
-    # a core the closed form settles and no later stage maps is not sampled
     clear_core = _core_circle_clear(center, annulus.core_radius(), crit,
                                     anchor is None)
     core = None if clear_core and k == 1 else \
@@ -417,8 +527,8 @@ def injectivity_test(g, annulus, k):
         clear = math.inf
         for c in crit:
             if j == 0:
-                w_out, d_out = _circle_position(outer, c, center, r_out)
-                w_in, d_in = _circle_position(inner, c, center, r_in)
+                w_out, d_out = _circle_position(c, center, r_out, N_SAMP)
+                w_in, d_in = _circle_position(c, center, r_in, N_SAMP)
             else:
                 w_out, d_out = _winding(outer, c), _poly_min_dist(outer, c)
                 w_in, d_in = _winding(inner, c), _poly_min_dist(inner, c)
@@ -438,14 +548,18 @@ def injectivity_test(g, annulus, k):
                 "image of the annulus center leaves the working chart")
         images, radii = [], []
         for side, curve in (("inner", inner), ("outer", outer)):
+            if curve is None:  # the closed form's reach
+                images.append(None)
+                radii.append((None, inner_reach))
+                continue
             images.append(_apply_map(gm, curve))
             radii.append(_star_radii(images[-1], center))
             if radii[-1] is None:
                 raise InjectivityUndetermined(
                     "%s boundary image not star-shaped about the image of "
                     "the annulus center at stage %d" % (side, j))
-        (_, inner_reach), (outer_clear, _) = radii
-        if not inner_reach < outer_clear:
+        (_, reach), (outer_clear, _) = radii
+        if not reach < outer_clear:
             raise InjectivityUndetermined(
                 "boundary images not separated by a circle about the image "
                 "of the annulus center at stage %d" % j)
@@ -750,20 +864,35 @@ _COUNT_FIELDS = ("inner_count_A", "inner_count_B", "outer_count_A",
 def _windings(curves, annulus, q):
     """The winding about q of each representative curve: the core
     circle's by ``_circle_position``, its lifts' by ``_winding``."""
-    core = curves[0].nodes
-    return (_circle_position(core, q, annulus.center,
-                             annulus.core_radius())[0],) + \
+    return (_circle_position(q, annulus.center, annulus.core_radius(),
+                             N_CURVE)[0],) + \
         tuple(_winding(c.nodes, q) for c in curves[1:])
 
 
 def _representative_curves(run, annulus, k):
     """The annulus core circle plus k successive closing degree-1
-    inverse-branch lifts, or None when a lift does not close."""
+    inverse-branch lifts, or None when a lift does not close.
+
+    Where the anchor chart map is close enough to its linear part lambda w
+    on the disk about 0 that holds the core (``_linear_lift``), each lift
+    is the curve's nodes divided by lambda, with no Newton solve: the
+    bound shows that ``lift_path`` would accept every node, and the lift
+    it would return has each node within that bound of z / lambda, and
+    closes with degree 1. Elsewhere the start is solved by Newton from the
+    curve's first node and the curve lifted by ``lift_closed_curve``.
+    ``verify_certificate`` compares curves node for node to 1e-6 of their
+    size, so a certificate from either derivation passes ``check``."""
     anchor = annulus.anchor
-    gm, _ = run.g.chart(anchor)
-    core = _circle(annulus.center, annulus.core_radius(), N_CURVE)
+    gm, crit = run.g.chart(anchor)
+    radius = annulus.core_radius()
+    core = _circle(annulus.center, radius, N_CURVE)
     curves = [Path(core, anchor=anchor)]
+    lam = _linear_lift(gm, crit, annulus.center, radius)
     for _ in range(k):
+        if lam is not None:
+            curves.append(Path([z / lam for z in curves[-1].nodes],
+                               anchor=anchor))
+            continue
         start = curves[-1].nodes[0]
         found = _newton_preimage(gm, start, start)
         if found is None:

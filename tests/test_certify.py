@@ -1,5 +1,7 @@
 import cmath
+import collections
 import copy
+import functools
 import glob
 import json
 import math
@@ -464,7 +466,7 @@ def test_circle_position_matches_full_pass(center, radius, n, phi, scale):
     # the samples' coordinates
     zs = _circle(center, radius, n)
     q = center + scale * radius * cmath.exp(1j * phi)
-    w, d = _circle_position(zs, q, center, radius)
+    w, d = _circle_position(q, center, radius, n)
     assert w == _winding(zs, q)
     assert abs(d - _poly_min_dist(zs, q)) <= \
         1e-14 * (abs(center) + radius + abs(q))
@@ -486,11 +488,11 @@ def test_circle_position_needs_no_pass_off_the_band(monkeypatch):
     # a certificate circle in the chart at 2: chebyshev's critical point
     # sits at -2, far outside it; the center is inside
     center = 3e-30 + 1e-30j
-    zs = _circle(center, 1e-30, 512)
     monkeypatch.setattr(pullbacklab.certify, "_winding", None)
     monkeypatch.setattr(pullbacklab.certify, "_poly_min_dist", None)
-    assert _circle_position(zs, -2 + 0j, center, 1e-30) == (0, 2.0)
-    assert _circle_position(zs, center, center, 1e-30)[0] == 1
+    monkeypatch.setattr(pullbacklab.certify, "_circle", None)
+    assert _circle_position(-2 + 0j, center, 1e-30, 512) == (0, 2.0)
+    assert _circle_position(center, center, 1e-30, 512)[0] == 1
 
 
 def _bits(z):
@@ -1020,3 +1022,209 @@ def test_links_first_clustering_on_seeded_configurations():
         assert got == _all_pairs_clusters(points, log_r)
         sizes.update(len(c) for c in got)
     assert {2, 3, 4} <= sizes
+
+
+# -- closed forms at depth: the anchor chart's linear part -------------------
+
+@functools.lru_cache(maxsize=1)
+def _corpus_certificates():
+    """(name, run, certificate) for each certified corpus run and the run
+    anchored at oo, each run stepped to its certificate."""
+    return tuple((name, run, certify_obstructed(run))
+                 for name, run in _obstructed_corpus_runs())
+
+
+def test_closed_forms_decide_every_corpus_certificate(monkeypatch):
+    # the inner boundary image and the representative lifts come from the
+    # linear part on all 4 demo certificates and the oo one: derivation
+    # succeeds with the inner circle's mapping refused and with no Newton
+    # solve or lift, and gives the stored certificate
+    certs = _corpus_certificates()
+    assert [name for name, _, _ in certs] == [
+        "chebyshev.json", "iterate_composition.json", "squaring_a.json",
+        "squaring_b.json", "infinity"]
+    apply_map = certify._apply_map
+    for name, run, cert in certs:
+        ann = cert.annulus
+        gm, crit = run.g.chart(ann.anchor)
+        assert certify._inner_reach(gm, ann.center, ann.r_in) is not None
+        assert certify._linear_lift(gm, crit, ann.center,
+                                    ann.core_radius()) is not None
+        inner_first = _circle(ann.center, ann.r_in, N_SAMP)[0]
+
+        def refuse_inner(gm, zs, inner_first=inner_first):
+            if zs[0] == inner_first:
+                raise InjectivityUndetermined("inner circle mapped")
+            return apply_map(gm, zs)
+
+        def refuse(*args, **kw):
+            raise AssertionError("Newton solve or lift on a closed form")
+
+        with monkeypatch.context() as m:
+            m.setattr(certify, "_apply_map", refuse_inner)
+            m.setattr(certify, "lift_closed_curve", refuse)
+            m.setattr(certify, "_newton_preimage", refuse)
+            fields, faults = _derive_certificate(run, cert.step, ann)
+            assert faults == [] and verify_certificate(cert, run).ok, name
+        assert fields["injectivity_evidence"] == cert.injectivity_evidence
+        assert [c.nodes for c in fields["representative_curves"]] == \
+            [c.nodes for c in cert.representative_curves]
+
+
+def test_check_accepts_a_newton_lifted_curve():
+    # a certificate whose curve 1 is the Newton lift, as emitted before the
+    # closed form, passes check, and its nodes are the closed form's to
+    # within 1e-15 of the curve's size
+    for name, run, cert in _corpus_certificates():
+        core, lift = cert.representative_curves
+        gm, _ = run.g.chart(cert.annulus.anchor)
+        start = certify._newton_preimage(gm, core.start, core.start)[0]
+        res, closes = lift_closed_curve(run.g, core, start,
+                                        check_clearance=False)
+        assert closes and len(res.lifted) == len(lift), name
+        size = max(map(abs, lift.nodes))
+        assert all(abs(a - b) <= 1e-15 * size
+                   for a, b in zip(res.lifted.nodes, lift.nodes)), name
+        newton = copy.copy(cert)
+        newton.representative_curves = (core, res.lifted)
+        assert verify_certificate(newton, run).ok, name
+
+
+def _corpus_anchor_charts():
+    """(name, map, anchor) for each corpus puncture that a certificate is
+    anchored at."""
+    iterate = RationalMap([2, 0, -4, 0, 1])   # (z^2 - 2)^2 - 2
+    return (("chebyshev", CHEB, 2.0 + 0j), ("squaring", SQUARE, 1.0 + 0j),
+            ("iterate", iterate, 2.0 + 0j), ("infinity", AT_INFINITY[0], INF))
+
+
+def test_closed_forms_agree_with_the_sampled_reference():
+    # random deep annuli at the corpus anchors, r_in from 1e-200 to 1e-20,
+    # where the closed forms always decide, and annuli about their margins:
+    # wherever the closed form decides, the sampled stage-0 test passes
+    # with a reach no greater, and the closed-form lift is the Newton lift
+    # to within the bound
+    rng = random.Random(26)
+    seen = collections.Counter()
+    for name, g, q in _corpus_anchor_charts():
+        gm, crit = g.chart(q)
+        for deep in [True] * 12 + [False] * 12:
+            r_in = 10 ** (rng.uniform(-200, -20) if deep
+                          else rng.uniform(-8, -4))
+            center = r_in * rng.random() * cmath.exp(
+                1j * rng.uniform(-math.pi, math.pi))
+            radius = math.sqrt(r_in * 10 ** rng.uniform(-3, -1)) if deep \
+                else 10 ** rng.uniform(-6, -3)
+            reach = certify._inner_reach(gm, center, r_in)
+            lam = certify._linear_lift(gm, crit, center, radius)
+            seen[deep, reach is not None, lam is not None] += 1
+            if reach is not None:
+                radii = _star_radii(
+                    _apply_map(gm, _circle(center, r_in, N_SAMP)), gm(center))
+                assert radii is not None and radii[1] <= reach, (name, r_in)
+            if lam is not None:
+                core = Path(_circle(center, radius, certify.N_CURVE),
+                            anchor=q)
+                start = certify._newton_preimage(gm, core.start,
+                                                 core.start)[0]
+                res, closes = lift_closed_curve(g, core, start,
+                                                check_clearance=False)
+                s = (abs(center) + radius) * (1 + 1e-12)
+                slack = certify._linear_part(gm, s)[1] / abs(lam) + 1e-15 * s
+                assert closes and all(
+                    abs(z / lam - w) <= slack
+                    for z, w in zip(core.nodes, res.lifted.nodes)), \
+                    (name, radius)
+    assert seen[True, True, True] == 48
+    assert {key[1:] for key in seen if not key[0]} >= {
+        (True, True), (False, False), (True, False)}
+
+
+def test_closed_forms_decline_an_inexact_anchor_and_a_shallow_annulus():
+    # at the alpha fixed point of z^2 + c, no double, gm(0) != 0; a
+    # shallow annulus is far from its chart map's linear part
+    c = -1.5436890126920764
+    alpha = (1 - cmath.sqrt(1 - 4 * c)) / 2
+    gm, crit = RationalMap([c, 0, 1]).chart(alpha)
+    assert gm.numerator[0] != 0 and certify._linear_part(gm, 1e-40) is None
+    assert certify._inner_reach(gm, 1e-40 + 0j, 1e-40) is None
+    gm, crit = CHEB.chart(2.0 + 0j)
+    assert certify._inner_reach(gm, 0.01 + 0j, 0.02) is None
+    assert certify._linear_lift(gm, crit, 0.01 + 0j, 0.02) is None
+    assert certify._inner_reach(gm, 1e-9 + 0j, 1e-9) is not None
+
+
+def test_closed_form_lift_is_declined_where_lift_path_bisects(monkeypatch):
+    # 4w + c w^3 has its critical points at +-1.5e-10 i, 1.5 times the
+    # radius of a core about 0: with 4 nodes a step of the lift is longer
+    # than the branch safeguard allows, lift_path bisects it, and the
+    # closed form declines it (the chart is given with its critical
+    # points, which root finding at this scale does not resolve)
+    monkeypatch.setattr(certify, "N_CURVE", 4)
+    a, radius = 1.5e-10, 1e-10
+    gm, crit = RationalMap([0, 4, 0, 4 / (3 * a * a)]), (a * 1j, -a * 1j)
+    assert max(abs(gm.evaluate_with_derivative(c)[1]) for c in crit) < 1e-5
+    assert certify._linear_lift(gm, crit, 0j, radius) is None
+    core = Path(_circle(0j, radius, 4), anchor=0j)
+    start = certify._newton_preimage(gm, core.start, core.start)[0]
+    res, closes = lift_closed_curve(_FixedChart(gm, crit), core, start,
+                                    check_clearance=False)
+    assert closes and res.subdivisions > 0
+
+
+class _FixedChart:
+    """A map whose chart at any anchor is the given one."""
+
+    def __init__(self, gm, crit):
+        self._chart = gm, crit
+
+    def chart(self, q=None):
+        return self._chart
+
+
+def test_linear_part_bounds_the_map_on_the_disk():
+    # seeded rational maps with gm(0) = 0 and disks up to and past half
+    # the smallest pole: where a bound is given, |gm(w) - lambda w| is
+    # within it on the circle |w| = s, where the disk's maximum lies
+    rng = random.Random(27)
+
+    def coef():
+        return complex(rng.gauss(0, 1), rng.gauss(0, 1))
+
+    outcomes = collections.Counter()
+    for _ in range(400):
+        gm = RationalMap([0, coef()] + [coef() for _ in range(
+            rng.randrange(3))], [coef() for _ in range(rng.randrange(1, 4))],
+            check=False)
+        poles = [abs(p) for p in np.roots(gm.denominator[::-1])]
+        s = min(poles + [1.0]) * 10 ** rng.uniform(-1.5, 0)
+        lin = certify._linear_part(gm, s)
+        outcomes[lin is None] += 1
+        if lin is not None:
+            lam, bound = lin
+            assert lam == gm.numerator[1] / gm.denominator[0]
+            assert max(abs(gm(w) - lam * w)
+                       for w in _circle(0j, s, 256)) <= bound
+    assert outcomes[True] > 30 and outcomes[False] > 30, outcomes
+
+
+def test_closed_forms_decline_at_their_edges():
+    # each condition of the closed forms past its edge: an attracting
+    # fixed point (lifts leave the disk), an inner image below
+    # _star_radii's range, and one past _apply_map's
+    square = SQUARE.chart(1.0 + 0j)
+    assert certify._linear_lift(*square, 1e-20, 1e-20) is not None
+    attracting = RationalMap([0, 0.5, 1])
+    assert certify._linear_lift(*attracting.chart(0j), 1e-20,
+                                1e-20) is None
+    gm = square[0]
+    assert _star_radii(_apply_map(gm, _circle(0j, 1e-305, N_SAMP)),
+                       0j) is None
+    assert certify._inner_reach(gm, 0j, 1e-305) is None
+    assert certify._inner_reach(gm, 0j, 1e-270) is not None
+    # 4 w, with a common factor that keeps it a degree-2 map
+    gm = RationalMap([0, 4, 1e-12], [1, 2.5e-13], check=False)
+    with pytest.raises(InjectivityUndetermined):
+        _apply_map(gm, _circle(3e11 + 0j, 1e9, N_SAMP))
+    assert certify._inner_reach(gm, 3e11 + 0j, 1e9) is None
+    assert certify._inner_reach(gm, 3e9 + 0j, 1e9) is not None
