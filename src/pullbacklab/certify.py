@@ -750,11 +750,13 @@ def _log_euclid_dist(a, b):
     return math.log(max(abs(z1 - z2), 1e-300))
 
 
-def emit_levy_certificate(run, engine_version=""):
+def emit_levy_certificate(run, engine_version="", declined=None):
     """Attempt certificate emission at the run's current step.
 
     Returns None when no cluster at the threshold scale yields a qualifying
-    annulus; raises nothing on ordinary failure paths."""
+    annulus; raises nothing on ordinary failure paths. Each declined
+    cluster's first message (``_try_cluster``) is appended to the list
+    ``declined`` when one is given."""
     n = run.n
     if n < 1:
         raise ValueError("run has no step %d" % n)
@@ -764,9 +766,11 @@ def emit_levy_certificate(run, engine_version=""):
     points = run.step_points(n)
 
     for cluster in _clusters(points, len(run.punctures), log_r_cluster):
-        cert = _try_cluster(run, n, points, cluster, engine_version)
+        cert, message = _try_cluster(run, n, points, cluster, engine_version)
         if cert is not None:
             return cert
+        if declined is not None:
+            declined.append(message)
     return None
 
 
@@ -797,8 +801,9 @@ def _clusters(points, n_punctures, log_r):
 
 
 def _try_cluster(run, n, points, cluster, engine_version):
-    """The certificate for the annulus separating the cluster, or None when
-    there is no such annulus or its derived certificate has faults."""
+    """(certificate, None) for the annulus separating the cluster, or
+    (None, why not): the text of the NoSeparatingAnnulus raised, or the
+    first fault of the derived certificate."""
     # the chart at the cluster's first puncture, oo included, if it has one
     q = next((z for _, kind, z, _ in cluster if kind == "P"), None)
     try:
@@ -808,13 +813,13 @@ def _try_cluster(run, n, points, cluster, engine_version):
             [(lab, z) for lab, _, z in entries],
             [lab for lab, _, _, _ in cluster],
             obstacles=run.g.chart(q)[1], anchor=q)
-    except NoSeparatingAnnulus:
-        return None
+    except NoSeparatingAnnulus as exc:
+        return None, str(exc)
     fields, faults = _derive_certificate(run, n, annulus)
     if faults:
-        return None
+        return None, faults[0]
     return LevyCertificate(n, annulus, fields, engine_version=engine_version,
-                           tolerances=run.tol.to_json())
+                           tolerances=run.tol.to_json()), None
 
 
 def _derive_certificate(run, n, annulus):
@@ -925,15 +930,18 @@ def certify_obstructed(run, engine_version="", max_steps=None,
     cluster scale e^{-2 pi threshold} falls below double range the engine
     returns None immediately: the certificate chart cannot represent the
     collapsing cluster at that depth. That test is made on the log of the
-    threshold, which stays finite where the threshold overflows."""
+    threshold, which stays finite where the threshold overflows. A call
+    that reaches the cap names the last attempt that declined a cluster:
+    its step and its first cluster's message (``emit_levy_certificate``)."""
     cap = run.tol.max_iters if max_steps is None else max_steps
     # d0 and k never change once the run has stepped, so the threshold and
     # its floor test are settled at the first attempt; one that fails ends
     # the call
     floor_cleared = False
+    last_declined = ""
 
     def attempt():
-        nonlocal floor_cleared
+        nonlocal floor_cleared, last_declined
         if run.n < 1:
             return None
         if not floor_cleared:
@@ -949,12 +957,18 @@ def certify_obstructed(run, engine_version="", max_steps=None,
                 return None, ("cluster scale exp(-2 pi * %s) is below the "
                               "double-range certificate chart" % threshold)
             floor_cleared = True
-        cert = emit_levy_certificate(run, engine_version=engine_version)
+        declined = []
+        cert = emit_levy_certificate(run, engine_version=engine_version,
+                                     declined=declined)
+        if declined:
+            last_declined = "; last attempt at step %d: %s" % (run.n,
+                                                               declined[0])
         return None if cert is None else (cert, "emitted at step %d"
                                           % cert.step)
 
     outcome = step_until(run, attempt, cap, records) or \
-        (None, "no qualifying annulus within %d steps" % cap)
+        (None, "no qualifying annulus within %d steps%s" % (cap,
+                                                             last_declined))
     return outcome if with_reason else outcome[0]
 
 

@@ -718,6 +718,27 @@ def test_emission_floor_reason():
     assert "below the double-range" in note
 
 
+def test_note_names_the_last_declined_attempt():
+    # k = 2: at step 700 the widest annulus's modulus is past the
+    # threshold, and its injectivity test fails at stage 1; the note keeps
+    # the prefix perfbench reads and names the step and the stage
+    b = 0.6 + 0.1j
+    run = init_run(SQUARE, [BranchDatum(b, cmath.sqrt(b))],
+                   extra_punctures=[1.0, -1.0])
+    while run.n < 700:
+        run.pullback_step()
+    cert, note = certify_obstructed(run, with_reason=True, max_steps=700)
+    assert cert is None
+    assert note == (
+        "no qualifying annulus within 700 steps; last attempt at step 700: "
+        "injectivity test failed: outer boundary image not star-shaped "
+        "about the image of the annulus center at stage 1")
+    # a run whose attempts decline no cluster keeps the bare note
+    run = init_run(CHEB, [BranchDatum(0.0, math.sqrt(2))])
+    assert certify_obstructed(run, with_reason=True, max_steps=3) == (
+        None, "no qualifying annulus within 3 steps")
+
+
 def test_threshold_is_taken_once_per_certification_call(monkeypatch):
     # d0 and k are fixed once the run has stepped, so one call takes the
     # threshold and its floor test once, however long its tail; a first
@@ -1228,3 +1249,22 @@ def test_closed_forms_decline_at_their_edges():
         _apply_map(gm, _circle(3e11 + 0j, 1e9, N_SAMP))
     assert certify._inner_reach(gm, 3e11 + 0j, 1e9) is None
     assert certify._inner_reach(gm, 3e9 + 0j, 1e9) is not None
+
+
+def test_check_rejects_a_forged_modulus_below_the_threshold():
+    # each certificate with its outer radius shrunk to 0.75 of the
+    # threshold modulus, its stored modulus made to match: the modulus
+    # condition alone fails (a check that accepted half the threshold
+    # would pass it)
+    for name, run, cert in _corpus_certificates():
+        ann = cert.annulus
+        forged = copy.copy(cert)
+        forged.annulus = RoundAnnulus(
+            ann.center, ann.log_rin,
+            ann.log_rin + certify.TWO_PI * 0.75 * cert.threshold,
+            anchor=ann.anchor)
+        forged.modulus = annulus_modulus(forged.annulus)
+        assert abs(forged.modulus / cert.threshold - 0.75) < 1e-12
+        result = verify_certificate(forged, run)
+        assert result.mismatches == ["modulus does not exceed threshold"], \
+            (name, result.mismatches)
