@@ -366,11 +366,17 @@ def cancel_retraces(path):
 
 
 def _point_in_triangle(q, a, b, c):
+    """Whether q lies in the closed triangle abc. A q on the line of a
+    collinear abc (all three cross products 0) counts as outside: the
+    distance test of ``_triangle_clear`` judges it, and one inside the
+    hull lies at distance 0 from an edge."""
     def cross(u, v):
         return u.real * v.imag - u.imag * v.real
     d1 = cross(b - a, q - a)
     d2 = cross(c - b, q - b)
     d3 = cross(a - c, q - c)
+    if not (d1 or d2 or d3):
+        return False
     neg = d1 < 0 or d2 < 0 or d3 < 0
     pos = d1 > 0 or d2 > 0 or d3 > 0
     return not (neg and pos)

@@ -194,6 +194,18 @@ def test_simplify_preserves_endpoints_and_avoids_obstacles():
     assert len(kept) == 3
 
 
+def test_simplify_drops_collinear_nodes_clear_of_obstacles_on_their_line():
+    # a real-axis block with punctures +-2 on its line but off its hull:
+    # every interior node goes; a puncture inside the hull, or on a
+    # backtracking block's hull, keeps the node that passes it
+    block = Path([-1, -0.25, 0.5 + 0j, 1])
+    assert simplify_path(block, [-2 + 0j, 2 + 0j]).nodes == (-1, 1)
+    assert simplify_path(Path([-1, 0.5 + 0j, 1]), [0j]).nodes == \
+        (-1, 0.5, 1)
+    assert simplify_path(Path([0, 1.5 + 0j, 1]), [1.25 + 0j]).nodes == \
+        (0, 1.5, 1)
+
+
 def test_simplify_keeps_homotopy_class_around_puncture():
     # a path winding over the top of the puncture must not be flattened
     # through it
