@@ -331,18 +331,18 @@ LINEAR_MARGIN = 1e-6
 
 
 def _linear_part(gm, s):
-    """(lambda, B) with |gm(w) - lambda w| <= B on |w| <= s, or None.
+    """(lambda, B) with |gm(w) - lambda w| <= B on |w| <= s; B is inf where
+    no bound is found.
 
     For gm = N/D with N(0) = 0 exactly, lambda = N_1 / D_0 and gm(w) -
-    lambda w = sum_{j>=1} (N_j - lambda D_{j-1}) w^j / D(w), where |D(w)| >=
-    |D_0| - sum_{j>=1} |D_j| s^j. That sum must be at most |D_0| / 2, so
-    the quotient is at most twice the numerator sum over |D_0|; B is twice
-    that again, which covers the float sums (Horner's rule on nonnegative
-    terms, each difference padded by 1e-15 of its operands). None when
-    N(0) != 0, as at an anchor that is no double, or D is not so bounded."""
+    lambda w = sum_{j>=1} (N_j - lambda D_{j-1}) w^j / D(w). With sum_{j>=1}
+    |D_j| s^j at most |D_0| / 2, |D(w)| >= |D_0| / 2, and B is twice the
+    bound that gives, which covers the float sums (Horner's rule on
+    nonnegative terms, each difference padded by 1e-15 of its operands).
+    An anchor that is no double has N(0) != 0: no bound."""
     N, D = gm.numerator, gm.denominator
     if N[0] != 0 or len(N) < 2 or D[0] == 0:
-        return None
+        return 0j, math.inf
     lam = N[1] / D[0]
     n = max(len(N), len(D) + 1)
     N, D = N + (0j,) * (n - len(N)), D + (0j,) * (n - len(D))
@@ -351,34 +351,26 @@ def _linear_part(gm, s):
         term = lam * D[j - 1]
         num = (num + abs(N[j] - term) + 1e-15 * (abs(N[j]) + abs(term))) * s
         den = (den + abs(D[j])) * s
-    if not den <= 0.5 * abs(D[0]):
-        return None
-    return lam, 4.0 * num / abs(D[0])
+    return lam, 4.0 * num / abs(D[0]) if den <= 0.5 * abs(D[0]) else math.inf
 
 
 def _inner_reach(gm, center, radius):
     """A reach about gm(center) of the stage-0 inner boundary image, which
-    the linear part (``_linear_part``) shows star-shaped, or None.
+    the linear part shows star-shaped, or None.
 
-    On |w| <= s = |center| + r, gm = lambda w + E with |E| <= B. A sample
-    w = center + r e^{it} maps to gm(center) + lambda r e^{it} + h with |h|
-    <= 2B, and Horner's rule at |w| <= s, the denominator held within
-    |D_0| / 2 of D_0, adds under 1e-14 (deg + 1) |lambda| s. When that
-    slack is at most LINEAR_MARGIN |lambda| r, each sample lies within
-    that share of the regular polygon lambda r e^{it} about the image of
-    the center, in angle and in modulus. Each turn about it is then 2 pi /
-    N_SAMP within 2e-6, well inside (0, pi), and the turns total one full
-    turn within far less than the first and the last: the polygon passes
-    ``_star_radii``, whose R is at most |lambda| r (1 + LINEAR_MARGIN), one
-    rounding of it less than the reach returned. |lambda| r above 1e-280
-    keeps the samples inside ``_star_radii``'s range and every product the
-    bound underflows far below the slack; |lambda| s below 1e11 keeps
-    every image inside ``_apply_map``'s."""
+    On |w| <= s = |center| + r, gm = lambda w + E with |E| <= B
+    (``_linear_part``), so each sample maps to gm(center) + lambda r e^{it}
+    + h with |h| <= 2B, and Horner's rule adds under 1e-14 (deg + 1)
+    |lambda| s. With that slack at most LINEAR_MARGIN |lambda| r, each
+    sample is that close, in angle and in modulus, to a regular N_SAMP-gon
+    about gm(center): every turn about it is 2 pi / N_SAMP within 2e-6 and
+    the turns total one turn, so the polygon passes ``_star_radii``, whose
+    R is below the reach returned. |lambda| r above 1e-280 keeps the
+    samples in ``_star_radii``'s range and what the bound's products lose
+    to underflow far below the slack; |lambda| s below 1e11 keeps the
+    images in ``_apply_map``'s."""
     s = abs(center) + radius
-    lin = _linear_part(gm, s)
-    if lin is None:
-        return None
-    lam, bound = lin
+    lam, bound = _linear_part(gm, s)
     reach = abs(lam) * radius
     slack = 2.0 * bound + 1e-14 * (gm.degree + 1) * abs(lam) * s
     if 1e-280 < reach and abs(lam) * s < 1e11 and \
@@ -391,29 +383,26 @@ def _linear_lift(gm, crit, center, radius):
     """lambda when the closing degree-1 lifts of the core polygon
     (``_representative_curves``) are its nodes divided by lambda, else None.
 
-    The nodes lie in |w| <= s (s = |center| + r, padded for rounding), and
-    so do their lifts when (|lambda| - 1) s > B. There gm = lambda w + E
-    with |E| <= B (``_linear_part``), so by Rouche each target t of the
-    curve has exactly one preimage within B / |lambda| of t / lambda, the
-    branch ``lift_path`` continues; and z / lambda, rounded, misses its
-    target by at most B + 1e-12 s. So the lift is declined unless what
-    ``lift_path`` asks of every node holds with that slack: residual times
-    the chordal scale (at most 2) within EPS_LIFT, which also keeps s
-    below 500, inside the plane chart's CHART_LIMIT; and each step, the
-    chord 2 r sin(pi / N_CURVE) over |lambda| plus slack, below ETA_SAFE
-    times its gap to the critical points, at least min |c| - (s + B) /
-    |lambda|. The lifted polygon closes as the curve does."""
+    The nodes lie in |w| <= s (|center| + r, padded for rounding), and so
+    do their lifts when (|lambda| - 1) s > B. There gm = lambda w + E with
+    |E| <= B (``_linear_part``), so by Rouche each target t has exactly one
+    preimage within B / |lambda| of t / lambda: the branch ``lift_path``
+    continues, and it closes with degree 1 as the curve does. z / lambda,
+    rounded, misses its target by at most B + 1e-12 s; with that slack
+    each node must pass what ``lift_path`` asks: residual times the
+    chordal scale (at most 2) within EPS_LIFT, which also keeps s below
+    500, inside CHART_LIMIT; and a step, the chord 2 r sin(pi / N_CURVE)
+    over |lambda| plus slack, below ETA_SAFE times the gap to the critical
+    points, at least min |c| - (s + B) / |lambda|."""
     s = (abs(center) + radius) * (1.0 + 1e-12)
-    lin = _linear_part(gm, s)
-    if lin is None:
+    lam, bound = _linear_part(gm, s)
+    if not (abs(lam) - 1.0) * s > bound:
         return None
-    lam, bound = lin
     step = (2.0 * radius * math.sin(math.pi / N_CURVE) + 1e-12 * s
             + 2.0 * bound) / abs(lam)
     gap = min([abs(c) for c in crit], default=math.inf) - \
         (s + bound) / abs(lam)
-    if (abs(lam) - 1.0) * s > bound and \
-            2.0 * (bound + 1e-12 * s) <= EPS_LIFT and step < ETA_SAFE * gap:
+    if 2.0 * (bound + 1e-12 * s) <= EPS_LIFT and step < ETA_SAFE * gap:
         return lam
     return None
 
@@ -495,16 +484,14 @@ def injectivity_test(g, annulus, k):
     passes every step, and |center| + r plus slack at most CHART_LIMIT
     keeps every sample in the plane chart.
 
-    When k = 1 the inner boundary image is judged in closed form where the
-    anchor chart map is its linear part lambda w to within a stated share
-    of |lambda| r_in on the inner disk (``_inner_reach``, LINEAR_MARGIN),
-    as it is far below one ulp at an emission step: the image is then
-    star-shaped about c_1, with a reach at most |lambda| r_in (1 + 2
-    LINEAR_MARGIN) that must lie inside the outer image's rho. The inner
-    circle is then neither mapped nor star-tested, and it is sampled only
-    where ``_circle_position`` finds a critical point in its band. At k >=
-    2, stage 1 needs the inner image, and the stage-0 test runs on it as
-    elsewhere; where the bound is not that small, the samples decide.
+    When k = 1 and the anchor chart map is its linear part lambda w to
+    within LINEAR_MARGIN |lambda| r_in on the inner disk, as it is far
+    below one ulp at an emission step, the inner image is star-shaped
+    about c_1 with a reach of |lambda| r_in (1 + 2 LINEAR_MARGIN)
+    (``_inner_reach``), which the outer image's rho must exceed. The inner
+    circle is then neither mapped nor star-tested, and sampled only in
+    ``_circle_position``'s band case. Otherwise, and at k >= 2, whose
+    stage 1 needs the inner image, the samples decide.
 
     Raises InjectivityUndetermined on any failed check (which is not a
     proof of non-injectivity)."""
@@ -512,8 +499,8 @@ def injectivity_test(g, annulus, k):
     gm, crit = g.chart(anchor)
     center = annulus.center
     r_in, r_out = annulus.r_in, annulus.r_out
-    # an inner image the closed form settles and no later stage maps, like
-    # such a core, is not sampled
+    # an inner image or a core the closed forms settle and no later stage
+    # maps is not sampled
     inner_reach = _inner_reach(gm, center, r_in) if k == 1 else None
     inner = None if inner_reach is not None else \
         _circle(center, r_in, N_SAMP)
@@ -878,15 +865,12 @@ def _representative_curves(run, annulus, k):
     """The annulus core circle plus k successive closing degree-1
     inverse-branch lifts, or None when a lift does not close.
 
-    Where the anchor chart map is close enough to its linear part lambda w
-    on the disk about 0 that holds the core (``_linear_lift``), each lift
-    is the curve's nodes divided by lambda, with no Newton solve: the
-    bound shows that ``lift_path`` would accept every node, and the lift
-    it would return has each node within that bound of z / lambda, and
-    closes with degree 1. Elsewhere the start is solved by Newton from the
-    curve's first node and the curve lifted by ``lift_closed_curve``.
-    ``verify_certificate`` compares curves node for node to 1e-6 of their
-    size, so a certificate from either derivation passes ``check``."""
+    Where the anchor chart map's linear part lambda w shows that
+    ``lift_path`` would accept every node (``_linear_lift``), each lift is
+    the curve's nodes divided by lambda, within the bound of the lift
+    ``lift_closed_curve`` returns from a Newton-solved start, which is
+    used elsewhere. ``verify_certificate`` compares curves to 1e-6 of
+    their size, so a certificate from either derivation passes."""
     anchor = annulus.anchor
     gm, crit = run.g.chart(anchor)
     radius = annulus.core_radius()

@@ -1167,7 +1167,8 @@ def test_closed_forms_decline_an_inexact_anchor_and_a_shallow_annulus():
     c = -1.5436890126920764
     alpha = (1 - cmath.sqrt(1 - 4 * c)) / 2
     gm, crit = RationalMap([c, 0, 1]).chart(alpha)
-    assert gm.numerator[0] != 0 and certify._linear_part(gm, 1e-40) is None
+    assert gm.numerator[0] != 0
+    assert certify._linear_part(gm, 1e-40)[1] == math.inf
     assert certify._inner_reach(gm, 1e-40 + 0j, 1e-40) is None
     gm, crit = CHEB.chart(2.0 + 0j)
     assert certify._inner_reach(gm, 0.01 + 0j, 0.02) is None
@@ -1219,10 +1220,9 @@ def test_linear_part_bounds_the_map_on_the_disk():
             check=False)
         poles = [abs(p) for p in np.roots(gm.denominator[::-1])]
         s = min(poles + [1.0]) * 10 ** rng.uniform(-1.5, 0)
-        lin = certify._linear_part(gm, s)
-        outcomes[lin is None] += 1
-        if lin is not None:
-            lam, bound = lin
+        lam, bound = certify._linear_part(gm, s)
+        outcomes[bound == math.inf] += 1
+        if bound < math.inf:
             assert lam == gm.numerator[1] / gm.denominator[0]
             assert max(abs(gm(w) - lam * w)
                        for w in _circle(0j, s, 256)) <= bound
