@@ -1161,21 +1161,6 @@ def test_closed_forms_agree_with_the_sampled_reference():
         (True, True), (False, False), (True, False)}
 
 
-def test_closed_forms_decline_an_inexact_anchor_and_a_shallow_annulus():
-    # at the alpha fixed point of z^2 + c, no double, gm(0) != 0; a
-    # shallow annulus is far from its chart map's linear part
-    c = -1.5436890126920764
-    alpha = (1 - cmath.sqrt(1 - 4 * c)) / 2
-    gm, crit = RationalMap([c, 0, 1]).chart(alpha)
-    assert gm.numerator[0] != 0
-    assert certify._linear_part(gm, 1e-40)[1] == math.inf
-    assert certify._inner_reach(gm, 1e-40 + 0j, 1e-40) is None
-    gm, crit = CHEB.chart(2.0 + 0j)
-    assert certify._inner_reach(gm, 0.01 + 0j, 0.02) is None
-    assert certify._linear_lift(gm, crit, 0.01 + 0j, 0.02) is None
-    assert certify._inner_reach(gm, 1e-9 + 0j, 1e-9) is not None
-
-
 def test_closed_form_lift_is_declined_where_lift_path_bisects(monkeypatch):
     # 4w + c w^3 has its critical points at +-1.5e-10 i, 1.5 times the
     # radius of a core about 0: with 4 nodes a step of the lift is longer
@@ -1230,9 +1215,19 @@ def test_linear_part_bounds_the_map_on_the_disk():
 
 
 def test_closed_forms_decline_at_their_edges():
-    # each condition of the closed forms past its edge: an attracting
-    # fixed point (lifts leave the disk), an inner image below
+    # each condition of the closed forms past its edge: the alpha fixed
+    # point of z^2 + c, no double (gm(0) != 0), a shallow annulus, an
+    # attracting fixed point (lifts leave the disk), an inner image below
     # _star_radii's range, and one past _apply_map's
+    c = -1.5436890126920764
+    gm, _ = RationalMap([c, 0, 1]).chart((1 - cmath.sqrt(1 - 4 * c)) / 2)
+    assert gm.numerator[0] != 0
+    assert certify._linear_part(gm, 1e-40)[1] == math.inf
+    assert certify._inner_reach(gm, 1e-40 + 0j, 1e-40) is None
+    gm, crit = CHEB.chart(2.0 + 0j)
+    assert certify._inner_reach(gm, 0.01 + 0j, 0.02) is None
+    assert certify._linear_lift(gm, crit, 0.01 + 0j, 0.02) is None
+    assert certify._inner_reach(gm, 1e-9 + 0j, 1e-9) is not None
     square = SQUARE.chart(1.0 + 0j)
     assert certify._linear_lift(*square, 1e-20, 1e-20) is not None
     attracting = RationalMap([0, 0.5, 1])
