@@ -11,15 +11,11 @@ certificates are numerical evidence, with every tolerance embedded.
 
 The injectivity evidence asks, at each forward stage, that the images of
 the two boundary circles be star-shaped about the image of the annulus
-center and separated by a circle about it (``injectivity_test``): every
-curve involved is the image of a round circle, so O(n) tests in pure
-Python suffice, and no pair of edges is tested. A simple image that is
-not star-shaped is declined. The core curve's inverse lift is the core
-curve itself, by unique path lifting away from the critical points, so
-no preimage is solved again: each step between its samples must pass
-the branch safeguard ``lift_path`` applies (``lifting.branch_step``),
-and a step that fails is declined where ``lift_path`` would bisect it.
-Its recorded lift residual is therefore 0.0.
+center and separated by a circle about it (``injectivity_test``): O(n)
+tests, with no pair of edges tested. The core curve is its own inverse
+lift, so no preimage is solved for it, and the representative curves
+are the core circle and its lifts z / lambda, read from the anchor chart
+map's linear part (``_linear_lift``), with no Newton solve.
 
 Emission and ``verify_certificate`` derive a certificate the same way:
 ``_derive_certificate`` computes every field from the run, the step and
@@ -45,8 +41,8 @@ from .errors import (InjectivityUndetermined, NoSeparatingAnnulus,
                      PullbackLabError)
 from .fiber import step_until
 from .hyperbolic import ELL_STAR, RoundAnnulus, annulus_modulus
-from .lifting import (EPS_CV, EPS_LIFT, ETA_SAFE, Path, branch_step,
-                      lift_closed_curve, _newton_preimage, _seg_closest)
+from .lifting import EPS_CV, EPS_LIFT, ETA_SAFE, Path, branch_step, _seg_closest
+from .lifting import lift_closed_curve  # noqa: F401 (perfbench spans this name)
 from .ratmap import EPS_FIX, fixed_multiplier, is_repelling
 from .sphere import (CHART_LIMIT, INF, chart_coordinate, chordal,
                      encode_point, is_inf, json_float, json_typed)
@@ -313,18 +309,6 @@ def _circle_position(q, center, radius, n):
                   for e in (i - 1, i, i + 1))
 
 
-def _core_circle_clear(center, radius, crit, plane):
-    """Whether the core circle clearly passes stage 0's sample loop
-    (``injectivity_test``); False decides nothing."""
-    chord = 2.0 * radius * math.sin(math.pi / N_SAMP)
-    reach = abs(center) + radius
-    for dist in [abs(c - center) for c in crit]:
-        slack = 1e-12 * (reach + dist)
-        if not chord + slack < ETA_SAFE * (abs(dist - radius) - slack):
-            return False
-    return not plane or reach + 1e-12 * reach <= CHART_LIMIT
-
-
 # the share of |lambda| r that the closed forms below leave to the chart
 # map's departure from its linear part
 LINEAR_MARGIN = 1e-6
@@ -393,7 +377,14 @@ def _linear_lift(gm, crit, center, radius):
     chordal scale (at most 2) within EPS_LIFT, which also keeps s below
     500, inside CHART_LIMIT; and a step, the chord 2 r sin(pi / N_CURVE)
     over |lambda| plus slack, below ETA_SAFE times the gap to the critical
-    points, at least min |c| - (s + B) / |lambda|."""
+    points, at least min |c| - (s + B) / |lambda|.
+
+    Where this declines, the derivation fails, with no other lift tried.
+    It holds with room wherever the modulus condition does: at an exact
+    anchor the annulus is centred in its cluster, so s ~ r and B ~
+    |quad| s^2; an inexact anchor's eps* keeps the modulus low, or the
+    threshold is past the emission floor; and a cluster of marked points
+    alone stays below modulus log(1e9) / 2 pi (EPS_SEP relative to |eta|)."""
     s = (abs(center) + radius) * (1.0 + 1e-12)
     lam, bound = _linear_part(gm, s)
     if not (abs(lam) - 1.0) * s > bound:
@@ -448,50 +439,38 @@ def injectivity_test(g, annulus, k):
     and a degree-1 closing inverse lift of the core curve.
 
     Boundary images are mapped sample by sample (``_apply_map``). At
-    stage j both images must be star-shaped about c_{j+1} = gm^{j+1}(annulus
+    stage j both must be star-shaped about c_{j+1} = gm^{j+1}(annulus
     center) (``_star_radii``), which makes each simple, and the inner
-    image's farthest sample must lie nearer to c_{j+1} than every edge line
-    of the outer image, which makes them disjoint. Both tests are O(n).
-    They are stricter than simplicity and disjointness themselves: a
-    simple image that is not star-shaped about c_{j+1} is declined, with
-    the stage named. At stage 0 the tracked curves are ``_circle``'s
-    polygons, and a critical point outside the outer circle or inside the
-    inner inradius needs no pass (``_circle_position``).
+    image's farthest sample must lie nearer to c_{j+1} than every edge
+    line of the outer image, which makes them disjoint. These O(n) tests
+    are stricter than what they show: an image that is simple but not
+    star-shaped is declined with the stage named. At stage 0 the curves
+    are ``_circle``'s polygons, and a critical point outside the outer
+    circle or inside the inner inradius needs no pass
+    (``_circle_position``).
 
-    The core curve gamma_j = gm^j(core circle) needs no lift solved. The
-    stage's critical-point test keeps every critical point out of the
-    tracked region, so gamma_j avoids them; at a regular point the lift of
-    gm o gamma_j from gamma_j(0) is unique, so it is gamma_j itself, and it
-    closes because gamma_j does. The stage therefore takes gamma_j's
-    samples as the lift's nodes and keeps the numerical content of a
-    Newton lift, its branch safeguard: each step between consecutive
-    samples must be shorter than ``lifting.branch_step`` at its start, and
-    in the plane chart every sample must stay within CHART_LIMIT, as
-    ``lift_path`` requires of the nodes it accepts. That is stricter than
-    ``lift_path``, which would bisect a step the safeguard refuses; here
-    it is declined, with the stage named. ``core_lift_residual`` is 0.0:
-    the lift's nodes are the samples, and their images are its targets
-    bit for bit. The key stays in the evidence, whose format is unchanged.
-    The core is mapped forward only for a later stage.
-
-    At stage 0 the core is ``_circle``'s polygon of radius r, and a closed
-    form clears it where it clearly passes (``_core_circle_clear``); else
-    the sample loop decides, as at every later stage. Its steps are the
-    chord 2r sin(pi / N_SAMP), and a sample is no nearer a critical point
-    c than the gap ||c - center| - r|, each up to a few ulps of |center| +
-    r + |c - center|, far inside ``_circle_position``'s 1e-12 relative
-    slack. So a chord plus slack below ETA_SAFE times each gap less slack
-    passes every step, and |center| + r plus slack at most CHART_LIMIT
-    keeps every sample in the plane chart.
+    The core curve gamma_j = gm^j(core circle) is its own lift: the
+    critical-point test keeps every critical point out of the tracked
+    region, so gamma_j avoids them, and the lift of gm o gamma_j from
+    gamma_j(0) is unique. It closes because gamma_j does, and its
+    ``core_lift_residual`` is 0.0 (the key stays in the evidence). At
+    stage 0 the core is an N_SAMP-gon homothetic about the center to the
+    boundary polygons (the same ``_unit_roots``) and strictly between
+    them, so the argument is complete there; only the plane chart's
+    CHART_LIMIT is tested, on |center| + r. From stage 1 on, gamma_j is an
+    image known by its samples: each step between them must pass the
+    branch safeguard (``lifting.branch_step``), and in the plane chart
+    each sample must stay within CHART_LIMIT, as ``lift_path`` requires.
+    A step ``lift_path`` would bisect is declined. The core is sampled
+    only when k >= 2.
 
     When k = 1 and the anchor chart map is its linear part lambda w to
     within LINEAR_MARGIN |lambda| r_in on the inner disk, as it is far
     below one ulp at an emission step, the inner image is star-shaped
     about c_1 with a reach of |lambda| r_in (1 + 2 LINEAR_MARGIN)
-    (``_inner_reach``), which the outer image's rho must exceed. The inner
-    circle is then neither mapped nor star-tested, and sampled only in
-    ``_circle_position``'s band case. Otherwise, and at k >= 2, whose
-    stage 1 needs the inner image, the samples decide.
+    (``_inner_reach``), and the inner circle is neither mapped nor
+    star-tested. Otherwise, and at k >= 2, whose stage 1 needs the inner
+    image, the samples decide.
 
     Raises InjectivityUndetermined on any failed check (which is not a
     proof of non-injectivity)."""
@@ -499,16 +478,14 @@ def injectivity_test(g, annulus, k):
     gm, crit = g.chart(anchor)
     center = annulus.center
     r_in, r_out = annulus.r_in, annulus.r_out
-    # an inner image or a core the closed forms settle and no later stage
-    # maps is not sampled
+    radius = annulus.core_radius()
+    # an inner image the closed form settles and no later stage maps is
+    # not sampled; the core is sampled for stage 1
     inner_reach = _inner_reach(gm, center, r_in) if k == 1 else None
     inner = None if inner_reach is not None else \
         _circle(center, r_in, N_SAMP)
     outer = _circle(center, r_out, N_SAMP)
-    clear_core = _core_circle_clear(center, annulus.core_radius(), crit,
-                                    anchor is None)
-    core = None if clear_core and k == 1 else \
-        _circle(center, annulus.core_radius(), N_SAMP)
+    core = _circle(center, radius, N_SAMP) if k > 1 else None
     stages = []
     for j in range(k):
         clear = math.inf
@@ -550,9 +527,13 @@ def injectivity_test(g, annulus, k):
             raise InjectivityUndetermined(
                 "boundary images not separated by a circle about the image "
                 "of the annulus center at stage %d" % j)
-        # the lift of gm(core) from core[0] is core itself: each of its
-        # steps must be one lift_path accepts, inside the working chart
-        for a, b in () if j == 0 and clear_core else zip(core, core[1:]):
+        # the lift of gm(core) from core[0] is core itself: inside the
+        # working chart, and from stage 1 on by steps lift_path accepts
+        if j == 0 and anchor is None and \
+                abs(annulus.center) + radius > CHART_LIMIT:
+            raise InjectivityUndetermined(
+                "core curve leaves the working chart at stage 0")
+        for a, b in zip(core, core[1:]) if j else ():
             if not abs(b - a) < branch_step(a, crit):
                 raise InjectivityUndetermined(
                     "core-curve sample step exceeds the branch safeguard at "
@@ -834,8 +815,8 @@ def _derive_certificate(run, n, annulus):
         return fields, ["injectivity test failed: %s" % exc]
     curves = _representative_curves(run, annulus, k)
     if curves is None:
-        return fields, ["core curve has no chain of %d closing degree-1 "
-                        "lifts" % k]
+        return fields, ["the anchor chart's linear part shows no chain of "
+                        "%d closing degree-1 lifts of the core curve" % k]
     windings = _windings(curves, annulus, annulus.center)
     about = [(lab, _windings(curves, annulus, z))  # oo is never enclosed
              for lab, _, z in entries if z is not None]
@@ -863,37 +844,20 @@ def _windings(curves, annulus, q):
 
 def _representative_curves(run, annulus, k):
     """The annulus core circle plus k successive closing degree-1
-    inverse-branch lifts, or None when a lift does not close.
-
-    Where the anchor chart map's linear part lambda w shows that
-    ``lift_path`` would accept every node (``_linear_lift``), each lift is
-    the curve's nodes divided by lambda, within the bound of the lift
-    ``lift_closed_curve`` returns from a Newton-solved start, which is
-    used elsewhere. ``verify_certificate`` compares curves to 1e-6 of
-    their size, so a certificate from either derivation passes."""
-    anchor = annulus.anchor
-    gm, crit = run.g.chart(anchor)
+    inverse-branch lifts, each the curve's nodes divided by lambda, or None
+    where ``_linear_lift`` declines. Curves Newton-lifted by earlier
+    versions are within its bound of these, so ``verify_certificate``,
+    which compares nodes to 1e-6 of the curve's size, accepts them."""
+    gm, crit = run.g.chart(annulus.anchor)
     radius = annulus.core_radius()
-    core = _circle(annulus.center, radius, N_CURVE)
-    curves = [Path(core, anchor=anchor)]
+    curves = [Path(_circle(annulus.center, radius, N_CURVE),
+                   anchor=annulus.anchor)]
     lam = _linear_lift(gm, crit, annulus.center, radius)
+    if lam is None:
+        return None
     for _ in range(k):
-        if lam is not None:
-            curves.append(Path([z / lam for z in curves[-1].nodes],
-                               anchor=anchor))
-            continue
-        start = curves[-1].nodes[0]
-        found = _newton_preimage(gm, start, start)
-        if found is None:
-            return None
-        try:
-            res, closes = lift_closed_curve(run.g, curves[-1], found[0],
-                                            check_clearance=False)
-        except PullbackLabError:
-            return None
-        if not closes:
-            return None
-        curves.append(res.lifted)
+        curves.append(Path([z / lam for z in curves[-1].nodes],
+                           anchor=annulus.anchor))
     return tuple(curves)
 
 

@@ -158,11 +158,6 @@ def _seg_closest(a, b, q):
     return a + t * d
 
 
-def _chordal_seg_to_point(a, b, q):
-    zc = _seg_closest(a, b, q)
-    return min(chordal(a, q), chordal(b, q), chordal(zc, q))
-
-
 def path_clearance(path, points):
     """Minimum chordal distance from the polyline of an unanchored path to
     the given points: ``chordal``'s arithmetic and ``min``'s order, with
@@ -383,20 +378,13 @@ def _point_in_triangle(q, a, b, c):
 
 
 def _triangle_clear(a, b, c, obstacles):
-    for q in obstacles:
-        if is_inf(q):
-            far = max(abs(a), abs(b), abs(c))
-            if 2.0 / math.hypot(1.0, far) <= 2 * EPS_CLEAR:
-                return False
-            continue
-        if _point_in_triangle(q, a, b, c):
-            return False
-        d = min(_chordal_seg_to_point(a, b, q),
-                _chordal_seg_to_point(b, c, q),
-                _chordal_seg_to_point(a, c, q))
-        if d <= 2 * EPS_CLEAR:
-            return False
-    return True
+    """Whether no obstacle lies in the triangle abc and its edges keep a
+    chordal clearance above 2 EPS_CLEAR from each (``path_clearance``,
+    which takes oo's as 2 / hypot(1, the largest |vertex|))."""
+    return not any(not is_inf(q) and _point_in_triangle(q, a, b, c)
+                   for q in obstacles) and \
+        path_clearance(Path._of_clean((a, b, c, a), None),
+                       obstacles) > 2 * EPS_CLEAR
 
 
 def simplify_path(path, obstacles):

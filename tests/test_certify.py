@@ -29,8 +29,9 @@ from pullbacklab.errors import (ChartOverflow, InjectivityUndetermined,
 from pullbacklab.fiber import (BranchDatum, TrivialMarkedSpec, init_run,
                                run_until)
 from pullbacklab.hyperbolic import (ELL_STAR, RoundAnnulus, annulus_modulus)
+from pullbacklab import lifting
 from pullbacklab.lifting import (Path, branch_step, lift_closed_curve,
-                                 _seg_closest)
+                                 _newton_preimage, _seg_closest)
 from pullbacklab.ratmap import RationalMap
 from pullbacklab.sphere import (Configuration, INF, chart_coordinate, chordal,
                                is_inf)
@@ -237,25 +238,34 @@ def test_core_stage_agrees_with_the_newton_lift_at_every_stage(extra, k,
         core = image
 
 
-def test_coarse_core_step_is_declined_where_lift_path_bisects(monkeypatch):
+def test_coarse_core_passes_stage_0_and_is_declined_at_stage_1(
+        monkeypatch):
     # with 4 samples a step of the core of 0.05 < |z - 1| < 0.6 is longer
-    # than the branch safeguard allows at z^2's critical point 0:
-    # lift_path would bisect it, the core stage declines it
+    # than the branch safeguard allows at z^2's critical point 0. At
+    # stage 0 the core lies between the boundary polygons, which the
+    # critical-point test clears, so it is its own lift and passes; at
+    # stage 1 its image is known only by its samples, and lift_path would
+    # bisect a step of them, so the stage declines it
     ann = RoundAnnulus.from_radii(1 + 0j, 0.05, 0.6)
     monkeypatch.setattr(certify, "N_SAMP", 4)
     core = _circle(ann.center, ann.core_radius(), 4)
     assert not all(abs(b - a) < branch_step(a, (0j,))
                    for a, b in zip(core, core[1:]))
-    res, closes = lift_closed_curve(SQUARE, Path(_apply_map(SQUARE, core)),
-                                    core[0])
+    assert injectivity_test(SQUARE, ann, 1)["stages"][0][
+        "core_lift_residual"] == 0.0
+    image = _apply_map(SQUARE, core)
+    assert not all(abs(b - a) < branch_step(a, (0j,))
+                   for a, b in zip(image, image[1:]))
+    res, closes = lift_closed_curve(SQUARE, Path(_apply_map(SQUARE, image)),
+                                    image[0], check_clearance=False)
     assert closes and res.subdivisions > 0
     with pytest.raises(InjectivityUndetermined, match=(
             "core-curve sample step exceeds the branch safeguard at "
-            "stage 0")):
-        injectivity_test(SQUARE, ann, 1)
-    monkeypatch.setattr(certify, "N_SAMP", 5)
-    assert injectivity_test(SQUARE, ann, 1)["stages"][0][
-        "core_lift_residual"] == 0.0
+            "stage 1")):
+        injectivity_test(SQUARE, ann, 2)
+    monkeypatch.setattr(certify, "N_SAMP", 16)
+    assert [stage["core_lift_residual"] for stage in
+            injectivity_test(SQUARE, ann, 2)["stages"]] == [0.0, 0.0]
 
 
 def test_core_outside_the_plane_chart_is_declined():
@@ -912,48 +922,6 @@ def test_step_chart_entries_across_oo():
             track.history[-1][1].to_complex()
 
 
-def _core_loop_passes(center, radius, crit, plane):
-    # the stage-0 sample loop of injectivity_test on the core circle
-    core = _circle(center, radius, N_SAMP)
-    return all(abs(b - a) < branch_step(a, crit) and
-               not (plane and abs(b) > certify.CHART_LIMIT)
-               for a, b in zip(core, core[1:]))
-
-
-def test_core_closed_form_never_clears_a_core_the_loop_declines():
-    # seeded core circles with a critical point at the safeguard's margin,
-    # outside the circle and inside it, from 1e-3 to 1e-15 relative, and
-    # circles that reach CHART_LIMIT's margin in the plane chart
-    rng = random.Random(29)
-    seen = set()
-    chord = 2.0 * math.sin(math.pi / N_SAMP)   # of the unit circle
-    for _ in range(3000):
-        center = 10 ** rng.uniform(-6, 5.5) * cmath.exp(
-            1j * rng.uniform(-math.pi, math.pi))
-        radius = abs(center) * 10 ** rng.uniform(-8, 0) \
-            if rng.random() < 0.8 else 10 ** rng.uniform(-12, 3)
-        gap = radius * chord / certify.ETA_SAFE * (
-            1 + rng.choice((-1, 1)) * 10 ** rng.uniform(-15, -3))
-        side = rng.choice((-1, 1)) if gap < radius else 1
-        crit = [center + (radius + side * gap) *
-                cmath.exp(1j * rng.uniform(-math.pi, math.pi))]
-        if rng.random() < 0.3:
-            crit.append(center + 10 * (radius + gap))
-        plane = rng.random() < 0.5
-        if plane and rng.random() < 0.3:
-            # |center| + radius within 1e-9 relative of CHART_LIMIT
-            center *= (certify.CHART_LIMIT - radius) / abs(center) * (
-                1 + rng.uniform(-1e-9, 1e-9))
-            crit = [center + 2 * radius]
-        cleared = certify._core_circle_clear(center, radius, crit, plane)
-        passes = _core_loop_passes(center, radius, crit, plane)
-        assert passes or not cleared, (center, radius, crit, plane)
-        seen.add((cleared, passes))
-    # the closed form clears, defers to a loop that passes, and defers to
-    # a loop that declines
-    assert seen == {(True, True), (False, True), (False, False)}
-
-
 def _all_pairs_clusters(points, log_r):
     # emission's clustering as first written: every pair measured, the
     # union-find built at every attempt
@@ -1058,8 +1026,8 @@ def _corpus_certificates():
 def test_closed_forms_decide_every_corpus_certificate(monkeypatch):
     # the inner boundary image and the representative lifts come from the
     # linear part on all 4 demo certificates and the oo one: derivation
-    # succeeds with the inner circle's mapping refused and with no Newton
-    # solve or lift, and gives the stored certificate
+    # succeeds with the inner circle's mapping refused and with no lift,
+    # and gives the stored certificate
     certs = _corpus_certificates()
     assert [name for name, _, _ in certs] == [
         "chebyshev.json", "iterate_composition.json", "squaring_a.json",
@@ -1079,12 +1047,11 @@ def test_closed_forms_decide_every_corpus_certificate(monkeypatch):
             return apply_map(gm, zs)
 
         def refuse(*args, **kw):
-            raise AssertionError("Newton solve or lift on a closed form")
+            raise AssertionError("lift on a closed form")
 
         with monkeypatch.context() as m:
             m.setattr(certify, "_apply_map", refuse_inner)
             m.setattr(certify, "lift_closed_curve", refuse)
-            m.setattr(certify, "_newton_preimage", refuse)
             fields, faults = _derive_certificate(run, cert.step, ann)
             assert faults == [] and verify_certificate(cert, run).ok, name
         assert fields["injectivity_evidence"] == cert.injectivity_evidence
@@ -1099,7 +1066,7 @@ def test_check_accepts_a_newton_lifted_curve():
     for name, run, cert in _corpus_certificates():
         core, lift = cert.representative_curves
         gm, _ = run.g.chart(cert.annulus.anchor)
-        start = certify._newton_preimage(gm, core.start, core.start)[0]
+        start = _newton_preimage(gm, core.start, core.start)[0]
         res, closes = lift_closed_curve(run.g, core, start,
                                         check_clearance=False)
         assert closes and len(res.lifted) == len(lift), name
@@ -1146,7 +1113,7 @@ def test_closed_forms_agree_with_the_sampled_reference():
             if lam is not None:
                 core = Path(_circle(center, radius, certify.N_CURVE),
                             anchor=q)
-                start = certify._newton_preimage(gm, core.start,
+                start = _newton_preimage(gm, core.start,
                                                  core.start)[0]
                 res, closes = lift_closed_curve(g, core, start,
                                                 check_clearance=False)
@@ -1173,7 +1140,7 @@ def test_closed_form_lift_is_declined_where_lift_path_bisects(monkeypatch):
     assert max(abs(gm.evaluate_with_derivative(c)[1]) for c in crit) < 1e-5
     assert certify._linear_lift(gm, crit, 0j, radius) is None
     core = Path(_circle(0j, radius, 4), anchor=0j)
-    start = certify._newton_preimage(gm, core.start, core.start)[0]
+    start = _newton_preimage(gm, core.start, core.start)[0]
     res, closes = lift_closed_curve(_FixedChart(gm, crit), core, start,
                                     check_clearance=False)
     assert closes and res.subdivisions > 0
@@ -1263,3 +1230,30 @@ def test_check_rejects_a_forged_modulus_below_the_threshold():
         result = verify_certificate(forged, run)
         assert result.mismatches == ["modulus does not exceed threshold"], \
             (name, result.mismatches)
+
+
+def test_derivation_fails_where_the_linear_lift_declines(monkeypatch):
+    # with a lift tolerance no rounded node meets, _linear_lift declines
+    # on every corpus certificate, and the derivation returns its curve
+    # fault: no Newton solve or lift is tried in its place
+    certs = _corpus_certificates()
+
+    def refuse(*args, **kw):
+        raise AssertionError("Newton solve or lift")
+
+    monkeypatch.setattr(lifting, "_newton_preimage", refuse)
+    monkeypatch.setattr(lifting, "lift_closed_curve", refuse)
+    monkeypatch.setattr(certify, "lift_closed_curve", refuse)
+    monkeypatch.setattr(certify, "EPS_LIFT", 0.0)
+    for name, run, cert in certs:
+        ann = cert.annulus
+        gm, crit = run.g.chart(ann.anchor)
+        assert certify._linear_lift(gm, crit, ann.center,
+                                    ann.core_radius()) is None, name
+        fields, faults = _derive_certificate(run, cert.step, ann)
+        assert faults == ["the anchor chart's linear part shows no chain of "
+                          "%d closing degree-1 lifts of the core curve"
+                          % cert.k], name
+        assert "representative_curves" not in fields
+        assert verify_certificate(cert, run).mismatches == faults, name
+

@@ -216,6 +216,54 @@ def test_simplify_keeps_homotopy_class_around_puncture():
     assert len(out) >= 3
 
 
+def _reference_triangle_clear(a, b, c, obstacles):
+    # the corridor test as first written: oo by the farthest vertex, and
+    # each finite obstacle outside the triangle and clear of the edges ab,
+    # bc and ac, by chordal distance to each edge's ends and nearest point
+    for q in obstacles:
+        if is_inf(q):
+            far = max(abs(a), abs(b), abs(c))
+            if 2.0 / math.hypot(1.0, far) <= 2 * lifting.EPS_CLEAR:
+                return False
+            continue
+        if lifting._point_in_triangle(q, a, b, c):
+            return False
+        d = min(min(chordal(u, q), chordal(v, q),
+                    chordal(lifting._seg_closest(u, v, q), q))
+                for u, v in ((a, b), (b, c), (a, c)))
+        if d <= 2 * lifting.EPS_CLEAR:
+            return False
+    return True
+
+
+def test_triangle_clear_is_the_three_segment_rule():
+    # seeded triangles, collinear ones included, up to 1e9 across (where
+    # oo comes within 2 EPS_CLEAR), against a random obstacle and some of:
+    # a point on an edge, one about 2 EPS_CLEAR (chordal) off it, a
+    # vertex, and oo
+    rng = random.Random(33)
+    seen = set()
+    for _ in range(2000):
+        scale = 10 ** rng.uniform(-3, 9)
+        a, b, c = [complex(rng.gauss(0, scale), rng.gauss(0, scale))
+                   for _ in range(3)]
+        if rng.random() < 0.1:
+            c = a + rng.random() * (b - a)
+        u, v = rng.choice(((a, b), (b, c), (a, c)))
+        on_edge = u + rng.random() * (v - u)
+        normal = 1j * (v - u) / abs(v - u) if v != u else 1
+        near = on_edge + rng.choice((-1, 1)) * normal * lifting.EPS_CLEAR * (
+            1 + abs(on_edge) ** 2) * rng.uniform(0.9, 1.1)
+        obstacles = [complex(rng.gauss(0, scale), rng.gauss(0, scale))] + \
+            rng.sample([on_edge, near, a, INF], rng.randint(0, 4))
+        got = lifting._triangle_clear(a, b, c, obstacles)
+        assert got == _reference_triangle_clear(a, b, c, obstacles), \
+            (a, b, c, obstacles)
+        seen.add((got, INF in obstacles))
+    assert seen == {(True, True), (True, False), (False, True),
+                    (False, False)}
+
+
 def test_anchored_chart_lift():
     # lifting in the chart at a repelling fixed point: same branch, tiny
     # scale; at 2 for z^2 - 2, and at oo for its conjugate w^2 / (4w + 1)
