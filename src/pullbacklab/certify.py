@@ -399,7 +399,9 @@ def _linear_lift(gm, crit, center, radius):
 
 
 def _star_radii(zs, c):
-    """(rho, R) for a sampled closed curve star-shaped about c, else None.
+    """(rho, R) for a sampled closed curve star-shaped about c, else None;
+    ValueError when the largest |z - c| is outside (1e-300, 1e300), where
+    the turns cannot be scaled exactly.
 
     It counts as star-shaped when every turn about c between consecutive
     samples lies in (0, pi) and the turns total one full turn, to within
@@ -413,7 +415,7 @@ def _star_radii(zs, c):
     us = [z - c for z in zs]
     big = max(map(abs, us))
     if not 1e-300 < big < 1e300:
-        return None
+        raise ValueError("outside the star test's range")
     # scaled by a power of two, exactly, so that products cannot underflow
     s = math.ldexp(1.0, -math.frexp(big)[1])
     us = [u * s for u in us]
@@ -444,10 +446,10 @@ def injectivity_test(g, annulus, k):
     image's farthest sample must lie nearer to c_{j+1} than every edge
     line of the outer image, which makes them disjoint. These O(n) tests
     are stricter than what they show: an image that is simple but not
-    star-shaped is declined with the stage named. At stage 0 the curves
-    are ``_circle``'s polygons, and a critical point outside the outer
-    circle or inside the inner inradius needs no pass
-    (``_circle_position``).
+    star-shaped, or outside the star test's range, is declined with the
+    stage named. At stage 0 the curves are ``_circle``'s polygons, and a
+    critical point outside the outer circle or inside the inner inradius
+    needs no pass (``_circle_position``).
 
     The core curve gamma_j = gm^j(core circle) is its own lift: the
     critical-point test keeps every critical point out of the tracked
@@ -517,7 +519,11 @@ def injectivity_test(g, annulus, k):
                 radii.append((None, inner_reach))
                 continue
             images.append(_apply_map(gm, curve))
-            radii.append(_star_radii(images[-1], center))
+            try:
+                radii.append(_star_radii(images[-1], center))
+            except ValueError as exc:
+                raise InjectivityUndetermined("%s boundary image %s at stage "
+                                              "%d" % (side, exc, j)) from None
             if radii[-1] is None:
                 raise InjectivityUndetermined(
                     "%s boundary image not star-shaped about the image of "
@@ -880,16 +886,17 @@ def certify_obstructed(run, engine_version="", max_steps=None,
     collapsing cluster at that depth. That test is made on the log of the
     threshold, which stays finite where the threshold overflows. A call
     that reaches the cap names the last attempt that declined a cluster:
-    its step and its first cluster's message (``emit_levy_certificate``)."""
+    its step and its first cluster's message (``emit_levy_certificate``),
+    after the first such attempt's when that was at an earlier step."""
     cap = run.tol.max_iters if max_steps is None else max_steps
     # d0 and k never change once the run has stepped, so the threshold and
     # its floor test are settled at the first attempt; one that fails ends
     # the call
     floor_cleared = False
-    last_declined = ""
+    declines = []  # (step, message) of the first and last declined attempts
 
     def attempt():
-        nonlocal floor_cleared, last_declined
+        nonlocal floor_cleared
         if run.n < 1:
             return None
         if not floor_cleared:
@@ -909,14 +916,18 @@ def certify_obstructed(run, engine_version="", max_steps=None,
         cert = emit_levy_certificate(run, engine_version=engine_version,
                                      declined=declined)
         if declined:
-            last_declined = "; last attempt at step %d: %s" % (run.n,
-                                                               declined[0])
+            declines[1:] = [(run.n, declined[0])]
         return None if cert is None else (cert, "emitted at step %d"
                                           % cert.step)
 
-    outcome = step_until(run, attempt, cap, records) or \
-        (None, "no qualifying annulus within %d steps%s" % (cap,
-                                                             last_declined))
+    outcome = step_until(run, attempt, cap, records)
+    if outcome is None:
+        note = "no qualifying annulus within %d steps" % cap
+        if len(declines) == 2:  # one attempt a step: two steps
+            note += "; first attempt at step %d: %s" % declines[0]
+        if declines:
+            note += "; last attempt at step %d: %s" % declines[-1]
+        outcome = None, note
     return outcome if with_reason else outcome[0]
 
 

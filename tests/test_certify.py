@@ -7,6 +7,7 @@ import json
 import math
 import os
 import random
+import reprlib
 import struct
 
 import numpy as np
@@ -23,7 +24,7 @@ from pullbacklab.certify import (N_SAMP, certify_obstructed, classify_run,
                                  _derive_certificate, _log_euclid_dist,
                                  _poly_min_dist, _star_radii,
                                  _step_chart_entries, _winding)
-from pullbacklab.cli import _build_run, load_config
+from pullbacklab.cli import _build_run, load_config, main
 from pullbacklab.errors import (ChartOverflow, InjectivityUndetermined,
                                 NoSeparatingAnnulus)
 from pullbacklab.fiber import (BranchDatum, TrivialMarkedSpec, init_run,
@@ -329,12 +330,20 @@ def _dense_reference(z1, z2, skip_adjacent):
     return bool(np.any(hits))
 
 
+def _star_or_none(zs, c):
+    try:
+        return _star_radii(zs, c)
+    except ValueError:  # outside the star test's range
+        return None
+
+
 def assert_star_test_sound(inner, outer, c):
     """Whatever the star-shaped test accepts, the dense reference finds no
     crossing: in an accepted curve, nor between an accepted pair whose
     inner curve lies inside the outer's disk (the injectivity test's
-    disjointness rule). Returns the two tests' results."""
-    radii = [_star_radii(z, c) for z in (inner, outer)]
+    disjointness rule). Returns the two tests' results, None for a curve
+    declined, outside the test's range included."""
+    radii = [_star_or_none(z, c) for z in (inner, outer)]
     for z, r in zip((inner, outer), radii):
         if r is not None:
             assert not _dense_reference(z, z, True)
@@ -747,6 +756,25 @@ def test_note_names_the_last_declined_attempt():
     run = init_run(CHEB, [BranchDatum(0.0, math.sqrt(2))])
     assert certify_obstructed(run, with_reason=True, max_steps=3) == (
         None, "no qualifying annulus within 3 steps")
+
+
+def test_note_names_the_first_declined_attempt_too():
+    # z^6 with the extra puncture 1 (generated seed 1, z6.m1.b0): the
+    # attempts at steps 123-385 fail at the outer boundary image, those
+    # from step 386 at an inner image below the star test's range; the
+    # note names both, first and last
+    b, branch = 0.6241699334064328 + 0.4011651406355984j, \
+        0.9471670886904828 + 0.09044989943778066j
+    run = init_run(RationalMap([0] * 6 + [1]), [BranchDatum(b, branch)],
+                   extra_punctures=[1.0])
+    cert, note = certify_obstructed(run, with_reason=True, max_steps=390)
+    assert cert is None
+    assert note == (
+        "no qualifying annulus within 390 steps; first attempt at step 123: "
+        "injectivity test failed: outer boundary image not star-shaped "
+        "about the image of the annulus center at stage 0; last attempt at "
+        "step 390: injectivity test failed: inner boundary image outside "
+        "the star test's range at stage 0")
 
 
 def test_threshold_is_taken_once_per_certification_call(monkeypatch):
@@ -1201,9 +1229,14 @@ def test_closed_forms_decline_at_their_edges():
     assert certify._linear_lift(*attracting.chart(0j), 1e-20,
                                 1e-20) is None
     gm = square[0]
-    assert _star_radii(_apply_map(gm, _circle(0j, 1e-305, N_SAMP)),
-                       0j) is None
+    with pytest.raises(ValueError, match="outside the star test's range"):
+        _star_radii(_apply_map(gm, _circle(0j, 1e-305, N_SAMP)), 0j)
     assert certify._inner_reach(gm, 0j, 1e-305) is None
+    with pytest.raises(InjectivityUndetermined, match=(
+            "^inner boundary image outside the star test's range at stage "
+            "0$")):
+        injectivity_test(SQUARE, RoundAnnulus.from_radii(
+            0j, 1e-305, 0.5, anchor=1.0 + 0j), 1)
     assert certify._inner_reach(gm, 0j, 1e-270) is not None
     # 4 w, with a common factor that keeps it a degree-2 map
     gm = RationalMap([0, 4, 1e-12], [1, 2.5e-13], check=False)
@@ -1257,3 +1290,85 @@ def test_derivation_fails_where_the_linear_lift_declines(monkeypatch):
         assert "representative_curves" not in fields
         assert verify_certificate(cert, run).mismatches == faults, name
 
+
+# -- forgeries that each fail one condition alone ---------------------------
+#
+# Each edits one stored field of an honest certificate (its JSON form),
+# rewrites every other stored field the edit moves to the derived value,
+# and returns the exact messages check must give.
+
+def _forge_d0_bound(payload, run):
+    # d0 one part in a million above the derived bound
+    derived = payload["d0_bound"]
+    payload["d0_bound"] = derived * (1 + 1e-6)
+    return ["d0 bound mismatch: stored d0_bound %s, derived %s"
+            % (reprlib.repr(payload["d0_bound"]), reprlib.repr(derived))]
+
+
+def _forge_curve_node(payload, run):
+    # a middle node of curve 1 moved by 1e-4 of the curve's size
+    nodes = payload["representative_curves"][1]["nodes"]
+    size = max(math.hypot(*z) for z in nodes)
+    nodes[len(nodes) // 2][0] += 1e-4 * size
+    return ["re-lift of curve 0 does not match curve 1"]
+
+
+def _forge_ring(payload, run):
+    # r_out at 1.5 times the distance of the nearest point outside the
+    # inner disk, which then sits in the outer half of the ring; the
+    # modulus made to match (the annulus faults stop the derivation short
+    # of the fields that read r_out further)
+    ann = RoundAnnulus.from_json(payload["annulus"])
+    n = payload["step"]
+    dist, label = min((abs(z - ann.center), lab) for lab, _, z
+                      in _step_chart_entries(run.step_points(n), ann.anchor, n)
+                      if z is not None and abs(z - ann.center) > ann.r_in)
+    payload["annulus"]["log_rout"] = math.log(1.5 * dist)
+    payload["modulus"] = annulus_modulus(
+        RoundAnnulus.from_json(payload["annulus"]))
+    return ["configuration point %s inside the annulus ring" % label]
+
+
+@pytest.fixture(scope="module")
+def demo_certificates(tmp_path_factory):
+    """(name, trace path, certificate path) of each certified demo."""
+    out = str(tmp_path_factory.mktemp("demo"))
+    names = [name for name, _, _ in _corpus_certificates()]
+    found = []
+    for path in DEMO_CONFIGS:
+        name = os.path.basename(path)
+        if name in names:
+            assert main(["run", "--config", path, "--out", out]) == 0
+            base = os.path.join(out, name[:-len(".json")])
+            found.append((name, base + ".trace.jsonl",
+                          base + ".certificate.json"))
+    assert len(found) == 4
+    return found
+
+
+@pytest.mark.parametrize("forge", [_forge_d0_bound, _forge_curve_node,
+                                   _forge_ring],
+                         ids=lambda forge: forge.__name__[len("_forge_"):])
+def test_forgery_fails_one_condition_alone(forge, demo_certificates,
+                                           tmp_path, capsys):
+    # through verify_certificate on the 4 demo certificates and the oo one,
+    # and through cli check on the demo certificates' files
+    runs = {}
+    for name, run, cert in _corpus_certificates():
+        runs[name] = run
+        payload = cert.to_json()
+        want = forge(payload, run)
+        result = verify_certificate(LevyCertificate.from_json(payload), run)
+        assert result.mismatches == want, (name, result.mismatches)
+    for name, trace, cert_path in demo_certificates:
+        with open(cert_path) as fh:
+            payload = json.load(fh)
+        want = forge(payload, runs[name])
+        forged = str(tmp_path / name)
+        with open(forged, "w") as fh:
+            json.dump(payload, fh)
+        capsys.readouterr()
+        assert main(["check", "--trace", trace, "--cert", forged]) == 1
+        out, err = capsys.readouterr()
+        assert out.splitlines() == ["CHECK FAIL: " + m for m in want] and \
+            err == "", (name, out, err)
