@@ -13,9 +13,9 @@ The injectivity evidence asks, at each forward stage, that the images of
 the two boundary circles be star-shaped about the image of the annulus
 center and separated by a circle about it (``injectivity_test``): O(n)
 tests, with no pair of edges tested. The core curve is its own inverse
-lift, so no preimage is solved for it, and the representative curves
-are the core circle and its lifts z / lambda, read from the anchor chart
-map's linear part (``_linear_lift``), with no Newton solve.
+lift, so no preimage is solved for it. Its lifts z / lambda, read from
+the chart map's linear part (``_linear_lift``), nest in the annulus by
+a closed form (``_nesting_fault``); no curve is sampled about a point.
 
 Emission and ``verify_certificate`` derive a certificate the same way:
 ``_derive_certificate`` computes every field from the run, the step and
@@ -25,7 +25,7 @@ puncture, oo included; the product (k+4) pi e^{k d0} from
 ``_threshold_product(run)``, its one definition, which the clustering
 scale reads too, while the emission floor reads its log,
 ``_log_threshold``) and returns the messages of the conditions that fail
-(``_annulus_faults``, ``_curve_faults``). Emission finds the annulus by
+(``_annulus_faults``, ``_nesting_fault``). Emission finds the annulus by
 clustering the step configuration (``_log_euclid_dist``); verification
 takes the stored one and compares each stored field with the derived
 one.
@@ -248,7 +248,10 @@ def _apply_map(gm, zs):
 def _winding(zs, q):
     """Winding number about q of the closed polygon through zs, its last
     sample joined to its first: signed crossings of the ray from q in the
-    direction +1. None when q is a sample or lies on an edge."""
+    direction +1. An edge from q + a to q + b meets the line through q at
+    q + (a.imag b.real - a.real b.imag) / (a.imag - b.imag). None when q
+    is a sample or that cross product is within its rounding bound (q on
+    or too near an edge, or the products below double range)."""
     if q in zs:
         return None
     qy = q.imag
@@ -260,11 +263,11 @@ def _winding(zs, q):
             above = not above
             a = prev - q
             b = z - q
-            # where the edge meets the line through q: scale-free
-            x = a.real + (b.real - a.real) * (a.imag / (a.imag - b.imag))
-            if x == 0:
+            # a.imag - b.imag < 0 exactly when z is above
+            p, r = a.imag * b.real, a.real * b.imag
+            if not abs(p - r) > 1e-15 * (abs(p) + abs(r)) + 1e-322:
                 return None
-            if x > 0:
+            if (p < r) == above:
                 w += 1 if above else -1
         prev = z
     return w
@@ -664,21 +667,6 @@ def _annulus_faults(modulus, threshold, counts, ring):
     return faults
 
 
-def _curve_faults(windings, length_bound, enclosed, k):
-    """Messages of the curve conditions that fail: each curve winds once
-    around the annulus core, length bound below ell*, and at most k
-    distinct enclosed-label sets (the short-curve budget: simple closed
-    curves on a finitely punctured sphere are homotopic rel the marked set
-    iff they separate the labels the same way)."""
-    faults = ["curve %d does not wind once around the annulus core" % idx
-              for idx, w in enumerate(windings) if w is None or abs(w) != 1]
-    if not length_bound < ELL_STAR:
-        faults.append("length bound not below ell*")
-    if len(set(enclosed)) > k:
-        faults.append("short-curve budget exceeded")
-    return faults
-
-
 def _step_chart_entries(points, q, n):
     """(label, kind, chart position) of the step-n points (``step_points``)
     in the working chart at q (``sphere.chart_coordinate``); the chart's oo
@@ -798,11 +786,11 @@ def _try_cluster(run, n, points, cluster, engine_version):
 
 def _derive_certificate(run, n, annulus):
     """Every certificate field for the annulus at step n of the run, as a
-    dict, and the messages of the conditions they fail (``_annulus_faults``,
-    ``_curve_faults``). Emission and ``verify_certificate`` both derive a
-    certificate here, from the run, the step and the annulus alone. When
-    the annulus conditions fail, the fields stop short of the injectivity
-    evidence, so a failed emission attempt costs no forward advance."""
+    dict, and the messages of the conditions they fail, each stage only
+    once the last holds: the annulus conditions (``_annulus_faults``), so
+    a failed emission attempt costs no forward advance, the injectivity
+    test, the linear lift and its nesting (``_nesting_fault``). Emission
+    and ``verify_certificate`` both derive a certificate here."""
     k = run.k
     d0 = run.d0_bound()
     product = _threshold_product(run)
@@ -819,48 +807,59 @@ def _derive_certificate(run, n, annulus):
         fields["injectivity_evidence"] = injectivity_test(run.g, annulus, k)
     except InjectivityUndetermined as exc:
         return fields, ["injectivity test failed: %s" % exc]
-    curves = _representative_curves(run, annulus, k)
-    if curves is None:
+    lam = _linear_lift(*run.g.chart(annulus.anchor), annulus.center,
+                       annulus.core_radius())
+    if lam is None:
         return fields, ["the anchor chart's linear part shows no chain of "
                         "%d closing degree-1 lifts of the core curve" % k]
-    windings = _windings(curves, annulus, annulus.center)
-    about = [(lab, _windings(curves, annulus, z))  # oo is never enclosed
-             for lab, _, z in entries if z is not None]
-    enclosed = tuple(tuple(sorted(lab for lab, ws in about
-                                  if ws[idx] not in (None, 0)))
-                     for idx in range(len(curves)))
+    fault = _nesting_fault(annulus, lam, k)
+    if fault is not None:
+        return fields, [fault]
     length_bound = product / modulus
-    fields.update(representative_curves=curves, curve_windings=windings,
-                  curve_enclosed_labels=enclosed, length_bound=length_bound,
+    fields.update(curve_windings=(1,) * (k + 1),
+                  curve_enclosed_labels=(tuple(sorted(inner)),) * (k + 1),
+                  representative_curves=_representative_curves(annulus, lam,
+                                                               k),
+                  length_bound=length_bound,
                   promotion_flag=length_bound < ELL_STAR * math.exp(-k * d0))
-    return fields, _curve_faults(windings, length_bound, enclosed, k)
+    return fields, []
 
 
 _COUNT_FIELDS = ("inner_count_A", "inner_count_B", "outer_count_A",
                  "outer_count_B")
 
 
-def _windings(curves, annulus, q):
-    """The winding about q of each representative curve: the core
-    circle's by ``_circle_position``, its lifts' by ``_winding``."""
-    return (_circle_position(q, annulus.center, annulus.core_radius(),
-                             N_CURVE)[0],) + \
-        tuple(_winding(c.nodes, q) for c in curves[1:])
+def _nesting_fault(annulus, lam, k):
+    """The first of lifts 0..k of the core curve (0 is the core) that does
+    not nest in the annulus, named in a message, or None.
+
+    Lift j, the core N-gon over lambda^j, is an orientation-preserving
+    similarity of it: centre c / lambda^j, circumradius rho_j = r /
+    |lambda|^j, inradius rho_j cos(pi / N), each node within (j + 1) 1e-12
+    (|c| + r) / |lambda|^j of it; d_j adds |c - c / lambda^j|. With r_in +
+    d_j < rho_j cos(pi / N) it winds +1 about every inner point, with
+    rho_j + d_j < r_out 0 about every outer one and oo. The ring is empty,
+    so the k + 1 simple curves separate A alike and are homotopic rel A:
+    one class, within the budget k >= 1 (as |A| >= 4 by essential-in-A).
+    Their length bound is below ell* as modulus > threshold (one rounding)."""
+    center, r_in, r_out = annulus.center, annulus.r_in, annulus.r_out
+    c, rho = center, annulus.core_radius()
+    size = abs(c) + rho
+    for j in range(k + 1):
+        d = abs(center - c) + 1e-12 * (j + 1) * size
+        if not (r_in + d < rho * math.cos(math.pi / N_CURVE)
+                and rho + d < r_out):
+            return "lift %d of the core curve does not nest in the annulus" % j
+        c, rho, size = c / lam, rho / abs(lam), size / abs(lam)
+    return None
 
 
-def _representative_curves(run, annulus, k):
-    """The annulus core circle plus k successive closing degree-1
-    inverse-branch lifts, each the curve's nodes divided by lambda, or None
-    where ``_linear_lift`` declines. Curves Newton-lifted by earlier
-    versions are within its bound of these, so ``verify_certificate``,
-    which compares nodes to 1e-6 of the curve's size, accepts them."""
-    gm, crit = run.g.chart(annulus.anchor)
-    radius = annulus.core_radius()
-    curves = [Path(_circle(annulus.center, radius, N_CURVE),
+def _representative_curves(annulus, lam, k):
+    """The annulus core circle and its k successive lifts, each the last
+    curve's nodes divided by lambda (``_linear_lift``). Newton lifts of
+    earlier versions are within its bound, inside ``_same_nodes``' 1e-6."""
+    curves = [Path(_circle(annulus.center, annulus.core_radius(), N_CURVE),
                    anchor=annulus.anchor)]
-    lam = _linear_lift(gm, crit, annulus.center, radius)
-    if lam is None:
-        return None
     for _ in range(k):
         curves.append(Path([z / lam for z in curves[-1].nodes],
                            anchor=annulus.anchor))

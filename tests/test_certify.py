@@ -448,6 +448,9 @@ def _angle_sum_winding(zs, q):
 @agree
 @given(point, st.floats(1e-6, 3.0), st.integers(8, 160), point,
        st.floats(-1.0, 1.0))
+# the squared octagon passes 1.5e-32 from 0: its crossing abscissa once
+# rounded to exactly 0
+@example(1 + 0j, 1.0, 8, 0j, 0.0)
 def test_winding_matches_angle_sum(center, radius, n, q, frac):
     circle = _circle(center, radius, n)
     image = [z * z + q for z in circle]
@@ -473,6 +476,18 @@ def test_winding_counts_the_closing_edge():
     assert _winding(square[::-1], 0j) == -1
     assert _winding(square, 1 + 1j) is None  # a sample
     assert _winding(square, 1 + 0j) is None  # on the closing edge
+    # q exactly on the edge from prev to z, whose offset prev - q rounds
+    # off the edge's line: the cross product is nonzero but within its
+    # rounding bound
+    prev, z = complex(2.0 ** 53 + 2, 3 * 2.0 ** 53 + 8), \
+        complex(-2.0 ** 51, -3 * 2.0 ** 51 + 2)
+    q = 1 + 5j
+    (px, py), (zx, zy) = map(int, (prev.real, prev.imag)), \
+        map(int, (z.real, z.imag))
+    assert (5 - py) * (zx - px) == (zy - py) * (1 - px) and zx < 1 < px
+    a, b = prev - q, z - q
+    assert a.imag * b.real - a.real * b.imag != 0
+    assert _winding([prev, z, complex(2.0 ** 53, -2.0 ** 53)], q) is None
 
 
 @agree
@@ -990,7 +1005,9 @@ def _obstructed_corpus_runs():
 def test_links_first_clustering_is_all_pairs_clustering_at_every_tail_step():
     # at every step of each certification tail the clusters are those the
     # all-pairs clustering gives, in the same order; the emitted
-    # certificate's windings are _winding's on every curve
+    # certificate's windings and enclosed labels, which the nesting test
+    # writes, are what _winding gives on its stored curves about the
+    # center and about every finite point of the step
     names, linked = [], 0
     for name, run in _obstructed_corpus_runs():
         names.append(name)
@@ -1006,12 +1023,24 @@ def test_links_first_clustering_is_all_pairs_clustering_at_every_tail_step():
             if cert is not None or run.n > 2000:
                 break
         assert cert is not None, name
-        curves, ann = cert.representative_curves, cert.annulus
-        entries = _step_chart_entries(points, ann.anchor, run.n)
-        for q in [ann.center] + [z for _, _, z in entries if z is not None]:
-            assert certify._windings(curves, ann, q) == \
-                tuple(_winding(c.nodes, q) for c in curves), (name, q)
+        _assert_sampled_curve_fields(cert, run)
     assert len(names) == 5 and linked >= 5
+
+
+def _assert_sampled_curve_fields(cert, run):
+    """The certificate's curve windings and enclosed labels are those
+    _winding gives on the stored node polygons, about the annulus center
+    and about every finite point of the step, each winding 0 or 1."""
+    curves, ann = cert.representative_curves, cert.annulus
+    entries = [(lab, z) for lab, _, z in _step_chart_entries(
+        run.step_points(cert.step), ann.anchor, cert.step) if z is not None]
+    assert cert.curve_windings == tuple(_winding(c.nodes, ann.center)
+                                        for c in curves)
+    for c, enclosed in zip(curves, cert.curve_enclosed_labels):
+        windings = {lab: _winding(c.nodes, z) for lab, z in entries}
+        assert set(windings.values()) <= {0, 1}, windings
+        assert enclosed == tuple(sorted(lab for lab, w in windings.items()
+                                        if w == 1))
 
 
 def test_links_first_clustering_on_seeded_configurations():
@@ -1246,25 +1275,6 @@ def test_closed_forms_decline_at_their_edges():
     assert certify._inner_reach(gm, 3e9 + 0j, 1e9) is not None
 
 
-def test_check_rejects_a_forged_modulus_below_the_threshold():
-    # each certificate with its outer radius shrunk to 0.75 of the
-    # threshold modulus, its stored modulus made to match: the modulus
-    # condition alone fails (a check that accepted half the threshold
-    # would pass it)
-    for name, run, cert in _corpus_certificates():
-        ann = cert.annulus
-        forged = copy.copy(cert)
-        forged.annulus = RoundAnnulus(
-            ann.center, ann.log_rin,
-            ann.log_rin + certify.TWO_PI * 0.75 * cert.threshold,
-            anchor=ann.anchor)
-        forged.modulus = annulus_modulus(forged.annulus)
-        assert abs(forged.modulus / cert.threshold - 0.75) < 1e-12
-        result = verify_certificate(forged, run)
-        assert result.mismatches == ["modulus does not exceed threshold"], \
-            (name, result.mismatches)
-
-
 def test_derivation_fails_where_the_linear_lift_declines(monkeypatch):
     # with a lift tolerance no rounded node meets, _linear_lift declines
     # on every corpus certificate, and the derivation returns its curve
@@ -1291,6 +1301,82 @@ def test_derivation_fails_where_the_linear_lift_declines(monkeypatch):
         assert verify_certificate(cert, run).mismatches == faults, name
 
 
+def test_nesting_test_on_synthetic_annuli():
+    # lifts z / lambda^j of the core circle: where the test passes they wind
+    # once about the inner disk and not about the outer circle; where it
+    # fails, the message names the first lift that does not nest, and the
+    # sampled winding shows that lift enclosing too little or too much
+    def annulus(center, r_in, r_out):
+        return RoundAnnulus.from_radii(center, r_in, r_out, anchor=0j)
+
+    def windings(ann, lam, k, q):
+        return [_winding(c.nodes, q)
+                for c in certify._representative_curves(ann, lam, k)]
+
+    nested = annulus(1e-31 + 0j, 1e-30, 1e-10)
+    for lam in (4 + 0j, -3j, 1e3 + 1e3j):
+        assert certify._nesting_fault(nested, lam, 2) is None
+        assert windings(nested, lam, 2, nested.center + 1e-30) == [1, 1, 1]
+        assert windings(nested, lam, 2, nested.center - 1e-10j) == [0, 0, 0]
+    # the center 1e-21 off the anchor: lift 2 is centred 0.94e-21 away
+    # from it with circumradius 0.63e-21, and misses the inner disk
+    offset = annulus(1e-21 + 0j, 1e-30, 1e-10)
+    assert certify._nesting_fault(offset, 4 + 0j, 1) is None
+    assert certify._nesting_fault(offset, 4 + 0j, 3) == \
+        "lift 2 of the core curve does not nest in the annulus"
+    assert windings(offset, 4 + 0j, 2, offset.center) == [1, 1, 0]
+    # |lambda| < 1: lift 1 has circumradius 1e-19, past r_out = 1e-20
+    wide = annulus(0j, 1e-30, 1e-20)
+    assert certify._nesting_fault(wide, 1e-6j, 1) == \
+        "lift 1 of the core curve does not nest in the annulus"
+    assert windings(wide, 1e-6j, 1, 1e-20 + 0j) == [0, 1]
+    # the core itself (lift 0) in a ring too thin for its inscribed circle
+    thin = annulus(0j, 1.0, 1.0 + 1e-6)
+    assert certify._nesting_fault(thin, 4 + 0j, 1) == \
+        "lift 0 of the core curve does not nest in the annulus"
+
+
+def test_nesting_test_covers_the_rounding_of_the_nodes():
+    # cores whose inscribed circle clears the inner disk by 1e-16 to 1e-2
+    # of the radius, centred up to 1e8 radii off the chart origin, where
+    # the nodes' rounding reaches 1e-8 of the radius: wherever the test
+    # passes, the stored core winds 1 about the inner disk's points in the
+    # directions of its edge midpoints, where the inscribed circle touches,
+    # and 0 about the outer circle's
+    rng = random.Random(28)
+    n = certify.N_CURVE
+    outcomes = collections.Counter()
+    for _ in range(300):
+        r = 10 ** rng.uniform(-12, 0)
+        center = r * 10 ** rng.uniform(0, 8) * cmath.exp(
+            1j * rng.uniform(-math.pi, math.pi))
+        r_in = r * math.cos(math.pi / n) * (1 - 10 ** rng.uniform(-16, -2))
+        ann = RoundAnnulus(center, math.log(r_in),
+                           2 * math.log(r) - math.log(r_in), anchor=0j)
+        fault = certify._nesting_fault(ann, 1 + 0j, 0)
+        outcomes[fault is None] += 1
+        if fault is not None:
+            continue
+        core = certify._representative_curves(ann, 1 + 0j, 0)[0].nodes
+        for m in range(0, n, 8):
+            u = cmath.exp(1j * (m + 0.5) * 2 * math.pi / n)
+            inner, outer = center + ann.r_in * u, center + ann.r_out * u
+            if abs(inner - center) <= ann.r_in:
+                assert _winding(core, inner) == 1, (center, r, m)
+            if abs(outer - center) >= ann.r_out:
+                assert _winding(core, outer) == 0, (center, r, m)
+    assert outcomes[True] > 50 and outcomes[False] > 50, outcomes
+
+
+def test_promotion_flag_is_the_length_bound_below_the_shortened_ell_star():
+    # length_bound < ell* e^{-k d0}, computed here; it is False on all five
+    # certificates, whose length bounds are below ell* itself
+    for name, run, cert in _corpus_certificates():
+        want = cert.length_bound < ELL_STAR * math.exp(-cert.k * cert.d0_bound)
+        assert cert.promotion_flag == want and not want, name
+        assert cert.length_bound < ELL_STAR, name
+
+
 # -- forgeries that each fail one condition alone ---------------------------
 #
 # Each edits one stored field of an honest certificate (its JSON form),
@@ -1303,6 +1389,56 @@ def _forge_d0_bound(payload, run):
     payload["d0_bound"] = derived * (1 + 1e-6)
     return ["d0 bound mismatch: stored d0_bound %s, derived %s"
             % (reprlib.repr(payload["d0_bound"]), reprlib.repr(derived))]
+
+
+def _forge_modulus(payload, run):
+    # the stored modulus one part in a billion above the derived one
+    derived = payload["modulus"]
+    payload["modulus"] = derived * (1 + 1e-9)
+    return ["modulus mismatch: stored modulus %s, derived %s"
+            % (reprlib.repr(payload["modulus"]), reprlib.repr(derived))]
+
+
+def _forge_length_bound(payload, run):
+    # the stored length bound one part in a million above the derived one
+    derived = payload["length_bound"]
+    payload["length_bound"] = derived * (1 + 1e-6)
+    return ["length bound formula mismatch: stored length_bound %s, derived "
+            "%s" % (reprlib.repr(payload["length_bound"]),
+                    reprlib.repr(derived))]
+
+
+def _forge_thin(payload, run):
+    # the outer radius shrunk to 0.75 of the threshold modulus, the stored
+    # modulus made to match (a check that accepted half the threshold
+    # would pass it)
+    ann = payload["annulus"]
+    ann["log_rout"] = ann["log_rin"] + \
+        certify.TWO_PI * 0.75 * payload["threshold"]
+    payload["modulus"] = annulus_modulus(RoundAnnulus.from_json(ann))
+    assert abs(payload["modulus"] / payload["threshold"] - 0.75) < 1e-12
+    return ["modulus does not exceed threshold"]
+
+
+def _forge_lone_point(payload, run):
+    # an annulus about the marked point m0 alone, out to half the distance
+    # of the nearest other point, its modulus the threshold plus one; the
+    # stored modulus, side counts and cluster labels made to match
+    ann = RoundAnnulus.from_json(payload["annulus"])
+    n = payload["step"]
+    entries = _step_chart_entries(run.step_points(n), ann.anchor, n)
+    m0 = next(z for lab, _, z in entries if lab == "m0")
+    log_rout = math.log(0.5 * min(abs(z - m0) for lab, _, z in entries
+                                  if lab != "m0" and z is not None))
+    lone = RoundAnnulus(
+        m0, log_rout - certify.TWO_PI * (payload["threshold"] + 1.0),
+        log_rout, anchor=ann.anchor)
+    payload.update(annulus=lone.to_json(), modulus=annulus_modulus(lone),
+                   inner_count_A=1, inner_count_B=0,
+                   outer_count_A=len(entries) - 1,
+                   outer_count_B=sum(kind == "P" for _, kind, _ in entries),
+                   cluster_labels=["m0"])
+    return ["essential-in-A side condition"]
 
 
 def _forge_curve_node(payload, run):
@@ -1329,46 +1465,86 @@ def _forge_ring(payload, run):
     return ["configuration point %s inside the annulus ring" % label]
 
 
+def _forge_two_punctures(payload, run):
+    # the run at oo alone, whose cluster collapses at the puncture oo: in
+    # the plane chart, an annulus about the two finite punctures, out to
+    # just inside m0; its modulus, over the threshold, and the side counts
+    # and cluster labels made to match
+    n = payload["step"]
+    entries = _step_chart_entries(run.step_points(n), None, n)
+    inner = [(lab, z) for lab, kind, z in entries
+             if kind == "P" and z is not None]
+    center = sum(z for _, z in inner) / 2
+    m0 = next(z for lab, _, z in entries if lab == "m0")
+    ann = RoundAnnulus.from_radii(
+        center, 1.05 * max(abs(z - center) for _, z in inner),
+        0.95 * abs(m0 - center), anchor=None)
+    payload.update(annulus=ann.to_json(), modulus=annulus_modulus(ann),
+                   inner_count_A=2, inner_count_B=2, outer_count_A=2,
+                   outer_count_B=1, cluster_labels=[lab for lab, _ in inner])
+    assert payload["modulus"] > payload["threshold"]
+    return ["non-essential-in-B side condition"]
+
+
 @pytest.fixture(scope="module")
-def demo_certificates(tmp_path_factory):
-    """(name, trace path, certificate path) of each certified demo."""
-    out = str(tmp_path_factory.mktemp("demo"))
-    names = [name for name, _, _ in _corpus_certificates()]
+def certificate_files(tmp_path_factory):
+    """(name, run, trace path, certificate path) of the 4 certified demos
+    and the run at oo, each written by cli run."""
+    out = tmp_path_factory.mktemp("certified")
+    configs = {os.path.basename(path): path for path in DEMO_CONFIGS}
+    configs["infinity"] = str(out / "infinity.json")
+    with open(configs["infinity"], "w") as fh:  # AT_INFINITY
+        json.dump({"name": "infinity", "map": {
+            "numerator": [[0, 0], [0, 0], [1, 0]],
+            "denominator": [[1, 0], [4, 0]]}, "marked": [{
+                "type": "fixed", "basepoint": [-0.5, 0.0],
+                "branch_point": [1 / (math.sqrt(2) - 2), 0.0]}]}, fh)
     found = []
-    for path in DEMO_CONFIGS:
-        name = os.path.basename(path)
-        if name in names:
-            assert main(["run", "--config", path, "--out", out]) == 0
-            base = os.path.join(out, name[:-len(".json")])
-            found.append((name, base + ".trace.jsonl",
-                          base + ".certificate.json"))
-    assert len(found) == 4
+    for name, run, _ in _corpus_certificates():
+        assert main(["run", "--config", configs[name], "--out",
+                     str(out)]) == 0
+        base = str(out / name.replace(".json", ""))
+        found.append((name, run, base + ".trace.jsonl",
+                      base + ".certificate.json"))
+    assert len(found) == 5
     return found
 
 
-@pytest.mark.parametrize("forge", [_forge_d0_bound, _forge_curve_node,
+def _assert_forgery_fails(forge, run, trace, cert_path, forged, capsys):
+    """The certificate file forged by ``forge`` fails with exactly the
+    messages it returns, through verify_certificate and cli check."""
+    with open(cert_path) as fh:
+        payload = json.load(fh)
+    want = forge(payload, run)
+    result = verify_certificate(LevyCertificate.from_json(payload), run)
+    assert result.mismatches == want, (cert_path, result.mismatches)
+    with open(forged, "w") as fh:
+        json.dump(payload, fh)
+    capsys.readouterr()
+    assert main(["check", "--trace", trace, "--cert", forged]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines() == ["CHECK FAIL: " + m for m in want] and \
+        err == "", (cert_path, out, err)
+
+
+@pytest.mark.parametrize("forge", [_forge_d0_bound, _forge_modulus,
+                                   _forge_length_bound, _forge_thin,
+                                   _forge_lone_point, _forge_curve_node,
                                    _forge_ring],
                          ids=lambda forge: forge.__name__[len("_forge_"):])
-def test_forgery_fails_one_condition_alone(forge, demo_certificates,
+def test_forgery_fails_one_condition_alone(forge, certificate_files,
                                            tmp_path, capsys):
-    # through verify_certificate on the 4 demo certificates and the oo one,
-    # and through cli check on the demo certificates' files
-    runs = {}
-    for name, run, cert in _corpus_certificates():
-        runs[name] = run
-        payload = cert.to_json()
-        want = forge(payload, run)
-        result = verify_certificate(LevyCertificate.from_json(payload), run)
-        assert result.mismatches == want, (name, result.mismatches)
-    for name, trace, cert_path in demo_certificates:
-        with open(cert_path) as fh:
-            payload = json.load(fh)
-        want = forge(payload, runs[name])
-        forged = str(tmp_path / name)
-        with open(forged, "w") as fh:
-            json.dump(payload, fh)
-        capsys.readouterr()
-        assert main(["check", "--trace", trace, "--cert", forged]) == 1
-        out, err = capsys.readouterr()
-        assert out.splitlines() == ["CHECK FAIL: " + m for m in want] and \
-            err == "", (name, out, err)
+    # on the 4 demo certificates and the oo one
+    for name, run, trace, cert_path in certificate_files:
+        _assert_forgery_fails(forge, run, trace, cert_path,
+                              str(tmp_path / name), capsys)
+
+
+def test_two_inner_punctures_fail_one_condition_alone(certificate_files,
+                                                      tmp_path, capsys):
+    # the other two punctures fit inside an annulus over the threshold
+    # modulus only where the cluster collapses at oo
+    (_, run, trace, cert_path), = [f for f in certificate_files
+                                   if f[0] == "infinity"]
+    _assert_forgery_fails(_forge_two_punctures, run, trace, cert_path,
+                          str(tmp_path / "infinity"), capsys)
