@@ -12,10 +12,13 @@ certificates are numerical evidence, with every tolerance embedded.
 The injectivity evidence asks, at each forward stage, that the images of
 the two boundary circles be star-shaped about the image of the annulus
 center and separated by a circle about it (``injectivity_test``): O(n)
-tests, with no pair of edges tested. The core curve is its own inverse
-lift, so no preimage is solved for it. Its lifts z / lambda, read from
-the chart map's linear part (``_linear_lift``), nest in the annulus by
-a closed form (``_nesting_fault``); no curve is sampled about a point.
+tests, with no pair of edges tested. No lift is computed. At each stage
+the core curve's image lies between the boundary images, clear of every
+critical point, so it is its own inverse lift and is not sampled. The
+k lifts of the core curve are the core polygon over lambda^j, each
+within a Rouche distance of the true lift (``_linear_lift``), and they
+nest in the annulus by a closed form (``_nesting_fault``); no curve is
+sampled about a point.
 
 Emission and ``verify_certificate`` derive a certificate the same way:
 ``_derive_certificate`` computes every field from the run, the step and
@@ -41,11 +44,11 @@ from .errors import (InjectivityUndetermined, NoSeparatingAnnulus,
                      PullbackLabError)
 from .fiber import step_until
 from .hyperbolic import ELL_STAR, RoundAnnulus, annulus_modulus
-from .lifting import EPS_CV, EPS_LIFT, ETA_SAFE, Path, branch_step, _seg_closest
+from .lifting import EPS_CV, Path, _seg_closest
 from .lifting import lift_closed_curve  # noqa: F401 (perfbench spans this name)
 from .ratmap import EPS_FIX, fixed_multiplier, is_repelling
-from .sphere import (CHART_LIMIT, INF, chart_coordinate, chordal,
-                     encode_point, is_inf, json_float, json_typed)
+from .sphere import (INF, chart_coordinate, chordal, encode_point, is_inf,
+                     json_float, json_typed)
 
 TWO_PI = 2.0 * math.pi
 _LN2 = math.log(2.0)
@@ -366,21 +369,24 @@ def _inner_reach(gm, center, radius):
     return None
 
 
-def _linear_lift(gm, crit, center, radius):
-    """lambda when the closing degree-1 lifts of the core polygon
-    (``_representative_curves``) are its nodes divided by lambda, else None.
+def _linear_lift(gm, center, radius):
+    """(lambda, e) when the successive closing degree-1 lifts of the core
+    polygon exist, lift j within e of the polygon divided by lambda^j
+    (``_representative_curves``), else None.
 
-    The nodes lie in |w| <= s (|center| + r, padded for rounding), and so
-    do their lifts when (|lambda| - 1) s > B. There gm = lambda w + E with
-    |E| <= B (``_linear_part``), so by Rouche each target t has exactly one
-    preimage within B / |lambda| of t / lambda: the branch ``lift_path``
-    continues, and it closes with degree 1 as the curve does. z / lambda,
-    rounded, misses its target by at most B + 1e-12 s; with that slack
-    each node must pass what ``lift_path`` asks: residual times the
-    chordal scale (at most 2) within EPS_LIFT, which also keeps s below
-    500, inside CHART_LIMIT; and a step, the chord 2 r sin(pi / N_CURVE)
-    over |lambda| plus slack, below ETA_SAFE times the gap to the critical
-    points, at least min |c| - (s + B) / |lambda|.
+    The polygon lies in the disk |w| <= s (|center| + r, padded for
+    rounding), where gm = lambda w + E with |E| <= B (``_linear_part``).
+    The one condition is Rouche's, (|lambda| - 1) s > B. Then for every t
+    in the disk, |gm(w) - t - (lambda w - t)| <= B < |lambda w - t| on
+    |w| = s, so gm(w) = t has exactly one root in the disk, as lambda w =
+    t has, and it lies within B / |lambda| of t / lambda. So no critical
+    point of gm maps into the disk from it, the inverse branch is a
+    conformal map of the disk into itself, and the lift of the polygon,
+    and of each lift in turn, is unique and closes with degree 1. Lift j
+    is within e_j = (B + e_{j-1}) / |lambda| of the polygon over
+    lambda^j, so within e = B / (|lambda| - 1) for every j; computed
+    here, where |lambda| > 1, and added to the nesting test's distances
+    (``_nesting_fault``).
 
     Where this declines, the derivation fails, with no other lift tried.
     It holds with room wherever the modulus condition does: at an exact
@@ -392,13 +398,7 @@ def _linear_lift(gm, crit, center, radius):
     lam, bound = _linear_part(gm, s)
     if not (abs(lam) - 1.0) * s > bound:
         return None
-    step = (2.0 * radius * math.sin(math.pi / N_CURVE) + 1e-12 * s
-            + 2.0 * bound) / abs(lam)
-    gap = min([abs(c) for c in crit], default=math.inf) - \
-        (s + bound) / abs(lam)
-    if 2.0 * (bound + 1e-12 * s) <= EPS_LIFT and step < ETA_SAFE * gap:
-        return lam
-    return None
+    return lam, bound / (abs(lam) - 1.0)
 
 
 def _star_radii(zs, c):
@@ -454,20 +454,14 @@ def injectivity_test(g, annulus, k):
     critical point outside the outer circle or inside the inner inradius
     needs no pass (``_circle_position``).
 
-    The core curve gamma_j = gm^j(core circle) is its own lift: the
-    critical-point test keeps every critical point out of the tracked
-    region, so gamma_j avoids them, and the lift of gm o gamma_j from
-    gamma_j(0) is unique. It closes because gamma_j does, and its
-    ``core_lift_residual`` is 0.0 (the key stays in the evidence). At
-    stage 0 the core is an N_SAMP-gon homothetic about the center to the
-    boundary polygons (the same ``_unit_roots``) and strictly between
-    them, so the argument is complete there; only the plane chart's
-    CHART_LIMIT is tested, on |center| + r. From stage 1 on, gamma_j is an
-    image known by its samples: each step between them must pass the
-    branch safeguard (``lifting.branch_step``), and in the plane chart
-    each sample must stay within CHART_LIMIT, as ``lift_path`` requires.
-    A step ``lift_path`` would bisect is declined. The core is sampled
-    only when k >= 2.
+    The core curve gamma_j = gm^j(core circle) is its own lift, and is
+    neither sampled nor mapped. Stages 0..j-1 show gm^j injective on the
+    annulus, so gamma_j, the image of a circle strictly inside it, lies
+    between the stage-j boundary images, in the region whose critical
+    points the stage-j test clears. So gamma_j avoids them, and the lift
+    of gm o gamma_j from gamma_j(0) is unique; it is gamma_j, which
+    closes. At stage 0 that region is the annulus itself. Its
+    ``core_lift_residual`` is 0.0 (the key stays in the evidence).
 
     When k = 1 and the anchor chart map is its linear part lambda w to
     within LINEAR_MARGIN |lambda| r_in on the inner disk, as it is far
@@ -479,18 +473,15 @@ def injectivity_test(g, annulus, k):
 
     Raises InjectivityUndetermined on any failed check (which is not a
     proof of non-injectivity)."""
-    anchor = annulus.anchor
-    gm, crit = g.chart(anchor)
+    gm, crit = g.chart(annulus.anchor)
     center = annulus.center
     r_in, r_out = annulus.r_in, annulus.r_out
-    radius = annulus.core_radius()
     # an inner image the closed form settles and no later stage maps is
-    # not sampled; the core is sampled for stage 1
+    # not sampled
     inner_reach = _inner_reach(gm, center, r_in) if k == 1 else None
     inner = None if inner_reach is not None else \
         _circle(center, r_in, N_SAMP)
     outer = _circle(center, r_out, N_SAMP)
-    core = _circle(center, radius, N_SAMP) if k > 1 else None
     stages = []
     for j in range(k):
         clear = math.inf
@@ -536,31 +527,15 @@ def injectivity_test(g, annulus, k):
             raise InjectivityUndetermined(
                 "boundary images not separated by a circle about the image "
                 "of the annulus center at stage %d" % j)
-        # the lift of gm(core) from core[0] is core itself: inside the
-        # working chart, and from stage 1 on by steps lift_path accepts
-        if j == 0 and anchor is None and \
-                abs(annulus.center) + radius > CHART_LIMIT:
-            raise InjectivityUndetermined(
-                "core curve leaves the working chart at stage 0")
-        for a, b in zip(core, core[1:]) if j else ():
-            if not abs(b - a) < branch_step(a, crit):
-                raise InjectivityUndetermined(
-                    "core-curve sample step exceeds the branch safeguard at "
-                    "stage %d" % j)
-            if anchor is None and abs(b) > CHART_LIMIT:
-                raise InjectivityUndetermined(
-                    "core curve leaves the working chart at stage %d" % j)
         stages.append({
             "stage": j,
             "critical_clearance": clear if math.isfinite(clear) else None,
             "boundaries_simple": True,
             "boundaries_disjoint": True,
-            # the lift's nodes are the samples, its targets their images
+            # the core's image is its own lift
             "core_lift_residual": 0.0,
         })
         inner, outer = images
-        if j + 1 < k:
-            core = _apply_map(gm, core)
     return {"samples": N_SAMP, "stages": stages, "k": k}
 
 
@@ -655,12 +630,16 @@ def _log_threshold(run):
 def _annulus_faults(modulus, threshold, counts, ring):
     """Messages of the annulus conditions that fail: modulus above the
     threshold, no configuration point in the ring, at least two points of
-    A on each side, at most one point of B inside."""
-    inner_A, inner_B, outer_A, _ = counts
+    A on each side, at most one point of B inside.
+
+    Only the inner side of essential-in-A is tested: with inner_B <= 1,
+    the at least three punctures ``init_run`` requires leave outer_B >= 2,
+    and B is part of A, so outer_A >= 2."""
+    inner_A, inner_B, _, _ = counts
     faults = [] if modulus > threshold else ["modulus does not exceed threshold"]
     faults += ["configuration point %s inside the annulus ring" % lab
                for lab in ring]
-    if not (inner_A >= 2 and outer_A >= 2):
+    if not inner_A >= 2:
         faults.append("essential-in-A side condition")
     if not inner_B <= 1:
         faults.append("non-essential-in-B side condition")
@@ -807,12 +786,13 @@ def _derive_certificate(run, n, annulus):
         fields["injectivity_evidence"] = injectivity_test(run.g, annulus, k)
     except InjectivityUndetermined as exc:
         return fields, ["injectivity test failed: %s" % exc]
-    lam = _linear_lift(*run.g.chart(annulus.anchor), annulus.center,
-                       annulus.core_radius())
-    if lam is None:
+    lift = _linear_lift(run.g.chart(annulus.anchor)[0], annulus.center,
+                        annulus.core_radius())
+    if lift is None:
         return fields, ["the anchor chart's linear part shows no chain of "
                         "%d closing degree-1 lifts of the core curve" % k]
-    fault = _nesting_fault(annulus, lam, k)
+    lam, lift_dist = lift
+    fault = _nesting_fault(annulus, lam, k, lift_dist)
     if fault is not None:
         return fields, [fault]
     length_bound = product / modulus
@@ -829,24 +809,27 @@ _COUNT_FIELDS = ("inner_count_A", "inner_count_B", "outer_count_A",
                  "outer_count_B")
 
 
-def _nesting_fault(annulus, lam, k):
+def _nesting_fault(annulus, lam, k, lift_dist):
     """The first of lifts 0..k of the core curve (0 is the core) that does
     not nest in the annulus, named in a message, or None.
 
-    Lift j, the core N-gon over lambda^j, is an orientation-preserving
-    similarity of it: centre c / lambda^j, circumradius rho_j = r /
-    |lambda|^j, inradius rho_j cos(pi / N), each node within (j + 1) 1e-12
-    (|c| + r) / |lambda|^j of it; d_j adds |c - c / lambda^j|. With r_in +
-    d_j < rho_j cos(pi / N) it winds +1 about every inner point, with
-    rho_j + d_j < r_out 0 about every outer one and oo. The ring is empty,
-    so the k + 1 simple curves separate A alike and are homotopic rel A:
-    one class, within the budget k >= 1 (as |A| >= 4 by essential-in-A).
-    Their length bound is below ell* as modulus > threshold (one rounding)."""
+    The stored lift j, the core N-gon over lambda^j, is an
+    orientation-preserving similarity of it: centre c / lambda^j,
+    circumradius rho_j = r / |lambda|^j, inradius rho_j cos(pi / N), each
+    node within (j + 1) 1e-12 (|c| + r) / |lambda|^j of it. The true lift
+    is within ``lift_dist`` of it for j >= 1 (``_linear_lift``). d_j sums
+    these with |c - c / lambda^j|. With r_in + d_j < rho_j cos(pi / N)
+    both wind +1 about every inner point, with rho_j + d_j < r_out 0 about
+    every outer one and oo. The ring is empty, so the k + 1 simple curves
+    separate A alike and are homotopic rel A: one class, within the budget
+    k >= 1 (as |A| >= 4 by essential-in-A). Their length bound is below
+    ell* as modulus > threshold (one rounding)."""
     center, r_in, r_out = annulus.center, annulus.r_in, annulus.r_out
     c, rho = center, annulus.core_radius()
     size = abs(c) + rho
     for j in range(k + 1):
-        d = abs(center - c) + 1e-12 * (j + 1) * size
+        d = (abs(center - c) + 1e-12 * (j + 1) * size
+             + (lift_dist if j else 0.0))
         if not (r_in + d < rho * math.cos(math.pi / N_CURVE)
                 and rho + d < r_out):
             return "lift %d of the core curve does not nest in the annulus" % j

@@ -6,14 +6,12 @@ Continuation is Newton seeded at the previous lift node, with the value and
 derivative of g there that the previous node's own solve computed, and the
 residual check reads g at Newton's answer from the same solve. A node
 therefore costs only the evaluations after Newton's first step: one when
-that step hits the target exactly, as on the small anchored circles of a
-certificate. A step is accepted only when the displacement stays below eta
-times the distance from the previous node to the nearest critical point
-(``branch_step``), otherwise the target segment is bisected (up to a fixed
-depth). This safeguard is what prevents silent branch jumps near critical
-points. It has one definition: the injectivity test applies the same rule
-to the core-curve samples whose lift it already holds
-(``certify.injectivity_test``).
+that step hits the target exactly, as on small anchored circles about a
+repelling fixed point. A step is accepted only when the displacement stays
+below eta times the distance from the previous node to the nearest critical
+point (``branch_step``), otherwise the target segment is bisected (up to a
+fixed depth). This safeguard is what prevents silent branch jumps near
+critical points.
 
 A Path may carry an ``anchor``, a finite point or oo: its nodes are then
 coordinates in the working chart at that point (``sphere.chart_coordinate``)

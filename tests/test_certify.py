@@ -25,14 +25,13 @@ from pullbacklab.certify import (N_SAMP, certify_obstructed, classify_run,
                                  _poly_min_dist, _star_radii,
                                  _step_chart_entries, _winding)
 from pullbacklab.cli import _build_run, load_config, main
-from pullbacklab.errors import (ChartOverflow, InjectivityUndetermined,
-                                NoSeparatingAnnulus)
+from pullbacklab.errors import InjectivityUndetermined, NoSeparatingAnnulus
 from pullbacklab.fiber import (BranchDatum, TrivialMarkedSpec, init_run,
                                run_until)
 from pullbacklab.hyperbolic import (ELL_STAR, RoundAnnulus, annulus_modulus)
 from pullbacklab import lifting
-from pullbacklab.lifting import (Path, branch_step, lift_closed_curve,
-                                 _newton_preimage, _seg_closest)
+from pullbacklab.lifting import (Path, lift_closed_curve, _newton_preimage,
+                                 _seg_closest)
 from pullbacklab.ratmap import RationalMap
 from pullbacklab.sphere import (Configuration, INF, chart_coordinate, chordal,
                                is_inf)
@@ -237,50 +236,6 @@ def test_core_stage_agrees_with_the_newton_lift_at_every_stage(extra, k,
         assert res.lifted.nodes == Path(core).nodes
         assert res.max_residual == stage["core_lift_residual"] == 0.0
         core = image
-
-
-def test_coarse_core_passes_stage_0_and_is_declined_at_stage_1(
-        monkeypatch):
-    # with 4 samples a step of the core of 0.05 < |z - 1| < 0.6 is longer
-    # than the branch safeguard allows at z^2's critical point 0. At
-    # stage 0 the core lies between the boundary polygons, which the
-    # critical-point test clears, so it is its own lift and passes; at
-    # stage 1 its image is known only by its samples, and lift_path would
-    # bisect a step of them, so the stage declines it
-    ann = RoundAnnulus.from_radii(1 + 0j, 0.05, 0.6)
-    monkeypatch.setattr(certify, "N_SAMP", 4)
-    core = _circle(ann.center, ann.core_radius(), 4)
-    assert not all(abs(b - a) < branch_step(a, (0j,))
-                   for a, b in zip(core, core[1:]))
-    assert injectivity_test(SQUARE, ann, 1)["stages"][0][
-        "core_lift_residual"] == 0.0
-    image = _apply_map(SQUARE, core)
-    assert not all(abs(b - a) < branch_step(a, (0j,))
-                   for a, b in zip(image, image[1:]))
-    res, closes = lift_closed_curve(SQUARE, Path(_apply_map(SQUARE, image)),
-                                    image[0], check_clearance=False)
-    assert closes and res.subdivisions > 0
-    with pytest.raises(InjectivityUndetermined, match=(
-            "core-curve sample step exceeds the branch safeguard at "
-            "stage 1")):
-        injectivity_test(SQUARE, ann, 2)
-    monkeypatch.setattr(certify, "N_SAMP", 16)
-    assert [stage["core_lift_residual"] for stage in
-            injectivity_test(SQUARE, ann, 2)["stages"]] == [0.0, 0.0]
-
-
-def test_core_outside_the_plane_chart_is_declined():
-    # a core sample beyond CHART_LIMIT, which lift_path refuses with
-    # ChartOverflow, declines the injectivity test
-    g = RationalMap([0, 0, 1e-3])
-    ann = RoundAnnulus.from_radii(2e6 + 0j, 1e4, 1e6)
-    core = _circle(ann.center, ann.core_radius(), N_SAMP)
-    with pytest.raises(ChartOverflow):
-        lift_closed_curve(g, Path(_apply_map(g, core)), core[0],
-                          check_clearance=False)
-    with pytest.raises(InjectivityUndetermined,
-                       match="core curve leaves the working chart at stage 0"):
-        injectivity_test(g, ann, 1)
 
 
 def _dense_reference(z1, z2, skip_adjacent):
@@ -1092,9 +1047,9 @@ def test_closed_forms_decide_every_corpus_certificate(monkeypatch):
     apply_map = certify._apply_map
     for name, run, cert in certs:
         ann = cert.annulus
-        gm, crit = run.g.chart(ann.anchor)
+        gm, _ = run.g.chart(ann.anchor)
         assert certify._inner_reach(gm, ann.center, ann.r_in) is not None
-        assert certify._linear_lift(gm, crit, ann.center,
+        assert certify._linear_lift(gm, ann.center,
                                     ann.core_radius()) is not None
         inner_first = _circle(ann.center, ann.r_in, N_SAMP)[0]
 
@@ -1147,12 +1102,13 @@ def test_closed_forms_agree_with_the_sampled_reference():
     # random deep annuli at the corpus anchors, r_in from 1e-200 to 1e-20,
     # where the closed forms always decide, and annuli about their margins:
     # wherever the closed form decides, the sampled stage-0 test passes
-    # with a reach no greater, and the closed-form lift is the Newton lift
-    # to within the bound
+    # with a reach no greater, and the closed-form lift, which Rouche's
+    # condition accepts on every annulus here, is the Newton lift to
+    # within the bound
     rng = random.Random(26)
     seen = collections.Counter()
     for name, g, q in _corpus_anchor_charts():
-        gm, crit = g.chart(q)
+        gm, _ = g.chart(q)
         for deep in [True] * 12 + [False] * 12:
             r_in = 10 ** (rng.uniform(-200, -20) if deep
                           else rng.uniform(-8, -4))
@@ -1161,13 +1117,14 @@ def test_closed_forms_agree_with_the_sampled_reference():
             radius = math.sqrt(r_in * 10 ** rng.uniform(-3, -1)) if deep \
                 else 10 ** rng.uniform(-6, -3)
             reach = certify._inner_reach(gm, center, r_in)
-            lam = certify._linear_lift(gm, crit, center, radius)
-            seen[deep, reach is not None, lam is not None] += 1
+            lift = certify._linear_lift(gm, center, radius)
+            seen[deep, reach is not None, lift is not None] += 1
             if reach is not None:
                 radii = _star_radii(
                     _apply_map(gm, _circle(center, r_in, N_SAMP)), gm(center))
                 assert radii is not None and radii[1] <= reach, (name, r_in)
-            if lam is not None:
+            if lift is not None:
+                lam = lift[0]
                 core = Path(_circle(center, radius, certify.N_CURVE),
                             anchor=q)
                 start = _newton_preimage(gm, core.start,
@@ -1181,36 +1138,8 @@ def test_closed_forms_agree_with_the_sampled_reference():
                     for z, w in zip(core.nodes, res.lifted.nodes)), \
                     (name, radius)
     assert seen[True, True, True] == 48
-    assert {key[1:] for key in seen if not key[0]} >= {
-        (True, True), (False, False), (True, False)}
-
-
-def test_closed_form_lift_is_declined_where_lift_path_bisects(monkeypatch):
-    # 4w + c w^3 has its critical points at +-1.5e-10 i, 1.5 times the
-    # radius of a core about 0: with 4 nodes a step of the lift is longer
-    # than the branch safeguard allows, lift_path bisects it, and the
-    # closed form declines it (the chart is given with its critical
-    # points, which root finding at this scale does not resolve)
-    monkeypatch.setattr(certify, "N_CURVE", 4)
-    a, radius = 1.5e-10, 1e-10
-    gm, crit = RationalMap([0, 4, 0, 4 / (3 * a * a)]), (a * 1j, -a * 1j)
-    assert max(abs(gm.evaluate_with_derivative(c)[1]) for c in crit) < 1e-5
-    assert certify._linear_lift(gm, crit, 0j, radius) is None
-    core = Path(_circle(0j, radius, 4), anchor=0j)
-    start = _newton_preimage(gm, core.start, core.start)[0]
-    res, closes = lift_closed_curve(_FixedChart(gm, crit), core, start,
-                                    check_clearance=False)
-    assert closes and res.subdivisions > 0
-
-
-class _FixedChart:
-    """A map whose chart at any anchor is the given one."""
-
-    def __init__(self, gm, crit):
-        self._chart = gm, crit
-
-    def chart(self, q=None):
-        return self._chart
+    assert {key[1:] for key in seen if not key[0]} == {
+        (True, True), (False, True)}
 
 
 def test_linear_part_bounds_the_map_on_the_disk():
@@ -1240,24 +1169,23 @@ def test_linear_part_bounds_the_map_on_the_disk():
 
 def test_closed_forms_decline_at_their_edges():
     # each condition of the closed forms past its edge: the alpha fixed
-    # point of z^2 + c, no double (gm(0) != 0), a shallow annulus, an
-    # attracting fixed point (lifts leave the disk), an inner image below
-    # _star_radii's range, and one past _apply_map's
+    # point of z^2 + c, no double (gm(0) != 0), a shallow annulus, a disk
+    # too wide for Rouche's condition, an attracting fixed point (lifts
+    # leave the disk), an inner image below _star_radii's range, and one
+    # past _apply_map's
     c = -1.5436890126920764
     gm, _ = RationalMap([c, 0, 1]).chart((1 - cmath.sqrt(1 - 4 * c)) / 2)
     assert gm.numerator[0] != 0
     assert certify._linear_part(gm, 1e-40)[1] == math.inf
     assert certify._inner_reach(gm, 1e-40 + 0j, 1e-40) is None
-    gm, crit = CHEB.chart(2.0 + 0j)
+    gm, _ = CHEB.chart(2.0 + 0j)
     assert certify._inner_reach(gm, 0.01 + 0j, 0.02) is None
-    assert certify._linear_lift(gm, crit, 0.01 + 0j, 0.02) is None
+    assert certify._linear_lift(gm, 0.5 + 0j, 0.3) is None
     assert certify._inner_reach(gm, 1e-9 + 0j, 1e-9) is not None
-    square = SQUARE.chart(1.0 + 0j)
-    assert certify._linear_lift(*square, 1e-20, 1e-20) is not None
-    attracting = RationalMap([0, 0.5, 1])
-    assert certify._linear_lift(*attracting.chart(0j), 1e-20,
-                                1e-20) is None
-    gm = square[0]
+    gm, _ = SQUARE.chart(1.0 + 0j)
+    assert certify._linear_lift(gm, 1e-20, 1e-20) is not None
+    attracting, _ = RationalMap([0, 0.5, 1]).chart(0j)
+    assert certify._linear_lift(attracting, 1e-20, 1e-20) is None
     with pytest.raises(ValueError, match="outside the star test's range"):
         _star_radii(_apply_map(gm, _circle(0j, 1e-305, N_SAMP)), 0j)
     assert certify._inner_reach(gm, 0j, 1e-305) is None
@@ -1275,23 +1203,40 @@ def test_closed_forms_decline_at_their_edges():
     assert certify._inner_reach(gm, 3e9 + 0j, 1e9) is not None
 
 
+def test_linear_lift_is_rouches_condition():
+    # CHEB's chart at 2 is 4w + w^2, for which _linear_part gives B = 4 s^2
+    # (twice |w|^2 <= s^2, twice again for the float sums): the lifts exist
+    # while 3 s > 4 s^2, and lie within B / 3 of the nodes over 4^j
+    gm, _ = CHEB.chart(2.0 + 0j)
+    s = 0.03 * (1 + 1e-12)
+    assert certify._linear_part(gm, s) == (4, pytest.approx(4 * s * s))
+    lam, dist = certify._linear_lift(gm, 0.01 + 0j, 0.02)
+    assert lam == 4 and dist == pytest.approx(0.0012)
+    # s = 0.8: 3 s = 2.4 <= B = 2.56
+    assert certify._linear_lift(gm, 0.5 + 0j, 0.3) is None
+
+
 def test_derivation_fails_where_the_linear_lift_declines(monkeypatch):
-    # with a lift tolerance no rounded node meets, _linear_lift declines
-    # on every corpus certificate, and the derivation returns its curve
-    # fault: no Newton solve or lift is tried in its place
+    # with _linear_part's bound at Rouche's edge, (|lambda| - 1) s, the
+    # linear lift declines on every corpus certificate, and the derivation
+    # returns its curve fault: no Newton solve or lift is tried in its place
     certs = _corpus_certificates()
 
     def refuse(*args, **kw):
         raise AssertionError("Newton solve or lift")
 
+    def at_the_edge(gm, s, linear_part=certify._linear_part):
+        lam, _ = linear_part(gm, s)
+        return lam, (abs(lam) - 1.0) * s
+
     monkeypatch.setattr(lifting, "_newton_preimage", refuse)
     monkeypatch.setattr(lifting, "lift_closed_curve", refuse)
     monkeypatch.setattr(certify, "lift_closed_curve", refuse)
-    monkeypatch.setattr(certify, "EPS_LIFT", 0.0)
+    monkeypatch.setattr(certify, "_linear_part", at_the_edge)
     for name, run, cert in certs:
         ann = cert.annulus
-        gm, crit = run.g.chart(ann.anchor)
-        assert certify._linear_lift(gm, crit, ann.center,
+        gm, _ = run.g.chart(ann.anchor)
+        assert certify._linear_lift(gm, ann.center,
                                     ann.core_radius()) is None, name
         fields, faults = _derive_certificate(run, cert.step, ann)
         assert faults == ["the anchor chart's linear part shows no chain of "
@@ -1315,25 +1260,31 @@ def test_nesting_test_on_synthetic_annuli():
 
     nested = annulus(1e-31 + 0j, 1e-30, 1e-10)
     for lam in (4 + 0j, -3j, 1e3 + 1e3j):
-        assert certify._nesting_fault(nested, lam, 2) is None
+        assert certify._nesting_fault(nested, lam, 2, 0.0) is None
         assert windings(nested, lam, 2, nested.center + 1e-30) == [1, 1, 1]
         assert windings(nested, lam, 2, nested.center - 1e-10j) == [0, 0, 0]
     # the center 1e-21 off the anchor: lift 2 is centred 0.94e-21 away
     # from it with circumradius 0.63e-21, and misses the inner disk
     offset = annulus(1e-21 + 0j, 1e-30, 1e-10)
-    assert certify._nesting_fault(offset, 4 + 0j, 1) is None
-    assert certify._nesting_fault(offset, 4 + 0j, 3) == \
+    assert certify._nesting_fault(offset, 4 + 0j, 1, 0.0) is None
+    assert certify._nesting_fault(offset, 4 + 0j, 3, 0.0) == \
         "lift 2 of the core curve does not nest in the annulus"
     assert windings(offset, 4 + 0j, 2, offset.center) == [1, 1, 0]
     # |lambda| < 1: lift 1 has circumradius 1e-19, past r_out = 1e-20
     wide = annulus(0j, 1e-30, 1e-20)
-    assert certify._nesting_fault(wide, 1e-6j, 1) == \
+    assert certify._nesting_fault(wide, 1e-6j, 1, 0.0) == \
         "lift 1 of the core curve does not nest in the annulus"
     assert windings(wide, 1e-6j, 1, 1e-20 + 0j) == [0, 1]
     # the core itself (lift 0) in a ring too thin for its inscribed circle
     thin = annulus(0j, 1.0, 1.0 + 1e-6)
-    assert certify._nesting_fault(thin, 4 + 0j, 1) == \
+    assert certify._nesting_fault(thin, 4 + 0j, 1, 0.0) == \
         "lift 0 of the core curve does not nest in the annulus"
+    # the true lift within the lift distance of lift 1, whose inscribed
+    # circle, radius 2.4998e-21, clears the inner disk by just under that
+    for dist in (0.0, 2e-21):
+        assert certify._nesting_fault(nested, 4 + 0j, 1, dist) is None
+    assert certify._nesting_fault(nested, 4 + 0j, 1, 3e-21) == \
+        "lift 1 of the core curve does not nest in the annulus"
 
 
 def test_nesting_test_covers_the_rounding_of_the_nodes():
@@ -1353,7 +1304,7 @@ def test_nesting_test_covers_the_rounding_of_the_nodes():
         r_in = r * math.cos(math.pi / n) * (1 - 10 ** rng.uniform(-16, -2))
         ann = RoundAnnulus(center, math.log(r_in),
                            2 * math.log(r) - math.log(r_in), anchor=0j)
-        fault = certify._nesting_fault(ann, 1 + 0j, 0)
+        fault = certify._nesting_fault(ann, 1 + 0j, 0, 0.0)
         outcomes[fault is None] += 1
         if fault is not None:
             continue
