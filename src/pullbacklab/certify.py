@@ -71,7 +71,6 @@ class Classification:
         self.puncture = fields.get("puncture")
         self.puncture_label = fields.get("puncture_label")
         self.rate_estimate = fields.get("rate_estimate")
-        self.certificate = fields.get("certificate")
         self.reason = fields.get("reason", "")
 
     def to_json(self):
@@ -84,8 +83,7 @@ class Classification:
             "puncture": enc(self.puncture),
             "puncture_label": self.puncture_label,
             "rate_estimate": self.rate_estimate,
-            "certificate": (self.certificate.to_json()
-                            if self.certificate is not None else None),
+            "certificate": None,
             "reason": self.reason,
         }
 
@@ -101,10 +99,11 @@ def classify_run(trace, g, punctures, tol=None):
     """Finalize the dichotomy verdict for a finished run trace.
 
     The trace's status is the one ``fiber.stopping_status`` gives on its
-    records with these ``punctures`` and ``tol``. For a realized candidate,
-    that rule has already required every fixed marked point of the final
-    record to be free and more than 10 eps_P from every puncture: the
-    stopping rule applies eps_P, and neither argument is read here."""
+    records with these ``punctures``. For a realized candidate, that rule
+    has already required every fixed marked point of the final record to
+    be free and more than 10 ``fiber.EPS_P`` from every puncture: the
+    stopping rule applies EPS_P, and neither ``punctures`` nor ``tol``
+    (which carries only ``max_iters``) is read here."""
     status = trace.status
     records = trace.records
     if status is None or not records:

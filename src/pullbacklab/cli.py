@@ -3,13 +3,11 @@ certificate persistence, corpus demos.
 
 Subcommands and the flags each reads:
 
-- ``analyze``: one of ``--config FILE`` / ``--batch GLOB``, with ``--out``;
-- ``run | certify``: one of ``--config FILE`` / ``--batch GLOB``, with
-  ``--out`` and ``--tol eps_P=VALUE|max_iters=N``;
-- ``classify``: ``--trace`` and one of ``--config`` / ``--report``, with
-  ``--tol``;
+- ``analyze | run | certify``: one of ``--config FILE`` / ``--batch GLOB``,
+  with ``--out``;
+- ``classify``: ``--trace`` and one of ``--config`` / ``--report``;
 - ``check``: ``--trace`` and ``--cert``, with ``--report``;
-- ``demo``: ``--out`` and ``--tol``.
+- ``demo``: ``--out``.
 
 Exit codes: 0 done, 2 invalid config/usage, 3 numerical failure;
 ``check`` exits 1 when a stored artifact fails verification. A batch
@@ -18,22 +16,23 @@ with the next config and exits 3 at the end.
 
 ``run`` drives the engine's one step loop: ``fiber.run_until`` up to the
 stopping rule, then ``certify_obstructed`` onwards, both recording into
-the same trace. Reports and certificates store the run's config and all
-13 tolerances; a config, ``--tol`` or stored value for one of the 11 in
-``fiber.FIXED_TOLERANCES`` must be the engine's. ``artifact_config``
-rebuilds the run from either artifact. A stored trace is judged by the
-same stopping rule, ``fiber.stopping_status``, at the first record where
-it fires. ``check`` reads the trace file once, for its SHA-256 and its
-lines, and matches each line against the layout the run writes
-(``_RECORD_LINE``), parsing only the lines laid out otherwise. It takes
-the step numbers from these, rebuilds the run from its certificate,
-steps it through the stored records 0..step, whose ``points`` and
-``min_dist_log10`` must be the run's at each step (the texts the run
-writes, or else floats within 1e-12 max(1, |x|)), and verifies the
-certificate against it; with ``--report`` it parses every line, and the
-report must carry the trace's digest, the certificate's config and
-tolerances, and the classification, status and steps the stored trace
-gives. ``run`` hashes the trace bytes as it writes them.
+the same trace. A run's settings are its config: the step cap
+``max_iters`` is the one tolerance it sets, and a config or stored value
+for one of the 12 in ``fiber.FIXED_TOLERANCES`` must be the engine's.
+Reports and certificates store the run's config and all 13 tolerances;
+``artifact_config`` rebuilds the run from either artifact. A stored trace
+is judged by the same stopping rule, ``fiber.stopping_status``, at the
+first record where it fires. ``check`` reads the trace file once, for its
+SHA-256 and its lines, and matches each line against the layout the run
+writes (``fiber.RECORD_LINE``), parsing only the lines laid out
+otherwise. It takes the step numbers from these, rebuilds the run from
+its certificate, steps it through the stored records 0..step, whose
+``points`` and ``min_dist_log10`` must be the run's at each step (the
+texts the run writes, or else floats within 1e-12 max(1, |x|)), and
+verifies the certificate against it; with ``--report`` it parses every
+line, and the report must carry the trace's digest, the certificate's
+config and tolerances, and the classification, status and steps the
+stored trace gives. ``run`` hashes the trace bytes as it writes them.
 """
 
 import argparse
@@ -44,7 +43,6 @@ import io
 import json
 import math
 import os
-import re
 import reprlib
 import sys
 import time
@@ -53,37 +51,33 @@ from . import __version__
 from .certify import (LevyCertificate, certify_obstructed, classify_run,
                       same_within, verify_certificate)
 from .errors import InvalidBranchDatum, PullbackLabError
-from .fiber import (JSON_ENCODER, BranchDatum, RunStatus, Tolerances, Trace,
-                    TrivialMarkedSpec, compose_iterate_run, init_run,
-                    run_until, step_until, stopping_status)
+from .fiber import (JSON_ENCODER, RECORD_LINE, BranchDatum, RunStatus,
+                    Tolerances, Trace, TrivialMarkedSpec, compose_iterate_run,
+                    init_run, run_until, step_until, stopping_status)
 from .lifting import Path
 from .ratmap import RationalMap, postsingular_analysis
 from .sphere import decode_point, json_complex, json_float, json_typed
 
 
-def load_config(path, tol_overrides=()):
+def load_config(path):
     """Read a run config file and parse it (see ``parse_config``)."""
     with open(path) as fh:
         raw = json.load(fh)
-    return parse_config(raw, tol_overrides,
-                        name=os.path.splitext(os.path.basename(path))[0])
+    return parse_config(raw, name=os.path.splitext(os.path.basename(path))[0])
 
 
-def parse_config(raw, tol_overrides=(), name=""):
+def parse_config(raw, name=""):
     """Parse and validate a run config dict; raises ValueError on schema
     issues, naming a mistyped field. ``name`` is used when the config does
     not name itself."""
     if "map" not in json_typed(raw, dict, "config"):
         raise ValueError("config needs a 'map' record")
     g = RationalMap.from_json(raw["map"])
-    # each source overrides the one before: config tolerances, config
-    # max_iters, --tol
+    # a top-level max_iters overrides the one in the tolerances block
     tols = dict(json_typed(raw.get("tolerances", {}), dict, "tolerances",
                            float))
     if "max_iters" in raw:
         tols["max_iters"] = json_typed(raw["max_iters"], float, "max_iters")
-    for tol_name, value in tol_overrides:
-        tols[tol_name] = float(value)
     tol = Tolerances(**tols)
     marked, trivial = [], []
     for spec in json_typed(raw.get("marked", []), list, "marked", dict):
@@ -116,16 +110,15 @@ def parse_config(raw, tol_overrides=(), name=""):
     }
 
 
-def artifact_config(payload, tol_overrides=()):
-    """The run config a report or certificate embeds, with the tolerances
-    its run used in place of the config's own when the artifact stores
-    them; ``--tol`` overrides these as it overrides a config's."""
+def artifact_config(payload):
+    """The run config a report or certificate embeds. Its stored
+    tolerances must be the engine's (``Tolerances``); their ``max_iters``
+    is not substituted, since nothing that judges a stored trace reads
+    it."""
     raw = json_typed(payload["run_config"], dict, "run_config")
-    stored = json_typed(payload.get("tolerances", {}), dict, "tolerances")
-    if stored:
-        raw = {key: value for key, value in raw.items() if key != "max_iters"}
-        raw["tolerances"] = stored
-    return parse_config(raw, tol_overrides)
+    Tolerances(**json_typed(payload.get("tolerances", {}), dict,
+                            "tolerances", float))
+    return parse_config(raw)
 
 
 def _read_artifact(path):
@@ -148,7 +141,7 @@ def _build_run(cfg):
 
 
 def _out_dir(args):
-    out = args.out or os.environ.get("PULLBACK_LAB_OUT") or "."
+    out = args.out or "."
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -180,11 +173,11 @@ def cmd_analyze(args):
 
 
 def cmd_run(args, force_certificate=False):
-    cfg = load_config(args.config, args.tol)
+    cfg = load_config(args.config)
     t_start = time.perf_counter()
     run = _build_run(cfg)
     trace, status = run_until(run)
-    cls = classify_run(trace, run.g, run.punctures, tol=cfg["tol"])
+    cls = classify_run(trace, run.g, run.punctures)
 
     out = _out_dir(args)
     name = cfg["name"]
@@ -234,13 +227,12 @@ def cmd_run(args, force_certificate=False):
 
 def cmd_classify(args):
     if args.report:
-        cfg = artifact_config(_read_artifact(args.report), args.tol)
+        cfg = artifact_config(_read_artifact(args.report))
     else:
-        cfg = load_config(args.config, args.tol)
+        cfg = load_config(args.config)
     run = _build_run(cfg)  # punctures only; no stepping
     records, status = _stored_status(_read_trace(args.trace), run)
-    cls = classify_run(Trace(records, status), run.g, run.punctures,
-                       tol=run.tol)
+    cls = classify_run(Trace(records, status), run.g, run.punctures)
     print(json.dumps(cls.to_json(), sort_keys=True, indent=1))
     return 0
 
@@ -256,7 +248,7 @@ def _stored_status(records, run):
     prefix = []
     for rec in records:
         prefix.append(_typed_record(rec))
-        status = stopping_status(prefix, run.punctures, run.tol)
+        status = stopping_status(prefix, run.punctures)
         if status is not None:
             return prefix, status
     return prefix, RunStatus("undecided", reason="max_iters",
@@ -312,12 +304,12 @@ def _trace_record(line):
 
 
 def _stored_lines(lines):
-    """Each stored trace line as (layout, record): its ``_RECORD_LINE``
+    """Each stored trace line as (layout, record): its ``RECORD_LINE``
     match and None, or, for a line laid out otherwise, None and its
     record, parsed (one JSON object). Only such lines are parsed."""
     out = []
     for line in lines:
-        layout = _RECORD_LINE.fullmatch(line)
+        layout = RECORD_LINE.fullmatch(line)
         out.append((layout, None if layout else _trace_record(line)))
     return out
 
@@ -377,8 +369,7 @@ def _report_mismatches(records, run, payload, digest, report_path):
     rep = _read_artifact(report_path)
     steps = records[-1]["n"] if records else 0
     records, status = _stored_status(records, run)
-    cls = classify_run(Trace(records, status), run.g, run.punctures,
-                       tol=run.tol)
+    cls = classify_run(Trace(records, status), run.g, run.punctures)
     expected = (("trace_digest", "trace file", digest),
                 ("run_config", "certificate", payload.get("run_config")),
                 ("tolerances", "certificate", payload.get("tolerances")),
@@ -406,16 +397,6 @@ def _same_json(a, b):
     return JSON_ENCODER.encode(a) == JSON_ENCODER.encode(b)
 
 
-# a trace record as JSON_ENCODER writes it (``fiber.TraceRecord``): its
-# min_dist_log10, n (as JSON writes an int) and points, with the other
-# fields single numbers
-_NUMBER = r"(?:-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?|null|NaN|-?Infinity)"
-_RECORD_LINE = re.compile(
-    r'\{"diagram_residual":%(num)s,"lift_residual":%(num)s,'
-    r'"min_dist_log10":(\{.*\}),"n":(0|[1-9][0-9]*),"path_nodes":%(num)s,'
-    r'"points":(\{.*\}),"step_bound":%(num)s\}\s*' % {"num": _NUMBER})
-
-
 def _replay_mismatches(stored, run):
     """Step ``run`` through a stored trace's lines of steps 0, 1, ...
     (``_stored_lines``) with the engine's one step loop
@@ -431,8 +412,7 @@ def _replay_mismatches(stored, run):
         step_until(run, lambda: None, n)
         points, points_text, min_row, min_text = run.record_points()
         if layout is not None:
-            if layout.group(3) == points_text and \
-                    layout.group(1) == min_text and layout.group(2) == str(n):
+            if layout.group(3) == points_text and layout.group(1) == min_text:
                 continue
             rec = _trace_record(layout.string)
         want = {"points": points, "min_dist_log10": min_row}
@@ -479,13 +459,6 @@ def _each_config(handler, args, paths):
 
 # ---------------------------------------------------------------------------
 
-def _tol_pair(text):
-    if "=" not in text:
-        raise argparse.ArgumentTypeError("--tol needs NAME=VALUE")
-    name, value = text.split("=", 1)
-    return name.strip(), value.strip()
-
-
 @functools.lru_cache(maxsize=None)
 def build_parser():
     """The argument parser, built once per process (parsing leaves it
@@ -497,10 +470,6 @@ def build_parser():
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def tolerances(p):
-        p.add_argument("--tol", action="append", type=_tol_pair, default=[],
-                       help="eps_P=VALUE or max_iters=N")
-
     def runs(name, help):
         p = sub.add_parser(name, help=help)
         source = p.add_mutually_exclusive_group(required=True)
@@ -511,16 +480,14 @@ def build_parser():
         return p
 
     runs("analyze", "postsingular analysis of the map")
-    tolerances(runs("run", "execute a pullback run end to end"))
+    runs("run", "execute a pullback run end to end")
     p = sub.add_parser("classify", help="re-classify a stored trace")
     p.add_argument("--trace", required=True)
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--config")
     source.add_argument("--report",
-                        help="rebuild the run from this report's config and "
-                             "tolerances")
-    tolerances(p)
-    tolerances(runs("certify", "run and require a Levy certificate"))
+                        help="rebuild the run from this report's config")
+    runs("certify", "run and require a Levy certificate")
     p = sub.add_parser("check", help="verify a stored trace + certificate")
     p.add_argument("--trace", required=True)
     p.add_argument("--cert", required=True)
@@ -529,7 +496,6 @@ def build_parser():
                         "certificate")
     p = sub.add_parser("demo", help="run the shipped demo corpus")
     p.add_argument("--out", default=None)
-    tolerances(p)
     return ap
 
 

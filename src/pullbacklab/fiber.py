@@ -71,6 +71,8 @@ the critical values v of g and 0 <= j < m. Blocks of a path are joined by
 import functools
 import json
 import math
+import re
+import reprlib
 
 from .errors import (CollisionDetected, InvalidBranchDatum,
                      NoApplicableComparison)
@@ -94,13 +96,14 @@ JSON_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 K = 5             # steps in the interior-convergence window
 EPS_CONV = 1e-10  # chordal move below which a free point has converged
+EPS_P = 1e-8      # puncture distance of the stopping rule (stopping_status)
 
 # the tolerances no run sets, under the names artifacts record them by
 FIXED_TOLERANCES = {
     "eps_sep": EPS_SEP, "eps_lift": EPS_LIFT, "eps_cv": EPS_CV,
     "eps_clear": EPS_CLEAR, "eps_conv": EPS_CONV, "eps_fix": EPS_FIX,
-    "K": K, "eta": ETA_SAFE, "max_depth": MAX_DEPTH, "max_orbit": MAX_ORBIT,
-    "eps_cycle": EPS_CYCLE}
+    "eps_P": EPS_P, "K": K, "eta": ETA_SAFE, "max_depth": MAX_DEPTH,
+    "max_orbit": MAX_ORBIT, "eps_cycle": EPS_CYCLE}
 
 
 def _json_number(x):
@@ -151,6 +154,15 @@ _RECORD_FORMAT = _object_format(dict.fromkeys(
     ("n", "points", "lift_residual", "path_nodes", "step_bound",
      "diagram_residual", "min_dist_log10"), "%s"))
 
+# a trace line as a record writes it (TraceRecord.line), the layout cli's
+# check matches: groups 1-3 are its min_dist_log10, n (as JSON writes an
+# int) and points, and the other fields single numbers
+_NUMBER = (r"(?:-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
+           r"|null|NaN|-?Infinity)")
+RECORD_LINE = re.compile(re.escape(_RECORD_FORMAT) % (
+    _NUMBER, _NUMBER, r"(\{.*\})", "(0|[1-9][0-9]*)", _NUMBER, r"(\{.*\})",
+    _NUMBER) + r"\s*")
+
 
 def _entry_format(track):
     """The %-format of a track's ``"label":{...}`` in a record's points,
@@ -168,24 +180,17 @@ def _entry_format(track):
 
 
 class Tolerances:
-    """The two tolerances a run sets: ``eps_P`` (finite, > 0) and
-    ``max_iters`` (an integer >= 0). A value given for any other must be
-    its ``FIXED_TOLERANCES`` value; ``to_json`` lists all 13."""
+    """The one tolerance a run sets: ``max_iters`` (an integer >= 0). A
+    value given for any other must be its ``FIXED_TOLERANCES`` value;
+    ``to_json`` lists all 13."""
 
-    __slots__ = ("eps_P", "max_iters")
+    __slots__ = ("max_iters",)
 
-    def __init__(self, eps_P=1e-8, max_iters=5000, **fixed):
+    def __init__(self, max_iters=5000, **fixed):
         for name, value in fixed.items():
             if value != FIXED_TOLERANCES.get(name, math.nan):
-                raise ValueError("tolerance %s=%r: a run sets only eps_P and "
-                                 "max_iters" % (name, value))
-        try:
-            self.eps_P = float(eps_P)
-        except OverflowError:  # an integer past double range
-            self.eps_P = math.inf
-        if not 0.0 < self.eps_P < math.inf:
-            raise ValueError("tolerance eps_P=%r is not in (0, inf)"
-                             % self.eps_P)
+                raise ValueError("tolerance %s=%s: a run sets only max_iters"
+                                 % (name, reprlib.repr(value)))
         if isinstance(max_iters, float) and max_iters.is_integer():
             max_iters = int(max_iters)
         if not isinstance(max_iters, int) or max_iters < 0:
@@ -194,8 +199,7 @@ class Tolerances:
         self.max_iters = max_iters
 
     def to_json(self):
-        return dict(FIXED_TOLERANCES, eps_P=self.eps_P,
-                    max_iters=self.max_iters)
+        return dict(FIXED_TOLERANCES, max_iters=self.max_iters)
 
 
 class BranchDatum:
@@ -788,16 +792,16 @@ def step_until(run, stop, cap, records=None):
             records.append(run.trace_record())
 
 
-def stopping_status(records, punctures, tol):
+def stopping_status(records, punctures):
     """The stopping rule, a function of the records up to now: a RunStatus
     when it fires at the last record, else None.
 
     (b) puncture convergence: a fixed marked point's nearest puncture is
-    the same over the last 6 records, closer than eps_P, and each of the 5
+    the same over the last 6 records, closer than EPS_P, and each of the 5
     drops in log10 distance is below log10(0.98);
     (a) interior convergence: over the last K steps every fixed marked
     point stayed free and moved less than eps_conv (chordal), and each
-    ends more than 10 eps_P from every puncture.
+    ends more than 10 EPS_P from every puncture.
     Rule (b) is tried first. No rule fires before the first step."""
     if len(records) < 2:
         return None
@@ -812,7 +816,7 @@ def stopping_status(records, punctures, tol):
 
     for lab in fixed:
         p_label, logd = nearest(last, lab)
-        if len(records) < 6 or not 10.0 ** logd < tol.eps_P:
+        if len(records) < 6 or not 10.0 ** logd < EPS_P:
             continue
         series = [nearest(rec, lab) for rec in records[-6:]]
         if all(x[0] == p_label for x in series) and \
@@ -834,7 +838,7 @@ def stopping_status(records, punctures, tol):
                for i in range(len(values) - 1, 0, -1)):
             return None
         if not min(chordal(values[-1], p) for p in punctures.points) \
-                > 10 * tol.eps_P:
+                > 10 * EPS_P:
             return None
     return RunStatus("candidate_realized", steps=last["n"])
 
@@ -845,8 +849,7 @@ def run_until(run, max_iters=None):
     cap = run.tol.max_iters if max_iters is None else max_iters
     records = [run.trace_record()]
     status = step_until(
-        run, lambda: stopping_status(records, run.punctures, run.tol), cap,
-        records)
+        run, lambda: stopping_status(records, run.punctures), cap, records)
     if status is None:
         status = RunStatus("undecided", reason="max_iters", steps=run.n)
     return Trace(records, status), status

@@ -138,10 +138,6 @@ class DiskComparisons:
         self.r_inf = r_inf if len(finite) < len(points) and r_inf > 0.0 \
             else None
 
-    def density(self, z):
-        """``densities`` at the one point z."""
-        return self.densities((z,))[0]
-
     def densities(self, zs):
         """At each z of zs: the min over applicable punctures of 1/(d log(R/d)),
         d = |z - p|, and of 1/(|z| log(|z|/R_inf)) for |z| > R_inf."""

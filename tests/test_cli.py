@@ -11,8 +11,8 @@ import sys
 import pytest
 
 import pullbacklab
-from pullbacklab.cli import load_config, main
-from pullbacklab.fiber import JSON_ENCODER
+from pullbacklab.cli import load_config, main, parse_config
+from pullbacklab.fiber import JSON_ENCODER, RECORD_LINE
 
 
 def read_json(path):
@@ -74,69 +74,72 @@ def test_malformed_config_exit_2(tmp_path):
                  "--out", str(tmp_path)]) == 2
 
 
-# (case, config fields replaced, extra run flags, how the message starts:
-# it names the field)
+# (case, config fields replaced, how the message starts: it names the field)
 MALFORMED_RUNS = [
-    ("marked_int", {"marked": [5]}, [], "marked item must be"),
+    ("marked_int", {"marked": [5]}, "marked item must be"),
     ("numerator_int", {"map": {"numerator": 5, "denominator": [[1, 0]]}},
-     [], "map numerator must be"),
-    ("extra_punctures_int", {"extra_punctures": 5}, [],
+     "map numerator must be"),
+    ("extra_punctures_int", {"extra_punctures": 5},
      "extra_punctures must be"),
-    ("compose_iterate_string", {"compose_iterate": "2"}, [],
+    ("compose_iterate_string", {"compose_iterate": "2"},
      "compose_iterate must be"),
-    ("name_int", {"name": 5}, [], "name must be"),
+    ("name_int", {"name": 5}, "name must be"),
     ("basepoint_string",
      {"marked": [{"type": "fixed", "basepoint": "ab",
-                  "branch_point": [math.sqrt(2), 0.0]}]}, [],
+                  "branch_point": [math.sqrt(2), 0.0]}]},
      "basepoint must be"),
-    ("max_iters_string", {"max_iters": "20"}, [], "max_iters must be"),
-    ("tolerance_list", {"tolerances": {"K": [1]}}, [],
+    ("max_iters_string", {"max_iters": "20"}, "max_iters must be"),
+    ("tolerance_list", {"tolerances": {"K": [1]}},
      "tolerances item must be"),
-    ("config_fixed_tolerance", {"tolerances": {"eps_sep": 1e-3}}, [],
+    ("config_fixed_tolerance", {"tolerances": {"eps_sep": 1e-3}},
      "tolerance eps_sep=0.001: "),
-    ("tol_fixed", {}, ["--tol", "eps_sep=1e-3"], "tolerance eps_sep=0.001: "),
-    ("tol_max_iters_overflow", {}, ["--tol", "max_iters=1e400"],
+    # the tol_ rows set a tolerance: a fixed one, or max_iters
+    ("tol_fixed", {"tolerances": {"K": 6}},
+     "tolerance K=6: a run sets only max_iters\n"),
+    # 1e400 is past double range and reads as inf
+    ("tol_max_iters_overflow", {"max_iters": 1e400},
      "tolerance max_iters=inf is not"),
-    ("tol_max_iters_fraction", {}, ["--tol", "max_iters=2.7"],
+    ("tol_max_iters_fraction", {"max_iters": 2.7},
      "tolerance max_iters=2.7 is not"),
-    ("tol_eps_P_negative", {}, ["--tol", "eps_P=-1"],
-     "tolerance eps_P=-1.0 is not"),
-    ("tol_eps_P_nan", {}, ["--tol", "eps_P=nan"], "tolerance eps_P=nan is not"),
-    ("max_iters_negative", {}, ["--tol", "max_iters=-1"],
+    # eps_P is fixed too: any other value is refused by name
+    ("tol_eps_P_negative", {"tolerances": {"eps_P": -1.0}},
+     "tolerance eps_P=-1.0: a run sets only max_iters\n"),
+    ("max_iters_negative", {"max_iters": -1},
      "tolerance max_iters=-1 is not"),
-    ("eps_P_huge_int", {"tolerances": {"eps_P": 10 ** 400}}, [],
-     "tolerance eps_P=inf is not"),
+    # an integer past double range is named, shortened
+    ("eps_P_huge_int", {"tolerances": {"eps_P": 10 ** 400}},
+     "tolerance eps_P=100000000000000000...0000000000000000000: a run sets "
+     "only max_iters\n"),
     ("basepoint_huge_int",
      {"marked": [{"type": "fixed", "basepoint": [10 ** 400, 0],
-                  "branch_point": [math.sqrt(2), 0.0]}]}, [],
+                  "branch_point": [math.sqrt(2), 0.0]}]},
      "basepoint must be [re, im] within double range"),
     # a marked datum on a puncture of z^2 - 2 (P = {-2, 2, oo})
     ("basepoint_on_puncture",
      {"marked": [{"type": "fixed", "basepoint": [2.0, 0.0],
-                  "branch_point": [2.0, 0.0]}]}, [],
+                  "branch_point": [2.0, 0.0]}]},
      "basepoint lies on a puncture"),
     ("branch_point_on_puncture",
      {"marked": [{"type": "fixed", "basepoint": [0.0, 0.0],
-                  "branch_point": [2.0, 0.0]}]}, [],
+                  "branch_point": [2.0, 0.0]}]},
      "branch point lies on a puncture"),
     ("trivial_preimage_on_puncture",
      {"marked": [{"type": "trivial", "image": [2.0, 0.0],
-                  "preimage": [2.0, 0.0]}]}, [],
+                  "preimage": [2.0, 0.0]}]},
      "trivial q' collides with a puncture"),
     ("trivial_start_on_puncture",
      {"marked": [{"type": "trivial", "image": [-2.0, 0.0],
-                  "preimage": [0.0, 0.0], "start": [2.0, 0.0]}]}, [],
+                  "preimage": [0.0, 0.0], "start": [2.0, 0.0]}]},
      "trivial start collides with a puncture"),
 ]
 
 
 @pytest.mark.parametrize("row", MALFORMED_RUNS, ids=lambda r: r[0])
 def test_run_rejects_malformed_fields_and_tolerances(tmp_path, row, capsys):
-    _, fields, flags, message = row
+    _, fields, message = row
     cfgp = write_config(tmp_path, **fields)
     capsys.readouterr()
-    assert main(["run", "--config", cfgp, "--out", str(tmp_path / "out")]
-                + flags) == 2
+    assert main(["run", "--config", cfgp, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("invalid config/input: " + message), err
 
@@ -184,17 +187,14 @@ def test_check_reports_missing_enclosed_labels(tmp_path, capsys):
 
 
 def test_tolerance_sources_override_in_order(tmp_path):
-    # config tolerances, config max_iters, --tol: each source overrides the
-    # one before
+    # the config's max_iters overrides the one in its tolerances block
     cheb = [p for p in DEMO_CONFIGS if p.endswith("chebyshev.json")][0]
     assert load_config(cheb)["tol"].max_iters == 2000
-    override = [("max_iters", "40")]
-    assert load_config(cheb, override)["tol"].max_iters == 40
-    cfgp = write_config(tmp_path, tolerances={"max_iters": 10, "eps_P": 1e-7})
-    tol = load_config(cfgp)["tol"]
-    assert tol.max_iters == 2000 and tol.eps_P == 1e-7
-    tol = load_config(cfgp, tol_overrides=[("eps_P", "1e-6")])["tol"]
-    assert tol.max_iters == 2000 and tol.eps_P == 1e-6
+    cfgp = write_config(tmp_path, tolerances={"max_iters": 10, "eps_P": 1e-8})
+    assert load_config(cfgp)["tol"].max_iters == 2000
+    raw = read_json(cfgp)
+    del raw["max_iters"]
+    assert parse_config(raw)["tol"].max_iters == 10
 
 
 def test_reports_and_certificates_are_compact_json(tmp_path):
@@ -262,23 +262,6 @@ def test_analyze_subcommand(tmp_path):
     assert len(an["postsingular"]) == 3
 
 
-def test_tol_override_and_env(tmp_path, monkeypatch):
-    cfgp = write_config(tmp_path)
-    out = str(tmp_path / "envout")
-    monkeypatch.setenv("PULLBACK_LAB_OUT", out)
-    assert main(["run", "--config", cfgp, "--tol", "max_iters=40",
-                 "--tol", "eps_P=1e-6"]) == 0
-    report = read_json(os.path.join(out, "cheb.report.json"))
-    assert report["steps"] <= 120  # certification tail included
-    # --out wins over the environment variable
-    os.remove(os.path.join(out, "cheb.report.json"))
-    flag_out = str(tmp_path / "flagout")
-    assert main(["run", "--config", cfgp, "--tol", "max_iters=40",
-                 "--out", flag_out]) == 0
-    assert os.path.exists(os.path.join(flag_out, "cheb.report.json"))
-    assert not os.path.exists(os.path.join(out, "cheb.report.json"))
-
-
 def test_batch_flag(tmp_path):
     write_config(tmp_path, cfgname="a")
     write_config(tmp_path, cfgname="b")
@@ -310,6 +293,11 @@ def test_console_script_version():
 
 DEMO_CONFIGS = sorted(glob.glob(os.path.join(
     os.path.dirname(pullbacklab.__file__), "demo_configs", "*.json")))
+
+
+# the demo configs whose runs emit a certificate
+CORPUS_CERTIFICATES = ["chebyshev", "iterate_composition", "squaring_a",
+                       "squaring_b"]
 
 
 @pytest.fixture(scope="module")
@@ -351,38 +339,23 @@ def test_certification_tail_records_are_full(corpus_out, path):
         assert main(check + ["--report", base + ".report.json"]) == 0
 
 
-def test_check_judges_with_the_runs_tolerances(tmp_path):
-    # a run with a looser eps_P stops earlier; check rebuilds its run with
-    # the tolerances the certificate stores, so the stored trace's
-    # stopping step is the report's, not the config's default one
-    from pullbacklab.cli import (_build_run, _read_trace, _stored_status,
-                                 artifact_config, parse_config)
-    config = [p for p in DEMO_CONFIGS if p.endswith("squaring_b.json")][0]
-    out = str(tmp_path)
-    assert main(["run", "--config", config, "--tol", "eps_P=1e-3",
-                 "--out", out]) == 0
-    base = os.path.join(out, "squaring_b")
-    report = read_json(base + ".report.json")
-    payload = read_json(base + ".certificate.json")
-    assert report["status"]["steps"] == 10
-    records = _read_trace(base + ".trace.jsonl")
-    run = _build_run(artifact_config(payload))
-    assert run.tol.eps_P == 1e-3
-    assert _stored_status(records, run)[1].steps == 10
-    # the config alone carries the default eps_P, which fires later
-    default = _build_run(parse_config(payload["run_config"]))
-    assert _stored_status(records, default)[1].steps > 10
-    assert main(["check", "--trace", base + ".trace.jsonl",
-                 "--cert", base + ".certificate.json",
-                 "--report", base + ".report.json"]) == 0
-    # a stored fixed tolerance other than the engine's does not rebuild
+@pytest.mark.parametrize("name", ["eps_sep", "eps_P"])
+def test_stored_tolerances_must_be_the_engines(corpus_out, tmp_path, name,
+                                               capsys):
+    # an artifact whose stored tolerance is not the engine's does not
+    # rebuild its run; an eps_P of 1e-3 is what an earlier version, which
+    # took --tol eps_P=1e-3, could have stored
+    base = os.path.join(corpus_out, "squaring_b")
     for kind, argv in (("certificate", ["check", "--cert"]),
                        ("report", ["classify", "--report"])):
         payload = read_json("%s.%s.json" % (base, kind))
-        payload["tolerances"]["eps_sep"] = 1e-3
-        pathlib.Path(base + ".changed.json").write_text(json.dumps(payload))
-        assert main(argv + [base + ".changed.json",
-                            "--trace", base + ".trace.jsonl"]) == 2
+        payload["tolerances"][name] = 1e-3
+        changed = str(tmp_path / "changed.json")
+        pathlib.Path(changed).write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(argv + [changed, "--trace", base + ".trace.jsonl"]) == 2
+        assert capsys.readouterr().err == "invalid config/input: tolerance " \
+            "%s=0.001: a run sets only max_iters\n" % name
 
 
 def test_parser_is_built_once_and_keeps_no_options(tmp_path, monkeypatch):
@@ -395,10 +368,11 @@ def test_parser_is_built_once_and_keeps_no_options(tmp_path, monkeypatch):
         return 0
     monkeypatch.setattr(cli, "cmd_run", record)
     cfgp = write_config(tmp_path)
-    assert main(["run", "--config", cfgp, "--tol", "eps_P=1e-3"]) == 0
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", cfgp, "--out", out]) == 0
     assert main(["run", "--config", cfgp]) == 0
-    assert seen[0].tol == [("eps_P", "1e-3")]
-    assert seen[1].tol == []
+    assert seen[0].out == out
+    assert seen[1].out is None
 
 
 def _write_records(path, records):
@@ -470,10 +444,10 @@ def test_check_ties_the_trace_to_the_restepped_run(corpus_out, tmp_path, row):
     assert main(argv) == want
 
 
-def _check_chebyshev_lines(corpus_out, tmp_path, lines):
-    """check's exit status on the chebyshev certificate with these trace
-    lines, the trace's digest rewritten into it."""
-    payload = read_json(os.path.join(corpus_out, "chebyshev.certificate.json"))
+def _check_lines(corpus_out, tmp_path, name, lines):
+    """check's exit status on a corpus certificate with these trace lines,
+    the trace's digest rewritten into it."""
+    payload = read_json(os.path.join(corpus_out, name + ".certificate.json"))
     trace = tmp_path / "lines.trace.jsonl"
     trace.write_text("".join(line + "\n" for line in lines))
     payload["trace_digest"] = hashlib.sha256(trace.read_bytes()).hexdigest()
@@ -485,25 +459,23 @@ def _check_chebyshev_lines(corpus_out, tmp_path, lines):
 def test_check_parses_the_lines_it_cannot_match(corpus_out, tmp_path):
     # lines re-serialized with json.dumps's default separators match no
     # layout the run writes: check parses them, and the values are the
-    # run's
-    from pullbacklab.cli import _RECORD_LINE
-    records = _stored_records(corpus_out, "chebyshev")
-    lines = [json.dumps(rec) for rec in records]
-    assert not any(_RECORD_LINE.fullmatch(line) for line in lines)
-    assert _check_chebyshev_lines(corpus_out, tmp_path, lines) == 0
+    # run's, for every corpus certificate
+    for name in CORPUS_CERTIFICATES:
+        lines = [json.dumps(rec) for rec in _stored_records(corpus_out, name)]
+        assert not any(RECORD_LINE.fullmatch(line) for line in lines)
+        assert _check_lines(corpus_out, tmp_path, name, lines) == 0, name
 
 
 def test_check_takes_step_numbers_from_matched_lines(corpus_out, tmp_path,
                                                      capsys):
     # a line laid out as the run writes it, with its n edited, still
     # matches the layout; the step order test reads n from the match
-    from pullbacklab.cli import _RECORD_LINE
     lines = pathlib.Path(corpus_out, "chebyshev.trace.jsonl").read_text() \
         .splitlines()
     lines[3] = lines[3].replace('"n":3,', '"n":4,')
-    assert _RECORD_LINE.fullmatch(lines[3]).group(2) == "4"
+    assert RECORD_LINE.fullmatch(lines[3]).group(2) == "4"
     capsys.readouterr()
-    assert _check_chebyshev_lines(corpus_out, tmp_path, lines) == 1
+    assert _check_lines(corpus_out, tmp_path, "chebyshev", lines) == 1
     assert capsys.readouterr().out == (
         "CHECK FAIL: trace records are not the steps 0..116 of the "
         "certificate, in order\n")
@@ -523,8 +495,8 @@ def test_trace_lines_must_be_json_objects(corpus_out, tmp_path, capsys):
 
 def test_check_report_accepts_every_corpus_certificate(corpus_out):
     certs = sorted(glob.glob(os.path.join(corpus_out, "*.certificate.json")))
-    assert [os.path.basename(c).split(".")[0] for c in certs] == [
-        "chebyshev", "iterate_composition", "squaring_a", "squaring_b"]
+    assert [os.path.basename(c).split(".")[0] for c in certs] == \
+        CORPUS_CERTIFICATES
     for cert in certs:
         base = cert[:-len(".certificate.json")]
         assert main(["check", "--trace", base + ".trace.jsonl", "--cert", cert,
@@ -888,32 +860,6 @@ def test_classify_from_the_report_alone_matches_run(corpus_out, path, capsys):
         report["classification"], sort_keys=True, indent=1) + "\n"
 
 
-def test_classify_from_the_report_uses_the_runs_tolerances(tmp_path, capsys):
-    # the config alone carries the default eps_P, whose stopping step and
-    # rate estimate differ from the run's
-    config = [p for p in DEMO_CONFIGS if p.endswith("squaring_b.json")][0]
-    out = str(tmp_path)
-    assert main(["run", "--config", config, "--tol", "eps_P=1e-3",
-                 "--out", out]) == 0
-    base = os.path.join(out, "squaring_b")
-    report = read_json(base + ".report.json")
-    assert report["tolerances"]["eps_P"] == 1e-3
-    want = json.dumps(report["classification"], sort_keys=True, indent=1)
-    capsys.readouterr()
-    assert main(["classify", "--trace", base + ".trace.jsonl",
-                 "--report", base + ".report.json"]) == 0
-    assert capsys.readouterr().out == want + "\n"
-    assert main(["classify", "--trace", base + ".trace.jsonl",
-                 "--config", config]) == 0
-    from_config = capsys.readouterr().out
-    assert from_config != want + "\n"
-    # --tol overrides the stored tolerances
-    assert main(["classify", "--trace", base + ".trace.jsonl",
-                 "--report", base + ".report.json",
-                 "--tol", "eps_P=1e-8"]) == 0
-    assert capsys.readouterr().out == from_config
-
-
 def test_report_tolerances_are_the_runs(corpus_out):
     for path in DEMO_CONFIGS:
         base = os.path.join(corpus_out,
@@ -937,6 +883,11 @@ UNREAD_FLAGS = [
     ("run_without_config", ["run", "--out", "o"]),
     ("run_config_and_batch", ["run", "--config", "c", "--batch", "*.json"]),
     ("analyze_tol", ["analyze", "--config", "c", "--tol", "eps_P=1e-3"]),
+    ("run_tol", ["run", "--config", "c", "--tol", "max_iters=5"]),
+    ("certify_tol", ["certify", "--config", "c", "--tol", "max_iters=5"]),
+    ("classify_tol", ["classify", "--trace", "t", "--config", "c",
+                      "--tol", "max_iters=5"]),
+    ("demo_tol", ["demo", "--tol", "max_iters=5"]),
     ("analyze_max_iters", ["analyze", "--config", "c", "--max-iters", "5"]),
     ("run_max_iters", ["run", "--config", "c", "--max-iters", "5"]),
     ("certify_max_iters", ["certify", "--config", "c", "--max-iters", "5"]),

@@ -246,7 +246,7 @@ def test_stopping_status_first_fires_where_run_until_stopped():
     kinds = set()
     for name, run, cap in _seeded_runs():
         trace, status = run_until(run, max_iters=cap)
-        fired = [stopping_status(trace.records[:end], run.punctures, run.tol)
+        fired = [stopping_status(trace.records[:end], run.punctures)
                  for end in range(1, len(trace.records) + 1)]
         first = next((s for s in fired if s is not None), None)
         kinds.add(status.kind)
@@ -458,30 +458,30 @@ def test_trace_records_shape():
 
 
 def test_tolerances_validation():
-    tol = Tolerances(eps_P=1e-7, max_iters=100)
-    assert tol.eps_P == 1e-7 and tol.max_iters == 100
-    assert Tolerances.__slots__ == ("eps_P", "max_iters")
+    assert Tolerances(max_iters=100).max_iters == 100
+    assert Tolerances.__slots__ == ("max_iters",)
     with pytest.raises(ValueError):
         Tolerances(nonsense=1.0)
     # an integral float is a step cap; an artifact writes it as an int
     assert type(Tolerances(max_iters=40.0).max_iters) is int
     # an int beyond double range is a cap too, not an OverflowError
     assert Tolerances(max_iters=10 ** 400).max_iters == 10 ** 400
-    for name, value in (("eps_P", -1.0), ("eps_P", 0.0), ("eps_P", math.nan),
-                        ("eps_P", math.inf), ("max_iters", 2.7),
-                        ("max_iters", math.inf), ("max_iters", -1)):
-        with pytest.raises(ValueError, match="tolerance %s=" % name):
-            Tolerances(**{name: value})
-    # the other tolerances are fixed: the engine's value is accepted, as a
-    # stored artifact gives it, and any other refused by name
-    assert Tolerances(eps_sep=1e-9, K=5.0).to_json() == \
+    for value in (2.7, math.inf, -1):
+        with pytest.raises(ValueError, match="tolerance max_iters="):
+            Tolerances(max_iters=value)
+    # the other tolerances, eps_P among them, are fixed: the engine's value
+    # is accepted, as a stored artifact gives it, and any other refused by
+    # name
+    assert Tolerances(eps_sep=1e-9, K=5.0, eps_P=1e-8).to_json() == \
         Tolerances().to_json()
-    with pytest.raises(ValueError, match="tolerance eps_sep=0.001: a run"):
-        Tolerances(eps_sep=1e-3)
+    for name in ("eps_sep", "eps_P"):
+        with pytest.raises(ValueError, match="tolerance %s=0.001: a run sets "
+                                             "only max_iters$" % name):
+            Tolerances(**{name: 1e-3})
     # artifacts still record all 13, at the values runs have always used
-    assert Tolerances(eps_P=1e-7, max_iters=100).to_json() == {
+    assert Tolerances(max_iters=100).to_json() == {
         "eps_sep": 1e-9, "eps_lift": 1e-9, "eps_cv": 1e-6,
-        "eps_clear": 1e-8, "eps_conv": 1e-10, "eps_P": 1e-7,
+        "eps_clear": 1e-8, "eps_conv": 1e-10, "eps_P": 1e-8,
         "eps_fix": 1e-9, "K": 5, "max_iters": 100, "eta": 0.25,
         "max_depth": 40, "max_orbit": 200, "eps_cycle": 1e-6}
     assert all(type(value) is int

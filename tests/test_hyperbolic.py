@@ -63,17 +63,17 @@ def test_geodesic_length_bound():
 
 def test_density_upper_bound_examples():
     # frozen from the closed form 1/(d log(R/d))
-    got = DiskComparisons([-2 + 0j, 2 + 0j, INF]).density(0j)
+    got = DiskComparisons([-2 + 0j, 2 + 0j, INF]).densities([0j])[0]
     assert abs(got - 0.7213475204444817) < 1e-12
-    got = DiskComparisons([0j, 1 + 0j, INF]).density(0.5 + 0j)
+    got = DiskComparisons([0j, 1 + 0j, INF]).densities([0.5 + 0j])[0]
     assert abs(got - 2.8853900817779268) < 1e-12
     # oo has its disk |z| > 1, the largest finite modulus
-    got = DiskComparisons([0j, 1 + 0j, INF]).density(10 + 0j)
+    got = DiskComparisons([0j, 1 + 0j, INF]).densities([10 + 0j])[0]
     assert abs(got - 1.0 / (10.0 * math.log(10.0))) < 1e-15
     with pytest.raises(NoApplicableComparison):
-        DiskComparisons([0j, 1 + 0j, INF]).density(-1 + 0j)
+        DiskComparisons([0j, 1 + 0j, INF]).densities([-1 + 0j])[0]
     with pytest.raises(NoApplicableComparison):  # oo is no puncture
-        DiskComparisons([0j, 1 + 0j, 2j]).density(10 + 0j)
+        DiskComparisons([0j, 1 + 0j, 2j]).densities([10 + 0j])[0]
 
 
 def test_density_closed_form_property():
@@ -95,7 +95,7 @@ def test_density_closed_form_property():
         if not cands:
             continue
         hits += 1
-        assert abs(comp.density(z) - min(cands)) < 1e-12
+        assert abs(comp.densities([z])[0] - min(cands)) < 1e-12
     assert hits > 50
 
 
@@ -187,7 +187,7 @@ def _reference_segment_upper_sum(density, a, b):
             return prev * 1.01
 
 
-def _sum_with_calls(upper_sum, density, a, b):
+def _sum_with_calls(upper_sum, densities, a, b):
     """(result or raised message, density samples taken): the reference
     takes one point a call, the sum a list of points a call."""
     calls = []
@@ -195,9 +195,9 @@ def _sum_with_calls(upper_sum, density, a, b):
     def counted(z):
         if isinstance(z, list):
             calls.extend(z)
-            return [density(w) for w in z]
+            return densities(z)
         calls.append(z)
-        return density(z)
+        return densities([z])[0]
     try:
         return upper_sum(counted, a, b).hex(), len(calls)
     except NoApplicableComparison as exc:
@@ -218,8 +218,8 @@ def test_segment_upper_sum_reuses_samples_bit_for_bit():
             (scale if rng.random() < 0.5 else 1.0)
         b = c + 0.9 * R * complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * scale
         want, ref_calls = _sum_with_calls(_reference_segment_upper_sum,
-                                          comp.density, a, b)
-        got, calls = _sum_with_calls(_segment_upper_sum, comp.density, a, b)
+                                          comp.densities, a, b)
+        got, calls = _sum_with_calls(_segment_upper_sum, comp.densities, a, b)
         assert got == want, (a, b)
         if want.startswith("raised"):
             stops.add("raised")
@@ -234,16 +234,17 @@ def test_segment_upper_sum_reuses_samples_bit_for_bit():
         stops.add(n)
     assert {8, 16, 32, 64, 4096, "raised"} <= stops
     # a segment that stops at n = 8 takes 9 + 8 samples, not 9 + 17
-    got, calls = _sum_with_calls(_segment_upper_sum, comp.density,
+    got, calls = _sum_with_calls(_segment_upper_sum, comp.densities,
                                  0.3 + 0j, 0.4 + 0j)
     want, ref_calls = _sum_with_calls(_reference_segment_upper_sum,
-                                      comp.density, 0.3 + 0j, 0.4 + 0j)
+                                      comp.densities, 0.3 + 0j, 0.4 + 0j)
     assert (got, calls, ref_calls) == (want, 17, 26)
     # a segment 1e-12 from a puncture refines to the cap without agreeing
     comp = DiskComparisons([0j, 3 + 0j, -3 + 0j, 1.5j])
     a, b = -1e-3 + 1e-12j, 2.3e-3 + 1e-12j
-    got, calls = _sum_with_calls(_segment_upper_sum, comp.density, a, b)
-    want, _ = _sum_with_calls(_reference_segment_upper_sum, comp.density, a, b)
+    got, calls = _sum_with_calls(_segment_upper_sum, comp.densities, a, b)
+    want, _ = _sum_with_calls(_reference_segment_upper_sum, comp.densities,
+                              a, b)
     assert (got, calls) == (want, 2 * 4096 + 1)
 
 
@@ -289,7 +290,8 @@ def test_densities_are_the_reference_density_bit_for_bit():
         zs += [p for p, _ in comp.pairs] + [10 + 0j, -1e6j]
         want = [_density_or_raise(lambda z: _reference_density(comp, z), z)
                 for z in zs]
-        assert [_density_or_raise(comp.density, z) for z in zs] == want
+        assert [_density_or_raise(lambda w: comp.densities([w])[0], z)
+                for z in zs] == want
         ok = [z for z, w in zip(zs, want) if not w.startswith("raised")]
         assert [x.hex() for x in comp.densities(ok)] == \
             [w for w in want if not w.startswith("raised")]
