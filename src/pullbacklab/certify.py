@@ -15,10 +15,10 @@ center and separated by a circle about it (``injectivity_test``): O(n)
 tests, with no pair of edges tested. No lift is computed. At each stage
 the core curve's image lies between the boundary images, clear of every
 critical point, so it is its own inverse lift and is not sampled. The
-k lifts of the core curve are the core polygon over lambda^j, each
-within a Rouche distance of the true lift (``_linear_lift``), and they
-nest in the annulus by a closed form (``_nesting_fault``); no curve is
-sampled about a point.
+k lifts of the core curve are the core polygon over lambda^j, stored as
+(center, vertex) pairs, each within a Rouche distance of the true lift
+(``_linear_lift``); they nest in the annulus by a closed form
+(``_nesting_fault``), and no curve is sampled about a point.
 
 Emission and ``verify_certificate`` derive a certificate the same way:
 ``_derive_certificate`` computes every field from the run, the step and
@@ -44,16 +44,16 @@ from .errors import (InjectivityUndetermined, NoSeparatingAnnulus,
                      PullbackLabError)
 from .fiber import step_until
 from .hyperbolic import ELL_STAR, RoundAnnulus, annulus_modulus
-from .lifting import EPS_CV, Path, _seg_closest
+from .lifting import EPS_CV, _seg_closest
 from .lifting import lift_closed_curve  # noqa: F401 (perfbench spans this name)
 from .ratmap import EPS_FIX, fixed_multiplier, is_repelling
 from .sphere import (INF, chart_coordinate, chordal, encode_point, is_inf,
-                     json_float, json_typed)
+                     json_complex, json_float, json_typed)
 
 TWO_PI = 2.0 * math.pi
 _LN2 = math.log(2.0)
 N_SAMP = 512        # boundary sampling for the injectivity test
-N_CURVE = 256       # node count of stored representative curves
+N_CURVE = 256       # edge count of the representative polygons
 ANNULUS_MARGIN = 0.05
 
 
@@ -232,7 +232,8 @@ def _unit_roots(n):
 
 
 def _circle(center, radius, n):
-    """n + 1 samples of the circle, center + radius ``_unit_roots(n)``."""
+    """n + 1 samples of the circle, center + radius ``_unit_roots(n)``;
+    a complex radius turns it (the nodes of a curve (center, vertex))."""
     return [center + radius * w for w in _unit_roots(n)]
 
 
@@ -544,7 +545,9 @@ def injectivity_test(g, annulus, k):
 class LevyCertificate:
     """Quantitative witness of a degenerate Levy multicurve, built from one
     separating annulus at one recorded step of an obstructed run; every
-    other field is one ``_derive_certificate`` derives from those two."""
+    other field is one ``_derive_certificate`` derives from those two. A
+    curve is stored as {"anchor": the annulus's, "center", "vertex"}; one
+    stored as nodes, as earlier versions wrote it, is invalid input."""
 
     FIELDS = {"step": int, "k": int, "d0_bound": float, "modulus": float,
               "threshold": float, "length_bound": float,
@@ -565,8 +568,11 @@ class LevyCertificate:
         obj = {name: getattr(self, name) for name in self.FIELDS}
         obj["annulus"] = self.annulus.to_json()
         obj["injectivity_evidence"] = self.injectivity_evidence
-        obj["representative_curves"] = [c.to_json()
-                                        for c in self.representative_curves]
+        anchor = {} if self.annulus.anchor is None else \
+            {"anchor": encode_point(self.annulus.anchor)}
+        obj["representative_curves"] = [
+            dict(anchor, center=[c.real, c.imag], vertex=[v.real, v.imag])
+            for c, v in self.representative_curves]
         obj["cluster_labels"] = list(self.cluster_labels)
         obj["curve_windings"] = list(self.curve_windings)
         obj["curve_enclosed_labels"] = [list(t)
@@ -589,7 +595,7 @@ class LevyCertificate:
         curves = json_typed(obj["representative_curves"], list,
                             "representative_curves")
         cert.representative_curves = tuple(
-            Path.from_json(c, "representative_curves[%d]" % i)
+            _curve_from_json(c, "representative_curves[%d]" % i)
             for i, c in enumerate(curves))
         cert.cluster_labels = tuple(
             json_typed(obj["cluster_labels"], list, "cluster_labels", str))
@@ -604,6 +610,13 @@ class LevyCertificate:
                                      "tolerances")
         cert.trace_digest = obj.get("trace_digest")
         return cert
+
+
+def _curve_from_json(obj, what):
+    """The (center, vertex) pair of a stored representative curve."""
+    json_typed(obj, dict, what)
+    return tuple(json_complex(obj.get(key), "%s %s" % (what, key))
+                 for key in ("center", "vertex"))
 
 
 def _threshold_product(run):
@@ -812,17 +825,18 @@ def _nesting_fault(annulus, lam, k, lift_dist):
     """The first of lifts 0..k of the core curve (0 is the core) that does
     not nest in the annulus, named in a message, or None.
 
-    The stored lift j, the core N-gon over lambda^j, is an
-    orientation-preserving similarity of it: centre c / lambda^j,
-    circumradius rho_j = r / |lambda|^j, inradius rho_j cos(pi / N), each
-    node within (j + 1) 1e-12 (|c| + r) / |lambda|^j of it. The true lift
-    is within ``lift_dist`` of it for j >= 1 (``_linear_lift``). d_j sums
-    these with |c - c / lambda^j|. With r_in + d_j < rho_j cos(pi / N)
-    both wind +1 about every inner point, with rho_j + d_j < r_out 0 about
-    every outer one and oo. The ring is empty, so the k + 1 simple curves
-    separate A alike and are homotopic rel A: one class, within the budget
-    k >= 1 (as |A| >= 4 by essential-in-A). Their length bound is below
-    ell* as modulus > threshold (one rounding)."""
+    Stored lift j is exactly the polygon proved to nest here, the N-gon of
+    its pair (``_representative_curves``): centre c_j, circumradius rho_j
+    = r / |lambda|^j, inradius rho_j cos(pi / N), up to j roundings and
+    the 2e-13 of its size ``_per_curve_mismatches`` allows, which the pad
+    (j + 1) 1e-12 (|c| + r) / |lambda|^j covers. The true lift is within
+    ``lift_dist`` of it for j >= 1 (``_linear_lift``). d_j sums these
+    with |c - c_j|. With r_in + d_j < rho_j cos(pi / N) both wind +1
+    about every inner point, with rho_j + d_j < r_out 0 about every outer
+    one and oo. The ring is empty, so the k + 1 simple curves separate A
+    alike and are homotopic rel A: one class, within the budget k >= 1
+    (as |A| >= 4 by essential-in-A). Their length bound is below ell* as
+    modulus > threshold (one rounding)."""
     center, r_in, r_out = annulus.center, annulus.r_in, annulus.r_out
     c, rho = center, annulus.core_radius()
     size = abs(c) + rho
@@ -837,14 +851,13 @@ def _nesting_fault(annulus, lam, k, lift_dist):
 
 
 def _representative_curves(annulus, lam, k):
-    """The annulus core circle and its k successive lifts, each the last
-    curve's nodes divided by lambda (``_linear_lift``). Newton lifts of
-    earlier versions are within its bound, inside ``_same_nodes``' 1e-6."""
-    curves = [Path(_circle(annulus.center, annulus.core_radius(), N_CURVE),
-                   anchor=annulus.anchor)]
+    """The annulus core circle and its k successive lifts as (c_j, v_j),
+    each the last divided by lambda (``_linear_lift``): curve j is the
+    N_CURVE-gon c_j + v_j e^{2 pi i t / N_CURVE}, drawn by ``_circle``."""
+    curves = [(annulus.center, complex(annulus.core_radius()))]
     for _ in range(k):
-        curves.append(Path([z / lam for z in curves[-1].nodes],
-                           anchor=annulus.anchor))
+        c, v = curves[-1]
+        curves.append((c / lam, v / lam))
     return tuple(curves)
 
 
@@ -943,14 +956,6 @@ def same_within(got, want, rel, floor):
     return type(got) is type(want) and got == want
 
 
-def _same_nodes(got, want):
-    """Same node count, each node within 1e-6 of want's largest |node|
-    (another host's libm may draw the curves a few ulps apart)."""
-    tol = 1e-6 * max(max(abs(z) for z in want.nodes), 1e-300)
-    return len(got.nodes) == len(want.nodes) and all(
-        abs(a - b) <= tol for a, b in zip(got.nodes, want.nodes))
-
-
 # each field verify_certificate compares as a whole: the name its message
 # gives the field, and whether the stored value matches the derived one
 _FIELD_TESTS = (
@@ -993,9 +998,10 @@ def verify_certificate(cert, run):
 
 
 def _per_curve_mismatches(cert, derived):
-    """A count mismatch, or each stored curve (node for node,
-    ``_same_nodes``) and enclosed-label set that differs from the derived
-    one."""
+    """A count mismatch, or each stored curve and enclosed-label set that
+    differs from the derived one. A curve's center and vertex must each be
+    within 1e-13 of its size |c_j| + |v_j|: hundreds of ulps of another
+    host's exp (core radius), and inside ``_nesting_fault``'s pad."""
     curves, enclosed = cert.representative_curves, cert.curve_enclosed_labels
     want_curves = derived["representative_curves"]
     want_enclosed = derived["curve_enclosed_labels"]
@@ -1005,8 +1011,8 @@ def _per_curve_mismatches(cert, derived):
                                       len(want_curves))]
     bad = ["re-lift of curve %d does not match curve %d" % (idx - 1, idx)
            if idx else "curve 0 is not the annulus core circle"
-           for idx, (got, ref) in enumerate(zip(curves, want_curves))
-           if not _same_nodes(ref, got)]
+           for idx, ((c, v), (c0, v0)) in enumerate(zip(curves, want_curves))
+           if not max(abs(c - c0), abs(v - v0)) <= 1e-13 * (abs(c0) + abs(v0))]
     return bad + ["curve %d enclosed labels mismatch: stored %r, derived %r"
                   % (idx, got, ref) for idx, (got, ref)
                   in enumerate(zip(enclosed, want_enclosed)) if got != ref]

@@ -20,7 +20,6 @@ lets curves live at scales far below the anchor's own magnitude.
 """
 
 import cmath
-import itertools
 import math
 
 from .errors import (BranchJumpSuspected, ChartOverflow, EndpointMismatch,
@@ -105,15 +104,9 @@ class Path:
     @classmethod
     def from_json(cls, obj, what="path"):
         anchor = json_typed(obj, dict, what).get("anchor")
-        node = what + " node"
-        zs = json_typed(obj["nodes"], list, node + "s")
-        # float [re, im] pairs, as written, in one pass; else one by one
-        if set(map(type, zs)) == {list} and set(map(len, zs)) == {2} and \
-                set(map(type, itertools.chain.from_iterable(zs))) == {float}:
-            zs = list(map(complex, *zip(*zs)))
-        else:
-            zs = [json_complex(z, node) for z in zs]
-        return cls(zs, anchor=None if anchor is None
+        return cls([json_complex(z, what + " node")
+                    for z in json_typed(obj["nodes"], list, what + " nodes")],
+                   anchor=None if anchor is None
                    else decode_point(anchor, what + " anchor"))
 
     def __len__(self):

@@ -106,6 +106,15 @@ def test_classify_anomaly_residual_of_a_realized_limit():
                        run.punctures)
     assert cls.verdict == "undecided"
     assert cls.reason == "fixed-point residual %.3g" % chordal(-0.75, 0.5)
+    # 1e-5 off the fixed point (1 - sqrt 5) / 2: a residual of 3e-5, far
+    # above EPS_FIX and far below 1
+    x = (1 - math.sqrt(5)) / 2 + 1e-5
+    final["points"] = {lab: dict(entry, value=[x, 0.0])
+                       for lab, entry in final["points"].items()}
+    cls = classify_run(Trace(trace.records[:-1] + [final], status), BASILICA,
+                       run.punctures)
+    assert cls.reason == "fixed-point residual %.3g" % chordal(x * x - 1, x)
+    assert 1e-5 < chordal(x * x - 1, x) < 1e-4
 
 
 def test_classify_anomaly_limit_puncture_not_fixed():
@@ -563,12 +572,12 @@ def test_certificate_modulus_growth():
     assert abs(per_step - target) < 0.1 * target
 
 
-def _with_moved_node(curves, idx):
-    """The curves with the middle node of curve idx scaled by 1.5."""
-    nodes = list(curves[idx].nodes)
-    nodes[len(nodes) // 2] *= 1.5
-    return curves[:idx] + (Path(nodes, anchor=curves[idx].anchor),) + \
-        curves[idx + 1:]
+def _with_moved_curve(curves, idx, shift=0.0, scale=1.0):
+    """The (center, vertex) curves with curve idx's center moved by shift
+    times its size |center| + |vertex|, and its vertex scaled by scale."""
+    center, vertex = curves[idx]
+    center += shift * (abs(center) + abs(vertex))
+    return curves[:idx] + ((center, scale * vertex),) + curves[idx + 1:]
 
 
 def _with_stage_0(evidence, key, value):
@@ -602,9 +611,11 @@ def test_certificate_tamper_detection():
         ("outer_count_B", 3, ["side counts mismatch"]),
         ("curve_enclosed_labels", (("p0",), ("m0", "p1")),
          ["curve 0 enclosed labels mismatch"]),
-        ("representative_curves", _with_moved_node(curves, 0),
+        ("representative_curves", _with_moved_curve(curves, 0, scale=1.5),
          ["curve 0 is not the annulus core circle"]),
-        ("representative_curves", _with_moved_node(curves, 1),
+        ("representative_curves", _with_moved_curve(curves, 1, shift=1e-6),
+         ["re-lift of curve 0 does not match curve 1"]),
+        ("representative_curves", _with_moved_curve(curves, 1, scale=1.5),
          ["re-lift of curve 0 does not match curve 1"]),
         ("cluster_labels", ("p0", "p2"), ["cluster labels mismatch"]),
         ("curve_windings", (3, -7), ["curve windings mismatch"]),
@@ -650,14 +661,25 @@ AT_INFINITY = (RationalMap([0, 0, 1], [1, 4]),
 
 
 def test_certificate_json_roundtrip():
+    # each curve is stored as its anchor, center and vertex, and read back
+    # bit for bit
+    def bits(curves):
+        return [tuple((z.real.hex(), z.imag.hex()) for z in pair)
+                for pair in curves]
     for (run, cert), anchor in (
             (certified(CHEB, BranchDatum(0.0, math.sqrt(2))), [2.0, 0.0]),
             (certified(*AT_INFINITY), "inf")):
         obj = json.loads(json.dumps(cert.to_json()))
         assert obj["annulus"]["anchor"] == anchor
+        assert [sorted(c) for c in obj["representative_curves"]] == \
+            [["anchor", "center", "vertex"]] * (cert.k + 1)
         assert all(c["anchor"] == anchor
                    for c in obj["representative_curves"])
         back = LevyCertificate.from_json(obj)
+        assert bits(back.representative_curves) == \
+            bits(cert.representative_curves)
+        assert all(c["anchor"] == anchor
+                   for c in back.to_json()["representative_curves"])
         assert back.modulus == cert.modulus
         assert back.curve_enclosed_labels == cert.curve_enclosed_labels
         assert back.annulus.anchor == cert.annulus.anchor
@@ -984,15 +1006,17 @@ def test_links_first_clustering_is_all_pairs_clustering_at_every_tail_step():
 
 def _assert_sampled_curve_fields(cert, run):
     """The certificate's curve windings and enclosed labels are those
-    _winding gives on the stored node polygons, about the annulus center
+    _winding gives on the stored curves' polygons, about the annulus center
     and about every finite point of the step, each winding 0 or 1."""
-    curves, ann = cert.representative_curves, cert.annulus
+    ann = cert.annulus
+    curves = [_circle(c, v, certify.N_CURVE)
+              for c, v in cert.representative_curves]
     entries = [(lab, z) for lab, _, z in _step_chart_entries(
         run.step_points(cert.step), ann.anchor, cert.step) if z is not None]
-    assert cert.curve_windings == tuple(_winding(c.nodes, ann.center)
+    assert cert.curve_windings == tuple(_winding(c, ann.center)
                                         for c in curves)
     for c, enclosed in zip(curves, cert.curve_enclosed_labels):
-        windings = {lab: _winding(c.nodes, z) for lab, z in entries}
+        windings = {lab: _winding(c, z) for lab, z in entries}
         assert set(windings.values()) <= {0, 1}, windings
         assert enclosed == tuple(sorted(lab for lab, w in windings.items()
                                         if w == 1))
@@ -1067,26 +1091,28 @@ def test_closed_forms_decide_every_corpus_certificate(monkeypatch):
             fields, faults = _derive_certificate(run, cert.step, ann)
             assert faults == [] and verify_certificate(cert, run).ok, name
         assert fields["injectivity_evidence"] == cert.injectivity_evidence
-        assert [c.nodes for c in fields["representative_curves"]] == \
-            [c.nodes for c in cert.representative_curves]
+        assert fields["representative_curves"] == cert.representative_curves
 
 
 def test_check_accepts_a_newton_lifted_curve():
-    # a certificate whose curve 1 is the Newton lift, as emitted before the
-    # closed form, passes check, and its nodes are the closed form's to
-    # within 1e-15 of the curve's size
+    # the Newton lift of the core polygon is the polygon of curve 1 to
+    # within 1e-15 of the curve's size, node for node, and a certificate
+    # whose curve 1 takes its vertex from the Newton lift passes check
     for name, run, cert in _corpus_certificates():
-        core, lift = cert.representative_curves
+        (c0, v0), (c1, v1) = cert.representative_curves
+        core = Path(_circle(c0, v0, certify.N_CURVE),
+                    anchor=cert.annulus.anchor)
+        lift = _circle(c1, v1, certify.N_CURVE)
         gm, _ = run.g.chart(cert.annulus.anchor)
         start = _newton_preimage(gm, core.start, core.start)[0]
         res, closes = lift_closed_curve(run.g, core, start,
                                         check_clearance=False)
         assert closes and len(res.lifted) == len(lift), name
-        size = max(map(abs, lift.nodes))
+        size = abs(c1) + abs(v1)
         assert all(abs(a - b) <= 1e-15 * size
-                   for a, b in zip(res.lifted.nodes, lift.nodes)), name
+                   for a, b in zip(res.lifted.nodes, lift)), name
         newton = copy.copy(cert)
-        newton.representative_curves = (core, res.lifted)
+        newton.representative_curves = ((c0, v0), (c1, res.lifted.start - c1))
         assert verify_certificate(newton, run).ok, name
 
 
@@ -1255,8 +1281,8 @@ def test_nesting_test_on_synthetic_annuli():
         return RoundAnnulus.from_radii(center, r_in, r_out, anchor=0j)
 
     def windings(ann, lam, k, q):
-        return [_winding(c.nodes, q)
-                for c in certify._representative_curves(ann, lam, k)]
+        return [_winding(_circle(c, v, certify.N_CURVE), q)
+                for c, v in certify._representative_curves(ann, lam, k)]
 
     nested = annulus(1e-31 + 0j, 1e-30, 1e-10)
     for lam in (4 + 0j, -3j, 1e3 + 1e3j):
@@ -1308,7 +1334,7 @@ def test_nesting_test_covers_the_rounding_of_the_nodes():
         outcomes[fault is None] += 1
         if fault is not None:
             continue
-        core = certify._representative_curves(ann, 1 + 0j, 0)[0].nodes
+        core = _circle(*certify._representative_curves(ann, 1 + 0j, 0)[0], n)
         for m in range(0, n, 8):
             u = cmath.exp(1j * (m + 0.5) * 2 * math.pi / n)
             inner, outer = center + ann.r_in * u, center + ann.r_out * u
@@ -1393,10 +1419,10 @@ def _forge_lone_point(payload, run):
 
 
 def _forge_curve_node(payload, run):
-    # a middle node of curve 1 moved by 1e-4 of the curve's size
-    nodes = payload["representative_curves"][1]["nodes"]
-    size = max(math.hypot(*z) for z in nodes)
-    nodes[len(nodes) // 2][0] += 1e-4 * size
+    # curve 1's vertex, its node 0, moved by 1e-4 of the curve's size
+    curve = payload["representative_curves"][1]
+    size = math.hypot(*curve["center"]) + math.hypot(*curve["vertex"])
+    curve["vertex"][0] += 1e-4 * size
     return ["re-lift of curve 0 does not match curve 1"]
 
 
@@ -1489,6 +1515,13 @@ def test_forgery_fails_one_condition_alone(forge, certificate_files,
     for name, run, trace, cert_path in certificate_files:
         _assert_forgery_fails(forge, run, trace, cert_path,
                               str(tmp_path / name), capsys)
+
+
+def test_certificates_encode_under_4_kb(certificate_files):
+    # each curve is its center and vertex, not 257 nodes: the 4 demo
+    # certificates and the oo one took about 26 KB with nodes
+    for name, _, _, cert_path in certificate_files:
+        assert os.path.getsize(cert_path) < 4096, name
 
 
 def test_two_inner_punctures_fail_one_condition_alone(certificate_files,

@@ -11,6 +11,7 @@ import sys
 import pytest
 
 import pullbacklab
+from pullbacklab.certify import N_CURVE, _circle
 from pullbacklab.cli import load_config, main, parse_config
 from pullbacklab.fiber import JSON_ENCODER, RECORD_LINE
 
@@ -573,17 +574,27 @@ def _set(keys, value):
     return edit
 
 
+def _drop(keys):
+    def edit(payload):
+        target = payload
+        for key in keys[:-1]:
+            target = target[key]
+        del target[keys[-1]]
+        return payload
+    return edit
+
+
 # (case, an edit of the chebyshev certificate, the field the error names)
 MISTYPED_FIELDS = [
     ("step_string", _set(("step",), "116"), "step"),
     ("k_float", _set(("k",), 1.0), "k"),
     ("log_rin_string", _set(("annulus", "log_rin"), "x"), "annulus log_rin"),
     ("step_bool", _set(("step",), True), "step"),
-    ("curve_node_string",
-     _set(("representative_curves", 0, "nodes", 0), ["a", 0]),
-     "representative_curves[0] node item"),
-    ("curve_nodes_int", _set(("representative_curves", 0, "nodes"), 7),
-     "representative_curves[0] nodes"),
+    ("curve_center_string",
+     _set(("representative_curves", 0, "center"), "ab"),
+     "representative_curves[0] center"),
+    ("curve_vertex_missing", _drop(("representative_curves", 0, "vertex")),
+     "representative_curves[0] vertex"),
     ("curves_int", _set(("representative_curves",), 3),
      "representative_curves"),
     ("curves_of_ints", _set(("representative_curves",), [5, 6]),
@@ -619,6 +630,26 @@ def test_check_rejects_mistyped_certificate_fields(corpus_out, tmp_path,
     assert main(["check", "--trace", trace, "--cert", cert]) == 2
     err = capsys.readouterr().err
     assert err.startswith("invalid config/input: %s must be " % field), err
+
+
+def test_check_refuses_curves_stored_as_nodes(corpus_out, tmp_path, capsys):
+    # a certificate from before curves were stored as (center, vertex)
+    # pairs holds each curve as 257 nodes: invalid input, to be re-emitted
+    payload = read_json(os.path.join(corpus_out,
+                                     "chebyshev.certificate.json"))
+    for curve in payload["representative_curves"]:
+        center, vertex = (complex(*curve.pop(key))
+                          for key in ("center", "vertex"))
+        curve["nodes"] = [[z.real, z.imag]
+                          for z in _circle(center, vertex, N_CURVE)]
+    cert = str(tmp_path / "nodes.certificate.json")
+    pathlib.Path(cert).write_text(json.dumps(payload))
+    trace = os.path.join(corpus_out, "chebyshev.trace.jsonl")
+    capsys.readouterr()
+    assert main(["check", "--trace", trace, "--cert", cert]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config/input: representative_curves[0] "
+                          "center must be list, not None"), err
 
 
 # (case, an edit of the chebyshev certificate, how the report line starts):

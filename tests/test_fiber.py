@@ -14,15 +14,16 @@ from pullbacklab.cli import _build_run, load_config
 from pullbacklab import fiber, hyperbolic
 from pullbacklab.errors import (CollisionDetected, InvalidBranchDatum,
                                 NoApplicableComparison)
-from pullbacklab.fiber import (JSON_ENCODER, BranchDatum, Tolerances,
-                               TrivialMarkedSpec, compose_iterate_run,
+from pullbacklab.fiber import (EPS_P, JSON_ENCODER, K, BranchDatum,
+                               Tolerances, TrivialMarkedSpec, compose_iterate_run,
                                init_run, run_until, step_until,
                                stopping_status, teich_step_bound)
 from pullbacklab.hyperbolic import punctured_disk_radial_bound
 from pullbacklab.lifting import Path, concatenate, lift_path
 from pullbacklab.local import ScaledComplex
 from pullbacklab.ratmap import RationalMap
-from pullbacklab.sphere import EPS_SEP, chart_coordinate, chordal, is_inf
+from pullbacklab.sphere import (EPS_SEP, INF, Configuration,
+                               chart_coordinate, chordal, is_inf)
 
 CHEB = RationalMap([-2, 0, 1])
 BASILICA = RationalMap([-1, 0, 1])
@@ -240,6 +241,62 @@ def _seeded_runs():
                    init_run(RationalMap(cur), [BranchDatum(b, u + 1.0 / u)]),
                    None)
     yield "capped", cheb_run(), 3
+
+
+# punctures for hand-built records: 0, 1 and oo
+HAND_PUNCTURES = Configuration(("p0", "p1", "p2"), (0j, 1 + 0j, INF))
+
+
+def _hand_records(dists, nearest=None):
+    """Trace records n = 0, 1, ... of one fixed, free marked point m0 at
+    chordal distance dists[n] from its nearest puncture nearest[n] (p0 when
+    not given) and 1 from the others; m0 sits at dists[n] / 2, that
+    distance from p0 = 0."""
+    records = []
+    for n, dist in enumerate(dists):
+        logs = dict.fromkeys(HAND_PUNCTURES.labels, 0.0)
+        logs[nearest[n] if nearest else "p0"] = math.log10(dist)
+        records.append({"n": n, "points": {"m0": {
+            "type": "fixed", "mode": "free", "value": [dist / 2, 0.0],
+            "dist_log10": logs}}})
+    return records
+
+
+def test_rule_b_needs_a_two_percent_drop_a_step():
+    # under EPS_P for 6 records, nearing p0 by 1% a step: no stop; by 10%:
+    # the puncture stop
+    slow = [0.5 * EPS_P * 0.99 ** n for n in range(6)]
+    fast = [0.5 * EPS_P * 0.9 ** n for n in range(6)]
+    assert stopping_status(_hand_records(slow), HAND_PUNCTURES) is None
+    status = stopping_status(_hand_records(fast), HAND_PUNCTURES)
+    assert (status.kind, status.puncture_label, status.puncture) == \
+        ("candidate_puncture", "p0", 0j)
+
+
+def test_rule_b_needs_the_same_nearest_puncture():
+    # 10% nearer a step, but to p0 and p1 in turn: no stop
+    dists = [0.5 * EPS_P * 0.9 ** n for n in range(6)]
+    assert stopping_status(_hand_records(dists, ["p0", "p1"] * 3),
+                           HAND_PUNCTURES) is None
+    assert stopping_status(_hand_records(dists, ["p1"] * 6),
+                           HAND_PUNCTURES).puncture_label == "p1"
+
+
+def test_rule_b_needs_six_records():
+    # five drops of 10% are needed, so five records are too few
+    dists = [0.5 * EPS_P * 0.9 ** n for n in range(6)]
+    assert stopping_status(_hand_records(dists[1:]), HAND_PUNCTURES) is None
+    assert stopping_status(_hand_records(dists),
+                           HAND_PUNCTURES).kind == "candidate_puncture"
+
+
+def test_rule_a_needs_ten_eps_p_from_every_puncture():
+    # a point at rest for K steps, 5 EPS_P from p0: no stop; 100 EPS_P
+    # from it: the interior stop
+    assert stopping_status(_hand_records([5 * EPS_P] * (K + 1)),
+                           HAND_PUNCTURES) is None
+    assert stopping_status(_hand_records([100 * EPS_P] * (K + 1)),
+                           HAND_PUNCTURES).kind == "candidate_realized"
 
 
 def test_stopping_status_first_fires_where_run_until_stopped():

@@ -1,6 +1,5 @@
 import cmath
 import glob
-import json
 import math
 import os
 import random
@@ -10,8 +9,8 @@ import pytest
 
 import pullbacklab
 from pullbacklab import lifting
-from pullbacklab.certify import (_apply_map, _circle, certify_obstructed,
-                                 classify_run)
+from pullbacklab.certify import (N_CURVE, _apply_map, _circle,
+                                 certify_obstructed, classify_run)
 from pullbacklab.cli import _build_run, load_config
 from pullbacklab.errors import (BranchJumpSuspected, ChartOverflow,
                                 EndpointMismatch, NearCriticalValue,
@@ -21,7 +20,7 @@ from pullbacklab.lifting import (Path, cancel_retraces, concatenate,
                                  lift_closed_curve, lift_path,
                                  path_clearance, simplify_path)
 from pullbacklab.ratmap import RationalMap, critical_values, preimages
-from pullbacklab.sphere import CHART_LIMIT, INF, chordal, is_inf, json_complex
+from pullbacklab.sphere import CHART_LIMIT, INF, chordal, is_inf
 
 CHEB = RationalMap([-2, 0, 1])
 SQUARE = RationalMap([0, 0, 1])
@@ -449,16 +448,17 @@ def certificate_lifts(corpus_certificates):
     """(g, loop, start) for the closed-curve lifts behind each corpus
     certificate: the core-curve image lifted from the core circle (what
     the injectivity test takes to be the core circle itself), and the
-    representative curve re-lifted (its verification). The circles are
-    anchored, at scales 1e-23 to 1e-61."""
+    polygon of representative curve 0 lifted from curve 1's first node.
+    The circles are anchored, at scales 1e-23 to 1e-61."""
     lifts = []
     for g, cert in corpus_certificates:
         ann = cert.annulus
         core = _core(cert)
         image = _apply_map(g.shifted(ann.anchor), core)
         lifts.append((g, Path(image, anchor=ann.anchor), core[0]))
-        curves = cert.representative_curves
-        lifts.append((g, curves[0], curves[1].start))
+        (c0, v0), (c1, v1) = cert.representative_curves
+        lifts.append((g, Path(_circle(c0, v0, N_CURVE), anchor=ann.anchor),
+                      _circle(c1, v1, N_CURVE)[0]))
     assert len(lifts) == 8
     return lifts
 
@@ -578,18 +578,11 @@ def test_path_clearance_is_the_reference_bit_for_bit():
     assert lone > 1000
 
 
-def test_path_from_json_reads_float_pairs_in_one_pass(corpus_certificates):
-    # the float [re, im] pairs the engine writes are read in one pass, to
-    # the nodes json_complex reads one by one, bit for bit; any other node
-    # list is read one by one, with the same result or message
+def test_path_from_json_reads_nodes_one_by_one():
+    # each node is read by json_complex: ints and floats alike, bit for
+    # bit, and any other node refused with its message
     def bits(path):
         return [(z.real.hex(), z.imag.hex()) for z in path.nodes], path.anchor
-    for _, cert in corpus_certificates:
-        for curve in cert.representative_curves:
-            obj = json.loads(json.dumps(curve.to_json()))
-            want = Path([json_complex(z, "node") for z in obj["nodes"]],
-                        anchor=curve.anchor)
-            assert bits(Path.from_json(obj)) == bits(want) == bits(curve)
     mixed = {"nodes": [[1.0, 2.0], [3, -0.0], [3.0, -0.0], [0.5, 1e300]]}
     assert bits(Path.from_json(mixed)) == bits(Path([1 + 2j, complex(3, -0.0),
                                                      0.5 + 1e300j]))
