@@ -30,11 +30,10 @@ print("   side counts: inner A=%d B=%d / outer A=%d B=%d"
       % (cert.inner_count_A, cert.inner_count_B,
          cert.outer_count_A, cert.outer_count_B))
 print("   representative curves:", len(cert.representative_curves),
-      "windings", cert.curve_windings)
+      "each enclosing", cert.cluster_labels)
 for j, (center, vertex) in enumerate(cert.representative_curves):
     print("      curve %d: center %.4g%+.4gj, |vertex| %.4g"
           % (j, center.real, center.imag, abs(vertex)))
-print("   enclosed labels:", cert.curve_enclosed_labels)
 
 print("\nre-derived and compared field by field:",
       bool(verify_certificate(cert, run)))

@@ -546,8 +546,10 @@ class LevyCertificate:
     """Quantitative witness of a degenerate Levy multicurve, built from one
     separating annulus at one recorded step of an obstructed run; every
     other field is one ``_derive_certificate`` derives from those two. A
-    curve is stored as {"anchor": the annulus's, "center", "vertex"}; one
-    stored as nodes, as earlier versions wrote it, is invalid input."""
+    curve is stored as {"center", "vertex"} in the annulus's chart; one
+    stored as nodes, as earlier versions wrote it, is invalid input. Each
+    curve winds once about the cluster and encloses just its labels, as
+    the nesting test shows, so neither is stored."""
 
     FIELDS = {"step": int, "k": int, "d0_bound": float, "modulus": float,
               "threshold": float, "length_bound": float,
@@ -568,15 +570,10 @@ class LevyCertificate:
         obj = {name: getattr(self, name) for name in self.FIELDS}
         obj["annulus"] = self.annulus.to_json()
         obj["injectivity_evidence"] = self.injectivity_evidence
-        anchor = {} if self.annulus.anchor is None else \
-            {"anchor": encode_point(self.annulus.anchor)}
         obj["representative_curves"] = [
-            dict(anchor, center=[c.real, c.imag], vertex=[v.real, v.imag])
+            {"center": [c.real, c.imag], "vertex": [v.real, v.imag]}
             for c, v in self.representative_curves]
         obj["cluster_labels"] = list(self.cluster_labels)
-        obj["curve_windings"] = list(self.curve_windings)
-        obj["curve_enclosed_labels"] = [list(t)
-                                        for t in self.curve_enclosed_labels]
         obj["engine_version"] = self.engine_version
         obj["tolerances"] = self.tolerances
         obj["trace_digest"] = self.trace_digest
@@ -599,12 +596,6 @@ class LevyCertificate:
             for i, c in enumerate(curves))
         cert.cluster_labels = tuple(
             json_typed(obj["cluster_labels"], list, "cluster_labels", str))
-        cert.curve_windings = tuple(
-            json_typed(obj["curve_windings"], list, "curve_windings"))
-        cert.curve_enclosed_labels = tuple(
-            tuple(json_typed(t, list, "curve_enclosed_labels item", str))
-            for t in json_typed(obj["curve_enclosed_labels"], list,
-                                "curve_enclosed_labels"))
         cert.engine_version = obj.get("engine_version", "")
         cert.tolerances = json_typed(obj.get("tolerances", {}), dict,
                                      "tolerances")
@@ -808,9 +799,7 @@ def _derive_certificate(run, n, annulus):
     if fault is not None:
         return fields, [fault]
     length_bound = product / modulus
-    fields.update(curve_windings=(1,) * (k + 1),
-                  curve_enclosed_labels=(tuple(sorted(inner)),) * (k + 1),
-                  representative_curves=_representative_curves(annulus, lam,
+    fields.update(representative_curves=_representative_curves(annulus, lam,
                                                                k),
                   length_bound=length_bound,
                   promotion_flag=length_bound < ELL_STAR * math.exp(-k * d0))
@@ -973,7 +962,6 @@ _FIELD_TESTS = (
     ("length_bound", "length bound formula", lambda stored, derived:
      same_within(stored, derived, 1e-9, 1.0)),
     ("promotion_flag", "promotion flag", operator.eq),
-    ("curve_windings", "curve windings", operator.eq),
 )
 
 
@@ -998,21 +986,15 @@ def verify_certificate(cert, run):
 
 
 def _per_curve_mismatches(cert, derived):
-    """A count mismatch, or each stored curve and enclosed-label set that
-    differs from the derived one. A curve's center and vertex must each be
-    within 1e-13 of its size |c_j| + |v_j|: hundreds of ulps of another
-    host's exp (core radius), and inside ``_nesting_fault``'s pad."""
-    curves, enclosed = cert.representative_curves, cert.curve_enclosed_labels
-    want_curves = derived["representative_curves"]
-    want_enclosed = derived["curve_enclosed_labels"]
-    if len(curves) != len(want_curves) or len(enclosed) != len(want_curves):
-        return ["curve count mismatch: stored %d curves and %d enclosed-label "
-                "sets, derived %d" % (len(curves), len(enclosed),
-                                      len(want_curves))]
-    bad = ["re-lift of curve %d does not match curve %d" % (idx - 1, idx)
-           if idx else "curve 0 is not the annulus core circle"
-           for idx, ((c, v), (c0, v0)) in enumerate(zip(curves, want_curves))
-           if not max(abs(c - c0), abs(v - v0)) <= 1e-13 * (abs(c0) + abs(v0))]
-    return bad + ["curve %d enclosed labels mismatch: stored %r, derived %r"
-                  % (idx, got, ref) for idx, (got, ref)
-                  in enumerate(zip(enclosed, want_enclosed)) if got != ref]
+    """A count mismatch, or each stored curve that differs from the derived
+    one. A curve's center and vertex must each be within 1e-13 of its size
+    |c_j| + |v_j|: hundreds of ulps of another host's exp (core radius),
+    and inside ``_nesting_fault``'s pad."""
+    curves, want = cert.representative_curves, derived["representative_curves"]
+    if len(curves) != len(want):
+        return ["curve count mismatch: stored %d curves, derived %d"
+                % (len(curves), len(want))]
+    return ["re-lift of curve %d does not match curve %d" % (idx - 1, idx)
+            if idx else "curve 0 is not the annulus core circle"
+            for idx, ((c, v), (c0, v0)) in enumerate(zip(curves, want))
+            if not max(abs(c - c0), abs(v - v0)) <= 1e-13 * (abs(c0) + abs(v0))]

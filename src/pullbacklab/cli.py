@@ -4,7 +4,7 @@ certificate persistence, corpus demos.
 Subcommands and the flags each reads:
 
 - ``analyze | run | certify``: one of ``--config FILE`` / ``--batch GLOB``,
-  with ``--out``;
+  with ``--out``; a glob that matches no file is invalid input;
 - ``classify``: ``--trace`` and one of ``--config`` / ``--report``;
 - ``check``: ``--trace`` and ``--cert``, with ``--report``;
 - ``demo``: ``--out``.
@@ -506,9 +506,12 @@ def main(argv=None):
                 "check": cmd_check, "demo": cmd_demo}
     handler = handlers[args.command]
     try:
-        if getattr(args, "batch", None):
-            return _each_config(handler, args,
-                                sorted(globmod.glob(args.batch)))
+        if getattr(args, "batch", None) is not None:
+            paths = sorted(globmod.glob(args.batch))
+            if not paths:
+                raise ValueError("--batch %s matches no config file"
+                                 % args.batch)
+            return _each_config(handler, args, paths)
         return handler(args)
     except (OSError, ValueError, KeyError, json.JSONDecodeError,
             InvalidBranchDatum) as exc:

@@ -6,17 +6,17 @@ Continuation is Newton seeded at the previous lift node, with the value and
 derivative of g there that the previous node's own solve computed, and the
 residual check reads g at Newton's answer from the same solve. A node
 therefore costs only the evaluations after Newton's first step: one when
-that step hits the target exactly, as on small anchored circles about a
+that step hits the target exactly, as on small circles in the chart at a
 repelling fixed point. A step is accepted only when the displacement stays
 below eta times the distance from the previous node to the nearest critical
 point (``branch_step``), otherwise the target segment is bisected (up to a
 fixed depth). This safeguard is what prevents silent branch jumps near
 critical points.
 
-A Path may carry an ``anchor``, a finite point or oo: its nodes are then
-coordinates in the working chart at that point (``sphere.chart_coordinate``)
-and lifting it uses the map in that chart (``RationalMap.chart``), which
-lets curves live at scales far below the anchor's own magnitude.
+A Path is a plane polyline. A lift in the working chart at a point q
+(``sphere.chart_coordinate``), where curves live at scales far below q's
+own magnitude, is a lift through that chart's map:
+``lift_path(g.chart(q)[0], path, start, check_clearance=False)``.
 """
 
 import cmath
@@ -25,9 +25,7 @@ import math
 from .errors import (BranchJumpSuspected, ChartOverflow, EndpointMismatch,
                      NearCriticalValue)
 from .ratmap import critical_values
-from .sphere import (CHART_LIMIT, as_point, chart_coordinate, chordal,
-                     chordal_scale, decode_point, encode_point, is_inf,
-                     json_complex, json_typed)
+from .sphere import CHART_LIMIT, chordal, is_inf, json_complex, json_typed
 
 EPS_LIFT = 1e-9    # chordal residual allowed for accepted lift nodes
 EPS_CV = 1e-6      # required path clearance to critical values
@@ -41,13 +39,12 @@ class Path:
     """Polyline with flagged endpoints; immutable after construction.
 
     Nodes are finite complex numbers; exact consecutive duplicates are
-    dropped. When ``anchor`` (a finite point or INF) is set the nodes are
-    coordinates in the working chart at it.
+    dropped.
     """
 
-    __slots__ = ("nodes", "anchor")
+    __slots__ = ("nodes",)
 
-    def __init__(self, nodes, anchor=None):
+    def __init__(self, nodes):
         cleaned = []
         for z in nodes:
             z = complex(z)
@@ -59,16 +56,14 @@ class Path:
         if not cleaned:
             raise ValueError("path needs at least one node")
         self.nodes = tuple(cleaned)
-        self.anchor = None if anchor is None else as_point(anchor)
 
     @classmethod
-    def _of_clean(cls, nodes, anchor):
+    def _of_clean(cls, nodes):
         """The path of ``nodes`` as ``__init__`` would clean them: finite
-        complex numbers with no exact consecutive duplicate, and ``anchor``
-        None, complex or INF. Nothing is checked."""
+        complex numbers with no exact consecutive duplicate. Nothing is
+        checked."""
         path = cls.__new__(cls)
         path.nodes = tuple(nodes)
-        path.anchor = anchor
         return path
 
     @property
@@ -93,30 +88,20 @@ class Path:
         for a, b in zip(self.nodes, self.nodes[1:]):
             for j in range(1, k + 1):
                 out.append(a + (b - a) * (j / k))
-        return Path(out, anchor=self.anchor)
-
-    def to_json(self):
-        obj = {"nodes": [[z.real, z.imag] for z in self.nodes]}
-        if self.anchor is not None:
-            obj["anchor"] = encode_point(self.anchor)
-        return obj
+        return Path(out)
 
     @classmethod
     def from_json(cls, obj, what="path"):
-        anchor = json_typed(obj, dict, what).get("anchor")
+        json_typed(obj, dict, what)
         return cls([json_complex(z, what + " node")
-                    for z in json_typed(obj["nodes"], list, what + " nodes")],
-                   anchor=None if anchor is None
-                   else decode_point(anchor, what + " anchor"))
+                    for z in json_typed(obj["nodes"], list, what + " nodes")])
 
     def __len__(self):
         return len(self.nodes)
 
     def __repr__(self):
-        body = "%d nodes, %r -> %r" % (len(self.nodes), self.start, self.end)
-        if self.anchor is not None:
-            body += ", anchor %r" % self.anchor
-        return "Path(%s)" % body
+        return "Path(%d nodes, %r -> %r)" % (len(self.nodes), self.start,
+                                             self.end)
 
 
 class LiftResult:
@@ -150,9 +135,9 @@ def _seg_closest(a, b, q):
 
 
 def path_clearance(path, points):
-    """Minimum chordal distance from the polyline of an unanchored path to
-    the given points: ``chordal``'s arithmetic and ``min``'s order, with
-    each node's and each point's hypot(1, |z|) taken once."""
+    """Minimum chordal distance from the polyline of a path to the given
+    points: ``chordal``'s arithmetic and ``min``'s order, with each node's
+    and each point's hypot(1, |z|) taken once."""
     nodes = path.nodes
     sizes = [abs(z) for z in nodes]
     scales = [math.hypot(1.0, r) for r in sizes]
@@ -230,27 +215,19 @@ def branch_step(w, crit):
 
 def lift_path(g, path, start_lift, check_clearance=True):
     """Unique continuation of the inverse branch of g along ``path`` from
-    ``start_lift`` (with g(start_lift) = path.start).
-
-    For an anchored path, ``start_lift`` is a coordinate in the same chart
-    and the result keeps the anchor.
-    """
-    anchor = path.anchor
-    gm, crit = g.chart(anchor)
-    # both points of an anchored residual sit near the chart's center
-    scale = None if anchor is None else chordal_scale(anchor)
+    ``start_lift`` (with g(start_lift) = path.start)."""
+    crit = g.chart()[1]  # the finite critical points
 
     start_lift = complex(start_lift)
     if not cmath.isfinite(start_lift):
         raise ValueError("path nodes must be finite")
     # (g, g') at lifted[-1], which seeds the next node's Newton solve
-    last_eval = gm.evaluate_with_derivative(start_lift)
-    start_res = (chordal(last_eval[0], path.start) if scale is None
-                 else scale * abs(last_eval[0] - path.start))
+    last_eval = g.evaluate_with_derivative(start_lift)
+    start_res = chordal(last_eval[0], path.start)
     if start_res > EPS_LIFT:
         raise EndpointMismatch(
             "g(start_lift) misses path start by chordal %.3g" % start_res)
-    if check_clearance and anchor is None:
+    if check_clearance:
         cv = critical_values(g)
         clr = path_clearance(path, cv)
         if clr <= EPS_CV:
@@ -270,15 +247,14 @@ def lift_path(g, path, start_lift, check_clearance=True):
         pending = None
         depth = 0
         while True:
-            found = _newton_preimage(gm, z_to, w_prev, last_eval)
+            found = _newton_preimage(g, z_to, w_prev, last_eval)
             ok = False
             if found is not None:
                 w, gv, gd = found
                 if abs(w - w_prev) < allowed:
-                    res = (chordal(gv, z_to) if scale is None
-                           else scale * abs(gv - z_to))
+                    res = chordal(gv, z_to)
                     ok = not res > EPS_LIFT
-            if ok and anchor is None and abs(w) > CHART_LIMIT:
+            if ok and abs(w) > CHART_LIMIT:
                 raise ChartOverflow(
                     "lift reached |w| = %.3g; transport the chart" % abs(w))
             if not ok:
@@ -308,7 +284,7 @@ def lift_path(g, path, start_lift, check_clearance=True):
                 break
             z_to, depth = pending.pop()
 
-    return LiftResult(Path._of_clean(lifted, anchor), max_res, subdivisions)
+    return LiftResult(Path._of_clean(lifted), max_res, subdivisions)
 
 
 def lift_closed_curve(g, loop, start_lift, check_clearance=True):
@@ -327,13 +303,11 @@ def lift_closed_curve(g, loop, start_lift, check_clearance=True):
 
 def concatenate(p1, p2):
     """Join two polylines, snapping p2's start onto p1's end."""
-    if p1.anchor != p2.anchor:
-        raise EndpointMismatch("paths live in different charts")
     scale = max(abs(p1.end), abs(p2.start), 1e-300)
     if abs(p1.end - p2.start) > max(EPS_LIFT, 1e-12 * scale):
         raise EndpointMismatch(
             "p1 ends at %r but p2 starts at %r" % (p1.end, p2.start))
-    return Path(p1.nodes + p2.nodes[1:], anchor=p1.anchor)
+    return Path(p1.nodes + p2.nodes[1:])
 
 
 def cancel_retraces(path):
@@ -348,7 +322,7 @@ def cancel_retraces(path):
                 stack.pop()
                 continue
         stack.append(z)
-    return Path(stack, anchor=path.anchor)
+    return Path(stack)
 
 
 def _point_in_triangle(q, a, b, c):
@@ -374,7 +348,7 @@ def _triangle_clear(a, b, c, obstacles):
     which takes oo's as 2 / hypot(1, the largest |vertex|))."""
     return not any(not is_inf(q) and _point_in_triangle(q, a, b, c)
                    for q in obstacles) and \
-        path_clearance(Path._of_clean((a, b, c, a), None),
+        path_clearance(Path._of_clean((a, b, c, a)),
                        obstacles) > 2 * EPS_CLEAR
 
 
@@ -383,7 +357,6 @@ def simplify_path(path, obstacles):
     of the obstacle points by 2 EPS_CLEAR; endpoints and homotopy class are
     preserved by the corridor check."""
     path = cancel_retraces(path)
-    obstacles = [chart_coordinate(path.anchor, q) for q in obstacles]
     nodes = list(path.nodes)
     changed = True
     passes = 0
@@ -398,4 +371,4 @@ def simplify_path(path, obstacles):
                 changed = True
             else:
                 i += 1
-    return Path(nodes, anchor=path.anchor)
+    return Path(nodes)

@@ -239,8 +239,8 @@ def test_core_stage_agrees_with_the_newton_lift_at_every_stage(extra, k,
     core = _circle(ann.center, ann.core_radius(), N_SAMP)
     for stage in evidence["stages"]:
         image = _apply_map(gm, core)
-        res, closes = lift_closed_curve(run.g, Path(image, anchor=ann.anchor),
-                                        core[0], check_clearance=False)
+        res, closes = lift_closed_curve(gm, Path(image), core[0],
+                                        check_clearance=False)
         assert closes and res.subdivisions == 0
         assert res.lifted.nodes == Path(core).nodes
         assert res.max_residual == stage["core_lift_residual"] == 0.0
@@ -557,7 +557,6 @@ def test_emit_and_verify_certificate():
     assert cert.inner_count_A >= 2 and cert.outer_count_A >= 2
     assert cert.inner_count_B <= 1 and cert.outer_count_B >= 2
     assert len(cert.representative_curves) == cert.k + 1
-    assert len(set(cert.curve_enclosed_labels)) <= cert.k
     assert verify_certificate(cert, run).ok
 
 
@@ -609,8 +608,6 @@ def test_certificate_tamper_detection():
         ("inner_count_B", 2, ["side counts mismatch"]),
         ("outer_count_A", 1, ["side counts mismatch"]),
         ("outer_count_B", 3, ["side counts mismatch"]),
-        ("curve_enclosed_labels", (("p0",), ("m0", "p1")),
-         ["curve 0 enclosed labels mismatch"]),
         ("representative_curves", _with_moved_curve(curves, 0, scale=1.5),
          ["curve 0 is not the annulus core circle"]),
         ("representative_curves", _with_moved_curve(curves, 1, shift=1e-6),
@@ -618,7 +615,6 @@ def test_certificate_tamper_detection():
         ("representative_curves", _with_moved_curve(curves, 1, scale=1.5),
          ["re-lift of curve 0 does not match curve 1"]),
         ("cluster_labels", ("p0", "p2"), ["cluster labels mismatch"]),
-        ("curve_windings", (3, -7), ["curve windings mismatch"]),
         ("promotion_flag", not cert.promotion_flag,
          ["promotion flag mismatch"]),
         ("injectivity_evidence", {"samples": 1, "stages": [], "k": 9},
@@ -661,8 +657,9 @@ AT_INFINITY = (RationalMap([0, 0, 1], [1, 4]),
 
 
 def test_certificate_json_roundtrip():
-    # each curve is stored as its anchor, center and vertex, and read back
-    # bit for bit
+    # each curve is stored as its center and vertex, in the chart of the
+    # annulus's anchor, and read back bit for bit; neither windings nor
+    # enclosed labels are stored
     def bits(curves):
         return [tuple((z.real.hex(), z.imag.hex()) for z in pair)
                 for pair in curves]
@@ -672,16 +669,13 @@ def test_certificate_json_roundtrip():
         obj = json.loads(json.dumps(cert.to_json()))
         assert obj["annulus"]["anchor"] == anchor
         assert [sorted(c) for c in obj["representative_curves"]] == \
-            [["anchor", "center", "vertex"]] * (cert.k + 1)
-        assert all(c["anchor"] == anchor
-                   for c in obj["representative_curves"])
+            [["center", "vertex"]] * (cert.k + 1)
+        assert not {"curve_windings", "curve_enclosed_labels"} & obj.keys()
         back = LevyCertificate.from_json(obj)
         assert bits(back.representative_curves) == \
             bits(cert.representative_curves)
-        assert all(c["anchor"] == anchor
-                   for c in back.to_json()["representative_curves"])
         assert back.modulus == cert.modulus
-        assert back.curve_enclosed_labels == cert.curve_enclosed_labels
+        assert back.cluster_labels == cert.cluster_labels
         assert back.annulus.anchor == cert.annulus.anchor
         assert verify_certificate(back, run).ok
 
@@ -695,8 +689,7 @@ def test_certificate_at_infinity():
     assert cert.step == ref.step == 116 and is_inf(cert.annulus.anchor)
     assert verify_certificate(cert, run).ok
     for name in ("k", "modulus", "inner_count_A", "inner_count_B",
-                 "outer_count_A", "outer_count_B", "curve_windings",
-                 "injectivity_evidence"):
+                 "outer_count_A", "outer_count_B", "injectivity_evidence"):
         assert getattr(cert, name) == getattr(ref, name), name
     assert (cert.annulus.log_rin, cert.annulus.log_rout) == \
         (ref.annulus.log_rin, ref.annulus.log_rout)
@@ -1005,21 +998,21 @@ def test_links_first_clustering_is_all_pairs_clustering_at_every_tail_step():
 
 
 def _assert_sampled_curve_fields(cert, run):
-    """The certificate's curve windings and enclosed labels are those
-    _winding gives on the stored curves' polygons, about the annulus center
-    and about every finite point of the step, each winding 0 or 1."""
+    """What the nesting test shows and the certificate does not store:
+    _winding on each stored curve's polygon is 1 about the annulus center
+    and, about every finite point of the step, 1 for the cluster's labels
+    and 0 for the rest."""
     ann = cert.annulus
     curves = [_circle(c, v, certify.N_CURVE)
               for c, v in cert.representative_curves]
     entries = [(lab, z) for lab, _, z in _step_chart_entries(
         run.step_points(cert.step), ann.anchor, cert.step) if z is not None]
-    assert cert.curve_windings == tuple(_winding(c, ann.center)
-                                        for c in curves)
-    for c, enclosed in zip(curves, cert.curve_enclosed_labels):
+    for c in curves:
+        assert _winding(c, ann.center) == 1
         windings = {lab: _winding(c, z) for lab, z in entries}
         assert set(windings.values()) <= {0, 1}, windings
-        assert enclosed == tuple(sorted(lab for lab, w in windings.items()
-                                        if w == 1))
+        assert sorted(cert.cluster_labels) == sorted(
+            lab for lab, w in windings.items() if w == 1)
 
 
 def test_links_first_clustering_on_seeded_configurations():
@@ -1100,12 +1093,11 @@ def test_check_accepts_a_newton_lifted_curve():
     # whose curve 1 takes its vertex from the Newton lift passes check
     for name, run, cert in _corpus_certificates():
         (c0, v0), (c1, v1) = cert.representative_curves
-        core = Path(_circle(c0, v0, certify.N_CURVE),
-                    anchor=cert.annulus.anchor)
+        core = Path(_circle(c0, v0, certify.N_CURVE))
         lift = _circle(c1, v1, certify.N_CURVE)
         gm, _ = run.g.chart(cert.annulus.anchor)
         start = _newton_preimage(gm, core.start, core.start)[0]
-        res, closes = lift_closed_curve(run.g, core, start,
+        res, closes = lift_closed_curve(gm, core, start,
                                         check_clearance=False)
         assert closes and len(res.lifted) == len(lift), name
         size = abs(c1) + abs(v1)
@@ -1151,11 +1143,9 @@ def test_closed_forms_agree_with_the_sampled_reference():
                 assert radii is not None and radii[1] <= reach, (name, r_in)
             if lift is not None:
                 lam = lift[0]
-                core = Path(_circle(center, radius, certify.N_CURVE),
-                            anchor=q)
-                start = _newton_preimage(gm, core.start,
-                                                 core.start)[0]
-                res, closes = lift_closed_curve(g, core, start,
+                core = Path(_circle(center, radius, certify.N_CURVE))
+                start = _newton_preimage(gm, core.start, core.start)[0]
+                res, closes = lift_closed_curve(gm, core, start,
                                                 check_clearance=False)
                 s = (abs(center) + radius) * (1 + 1e-12)
                 slack = certify._linear_part(gm, s)[1] / abs(lam) + 1e-15 * s
@@ -1360,6 +1350,14 @@ def test_promotion_flag_is_the_length_bound_below_the_shortened_ell_star():
 # rewrites every other stored field the edit moves to the derived value,
 # and returns the exact messages check must give.
 
+def _forge_k_2000(payload, run):
+    # k far past the run's: (k + 4) pi e^{k d0} overflows double range if
+    # the stored k feeds a formula
+    derived = payload["k"]
+    payload["k"] = 2000
+    return ["k mismatch: stored k 2000, derived %d" % derived]
+
+
 def _forge_d0_bound(payload, run):
     # d0 one part in a million above the derived bound
     derived = payload["d0_bound"]
@@ -1504,10 +1502,10 @@ def _assert_forgery_fails(forge, run, trace, cert_path, forged, capsys):
         err == "", (cert_path, out, err)
 
 
-@pytest.mark.parametrize("forge", [_forge_d0_bound, _forge_modulus,
-                                   _forge_length_bound, _forge_thin,
-                                   _forge_lone_point, _forge_curve_node,
-                                   _forge_ring],
+@pytest.mark.parametrize("forge", [_forge_k_2000, _forge_d0_bound,
+                                   _forge_modulus, _forge_length_bound,
+                                   _forge_thin, _forge_lone_point,
+                                   _forge_curve_node, _forge_ring],
                          ids=lambda forge: forge.__name__[len("_forge_"):])
 def test_forgery_fails_one_condition_alone(forge, certificate_files,
                                            tmp_path, capsys):
@@ -1515,6 +1513,28 @@ def test_forgery_fails_one_condition_alone(forge, certificate_files,
     for name, run, trace, cert_path in certificate_files:
         _assert_forgery_fails(forge, run, trace, cert_path,
                               str(tmp_path / name), capsys)
+
+
+def test_run_at_infinity_bounds_every_step_and_checks(certificate_files):
+    # the run whose cluster collapses at the puncture oo: every record from
+    # step 1 on has a step bound, the certification tail's included; the
+    # certificate is emitted at step 116, where the trace ends, in the chart
+    # at oo, and passes check with its report
+    (_, _, trace, cert_path), = [f for f in certificate_files
+                                 if f[0] == "infinity"]
+    with open(trace) as fh:
+        records = [json.loads(line) for line in fh]
+    report_path = cert_path.replace(".certificate.json", ".report.json")
+    with open(report_path) as fh:
+        report = json.load(fh)
+    with open(cert_path) as fh:
+        cert = json.load(fh)
+    assert len(records) == 117 and report["status"]["steps"] < 116
+    assert all(rec["step_bound"] is not None for rec in records
+               if rec["n"] >= 1)
+    assert cert["step"] == 116 and cert["annulus"]["anchor"] == "inf"
+    assert main(["check", "--trace", trace, "--cert", cert_path,
+                 "--report", report_path]) == 0
 
 
 def test_certificates_encode_under_4_kb(certificate_files):

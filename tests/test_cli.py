@@ -170,21 +170,21 @@ def test_check_valid_and_tampered(tmp_path):
     assert main(["check", "--trace", trace, "--cert", cert2]) == 1
 
 
-def test_check_reports_missing_enclosed_labels(tmp_path, capsys):
-    # a certificate with fewer enclosed-label lists than curves is a
-    # mismatch, not a crash
+def test_check_reports_missing_curves(tmp_path, capsys):
+    # a certificate with fewer curves than the derived ones is a mismatch,
+    # not a crash
     cfgp = write_config(tmp_path)
     out = str(tmp_path / "out")
     assert main(["run", "--config", cfgp, "--out", out]) == 0
     trace = os.path.join(out, "cheb.trace.jsonl")
     payload = read_json(os.path.join(out, "cheb.certificate.json"))
-    payload["curve_enclosed_labels"] = []
+    del payload["representative_curves"][1:]
     cert = os.path.join(out, "short.json")
     pathlib.Path(cert).write_text(json.dumps(payload))
     capsys.readouterr()
     assert main(["check", "--trace", trace, "--cert", cert]) == 1
-    assert "CHECK FAIL: curve count mismatch: stored 2 curves and 0 " \
-        "enclosed-label sets, derived 2" in capsys.readouterr().out
+    assert "CHECK FAIL: curve count mismatch: stored 1 curves, derived 2" \
+        in capsys.readouterr().out
 
 
 def test_tolerance_sources_override_in_order(tmp_path):
@@ -271,6 +271,16 @@ def test_batch_flag(tmp_path):
                  "--out", out]) == 0
     assert os.path.exists(os.path.join(out, "a.report.json"))
     assert os.path.exists(os.path.join(out, "b.report.json"))
+
+
+@pytest.mark.parametrize("command", ["run", "analyze", "certify"])
+def test_batch_matching_no_file_is_invalid_input(tmp_path, capsys, command):
+    pattern = str(tmp_path / "nothing" / "*.json")
+    out = tmp_path / "out"
+    assert main([command, "--batch", pattern, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == \
+        "invalid config/input: --batch %s matches no config file\n" % pattern
 
 
 def test_check_composed_run_and_functoriality(tmp_path):
@@ -600,11 +610,6 @@ MISTYPED_FIELDS = [
     ("curves_of_ints", _set(("representative_curves",), [5, 6]),
      "representative_curves[0]"),
     ("cluster_labels_int", _set(("cluster_labels",), 5), "cluster_labels"),
-    ("curve_windings_int", _set(("curve_windings",), 5), "curve_windings"),
-    ("curve_windings_string", _set(("curve_windings",), "ab"),
-     "curve_windings"),
-    ("enclosed_labels_int", _set(("curve_enclosed_labels",), 5),
-     "curve_enclosed_labels"),
     ("annulus_list", _set(("annulus",), [1]), "annulus"),
     ("tolerances_list", _set(("tolerances",), [1]), "tolerances"),
     ("tolerance_list", _set(("tolerances", "K"), [1]), "tolerances item"),
@@ -630,6 +635,23 @@ def test_check_rejects_mistyped_certificate_fields(corpus_out, tmp_path,
     assert main(["check", "--trace", trace, "--cert", cert]) == 2
     err = capsys.readouterr().err
     assert err.startswith("invalid config/input: %s must be " % field), err
+
+
+def test_check_accepts_a_certificate_storing_the_curve_facts(corpus_out):
+    # chebyshev's certificate as commit e285bac wrote it: each curve with
+    # the annulus's anchor, and the curve windings and enclosed labels that
+    # follow from the nesting test; check reads none of these keys, and the
+    # certificate belongs to this tree's trace and report
+    cert = os.path.join(os.path.dirname(__file__), "data",
+                        "chebyshev_with_curve_facts.certificate.json")
+    payload = read_json(cert)
+    assert payload["curve_windings"] == [1, 1]
+    assert payload["curve_enclosed_labels"] == [["m0", "p1"]] * 2
+    assert all(c["anchor"] == [2.0, 0.0]
+               for c in payload["representative_curves"])
+    base = os.path.join(corpus_out, "chebyshev")
+    assert main(["check", "--trace", base + ".trace.jsonl", "--cert", cert,
+                 "--report", base + ".report.json"]) == 0
 
 
 def test_check_refuses_curves_stored_as_nodes(corpus_out, tmp_path, capsys):

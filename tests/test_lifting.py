@@ -113,6 +113,30 @@ def test_lift_near_critical_value_rejected():
         lift_path(SQUARE, path, 1e-4 + 0j)
 
 
+class _StalledNewton:
+    """z^2 with its derivative overstated fourfold: each Newton iteration
+    keeps three quarters of the residual, so a solve over a segment longer
+    than about 0.03 ends above EPS_LIFT with its step well inside the
+    branch safeguard."""
+
+    def chart(self, q=None):
+        return SQUARE.chart(q)
+
+    def evaluate_with_derivative(self, z):
+        value, derivative = SQUARE.evaluate_with_derivative(z)
+        return value, 4 * derivative
+
+
+def test_lift_bisects_where_newton_stalls():
+    # the residual test alone rejects the stalled solve over [1, 1.2]
+    # (6.4e-9 off after 60 iterations, a step of 0.095 against 0.25), and
+    # bisection brings every node within EPS_LIFT of its target
+    res = lift_path(_StalledNewton(), Path([1, 1.2]), 1 + 0j,
+                    check_clearance=False)
+    assert res.subdivisions > 0 and res.max_residual <= lifting.EPS_LIFT
+    assert abs(res.lifted.end - math.sqrt(1.2)) < 1e-9
+
+
 def test_lift_determinism():
     path = Path([1, 2 + 1j, 4])
     a = lift_path(SQUARE, path, 1 + 0j)
@@ -264,17 +288,19 @@ def test_triangle_clear_is_the_three_segment_rule():
 
 
 def test_anchored_chart_lift():
-    # lifting in the chart at a repelling fixed point: same branch, tiny
-    # scale; at 2 for z^2 - 2, and at oo for its conjugate w^2 / (4w + 1)
+    # lifting in the chart at a repelling fixed point, through the chart's
+    # map: same branch, tiny scale; at 2 for z^2 - 2, and at oo for its
+    # conjugate w^2 / (4w + 1)
     for g, anchor in ((CHEB, 2.0), (RationalMap([0, 0, 1], [1, 4]), INF)):
         # a segment near the fixed point
-        tiny = Path([1e-30, 2e-30], anchor=anchor)
-        res = lift_path(g, tiny, 0.25e-30)
-        assert res.lifted.anchor == anchor
+        tiny = Path([1e-30, 2e-30])
+        res = lift_path(g.chart(anchor)[0], tiny, 0.25e-30,
+                        check_clearance=False)
         # the p-fixing branch contracts by ~1/4
         assert abs(res.lifted.end - 0.5e-30) < 1e-32
-        back = Path.from_json(res.lifted.to_json())
-        assert back.anchor == anchor and back.nodes == res.lifted.nodes
+        back = Path.from_json({"nodes": [[z.real, z.imag]
+                                         for z in res.lifted.nodes]})
+        assert back.nodes == res.lifted.nodes
 
 
 # ---------------------------------------------------------------------------
@@ -304,25 +330,17 @@ def _reference_newton(gm, target, seed, max_iter=60):
     return best
 
 
-def _reference_chordal(anchor, u, v):
-    if anchor is None:
-        return chordal(u, v)
-    return 2.0 * abs(u - v) / (1.0 + abs(anchor) ** 2)
-
-
 def _reference_lift(g, path, start_lift, eps_lift=lifting.EPS_LIFT,
                     eps_cv=lifting.EPS_CV, eta=lifting.ETA_SAFE,
                     max_depth=lifting.MAX_DEPTH, check_clearance=True):
     """lift_path with a fresh Newton solve from the previous node and a
     separate g(w) for each residual."""
-    anchor = path.anchor
-    gm, crit = g.chart(anchor)
-    start_res = _reference_chordal(anchor, gm(complex(start_lift)),
-                                   path.start)
+    crit = g.chart()[1]
+    start_res = chordal(g(complex(start_lift)), path.start)
     if start_res > eps_lift:
         raise EndpointMismatch(
             "g(start_lift) misses path start by chordal %.3g" % start_res)
-    if check_clearance and anchor is None:
+    if check_clearance:
         clr = path_clearance(path, critical_values(g))
         if clr <= eps_cv:
             raise NearCriticalValue(
@@ -339,12 +357,12 @@ def _reference_lift(g, path, start_lift, eps_lift=lifting.EPS_LIFT,
         while pending:
             z_to, depth = pending.pop()
             w_prev = lifted[-1]
-            w = _reference_newton(gm, z_to, w_prev)
+            w = _reference_newton(g, z_to, w_prev)
             ok = w is not None and abs(w - w_prev) < eta * crit_distance(w_prev)
             if ok:
-                res = _reference_chordal(anchor, gm(w), z_to)
+                res = chordal(g(w), z_to)
                 ok = not res > eps_lift
-            if ok and anchor is None and abs(w) > CHART_LIMIT:
+            if ok and abs(w) > CHART_LIMIT:
                 raise ChartOverflow(
                     "lift reached |w| = %.3g; transport the chart" % abs(w))
             if not ok:
@@ -361,8 +379,7 @@ def _reference_lift(g, path, start_lift, eps_lift=lifting.EPS_LIFT,
                 continue
             lifted.append(w)
             targets.append(z_to)
-    return lifting.LiftResult(Path(lifted, anchor=anchor), max_res,
-                              subdivisions)
+    return lifting.LiftResult(Path(lifted), max_res, subdivisions)
 
 
 def _hex_nodes(path):
@@ -370,8 +387,7 @@ def _hex_nodes(path):
 
 
 def _result_bits(res):
-    return (_hex_nodes(res.lifted), res.lifted.anchor, res.max_residual.hex(),
-            res.subdivisions)
+    return (_hex_nodes(res.lifted), res.max_residual.hex(), res.subdivisions)
 
 
 def _outcome(lift, *args, **kw):
@@ -445,19 +461,19 @@ def _core(cert):
 
 @pytest.fixture(scope="module")
 def certificate_lifts(corpus_certificates):
-    """(g, loop, start) for the closed-curve lifts behind each corpus
-    certificate: the core-curve image lifted from the core circle (what
-    the injectivity test takes to be the core circle itself), and the
-    polygon of representative curve 0 lifted from curve 1's first node.
-    The circles are anchored, at scales 1e-23 to 1e-61."""
+    """(map, loop, start) for the closed-curve lifts behind each corpus
+    certificate, through the map in the chart at the annulus's anchor: the
+    core-curve image lifted from the core circle (what the injectivity
+    test takes to be the core circle itself), and the polygon of
+    representative curve 0 lifted from curve 1's first node. The circles
+    are at scales 1e-23 to 1e-61 in that chart."""
     lifts = []
     for g, cert in corpus_certificates:
-        ann = cert.annulus
+        gm = g.chart(cert.annulus.anchor)[0]
         core = _core(cert)
-        image = _apply_map(g.shifted(ann.anchor), core)
-        lifts.append((g, Path(image, anchor=ann.anchor), core[0]))
+        lifts.append((gm, Path(_apply_map(gm, core)), core[0]))
         (c0, v0), (c1, v1) = cert.representative_curves
-        lifts.append((g, Path(_circle(c0, v0, N_CURVE), anchor=ann.anchor),
+        lifts.append((gm, Path(_circle(c0, v0, N_CURVE)),
                       _circle(c1, v1, N_CURVE)[0]))
     assert len(lifts) == 8
     return lifts
@@ -483,7 +499,7 @@ def test_closed_curve_lifts_match_reference_on_certificate_circles(
         res, closes = lift_closed_curve(g, loop, start, check_clearance=False)
         assert _result_bits(res) == _outcome(_reference_lift, g, loop, start,
                                              check_clearance=False)
-        assert closes and loop.anchor is not None
+        assert closes
 
 
 def test_one_evaluation_per_lifted_node(certificate_lifts, monkeypatch):
@@ -519,15 +535,14 @@ def test_lifted_nodes_are_already_clean(certificate_lifts):
                 results.append(lift_path(g, path, start))
             except PullbackLabError:
                 pass
-    results.append(lift_path(CHEB, Path([1e-30, 2e-30], anchor=2.0),
-                             0.25e-30))
+    results.append(lift_path(CHEB.chart(2.0)[0], Path([1e-30, 2e-30]),
+                             0.25e-30, check_clearance=False))
     assert len(results) >= 20
     for res in results:
         path = res.lifted
         assert type(path.nodes) is tuple
         assert all(type(z) is complex for z in path.nodes)
-        assert path.nodes == Path(path.nodes, anchor=path.anchor).nodes
-        assert path.anchor is None or type(path.anchor) is complex
+        assert path.nodes == Path(path.nodes).nodes
     with pytest.raises(ValueError, match="path nodes must be finite"):
         lift_path(SQUARE, Path([1, 2]), complex(math.inf, 0))
 
@@ -582,7 +597,7 @@ def test_path_from_json_reads_nodes_one_by_one():
     # each node is read by json_complex: ints and floats alike, bit for
     # bit, and any other node refused with its message
     def bits(path):
-        return [(z.real.hex(), z.imag.hex()) for z in path.nodes], path.anchor
+        return [(z.real.hex(), z.imag.hex()) for z in path.nodes]
     mixed = {"nodes": [[1.0, 2.0], [3, -0.0], [3.0, -0.0], [0.5, 1e300]]}
     assert bits(Path.from_json(mixed)) == bits(Path([1 + 2j, complex(3, -0.0),
                                                      0.5 + 1e300j]))

@@ -1,4 +1,5 @@
-"""Single-line mutants of the verdict rules and the curve comparison.
+"""Single-line mutants of the verdict rules, the curve comparison and
+``lift_path``'s safeguards.
 
     python3 tools/mutants.py            # every mutant
     python3 tools/mutants.py 1 4        # mutants 1 and 4 only
@@ -47,6 +48,14 @@ MUTANTS = [
      "if not max(abs(c - c0), abs(v - v0)) <=", "if not abs(v - v0) <="),
     ("curve comparison: vertex test deleted", "src/pullbacklab/certify.py",
      "if not max(abs(c - c0), abs(v - v0)) <=", "if not abs(c - c0) <="),
+    ("lift_path: step acceptance always true", "src/pullbacklab/lifting.py",
+     "if abs(w - w_prev) < allowed:", "if True:"),
+    ("lift_path: residual test deleted", "src/pullbacklab/lifting.py",
+     "ok = not res > EPS_LIFT", "ok = True"),
+    ("lift_path: critical-value clearance test deleted",
+     "src/pullbacklab/lifting.py", "if clr <= EPS_CV:", "if False:"),
+    ("lift_path: MAX_DEPTH 40 -> 2", "src/pullbacklab/lifting.py",
+     "MAX_DEPTH = 40", "MAX_DEPTH = 2"),
 ]
 
 
