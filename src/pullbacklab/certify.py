@@ -22,16 +22,17 @@ k lifts of the core curve are the core polygon over lambda^j, stored as
 
 Emission and ``verify_certificate`` derive a certificate the same way:
 ``_derive_certificate`` computes every field from the run, the step and
-the annulus (the step configuration from ``PullbackRun.step_points``,
-charted by ``_step_chart_entries`` at the annulus's anchor, the cluster's
-puncture, oo included; the product (k+4) pi e^{k d0} from
-``_threshold_product(run)``, its one definition, which the clustering
-scale reads too, while the emission floor reads its log,
+the annulus (the step configuration, read from the punctures and the
+tracks' histories and charted by ``_step_chart_entries`` at the annulus's
+anchor, the cluster's puncture, oo included; the product (k+4) pi e^{k d0}
+from ``_threshold_product(run)``, its one definition, which the
+clustering scale reads too, while the emission floor reads its log,
 ``_log_threshold``) and returns the messages of the conditions that fail
-(``_annulus_faults``, ``_nesting_fault``). Emission finds the annulus by
-clustering the step configuration (``_log_euclid_dist``); verification
-takes the stored one and compares each stored field with the derived
-one.
+(``_annulus_faults``, ``_nesting_fault``). Emission finds the annulus
+about a cluster ``_clusters`` links at an anchor: tracks with their
+puncture, or with each other, by their deviations, the only pairs that
+distinctness lets come within the cluster scale; verification takes the
+stored one and compares each stored field with the derived one.
 """
 
 import cmath
@@ -51,7 +52,6 @@ from .sphere import (INF, chart_coordinate, chordal, encode_point, is_inf,
                      json_complex, json_float, json_typed)
 
 TWO_PI = 2.0 * math.pi
-_LN2 = math.log(2.0)
 N_SAMP = 512        # boundary sampling for the injectivity test
 N_CURVE = 256       # edge count of the representative polygons
 ANNULUS_MARGIN = 0.05
@@ -649,49 +649,33 @@ def _annulus_faults(modulus, threshold, counts, ring):
     return faults
 
 
-def _step_chart_entries(points, q, n):
-    """(label, kind, chart position) of the step-n points (``step_points``)
-    in the working chart at q (``sphere.chart_coordinate``); the chart's oo
-    maps to None (always in the outer part). A point anchored at p sits at
+def _step_chart_entries(run, q, n):
+    """(label, kind, chart position) of the step-n configuration, the
+    punctures ("P") and then the tracks in processing order ("marked"), in
+    the working chart at q (``sphere.chart_coordinate``); the chart's oo
+    maps to None (always in the outer part). A track anchored at p sits at
     chart_coordinate(q, p) + eps* + eta, or at its materialized position
     when just one of p and q is oo."""
-    entries = []
-    for lab, kind, z, dev in points:
-        if dev is not None:
-            chart, eta = dev
-            w = eta.to_complex()
+    if not 0 <= n <= run.n:
+        raise ValueError("run has no step %d" % n)
+    entries = [(lab, "P", chart_coordinate(q, p)) for lab, p in run.punctures]
+    for track in run._tracks:
+        mode, value = track.history[n]
+        if mode == "free":
+            z = chart_coordinate(q, value)
+        else:
+            p, chart = track.anchor.puncture, track.anchor.chart
+            w = value.to_complex()
             if w is None:
                 raise NoSeparatingAnnulus(
                     "deviation below double range; certificate chart cannot "
                     "represent the cluster at step %d" % n)
-            if z != q and (is_inf(z) or is_inf(q)):
-                z = chart_coordinate(q, chart.materialize(eta))
+            if p != q and (is_inf(p) or is_inf(q)):
+                z = chart_coordinate(q, chart.materialize(value))
             else:  # chart_coordinate(q, q) is 0j, oo included
-                z = chart_coordinate(q, z) + chart.eps_star + w
-        else:
-            z = chart_coordinate(q, z)
-        entries.append((lab, kind, None if is_inf(z) else z))
-    return entries
-
-
-def _log_euclid_dist(a, b):
-    """Natural-log plane distance between two ``step_points`` entries. Two
-    points anchored in one chart are compared by their deviations (-inf
-    when they cancel exactly), an anchored point and its own puncture, the
-    very z ``step_points`` gives it (oo included), by |eta|; any other pair
-    involving oo is +inf apart."""
-    _, _, z1, dev1 = a
-    _, _, z2, dev2 = b
-    if dev1 is not None and dev2 is not None and dev1[0] is dev2[0]:
-        return dev1[1].log2_dist(dev2[1]) * _LN2
-    if (dev1 is None) != (dev2 is None) and z1 == z2:
-        return (dev1 or dev2)[1].log2_abs() * _LN2
-    if is_inf(z1) or is_inf(z2):
-        return math.inf
-    if dev1 is None and dev2 is None:
-        d = abs(z1 - z2)
-        return math.log(d) if d > 0 else -math.inf
-    return math.log(max(abs(z1 - z2), 1e-300))
+                z = chart_coordinate(q, p) + chart.eps_star + w
+        entries.append((track.label, "marked", z))
+    return [(lab, kind, None if is_inf(z) else z) for lab, kind, z in entries]
 
 
 def emit_levy_certificate(run, engine_version="", declined=None):
@@ -704,13 +688,9 @@ def emit_levy_certificate(run, engine_version="", declined=None):
     n = run.n
     if n < 1:
         raise ValueError("run has no step %d" % n)
-    if run.k < 1:
-        return None
     log_r_cluster = -TWO_PI * (_threshold_product(run) / ELL_STAR)
-    points = run.step_points(n)
-
-    for cluster in _clusters(points, len(run.punctures), log_r_cluster):
-        cert, message = _try_cluster(run, n, points, cluster, engine_version)
+    for q, labels in _clusters(run, n, log_r_cluster):
+        cert, message = _try_cluster(run, n, q, labels, engine_version)
         if cert is not None:
             return cert
         if declined is not None:
@@ -718,17 +698,38 @@ def emit_levy_certificate(run, engine_version="", declined=None):
     return None
 
 
-def _clusters(points, n_punctures, log_r):
-    """The clusters of two or more ``step_points`` entries linked at log
-    distance ``log_r`` (``_log_euclid_dist``), in entry order. Only pairs
-    with a marked point are measured: the punctures, which come first, are
-    over EPS_SEP / 2 apart, and log_r <= -2 pi 5 pi / ell* < log 1e-24."""
-    links = [(i, j) for j in range(n_punctures, len(points))
-             for i in range(j)
-             if _log_euclid_dist(points[i], points[j]) <= log_r]
+def _clusters(run, n, log_r):
+    """The clusters of the step-n configuration linked at log distance
+    ``log_r``, each as its puncture (None when it has none) and its labels:
+    members in configuration order (punctures by index, then the tracks in
+    processing order), clusters in the order of their first members.
+
+    A track anchored at p is linked to p when log |eta| <= log_r, and two
+    tracks anchored at one puncture to each other when log |eta_1 - eta_2|
+    <= log_r. No other pair comes that near: ``PullbackRun._check_distinct``
+    keeps it more than EPS_SEP apart (chordal, so over EPS_SEP / 2 in the
+    plane; a track inside its anchor's clearance radius from the other
+    punctures by ``_AnchorChart``'s bound), while log_r <= -2 pi 5 pi /
+    ell* < log 1e-24. So a Levy cluster forms only about an anchor, and
+    holds at most one puncture."""
+    ln2 = math.log(2.0)
+    n_punctures = len(run.punctures)
+    links = []
+    anchored = {}  # anchor index -> (index, eta) of its tracks so far
+    for j, track in enumerate(run._tracks, n_punctures):
+        mode, eta = track.history[n]
+        if mode == "free":
+            continue
+        a = track.anchor.index
+        if eta.log2_abs() * ln2 <= log_r:
+            links.append((a, j))
+        for i, other in anchored.setdefault(a, []):
+            if other.log2_dist(eta) * ln2 <= log_r:
+                links.append((i, j))
+        anchored[a].append((j, eta))
     if not links:
         return []
-    parent = list(range(len(points)))
+    parent = list(range(n_punctures + len(run._tracks)))
 
     def find(i):
         while parent[i] != i:
@@ -739,23 +740,23 @@ def _clusters(points, n_punctures, log_r):
     for i, j in links:
         parent[find(i)] = find(j)
     clusters = {}
-    for i in range(len(points)):
-        clusters.setdefault(find(i), []).append(points[i])
-    return [c for c in clusters.values() if len(c) >= 2]
+    for i in range(len(parent)):
+        clusters.setdefault(find(i), []).append(i)
+    labels = list(run.punctures.labels) + [t.label for t in run._tracks]
+    return [(run.punctures.points[c[0]] if c[0] < n_punctures else None,
+             [labels[i] for i in c]) for c in clusters.values() if len(c) >= 2]
 
 
-def _try_cluster(run, n, points, cluster, engine_version):
-    """(certificate, None) for the annulus separating the cluster, or
-    (None, why not): the text of the NoSeparatingAnnulus raised, or the
-    first fault of the derived certificate."""
-    # the chart at the cluster's first puncture, oo included, if it has one
-    q = next((z for _, kind, z, _ in cluster if kind == "P"), None)
+def _try_cluster(run, n, q, labels, engine_version):
+    """(certificate, None) for the annulus separating the cluster
+    ``labels`` in the chart at its puncture q (oo included; None for the
+    plane), or (None, why not): the text of the NoSeparatingAnnulus
+    raised, or the first fault of the derived certificate."""
     try:
-        entries = _step_chart_entries(points, q, n)
+        entries = _step_chart_entries(run, q, n)
         # keep the forward advance critical-point free: cap by the critical set
         annulus = find_separating_annulus(
-            [(lab, z) for lab, _, z in entries],
-            [lab for lab, _, _, _ in cluster],
+            [(lab, z) for lab, _, z in entries], labels,
             obstacles=run.g.chart(q)[1], anchor=q)
     except NoSeparatingAnnulus as exc:
         return None, str(exc)
@@ -776,7 +777,7 @@ def _derive_certificate(run, n, annulus):
     k = run.k
     d0 = run.d0_bound()
     product = _threshold_product(run)
-    entries = _step_chart_entries(run.step_points(n), annulus.anchor, n)
+    entries = _step_chart_entries(run, annulus.anchor, n)
     counts, inner, ring = _side_counts(entries, annulus)
     modulus = annulus_modulus(annulus)
     threshold = product / ELL_STAR

@@ -101,12 +101,13 @@ def parse_config(raw, name=""):
     extra = [decode_point(p, "extra_punctures item") for p in
              json_typed(raw.get("extra_punctures", []), list,
                         "extra_punctures")]
+    m = json_typed(raw.get("compose_iterate", 1), int, "compose_iterate")
+    if m < 1:
+        raise ValueError("compose_iterate must be at least 1, not %d" % m)
     return {
         "name": json_typed(raw.get("name", name), str, "name"),
         "g": g, "marked": marked, "trivial": trivial, "extra": extra,
-        "tol": tol, "compose_iterate": json_typed(
-            raw.get("compose_iterate", 1), int, "compose_iterate"),
-        "raw": raw,
+        "tol": tol, "compose_iterate": m, "raw": raw,
     }
 
 
@@ -336,7 +337,8 @@ def cmd_check(args):
         stored = _stored_lines(_trace_lines(data))
         run = _build_run(artifact_config(payload))
         # the steps come first: a forged cert.step must not drive stepping
-        steps = [int(layout.group(2)) if layout else rec.get("n")
+        steps = [int(layout.group(2)) if layout else
+                 json_typed(rec.get("n"), int, "trace record n")
                  for layout, rec in stored]
         if steps != list(range(len(stored))) or len(stored) != cert.step + 1:
             failures.append("trace records are not the steps 0..%d of the "

@@ -61,7 +61,8 @@ sums their ``hyperbolic`` bounds.
 The punctures are P plus the extra punctures, ordered and labelled by
 ``ratmap.puncture_configuration``; a point counts as one of them by
 ``sphere.index_near`` (within ``sphere.EPS_SEP``), and a marked datum on
-one is invalid input. An iterate run
+one is invalid input, as are two marked or trivial points within EPS_SEP
+of each other at step 0 (``init_run``). An iterate run
 (``compose_iterate_run``) takes its punctures from the analysis of g^m
 alone, since P(g^m) = P(g): the critical values of g^m are the g^j(v) for
 the critical values v of g and 0 <= j < m. Blocks of a path are joined by
@@ -577,23 +578,6 @@ class PullbackRun:
             self._d0 = teich_step_bound(self, 1)
         return self._d0
 
-    def step_points(self, n):
-        """The step-n configuration: punctures, then the tracks in
-        processing order, as (label, "P" or "marked", z, deviation). An
-        anchored point has z = its anchor's puncture and deviation =
-        (chart, eta); every other point its position and None."""
-        if not 0 <= n <= self.n:
-            raise ValueError("run has no step %d" % n)
-        out = [(lab, "P", p, None) for lab, p in self.punctures]
-        for track in self._tracks:
-            mode, value = track.history[n]
-            if mode == "free":
-                out.append((track.label, "marked", value, None))
-            else:
-                out.append((track.label, "marked", track.anchor.puncture,
-                            (track.anchor.chart, value)))
-        return out
-
     def dist_log10(self, track, p_label):
         """log10 chordal distance from a marked track to one puncture."""
         return self.log10_distances(track)[p_label]
@@ -776,7 +760,10 @@ def init_run(g, marked, trivial=(), extra_punctures=(), tol=None):
     tracks = [_MarkedTrack("m%d" % i, d) for i, d in enumerate(marked)]
     trivial_tracks = [_TrivialTrack("t%d" % i, s)
                       for i, s in enumerate(trivial)]
-    return PullbackRun(g, punctures, tracks, trivial_tracks, tol)
+    try:
+        return PullbackRun(g, punctures, tracks, trivial_tracks, tol)
+    except CollisionDetected as exc:  # at step 0, coincident input points
+        raise InvalidBranchDatum("%s at step 0" % exc) from None
 
 
 def step_until(run, stop, cap, records=None):

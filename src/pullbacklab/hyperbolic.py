@@ -1,10 +1,14 @@
 """Annulus moduli, geodesic-length bounds, and upper bounds for hyperbolic
 quantities on punctured spheres.
 
-Everything here is one-sided on purpose: only *upper* bounds on lengths and
-distances are produced (via punctured-disk comparison densities and upper
-Riemann sums), which is exactly what the certificate threshold needs. No
-lower-bound machinery exists, so certificates stay sound. Bounds are
+Everything here aims at one side: only *upper* bounds on lengths and
+distances are sought (via punctured-disk comparison densities), which is
+what the certificate threshold needs, and no lower-bound machinery exists.
+Annulus moduli and ``anchored_step_bound`` are closed forms. A free
+step's bound (``path_length_upper_bound``) is a sampled estimate, not a
+proven upper bound: each subinterval takes its largest sampled density,
+refined until two sums agree to 1% and padded by ``_ROUND_UP``, and on
+one known segment the sum reads 0.762 of a dense quadrature. Bounds are
 plain floats. No function here takes a run: ``fiber.teich_step_bound``
 sums the bounds of a step's moves.
 """

@@ -21,7 +21,7 @@ from pullbacklab.certify import (N_SAMP, certify_obstructed, classify_run,
                                  find_separating_annulus, injectivity_test,
                                  verify_certificate, LevyCertificate,
                                  _apply_map, _circle, _circle_position,
-                                 _derive_certificate, _log_euclid_dist,
+                                 _derive_certificate,
                                  _poly_min_dist, _star_radii,
                                  _step_chart_entries, _winding)
 from pullbacklab.cli import _build_run, load_config, main
@@ -210,12 +210,11 @@ def _widest_certified_annulus(extra, n=700):
                    extra_punctures=extra)
     while run.n < n:
         run.pullback_step()
-    points = run.step_points(n)
-    (m_lab, _, q, _), = [p for p in points if p[1] == "marked"]
-    p_lab = next(lab for lab, kind, z, _ in points if kind == "P" and z == q)
-    entries = _step_chart_entries(points, q, n)
+    anchor = run.marked[0].anchor
+    q = anchor.puncture
+    entries = _step_chart_entries(run, q, n)
     ann = find_separating_annulus([(lab, z) for lab, _, z in entries],
-                                  [p_lab, m_lab],
+                                  [anchor.label, "m0"],
                                   obstacles=run.g.chart(q)[1], anchor=q)
     while True:
         fields, faults = _derive_certificate(run, n, ann)
@@ -787,7 +786,8 @@ def test_threshold_is_taken_once_per_certification_call(monkeypatch):
 # -- the step configuration against the reading it replaced ------------------
 
 def _reference_chart_entries(run, n, shift):
-    """The chart entries as read from the tracks before ``step_points``."""
+    """The chart entries as read from the tracks, each kind of point
+    placed by its own rule."""
     entries = []
     for lab, p in run.punctures:
         entries.append((lab, "P", None if is_inf(p) else p - shift))
@@ -809,7 +809,11 @@ def _reference_chart_entries(run, n, shift):
 
 
 def _reference_log_dist(run, n, e1, e2):
-    """The clustering distance as read from the tracks by label."""
+    """The log plane distance of two points of the step configuration,
+    given as (label, kind), read from the tracks by label: tracks anchored
+    at one puncture by their deviations, a track and its own puncture by
+    |eta|, any other pair by the points' positions (an anchored track at
+    its puncture)."""
     _LN2 = math.log(2.0)
 
     def resolve(label, kind):
@@ -842,10 +846,10 @@ def _reference_log_dist(run, n, e1, e2):
     if r1[0] == "anchored" or r2[0] == "anchored":
         (a, eta), other = (r1[1], r2) if r1[0] == "anchored" else (r2[1], r1)
         q = other[1]
-        if is_inf(q) or is_inf(a.puncture):
-            return math.inf
         if chordal(a.puncture, q) <= 1e-12:
             return eta.log2_abs() * _LN2
+        if is_inf(q) or is_inf(a.puncture):
+            return math.inf
         return math.log(max(abs(a.puncture - q), 1e-300))
     p, q = r1[1], r2[1]
     if is_inf(p) or is_inf(q):
@@ -883,31 +887,17 @@ def _reference_runs():
                             [BranchDatum(b, -cmath.sqrt(b - c))])
 
 
-def test_step_points_match_the_track_reading():
-    same_chart = 0
+def test_step_chart_entries_match_the_track_reading():
     for name, run in _reference_runs():
         for n in range(1, 221):
             run.pullback_step()
-            points = run.step_points(n)
-            assert [p[0] for p in points] == list(run.punctures.labels) + \
-                [t.label for t in list(run.marked) + list(run.trivial)]
-            for a in points:
-                for b in points:
-                    want = _reference_log_dist(run, n, a[:2], b[:2])
-                    got = _log_euclid_dist(a, b)
-                    assert struct.pack("<d", got) == struct.pack("<d", want), \
-                        (name, n, a[0], b[0], got, want)
-                    same_chart += a[3] is not None and b[3] is not None and \
-                        a[0] != b[0] and a[3][0] is b[3][0]
             for shift in [0j] + [p for p in run.punctures.points
                                  if not is_inf(p)]:
-                assert _bit_entries(_step_chart_entries, points, shift, n) == \
+                assert _bit_entries(_step_chart_entries, run, shift, n) == \
                     _bit_entries(_reference_chart_entries, run, n, shift), \
                     (name, n, shift)
-    # the two-anchored run compares its marked points in one chart
-    assert same_chart > 0
-    with pytest.raises(ValueError):
-        run.step_points(run.n + 1)
+    with pytest.raises(ValueError, match="^run has no step 221$"):
+        _step_chart_entries(run, None, run.n + 1)
 
 
 def test_step_chart_entries_across_oo():
@@ -923,21 +913,23 @@ def test_step_chart_entries_across_oo():
         track = run.marked[0]
         p = track.anchor.puncture
         assert is_inf(p) != is_inf(q)
-        points = run.step_points(40)
-        entries = {lab: z for lab, _, z in _step_chart_entries(points, q, 40)}
+        entries = {lab: z for lab, _, z in _step_chart_entries(run, q, 40)}
         want = chart_coordinate(q, track.position())
         assert entries["m0"] == want and not is_inf(want)
         # the chart's oo is None: the puncture oo in the chart at 0
         assert [lab for lab, z in entries.items() if z is None] == \
             ([] if is_inf(q) else ["p2"])
-        own = {lab: z for lab, _, z in _step_chart_entries(points, p, 40)}
+        own = {lab: z for lab, _, z in _step_chart_entries(run, p, 40)}
         assert own["m0"] == track.anchor.chart.eps_star + \
             track.history[-1][1].to_complex()
 
 
-def _all_pairs_clusters(points, log_r):
-    # emission's clustering as first written: every pair measured, the
-    # union-find built at every attempt
+def _all_pairs_clusters(run, n, log_r):
+    # emission's clustering as first written: every pair of the step-n
+    # configuration measured (_reference_log_dist), the union-find built
+    # at every attempt; each cluster as its puncture and its labels
+    points = [(lab, "P") for lab in run.punctures.labels] + [
+        (t.label, "marked") for t in list(run.marked) + list(run.trivial)]
     parent = list(range(len(points)))
 
     def find(i):
@@ -948,12 +940,14 @@ def _all_pairs_clusters(points, log_r):
 
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
-            if _log_euclid_dist(points[i], points[j]) <= log_r:
+            if _reference_log_dist(run, n, points[i], points[j]) <= log_r:
                 parent[find(i)] = find(j)
     clusters = {}
     for i in range(len(points)):
         clusters.setdefault(find(i), []).append(points[i])
-    return [c for c in clusters.values() if len(c) >= 2]
+    return [(next((run.punctures.point(lab) for lab, kind in c
+                   if kind == "P"), None), [lab for lab, _ in c])
+            for c in clusters.values() if len(c) >= 2]
 
 
 def _obstructed_corpus_runs():
@@ -985,9 +979,8 @@ def test_links_first_clustering_is_all_pairs_clustering_at_every_tail_step():
             run.pullback_step()
             log_r = -certify.TWO_PI * (certify._threshold_product(run)
                                        / ELL_STAR)
-            points = run.step_points(run.n)
-            got = certify._clusters(points, len(run.punctures), log_r)
-            assert got == _all_pairs_clusters(points, log_r), (name, run.n)
+            got = certify._clusters(run, run.n, log_r)
+            assert got == _all_pairs_clusters(run, run.n, log_r), (name, run.n)
             linked += bool(got)
             cert = emit_levy_certificate(run)
             if cert is not None or run.n > 2000:
@@ -1006,7 +999,7 @@ def _assert_sampled_curve_fields(cert, run):
     curves = [_circle(c, v, certify.N_CURVE)
               for c, v in cert.representative_curves]
     entries = [(lab, z) for lab, _, z in _step_chart_entries(
-        run.step_points(cert.step), ann.anchor, cert.step) if z is not None]
+        run, ann.anchor, cert.step) if z is not None]
     for c in curves:
         assert _winding(c, ann.center) == 1
         windings = {lab: _winding(c, z) for lab, z in entries}
@@ -1015,31 +1008,31 @@ def _assert_sampled_curve_fields(cert, run):
             lab for lab, w in windings.items() if w == 1)
 
 
-def test_links_first_clustering_on_seeded_configurations():
-    # marked points in tight groups, near a puncture or away from all of
-    # them, and the punctures themselves (more than EPS_SEP apart), give
-    # the clusters the all-pairs clustering gives
-    rng = random.Random(31)
-    sizes = set()
-    for _ in range(300):
-        punctures = [("p%d" % i, "P", z, None) for i, z in enumerate(
-            [complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-             for _ in range(rng.randint(2, 4))] + [INF])]
-        marked = []
-        for _ in range(rng.randint(1, 5)):
-            base = rng.choice([p[2] for p in punctures[:-1]] + [
-                complex(rng.uniform(-3, 3), rng.uniform(-3, 3))])
-            for _ in range(rng.randint(1, 3)):
-                marked.append(("m%d" % len(marked), "marked", base +
-                               10 ** rng.uniform(-40, -20) * cmath.exp(
-                                   1j * rng.uniform(-math.pi, math.pi)),
-                               None))
-        points = punctures + marked
-        log_r = math.log(1e-30)
-        got = certify._clusters(points, len(punctures), log_r)
-        assert got == _all_pairs_clusters(points, log_r)
-        sizes.update(len(c) for c in got)
-    assert {2, 3, 4} <= sizes
+def test_links_by_deviation_at_one_anchor():
+    # two marked points of z^2 - 2 anchored at the puncture 2, their
+    # deviations a relative 1e-6 apart: with the scale between their gap
+    # and the nearer |eta| the two tracks are a cluster without their
+    # puncture, above both one with it, and at every step each is the
+    # clustering every pair of the configuration gives
+    run = init_run(CHEB, [BranchDatum(0.0, math.sqrt(2)),
+                          BranchDatum(1.6e-6, math.sqrt(2 + 1.6e-6))])
+    ln2 = math.log(2.0)
+    steps = 0
+    for n in range(1, 301):
+        run.pullback_step()
+        (m0, eta0), (m1, eta1) = [t.history[n] for t in run.marked]
+        if (m0, m1) != ("anchored", "anchored"):
+            continue
+        steps += 1
+        gap = eta0.log2_dist(eta1) * ln2
+        near, far = sorted((eta0.log2_abs() * ln2, eta1.log2_abs() * ln2))
+        assert 5e-7 < math.exp(gap - near) < 2e-6, n
+        for log_r, want in (((gap + near) / 2, [(None, ["m0", "m1"])]),
+                            (far + 1.0, [(2 + 0j, ["p1", "m0", "m1"])])):
+            got = certify._clusters(run, n, log_r)
+            assert got == want == _all_pairs_clusters(run, n, log_r), \
+                (n, log_r)
+    assert steps == 298
 
 
 # -- closed forms at depth: the anchor chart's linear part -------------------
@@ -1401,7 +1394,7 @@ def _forge_lone_point(payload, run):
     # stored modulus, side counts and cluster labels made to match
     ann = RoundAnnulus.from_json(payload["annulus"])
     n = payload["step"]
-    entries = _step_chart_entries(run.step_points(n), ann.anchor, n)
+    entries = _step_chart_entries(run, ann.anchor, n)
     m0 = next(z for lab, _, z in entries if lab == "m0")
     log_rout = math.log(0.5 * min(abs(z - m0) for lab, _, z in entries
                                   if lab != "m0" and z is not None))
@@ -1432,7 +1425,7 @@ def _forge_ring(payload, run):
     ann = RoundAnnulus.from_json(payload["annulus"])
     n = payload["step"]
     dist, label = min((abs(z - ann.center), lab) for lab, _, z
-                      in _step_chart_entries(run.step_points(n), ann.anchor, n)
+                      in _step_chart_entries(run, ann.anchor, n)
                       if z is not None and abs(z - ann.center) > ann.r_in)
     payload["annulus"]["log_rout"] = math.log(1.5 * dist)
     payload["modulus"] = annulus_modulus(
@@ -1446,7 +1439,7 @@ def _forge_two_punctures(payload, run):
     # just inside m0; its modulus, over the threshold, and the side counts
     # and cluster labels made to match
     n = payload["step"]
-    entries = _step_chart_entries(run.step_points(n), None, n)
+    entries = _step_chart_entries(run, None, n)
     inner = [(lab, z) for lab, kind, z in entries
              if kind == "P" and z is not None]
     center = sum(z for _, z in inner) / 2

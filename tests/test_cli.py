@@ -84,6 +84,11 @@ MALFORMED_RUNS = [
      "extra_punctures must be"),
     ("compose_iterate_string", {"compose_iterate": "2"},
      "compose_iterate must be"),
+    # an iterate below 1 is refused, not run as g itself
+    ("compose_iterate_zero", {"compose_iterate": 0},
+     "compose_iterate must be at least 1, not 0\n"),
+    ("compose_iterate_negative", {"compose_iterate": -3},
+     "compose_iterate must be at least 1, not -3\n"),
     ("name_int", {"name": 5}, "name must be"),
     ("basepoint_string",
      {"marked": [{"type": "fixed", "basepoint": "ab",
@@ -132,6 +137,14 @@ MALFORMED_RUNS = [
      {"marked": [{"type": "trivial", "image": [-2.0, 0.0],
                   "preimage": [0.0, 0.0], "start": [2.0, 0.0]}]},
      "trivial start collides with a puncture"),
+    # two marked points closer than eps_sep at step 0 are invalid input,
+    # not a numerical failure of the run
+    ("marked_points_coincide",
+     {"marked": [{"type": "fixed", "basepoint": [0.0, 0.0],
+                  "branch_point": [math.sqrt(2), 0.0]},
+                 {"type": "fixed", "basepoint": [1e-12, 0.0],
+                  "branch_point": [math.sqrt(2 + 1e-12), 0.0]}]},
+     "positions m0 and m1 closer than eps_sep at step 0\n"),
 ]
 
 
@@ -492,6 +505,21 @@ def test_check_takes_step_numbers_from_matched_lines(corpus_out, tmp_path,
         "certificate, in order\n")
 
 
+def test_check_refuses_step_numbers_that_are_not_json_integers(
+        corpus_out, tmp_path, capsys):
+    # "n": true at step 1 and "n": 2.0 at step 2 equal 1 and 2 in Python;
+    # the lines, which match no layout the run writes, are parsed and
+    # their step typed as an integer
+    records = _stored_records(corpus_out, "chebyshev")
+    records[1]["n"], records[2]["n"] = True, 2.0
+    lines = [JSON_ENCODER.encode(rec) for rec in records]
+    assert not RECORD_LINE.fullmatch(lines[1])
+    capsys.readouterr()
+    assert _check_lines(corpus_out, tmp_path, "chebyshev", lines) == 2
+    assert capsys.readouterr().err == \
+        "invalid config/input: trace record n must be int, not True\n"
+
+
 def test_trace_lines_must_be_json_objects(corpus_out, tmp_path, capsys):
     trace = tmp_path / "list.trace.jsonl"
     trace.write_text(json.dumps({"n": 0}) + "\n[1, 2]\n")
@@ -801,9 +829,15 @@ def test_realized_run_and_analyze_need_no_numpy(corpus_out, tmp_path):
         "out, basilica, chebyshev = sys.argv[1:]\n"
         "assert cli.main(['run', '--config', basilica, '--out', out]) == 0\n"
         "assert cli.main(['analyze', '--config', chebyshev,\n"
-        "                 '--out', out]) == 0",
+        "                 '--out', out]) == 0\n"
+        "base = out + '/basilica'\n"
+        "assert cli.main(['classify', '--trace', base + '.trace.jsonl',\n"
+        "                 '--report', base + '.report.json']) == 0",
         out, basilica, chebyshev)
     assert proc.returncode == 0, proc.stderr
+    report = read_json(os.path.join(out, "basilica.report.json"))
+    assert proc.stdout.endswith(json.dumps(
+        report["classification"], sort_keys=True, indent=1) + "\n")
     assert sorted(os.listdir(out)) == ["basilica.report.json",
                                        "basilica.trace.jsonl",
                                        "chebyshev.analysis.json"]
@@ -818,8 +852,8 @@ def test_realized_run_and_analyze_need_no_numpy(corpus_out, tmp_path):
 
 
 def test_certificates_need_no_numpy(corpus_out, tmp_path):
-    # chebyshev's run builds its certificate and check verifies it with
-    # numpy unimportable; the files are the ones a normal process writes,
+    # chebyshev's certify builds its certificate and check verifies it
+    # with numpy unimportable; the files are the ones a normal run writes,
     # and a certificate whose k is forged still fails
     out = str(tmp_path / "no_numpy")
     chebyshev = [p for p in DEMO_CONFIGS if p.endswith("chebyshev.json")][0]
@@ -832,14 +866,14 @@ def test_certificates_need_no_numpy(corpus_out, tmp_path):
         "import sys; sys.modules['numpy'] = None\n"
         "from pullbacklab import cli\n"
         "config, out, base, forged = sys.argv[1:]\n"
-        "assert cli.main(['run', '--config', config, '--out', out]) == 0\n"
+        "assert cli.main(['certify', '--config', config, '--out', out]) == 0\n"
         "check = ['check', '--trace', base + '.trace.jsonl', '--cert']\n"
         "assert cli.main(check + [base + '.certificate.json', '--report',\n"
         "                         base + '.report.json']) == 0\n"
         "assert cli.main(check + [forged]) == 1\n"
         "assert 'numpy' not in sys.modules or sys.modules['numpy'] is None",
         chebyshev, out, base, forged_path)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == 0 and not proc.stderr, proc.stderr
     assert "CHECK FAIL: k mismatch" in proc.stdout
     for suffix in (".certificate.json", ".trace.jsonl"):
         assert pathlib.Path(base + suffix).read_bytes() == pathlib.Path(

@@ -400,10 +400,11 @@ def test_obstructed_run_bounds_each_step_once(monkeypatch):
 
 
 def test_collision_detected_on_merging_marked_points():
-    # two fixed marked points driven into the same puncture with the same
-    # branch data collide (relative separation below eps_sep eventually);
-    # here we force it immediately with nearly identical basepoints
-    with pytest.raises(CollisionDetected):
+    # two marked points closer than eps_sep at step 0 are invalid input,
+    # refused with the pair named; a collision of a stepped run stays a
+    # CollisionDetected (test_collision_messages_and_pairs)
+    with pytest.raises(InvalidBranchDatum, match="^positions m0 and m1 "
+                       "closer than eps_sep at step 0$"):
         init_run(CHEB, [BranchDatum(0.0, math.sqrt(2)),
                         BranchDatum(1e-12, math.sqrt(2 + 1e-12))])
 

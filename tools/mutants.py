@@ -1,5 +1,5 @@
-"""Single-line mutants of the verdict rules, the curve comparison and
-``lift_path``'s safeguards.
+"""Single-line mutants of the verdict rules, emission's cluster links,
+the curve comparison and ``lift_path``'s safeguards.
 
     python3 tools/mutants.py            # every mutant
     python3 tools/mutants.py 1 4        # mutants 1 and 4 only
@@ -44,6 +44,15 @@ MUTANTS = [
      "if False:"),
     ("classify_run: repelling test deleted", "src/pullbacklab/certify.py",
      "if not is_repelling(mult):", "if False:"),
+    ("cluster links: a track never linked to its own puncture",
+     "src/pullbacklab/certify.py",
+     "if eta.log2_abs() * ln2 <= log_r:", "if False:"),
+    ("cluster links: two tracks on one anchor never linked",
+     "src/pullbacklab/certify.py",
+     "if other.log2_dist(eta) * ln2 <= log_r:", "if False:"),
+    ("cluster links: scale ignored, every anchored track linked",
+     "src/pullbacklab/certify.py",
+     "if eta.log2_abs() * ln2 <= log_r:", "if True:"),
     ("curve comparison: center test deleted", "src/pullbacklab/certify.py",
      "if not max(abs(c - c0), abs(v - v0)) <=", "if not abs(v - v0) <="),
     ("curve comparison: vertex test deleted", "src/pullbacklab/certify.py",
